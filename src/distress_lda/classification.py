@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from . import normalization as norm
-from .dataset import BankYearRecord, GroupLabel, RatioVector, TrainingSet
+from .dataset import BankYearRecord, GroupLabel, RatioVector, TrainingSet, rows_by_bank
 from .errors import DomainError, MissingDataError, MissingLabelError
 from .lda_fit import DiscriminantModel, fisher_classify, score
 from .normalization import NormalizationStats
@@ -196,11 +196,9 @@ def infer_warning_years(
     available year.
     """
     warning: dict[str, int] = {}
-    banks = {r.bank_id for r in records}
-    for bank in banks:
+    for bank, recs in rows_by_bank(records).items():
         if actual.get(bank) is not GroupLabel.BANKRUPT:
             continue
-        recs = [r for r in records if r.bank_id == bank]
         available = sorted(r.year for r in recs if r.available)
         if not available:
             continue
@@ -267,14 +265,20 @@ def evaluate_panel(
     """Score and zone a yearly panel, with and without the grey interval.
 
     warning_years overrides the inferred last-reporting-year per bank for
-    distressed banks whose drop-out year is not visible in the panel.
+    distressed banks whose drop-out year is not visible in the panel. An
+    override for a bank that is not in the panel is ignored with a notice.
     """
-    for record in records:
-        if record.bank_id not in actual:
-            raise MissingLabelError(f"bank {record.bank_id!r} has no group label")
+    banks = rows_by_bank(records)
+    for bank in banks:
+        if bank not in actual:
+            raise MissingLabelError(f"bank {bank!r} has no group label")
     warning = infer_warning_years(records, actual)
-    if warning_years:
-        warning.update(warning_years)
+    notices: list[str] = []
+    for bank, year in sorted((warning_years or {}).items()):
+        if bank in banks:
+            warning[bank] = year
+        else:
+            notices.append(f"warning year for bank {bank!r} ignored: bank not in panel")
 
     scored_by_year: dict[int, list[tuple[str, float]]] = {}
     for record in sorted(records, key=lambda r: (r.year, r.bank_id)):
@@ -286,7 +290,6 @@ def evaluate_panel(
     cutoff_zones = replace(zones, grey=None)
     years: list[YearRow] = []
     cutoff_rows: list[YearRow] = []
-    notices: list[str] = []
     for year in sorted(scored_by_year):
         scored = scored_by_year[year]
         if not scored:

@@ -56,7 +56,7 @@ from .errors import (
 )
 from .fixtures import load_published_zones
 from .lda_fit import DiscriminantModel, fit
-from .model_io import load_model, load_zones, model_to_dict, save_model
+from .model_io import load_model, load_zones, loads_finite, model_to_dict, save_model
 from .normalization import fit_normalizer, normalize_training_set
 
 _GLYPH = {ZoneLabel.BANKRUPT: "▼", ZoneLabel.GREY: "■", ZoneLabel.NONBANKRUPT: "▲"}
@@ -113,8 +113,8 @@ def _read_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     if text.lstrip().startswith("{"):
         try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+            doc = loads_finite(text)
+        except ValueError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
@@ -215,7 +215,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     for bank, raw in values["warning_years"].items():
         try:
             warning_years[bank] = int(raw)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"warning year for {bank!r} must be an integer") from None
     values["labels"] = labels
     values["warning_years"] = warning_years

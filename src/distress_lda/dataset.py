@@ -12,6 +12,7 @@ import enum
 import io
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -125,8 +126,7 @@ def _split_rows(text: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
     return header, rows
 
 
-def _cell(header: list[str], row: list[str], column: str) -> str:
-    idx = header.index(column)
+def _cell(row: list[str], idx: int) -> str:
     return row[idx].strip() if idx < len(row) else ""
 
 
@@ -137,13 +137,15 @@ def parse_panel(text: str) -> list[BankYearRecord]:
     available=False (the ratios are kept as zeros but mean nothing).
     """
     header, rows = _split_rows(text)
+    bank_at, year_at = header.index("bank"), header.index("year")
+    ratio_at = [header.index(name) for name in VARIABLES]
     records: list[BankYearRecord] = []
     seen: set[tuple[str, int]] = set()
     for lineno, row in rows:
-        bank = _cell(header, row, "bank")
+        bank = _cell(row, bank_at)
         if not bank:
             raise ParseError(f"row {lineno}: column 'bank' is empty")
-        year_text = _cell(header, row, "year")
+        year_text = _cell(row, year_at)
         try:
             year = int(year_text)
         except ValueError:
@@ -153,7 +155,7 @@ def parse_panel(text: str) -> list[BankYearRecord]:
             raise DuplicateRecordError(f"row {lineno}: duplicate record for bank {bank!r}, year {year}")
         seen.add(key)
 
-        cells = [_cell(header, row, name) for name in VARIABLES]
+        cells = [_cell(row, idx) for idx in ratio_at]
         if all(cell == "" for cell in cells):
             records.append(BankYearRecord(bank, year, RatioVector.from_array([0.0] * 6), False))
             continue
@@ -176,10 +178,11 @@ def panel_labels(text: str) -> dict[str, GroupLabel]:
     header, rows = _split_rows(text)
     if "label" not in header:
         raise SchemaError("panel has no 'label' column")
+    bank_at, label_at = header.index("bank"), header.index("label")
     labels: dict[str, GroupLabel] = {}
     for lineno, row in rows:
-        bank = _cell(header, row, "bank")
-        cell = _cell(header, row, "label")
+        bank = _cell(row, bank_at)
+        cell = _cell(row, label_at)
         if not cell:
             continue
         try:
@@ -208,12 +211,22 @@ def serialize_panel(records: list[BankYearRecord], labels: dict[str, GroupLabel]
     return out.getvalue()
 
 
+def rows_by_bank(records: Iterable[BankYearRecord]) -> dict[str, list[BankYearRecord]]:
+    """Each bank's records, banks in first-seen order, rows in panel order."""
+    grouped: dict[str, list[BankYearRecord]] = {}
+    for rec in records:
+        grouped.setdefault(rec.bank_id, []).append(rec)
+    return grouped
+
+
 def average_ratios(records: list[BankYearRecord], bank_id: str, years: tuple[int, int]) -> RatioVector:
     """Mean ratios for one bank over an inclusive year window.
 
     Unavailable years are excluded from both the numerator and the
     denominator, so a bank observed in only one window year keeps that
-    year's ratios unchanged.
+    year's ratios unchanged. The bank's window rows are summed in the order
+    they appear in `records`; rows of other banks never enter the mean, so
+    passing only this bank's rows gives the same result.
     """
     first, last = years
     rows = [
@@ -246,17 +259,17 @@ def training_set_from_panel(
     labels: dict[str, GroupLabel],
     window: tuple[int, int] = (2012, 2015),
 ) -> TrainingSet:
-    """Average each labeled bank over the window and build a training set."""
+    """Average each labeled bank over the window and build a training set.
+
+    Samples follow the order in which banks first appear in `records`. Each
+    bank's rows are averaged in panel order, so interleaving other banks'
+    rows between them leaves that bank's sample unchanged.
+    """
     samples: list[LabeledSample] = []
-    seen: set[str] = set()
-    for rec in records:
-        if rec.bank_id in seen:
-            continue
-        seen.add(rec.bank_id)
-        if rec.bank_id not in labels:
-            raise MissingLabelError(f"bank {rec.bank_id!r} has no group label")
-        ratios = average_ratios(records, rec.bank_id, window)
-        samples.append(LabeledSample(rec.bank_id, ratios, labels[rec.bank_id]))
+    for bank_id, rows in rows_by_bank(records).items():
+        if bank_id not in labels:
+            raise MissingLabelError(f"bank {bank_id!r} has no group label")
+        samples.append(LabeledSample(bank_id, average_ratios(rows, bank_id, window), labels[bank_id]))
     return build_training_set(samples)
 
 

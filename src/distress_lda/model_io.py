@@ -166,6 +166,18 @@ def save_model(path: str | Path, model: DiscriminantModel, stats: NormalizationS
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _reject_constant(name: str) -> None:
+    raise ValueError(f"{name} is not a finite number")
+
+
+def loads_finite(text: str):
+    """json.loads without the NaN and Infinity literals Python accepts by default.
+
+    Raises ValueError (json.JSONDecodeError for malformed text).
+    """
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def _load_json(path: str | Path, what: str) -> dict:
     path = Path(path)
     try:
@@ -173,8 +185,8 @@ def _load_json(path: str | Path, what: str) -> dict:
     except OSError as exc:
         raise ModelFileError(f"cannot read {what} file {path}: {exc}") from None
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return loads_finite(text)
+    except ValueError as exc:
         raise ModelFileError(f"{what} file {path} is not valid JSON: {exc}") from None
 
 
@@ -193,11 +205,14 @@ def zones_from_dict(doc: dict) -> ClassificationZones:
     elif (
         isinstance(grey_doc, list)
         and len(grey_doc) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in grey_doc)
+        and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+            for v in grey_doc
+        )
     ):
         grey = (float(grey_doc[0]), float(grey_doc[1]))
     else:
-        raise ModelFileError("zones: 'grey' must be null or a [lo, hi] pair")
+        raise ModelFileError("zones: 'grey' must be null or a [lo, hi] pair of finite numbers")
     source = doc.get("source")
     if source not in ZONE_SOURCES:
         raise ModelFileError(f"zones: 'source' must be one of {ZONE_SOURCES}")

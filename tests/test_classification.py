@@ -326,6 +326,29 @@ class TestEvaluatePanel:
         row2014 = next(r for r in report.years if r.year == 2014)
         assert row2014.type1_count == 1  # healthy-looking in its warning year
 
+    def test_override_for_unknown_bank_noticed(
+        self, reference_model, reference_stats, evaluation_panel, published_zones
+    ):
+        records, labels = evaluation_panel
+        base = evaluate_panel(
+            reference_model, reference_stats, records, labels, published_zones, "raw"
+        )
+        report = evaluate_panel(
+            reference_model,
+            reference_stats,
+            records,
+            labels,
+            published_zones,
+            mode="raw",
+            warning_years={"Zeta Bank": 2014, "Alpha Bank": 2013},
+        )
+        assert report.notices == (
+            "warning year for bank 'Alpha Bank' ignored: bank not in panel",
+            "warning year for bank 'Zeta Bank' ignored: bank not in panel",
+        )
+        assert report.years == base.years
+        assert report.cutoff_only == base.cutoff_only
+
     def test_empty_year_noticed_and_omitted(
         self, reference_model, reference_stats, published_zones
     ):

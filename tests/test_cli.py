@@ -308,6 +308,21 @@ class TestEvaluateCommand:
         assert by_year[2015]["type1"] == 1.0
         assert by_year[2014]["type1"] == 1.0
 
+    def test_warning_year_for_unknown_bank_noticed(self, tmp_path, capsys):
+        config = tmp_path / "eval.json"
+        config.write_text(json.dumps({"warning_years": {"Ghost Bank": 2014}}), encoding="utf-8")
+        argv = (
+            "evaluate", "--panel", PANEL_A, "--panel", PANEL_B,
+            "--model", REFERENCE, "--zones", "paper", "--config", str(config),
+        )
+        notice = "warning year for bank 'Ghost Bank' ignored: bank not in panel"
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[-1] == f"note: {notice}"
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["notices"] == [notice]
+
     def test_labels_from_config_cover_unlabeled_panel(self, tmp_path, capsys):
         panel = tmp_path / "going.csv"
         panel.write_text(
@@ -509,6 +524,35 @@ class TestExitCodes:
         )
         assert code == 4
         assert "group means coincide" in err
+
+    @pytest.mark.parametrize(
+        "grey", ["[NaN, NaN]", "[-Infinity, Infinity]", "[1e999, 1e999]"]
+    )
+    def test_non_finite_zones_file(self, tmp_path, capsys, grey):
+        zones = tmp_path / "zones.json"
+        zones.write_text(
+            f'{{"cutoff": -0.000007, "grey": {grey}, "source": "explicit-override"}}',
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(
+            capsys, "classify", "--panel", PANEL_A, "--model", REFERENCE, "--zones", str(zones)
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: zones") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("year", ["Infinity", "1e999"])
+    def test_non_finite_warning_year_in_config(self, tmp_path, capsys, year):
+        config = tmp_path / "eval.json"
+        config.write_text(f'{{"warning_years": {{"Moza Banco, S.A": {year}}}}}', encoding="utf-8")
+        code, out, err = run_cli(
+            capsys,
+            "evaluate", "--panel", PANEL_A, "--panel", PANEL_B,
+            "--model", REFERENCE, "--zones", "paper", "--config", str(config),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_duplicate_record_across_panels(self, capsys):
         code, _, err = run_cli(

@@ -171,6 +171,13 @@ class TestLoadErrors:
         with pytest.raises(ModelFileError, match="not valid JSON"):
             load_model(path)
 
+    def test_non_finite_literal_rejected(self, tmp_path, model_doc):
+        model_doc["constant"] = float("nan")
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model_doc))  # json.dumps writes the NaN literal
+        with pytest.raises(ModelFileError, match="not valid JSON: NaN is not a finite number"):
+            load_model(path)
+
 
 class TestZonesIO:
     def test_round_trip(self, tmp_path):
@@ -193,6 +200,11 @@ class TestZonesIO:
     def test_grey_must_be_pair_or_null(self):
         with pytest.raises(ModelFileError, match="lo, hi"):
             zones_from_dict({"cutoff": 0.0, "grey": [1.0], "source": "explicit-override"})
+
+    @pytest.mark.parametrize("grey", [[float("nan"), float("nan")], [0.0, float("inf")]])
+    def test_grey_bounds_must_be_finite(self, grey):
+        with pytest.raises(ModelFileError, match="finite numbers"):
+            zones_from_dict({"cutoff": 0.0, "grey": grey, "source": "explicit-override"})
 
     def test_source_vocabulary_enforced(self):
         with pytest.raises(ModelFileError, match="source"):
