@@ -56,10 +56,6 @@ def cutoff_from_centroids(y0: float, n0: int, y1: float, n1: int) -> float:
     return (y0 * n0 + y1 * n1) / (n0 + n1)
 
 
-def cutoff_point(model: DiscriminantModel) -> float:
-    return cutoff_from_centroids(model.y0, model.n0, model.y1, model.n1)
-
-
 def grey_zone(model: DiscriminantModel) -> tuple[float, float] | None:
     """Candidate grey interval [y0 + s0, y1 - s1]; None when it is empty."""
     lo = model.y0 + model.s0
@@ -71,7 +67,9 @@ def grey_zone(model: DiscriminantModel) -> tuple[float, float] | None:
 
 def derive_zones(model: DiscriminantModel) -> ClassificationZones:
     return ClassificationZones(
-        cutoff=cutoff_point(model), grey=grey_zone(model), source="derived-from-model"
+        cutoff=cutoff_from_centroids(model.y0, model.n0, model.y1, model.n1),
+        grey=grey_zone(model),
+        source="derived-from-model",
     )
 
 

@@ -14,12 +14,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .classification import (
-    ClassificationZones,
-    ZoneLabel,
     classify_zone,
     confusion_matrix,
     derive_zones,
@@ -28,13 +26,7 @@ from .classification import (
     score_observation,
     zones_to_dict,
 )
-from .dataset import (
-    BankYearRecord,
-    GroupLabel,
-    panel_labels,
-    parse_panel,
-    training_set_from_panel,
-)
+from .dataset import BankYearRecord, GroupLabel, panel_labels, parse_panel, training_set_from_panel
 from .diagnostics import (
     box_m_from_model,
     box_verdict,
@@ -55,42 +47,38 @@ from .errors import (
     SingularMatrixError,
 )
 from .fixtures import load_published_zones
-from .lda_fit import DiscriminantModel, fit
+from .lda_fit import fit
 from .model_io import load_model, load_zones, loads_finite, model_to_dict, save_model
 from .normalization import fit_normalizer, normalize_training_set
 
-_GLYPH = {ZoneLabel.BANKRUPT: "▼", ZoneLabel.GREY: "■", ZoneLabel.NONBANKRUPT: "▲"}
+_GLYPH = {"bankrupt": "▼", "grey": "■", "nonbankrupt": "▲"}
 
-_CONFIG_KEYS = (
-    "train",
-    "panel",
-    "model",
-    "zones",
-    "mode",
-    "format",
-    "alpha",
-    "collinearity_threshold",
-    "window",
-    "priors",
-    "labels",
-    "warning_years",
-)
+# Allowed values of the choice settings, shared by argparse and config validation.
+_CHOICES = {
+    "mode": ("raw", "normalized"),
+    "format": ("text", "json"),
+    "priors": ("proportional", "equal"),
+}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    train: str | None
-    panels: tuple[str, ...]
-    model: str
-    zones: str
-    mode: str
-    format: str
-    alpha: float
-    collinearity_threshold: float
-    window: tuple[int, int]
-    priors: str
-    labels: dict[str, GroupLabel]
-    warning_years: dict[str, int]
+    train: str | None = None
+    panels: tuple[str, ...] = ()
+    model: str = "model.json"
+    zones: str = "derived"
+    mode: str = "raw"
+    format: str = "text"
+    alpha: float = 0.05
+    collinearity_threshold: float = 0.8
+    window: tuple[int, int] = (2012, 2015)
+    priors: str = "proportional"
+    labels: dict[str, GroupLabel] = field(default_factory=dict)
+    warning_years: dict[str, int] = field(default_factory=dict)
+
+
+# Config files name the panel list "panel", like the repeatable flag.
+_CONFIG_KEYS = tuple("panel" if f.name == "panels" else f.name for f in fields(RunConfig))
 
 
 def parse_window(text: str) -> tuple[int, int]:
@@ -107,10 +95,7 @@ def parse_window(text: str) -> tuple[int, int]:
 
 
 def _read_config_file(path: str) -> dict:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    text = _read_text(path, "config")
     if text.lstrip().startswith("{"):
         try:
             doc = loads_finite(text)
@@ -150,55 +135,35 @@ def _apply_config(values: dict, doc: dict, origin: str) -> None:
                 raise ConfigError(f"{origin}: {key!r} must be a number") from None
         elif key == "window":
             values["window"] = parse_window(str(raw))
-        elif key == "labels":
+        elif key in ("labels", "warning_years"):
             if not isinstance(raw, dict):
-                raise ConfigError(f"{origin}: 'labels' must be a bank -> label object")
-            values["labels"] = dict(raw)
-        elif key == "warning_years":
-            if not isinstance(raw, dict):
-                raise ConfigError(f"{origin}: 'warning_years' must be a bank -> year object")
-            values["warning_years"] = dict(raw)
+                value = "label" if key == "labels" else "year"
+                raise ConfigError(f"{origin}: {key!r} must be a bank -> {value} object")
+            values[key] = dict(raw)
         else:
             values[key] = raw
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    values: dict = {
-        "train": None,
-        "panels": (),
-        "model": "model.json",
-        "zones": "derived",
-        "mode": "raw",
-        "format": "text",
-        "alpha": 0.05,
-        "collinearity_threshold": 0.8,
-        "window": (2012, 2015),
-        "priors": "proportional",
-        "labels": {},
-        "warning_years": {},
-    }
+    values = asdict(RunConfig())
     env_path = os.environ.get("DISTRESS_LDA_CONFIG")
     if env_path:
         _apply_config(values, _read_config_file(env_path), f"config file {env_path}")
     if args.config:
         _apply_config(values, _read_config_file(args.config), f"config file {args.config}")
-    if args.train is not None:
-        values["train"] = args.train
     if args.panel:
         values["panels"] = tuple(args.panel)
-    for flag in ("model", "zones", "mode", "format", "alpha", "collinearity_threshold", "priors"):
+    flags = ("train", "model", "zones", "mode", "format", "alpha", "collinearity_threshold", "priors")
+    for flag in flags:
         value = getattr(args, flag)
         if value is not None:
             values[flag] = value
     if args.window is not None:
         values["window"] = parse_window(args.window)
 
-    if values["mode"] not in ("raw", "normalized"):
-        raise ConfigError(f"mode must be 'raw' or 'normalized', got {values['mode']!r}")
-    if values["format"] not in ("text", "json"):
-        raise ConfigError(f"format must be 'text' or 'json', got {values['format']!r}")
-    if values["priors"] not in ("proportional", "equal"):
-        raise ConfigError(f"priors must be 'proportional' or 'equal', got {values['priors']!r}")
+    for key, allowed in _CHOICES.items():
+        if values[key] not in allowed:
+            raise ConfigError(f"{key} must be {allowed[0]!r} or {allowed[1]!r}, got {values[key]!r}")
     if not 0.0 < values["alpha"] < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {values['alpha']}")
     if not 0.0 < values["collinearity_threshold"] < 1.0:
@@ -229,14 +194,14 @@ def _read_text(path: str, what: str) -> str:
         raise ConfigError(f"cannot read {what} file {path}: {exc}") from None
 
 
-def _load_panels(paths: tuple[str, ...], need_labels: bool, config_labels: dict) -> tuple[
-    list[BankYearRecord], dict[str, GroupLabel]
-]:
+def _load_panels(
+    paths: tuple[str, ...], what: str, need_labels: bool, config_labels: dict
+) -> tuple[list[BankYearRecord], dict[str, GroupLabel]]:
     records: list[BankYearRecord] = []
     labels: dict[str, GroupLabel] = {}
     seen: set[tuple[str, int]] = set()
     for path in paths:
-        text = _read_text(path, "panel")
+        text = _read_text(path, what)
         for record in parse_panel(text):
             key = (record.bank_id, record.year)
             if key in seen:
@@ -259,278 +224,266 @@ def _load_panels(paths: tuple[str, ...], need_labels: bool, config_labels: dict)
     return records, labels
 
 
-def _resolve_zones(config: RunConfig, model: DiscriminantModel) -> ClassificationZones:
+def _panel_inputs(config: RunConfig, command: str, need_labels: bool) -> tuple:
+    """Model, normalization, records, labels and zones of a panel-scoring command."""
+    model, stats = load_model(config.model)
+    if not config.panels:
+        raise ConfigError(f"{command} requires at least one panel (--panel)")
+    records, labels = _load_panels(config.panels, "panel", need_labels, config.labels)
     if config.zones == "derived":
-        return derive_zones(model)
-    if config.zones == "paper":
-        return load_published_zones()
-    return load_zones(config.zones)
-
-
-def _print_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
-
-
-def _score_cell(score: float, zone: ZoneLabel) -> str:
-    return f"{_GLYPH[zone]} {100.0 * score:7.2f}%"
+        zones = derive_zones(model)
+    elif config.zones == "paper":
+        zones = load_published_zones()
+    else:
+        zones = load_zones(config.zones)
+    return model, stats, records, labels, zones
 
 
 # ------------------------------------------------------------------ commands
+#
+# Each command returns its JSON document plus the context its text renderer
+# needs beyond that document; main prints one or the other.
 
 
-def cmd_fit(config: RunConfig) -> int:
+def cmd_fit(config: RunConfig) -> tuple[dict, str]:
     if not config.train:
         raise ConfigError("fit requires a training panel (--train)")
-    text = _read_text(config.train, "training")
-    records = parse_panel(text)
-    try:
-        labels = panel_labels(text)
-    except SchemaError:
-        if not config.labels:
-            raise
-        labels = {}
-    labels.update(config.labels)
+    records, labels = _load_panels((config.train,), "training", True, config.labels)
     ts = training_set_from_panel(records, labels, config.window)
     stats = fit_normalizer(ts)
     tsZ = normalize_training_set(stats, ts)
     model = fit(tsZ, priors=config.priors)
     save_model(config.model, model, stats)
-    zones = derive_zones(model)
     confusion = confusion_matrix(model, tsZ)
-
-    if config.format == "json":
-        _print_json(
-            {
-                "model_file": config.model,
-                "model": model_to_dict(model, stats),
-                "zones": zones_to_dict(zones),
-                "training_classification": {
-                    "counts": {
-                        actual.name.lower(): {
-                            pred.name.lower(): confusion.count(actual, pred) for pred in GroupLabel
-                        }
-                        for actual in GroupLabel
-                    },
-                    "correct_fraction": confusion.correct_fraction(),
-                },
-            }
-        )
-        return 0
-
-    lines = [f"model written to {config.model}", ""]
-    lines.append(f"{'variable':<10}{'mean':>12}{'sd':>12}{'coefficient':>14}{'standardized':>14}")
-    for name in model.variables:
-        lines.append(
-            f"{name:<10}{stats.mean[name]:>12.5f}{stats.sd[name]:>12.5f}"
-            f"{model.coefficients[name]:>14.4f}{model.standardized[name]:>14.4f}"
-        )
-    lines.append(f"{'constant':<10}{'':>12}{'':>12}{model.constant:>14.4f}")
-    lines.append("")
-    lines.append(
-        f"centroids: bankrupt {model.y0:.4f} (sd {model.s0:.4f}), "
-        f"nonbankrupt {model.y1:.4f} (sd {model.s1:.4f})"
-    )
-    lines.append(
-        f"eigenvalue {model.eigenvalue:.4f}   canonical correlation "
-        f"{model.canonical_correlation:.4f}   wilks lambda {model.wilks_lambda:.4f}"
-    )
-    grey = zones.grey
-    grey_text = f"[{grey[0]:.4f}, {grey[1]:.4f}]" if grey else "none (cut-off only)"
-    lines.append(f"cut-off {zones.cutoff:.6f}   grey zone {grey_text}")
-    lines.append("")
-    lines.append(f"fisher classification functions ({config.priors} priors):")
-    lines.append(f"{'variable':<10}{'bankrupt':>14}{'nonbankrupt':>14}")
-    for name in model.variables:
-        lines.append(
-            f"{name:<10}{model.fisher.weights['bankrupt'][name]:>14.4f}"
-            f"{model.fisher.weights['nonbankrupt'][name]:>14.4f}"
-        )
-    lines.append(
-        f"{'constant':<10}{model.fisher.constants['bankrupt']:>14.4f}"
-        f"{model.fisher.constants['nonbankrupt']:>14.4f}"
-    )
-    lines.append("")
-    correct = sum(confusion.count(g, g) for g in GroupLabel)
-    lines.append(
-        f"training classification: {correct}/{confusion.total()} correct "
-        f"({100.0 * confusion.correct_fraction():.1f}%)"
-    )
-    print("\n".join(lines))
-    return 0
+    doc = {
+        "model_file": config.model,
+        "model": model_to_dict(model, stats),
+        "zones": zones_to_dict(derive_zones(model)),
+        "training_classification": {
+            "counts": {
+                actual.name.lower(): {
+                    pred.name.lower(): confusion.count(actual, pred) for pred in GroupLabel
+                }
+                for actual in GroupLabel
+            },
+            "correct_fraction": confusion.correct_fraction(),
+        },
+    }
+    # The priors name is context: stored priors of 0.5/0.5 cannot tell "equal"
+    # from "proportional" on balanced groups.
+    return doc, config.priors
 
 
-def cmd_diagnose(config: RunConfig) -> int:
+def cmd_diagnose(config: RunConfig) -> tuple[dict, tuple[str, ...]]:
     model, _stats = load_model(config.model)
     report = collinearity_check(
         model.pooled_correlation, config.collinearity_threshold, model.variables
     )
     wilks = wilks_test(model)
     box = box_m_from_model(model)
-    canon = canonical_summary(model)
+    doc = {
+        "collinearity": {
+            "threshold": config.collinearity_threshold,
+            "matrix": [list(row) for row in model.pooled_correlation],
+            "flagged": [{"pair": [a, b], "r": r} for a, b, r in report.flagged_pairs],
+        },
+        "wilks": {
+            "lambda": wilks.wilks_lambda,
+            "chi_square": wilks.chi_square,
+            "df": wilks.df,
+            "p_value": wilks.p_value,
+            "verdict": wilks_verdict(wilks, config.alpha),
+        },
+        "box_m": {
+            "m": box.m,
+            "f": box.f_approx,
+            "df1": box.df1,
+            "df2": box.df2,
+            "p_value": box.p_value,
+            "branch": box.branch,
+            "verdict": box_verdict(box, config.alpha),
+        },
+        "canonical": canonical_summary(model.eigenvalue),
+        "alpha": config.alpha,
+    }
+    return doc, model.variables
 
-    if config.format == "json":
-        _print_json(
-            {
-                "collinearity": {
-                    "threshold": config.collinearity_threshold,
-                    "matrix": [list(row) for row in model.pooled_correlation],
-                    "flagged": [
-                        {"pair": [a, b], "r": r} for a, b, r in report.flagged_pairs
-                    ],
-                },
-                "wilks": {
-                    "lambda": wilks.wilks_lambda,
-                    "chi_square": wilks.chi_square,
-                    "df": wilks.df,
-                    "p_value": wilks.p_value,
-                    "verdict": wilks_verdict(wilks, config.alpha),
-                },
-                "box_m": {
-                    "m": box.m,
-                    "f": box.f_approx,
-                    "df1": box.df1,
-                    "df2": box.df2,
-                    "p_value": box.p_value,
-                    "branch": box.branch,
-                    "verdict": box_verdict(box, config.alpha),
-                },
-                "canonical": canon,
-                "alpha": config.alpha,
-            }
+
+def cmd_classify(config: RunConfig) -> tuple[dict, list[tuple[str, int]]]:
+    model, stats, records, _labels, zones = _panel_inputs(config, "classify", False)
+    scored = []
+    unavailable = []  # text prints these bank-years as n.a; JSON leaves them out
+    for record in sorted(records, key=lambda r: (r.bank_id, r.year)):
+        if not record.available:
+            unavailable.append((record.bank_id, record.year))
+            continue
+        s = score_observation(model, stats, record, config.mode)
+        zone = classify_zone(s, zones).value
+        scored.append({"bank": record.bank_id, "year": record.year, "score": s, "zone": zone})
+    doc = {"mode": config.mode, "zones": zones_to_dict(zones), "records": scored}
+    return doc, unavailable
+
+
+def cmd_evaluate(config: RunConfig) -> tuple[dict, None]:
+    model, stats, records, labels, zones = _panel_inputs(config, "evaluate", True)
+    report = evaluate_panel(
+        model, stats, records, labels, zones, config.mode, config.warning_years or None
+    )
+    return report_to_dict(report), None
+
+
+# ----------------------------------------------------------------- renderers
+
+
+def _score_cell(score: float, zone: str) -> str:
+    return f"{_GLYPH[zone]} {100.0 * score:7.2f}%"
+
+
+def _zones_line(doc: dict) -> str:
+    zones = doc["zones"]
+    grey = zones["grey"]
+    grey_text = f"grey [{grey[0]:.6f}, {grey[1]:.6f}]" if grey else "no grey zone"
+    return (
+        f"zones: cut-off {zones['cutoff']:.6f}, {grey_text} ({zones['source']}); mode: {doc['mode']}"
+    )
+
+
+def render_fit(doc: dict, priors: str) -> str:
+    model = doc["model"]
+    norm = model["normalization"]
+    lines = [f"model written to {doc['model_file']}", ""]
+    lines.append(f"{'variable':<10}{'mean':>12}{'sd':>12}{'coefficient':>14}{'standardized':>14}")
+    for name in model["variables"]:
+        lines.append(
+            f"{name:<10}{norm['means'][name]:>12.5f}{norm['sds'][name]:>12.5f}"
+            f"{model['coefficients'][name]:>14.4f}{model['standardized'][name]:>14.4f}"
         )
-        return 0
+    lines.append(f"{'constant':<10}{'':>12}{'':>12}{model['constant']:>14.4f}")
+    lines.append("")
+    centroids, sd = model["centroids"], model["score_sd"]
+    lines.append(
+        f"centroids: bankrupt {centroids['bankrupt']:.4f} (sd {sd['bankrupt']:.4f}), "
+        f"nonbankrupt {centroids['nonbankrupt']:.4f} (sd {sd['nonbankrupt']:.4f})"
+    )
+    lines.append(
+        f"eigenvalue {model['eigenvalue']:.4f}   canonical correlation "
+        f"{model['canonical_correlation']:.4f}   wilks lambda {model['wilks_lambda']:.4f}"
+    )
+    grey = doc["zones"]["grey"]
+    grey_text = f"[{grey[0]:.4f}, {grey[1]:.4f}]" if grey else "none (cut-off only)"
+    lines.append(f"cut-off {doc['zones']['cutoff']:.6f}   grey zone {grey_text}")
+    lines.append("")
+    weights, constants = model["fisher"]["weights"], model["fisher"]["constants"]
+    lines.append(f"fisher classification functions ({priors} priors):")
+    lines.append(f"{'variable':<10}{'bankrupt':>14}{'nonbankrupt':>14}")
+    for name in model["variables"]:
+        lines.append(
+            f"{name:<10}{weights['bankrupt'][name]:>14.4f}{weights['nonbankrupt'][name]:>14.4f}"
+        )
+    lines.append(f"{'constant':<10}{constants['bankrupt']:>14.4f}{constants['nonbankrupt']:>14.4f}")
+    lines.append("")
+    training = doc["training_classification"]
+    counts = training["counts"]
+    correct = sum(counts[group][group] for group in counts)
+    total = sum(sum(row.values()) for row in counts.values())
+    lines.append(
+        f"training classification: {correct}/{total} correct "
+        f"({100.0 * training['correct_fraction']:.1f}%)"
+    )
+    return "\n".join(lines)
 
+
+def render_diagnose(doc: dict, variables: tuple[str, ...]) -> str:
+    collinearity, wilks = doc["collinearity"], doc["wilks"]
+    box, canon = doc["box_m"], doc["canonical"]
     lines = ["pooled within-group correlations:"]
-    header = "          " + "".join(f"{name:>8}" for name in model.variables)
-    lines.append(header)
-    for name, row in zip(model.variables, model.pooled_correlation):
+    lines.append("          " + "".join(f"{name:>8}" for name in variables))
+    for name, row in zip(variables, collinearity["matrix"]):
         lines.append(f"{name:<10}" + "".join(f"{value:>8.3f}" for value in row))
-    if report.flagged_pairs:
-        flagged = ", ".join(f"{a}/{b} r={r:.3f}" for a, b, r in report.flagged_pairs)
-        lines.append(f"collinear pairs (|r| > {config.collinearity_threshold:g}): {flagged}")
+    threshold = collinearity["threshold"]
+    if collinearity["flagged"]:
+        flagged = ", ".join(
+            f"{entry['pair'][0]}/{entry['pair'][1]} r={entry['r']:.3f}"
+            for entry in collinearity["flagged"]
+        )
+        lines.append(f"collinear pairs (|r| > {threshold:g}): {flagged}")
     else:
-        lines.append(f"no pair exceeds |r| = {config.collinearity_threshold:g}")
+        lines.append(f"no pair exceeds |r| = {threshold:g}")
     lines.append("")
     lines.append(
-        f"wilks lambda {wilks.wilks_lambda:.3f}   chi-square {wilks.chi_square:.3f}   "
-        f"df {wilks.df}   sig {wilks.p_value:.3f}"
+        f"wilks lambda {wilks['lambda']:.3f}   chi-square {wilks['chi_square']:.3f}   "
+        f"df {wilks['df']}   sig {wilks['p_value']:.3f}"
     )
-    lines.append(f"  -> {wilks_verdict(wilks, config.alpha)} (alpha = {config.alpha:g})")
+    lines.append(f"  -> {wilks['verdict']} (alpha = {doc['alpha']:g})")
     lines.append(
-        f"box's m {box.m:.3f}   f {box.f_approx:.3f}   df1 {box.df1:g}   "
-        f"df2 {box.df2:.3f}   sig {box.p_value:.3f}"
+        f"box's m {box['m']:.3f}   f {box['f']:.3f}   df1 {box['df1']:g}   "
+        f"df2 {box['df2']:.3f}   sig {box['p_value']:.3f}"
     )
-    lines.append(f"  -> {box_verdict(box, config.alpha)} (alpha = {config.alpha:g})")
+    lines.append(f"  -> {box['verdict']} (alpha = {doc['alpha']:g})")
     lines.append("")
     lines.append(
         f"eigenvalue {canon['eigenvalue']:.3f}   % of variance {canon['percent_variance']:.1f}   "
         f"canonical correlation {canon['canonical_correlation']:.3f}   "
         f"r-squared {canon['r_squared']:.3f}"
     )
-    print("\n".join(lines))
-    return 0
+    return "\n".join(lines)
 
 
-def cmd_classify(config: RunConfig) -> int:
-    model, stats = load_model(config.model)
-    if not config.panels:
-        raise ConfigError("classify requires at least one panel (--panel)")
-    records, _labels = _load_panels(config.panels, need_labels=False, config_labels={})
-    zones = _resolve_zones(config, model)
-
-    rows = []
-    for record in sorted(records, key=lambda r: (r.bank_id, r.year)):
-        if not record.available:
-            rows.append((record.bank_id, record.year, None, None))
-            continue
-        s = score_observation(model, stats, record, config.mode)
-        rows.append((record.bank_id, record.year, s, classify_zone(s, zones)))
-
-    if config.format == "json":
-        _print_json(
-            {
-                "mode": config.mode,
-                "zones": zones_to_dict(zones),
-                "records": [
-                    {"bank": bank, "year": year, "score": s, "zone": zone.value}
-                    for bank, year, s, zone in rows
-                    if s is not None
-                ],
-            }
-        )
-        return 0
-
+def render_classify(doc: dict, unavailable: list[tuple[str, int]]) -> str:
+    rows = [(r["bank"], r["year"], _score_cell(r["score"], r["zone"])) for r in doc["records"]]
+    rows += [(bank, year, "      n.a") for bank, year in unavailable]
+    rows.sort(key=lambda row: row[:2])
     width = max((len(bank) for bank, *_ in rows), default=4)
-    lines = [_zones_line(zones, config.mode)]
-    for bank, year, s, zone in rows:
-        cell = _score_cell(s, zone) if s is not None else "      n.a"
-        lines.append(f"{bank:<{width}}  {year}  {cell}")
-    print("\n".join(lines))
-    return 0
+    lines = [_zones_line(doc)]
+    lines += [f"{bank:<{width}}  {year}  {cell}" for bank, year, cell in rows]
+    return "\n".join(lines)
 
 
-def _zones_line(zones: ClassificationZones, mode: str) -> str:
-    grey = zones.grey
-    grey_text = f"grey [{grey[0]:.6f}, {grey[1]:.6f}]" if grey else "no grey zone"
-    return f"zones: cut-off {zones.cutoff:.6f}, {grey_text} ({zones.source}); mode: {mode}"
-
-
-def cmd_evaluate(config: RunConfig) -> int:
-    model, stats = load_model(config.model)
-    if not config.panels:
-        raise ConfigError("evaluate requires at least one panel (--panel)")
-    records, labels = _load_panels(config.panels, need_labels=True, config_labels=config.labels)
-    zones = _resolve_zones(config, model)
-    report = evaluate_panel(
-        model, stats, records, labels, zones, config.mode, config.warning_years or None
-    )
-
-    if config.format == "json":
-        _print_json(report_to_dict(report))
-        return 0
-
-    lines = [_zones_line(zones, config.mode), ""]
-    lines.append("with grey zone:")
-    lines.append(
-        f"{'year':>6}{'bankrupt':>10}{'grey':>6}{'healthy':>9}{'hits':>6}{'total':>7}"
+def _year_table(rows: list[dict], with_grey: bool) -> list[str]:
+    grey_head = f"{'grey':>6}" if with_grey else ""
+    lines = [
+        f"{'year':>6}{'bankrupt':>10}{grey_head}{'healthy':>9}{'hits':>6}{'total':>7}"
         f"{'accuracy':>10}{'type I':>8}{'type II':>9}"
-    )
-    for row in report.years:
+    ]
+    for row in rows:
+        counts = row["counts"]
+        grey = f"{counts['grey']:>6}" if with_grey else ""
         lines.append(
-            f"{row.year:>6}{row.bankrupt_count:>10}{row.grey_count:>6}{row.nonbankrupt_count:>9}"
-            f"{row.hits:>6}{row.total:>7}{100.0 * row.accuracy:>9.1f}%"
-            f"{100.0 * row.type1_rate:>7.1f}%{100.0 * row.type2_rate:>8.1f}%"
+            f"{row['year']:>6}{counts['bankrupt']:>10}{grey}{counts['nonbankrupt']:>9}"
+            f"{row['hits']:>6}{row['total']:>7}{100.0 * row['accuracy']:>9.1f}%"
+            f"{100.0 * row['type1']:>7.1f}%{100.0 * row['type2']:>8.1f}%"
         )
-    lines.append("")
-    lines.append("cut-off only:")
-    lines.append(
-        f"{'year':>6}{'bankrupt':>10}{'healthy':>9}{'hits':>6}{'total':>7}"
-        f"{'accuracy':>10}{'type I':>8}{'type II':>9}"
-    )
-    for row in report.cutoff_only:
-        lines.append(
-            f"{row.year:>6}{row.bankrupt_count:>10}{row.nonbankrupt_count:>9}"
-            f"{row.hits:>6}{row.total:>7}{100.0 * row.accuracy:>9.1f}%"
-            f"{100.0 * row.type1_rate:>7.1f}%{100.0 * row.type2_rate:>8.1f}%"
-        )
-    lines.append("")
-    lines.append("per-bank scores (with grey zone):")
-    for row in report.years:
-        lines.append(f"{row.year}:")
-        for bank in row.banks:
-            lines.append(f"  {_score_cell(bank.score, bank.zone)}  {bank.bank}")
-    for notice in report.notices:
-        lines.append(f"note: {notice}")
-    print("\n".join(lines))
-    return 0
+    return lines
+
+
+def render_evaluate(doc: dict, _context: None) -> str:
+    lines = [_zones_line(doc), "", "with grey zone:"]
+    lines += _year_table(doc["years"], with_grey=True)
+    lines += ["", "cut-off only:"]
+    lines += _year_table(doc["cutoff_only"], with_grey=False)
+    lines += ["", "per-bank scores (with grey zone):"]
+    for row in doc["years"]:
+        lines.append(f"{row['year']}:")
+        lines += [f"  {_score_cell(b['score'], b['zone'])}  {b['bank']}" for b in row["banks"]]
+    lines += [f"note: {notice}" for notice in doc["notices"]]
+    return "\n".join(lines)
 
 
 _COMMANDS = {
-    "fit": cmd_fit,
-    "diagnose": cmd_diagnose,
-    "classify": cmd_classify,
-    "evaluate": cmd_evaluate,
+    "fit": (cmd_fit, render_fit, "fit a discriminant model from a labeled training panel"),
+    "diagnose": (cmd_diagnose, render_diagnose, "run the diagnostic battery on a fitted model"),
+    "classify": (cmd_classify, render_classify, "score panel observations and assign zones"),
+    "evaluate": (cmd_evaluate, render_evaluate, "yearly hit/miss evaluation of labeled panels"),
 }
+
+# First match wins, so subclasses come before the classes they refine.
+_EXIT_CODES = (
+    (ConfigError, 2),
+    ((SingularMatrixError, DegenerateSeparationError), 4),
+    (PanelError, 3),
+    (EvaluationError, 5),
+    (DistressLdaError, 1),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -539,13 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-group linear discriminant toolkit for bank-distress early warning.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "fit": "fit a discriminant model from a labeled training panel",
-        "diagnose": "run the diagnostic battery on a fitted model",
-        "classify": "score panel observations and assign zones",
-        "evaluate": "yearly hit/miss evaluation of labeled panels",
-    }
-    for name, help_text in helps.items():
+    for name, (_command, _render, help_text) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("--train", metavar="FILE", help="training panel CSV")
         sub.add_argument(
@@ -557,8 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--zones", metavar="SRC", help="'derived', 'paper', or a zones JSON file"
         )
-        sub.add_argument("--mode", choices=("raw", "normalized"), help="scoring mode")
-        sub.add_argument("--format", choices=("text", "json"), help="report format")
+        sub.add_argument("--mode", choices=_CHOICES["mode"], help="scoring mode")
+        sub.add_argument("--format", choices=_CHOICES["format"], help="report format")
         sub.add_argument("--alpha", type=float, help="significance level (default 0.05)")
         sub.add_argument(
             "--collinearity-threshold",
@@ -567,33 +514,33 @@ def build_parser() -> argparse.ArgumentParser:
             help="|r| flag threshold (default 0.8)",
         )
         sub.add_argument("--window", metavar="YYYY:YYYY", help="averaging window for fit")
-        sub.add_argument(
-            "--priors", choices=("proportional", "equal"), help="fisher priors for fit"
-        )
+        sub.add_argument("--priors", choices=_CHOICES["priors"], help="fisher priors for fit")
         sub.add_argument("--config", metavar="FILE", help="config file (JSON or key=value)")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    command, render, _help = _COMMANDS[args.command]
     try:
         config = build_config(args)
-        return _COMMANDS[args.command](config)
-    except ConfigError as exc:
-        return _fail(exc, 2)
-    except (SingularMatrixError, DegenerateSeparationError) as exc:
-        return _fail(exc, 4)
-    except PanelError as exc:
-        return _fail(exc, 3)
-    except EvaluationError as exc:
-        return _fail(exc, 5)
+        doc, context = command(config)
     except DistressLdaError as exc:
-        return _fail(exc, 1)
-
-
-def _fail(exc: DistressLdaError, code: int) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    return code
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
+    if config.format == "json":
+        text = json.dumps(doc, indent=2, sort_keys=True)
+    else:
+        text = render(doc, context)
+    try:
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader hung up (`| head -1`). Point stdout at devnull so the
+        # interpreter's final flush cannot raise again and print a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -272,19 +272,3 @@ def training_set_from_panel(
         samples.append(LabeledSample(bank_id, average_ratios(rows, bank_id, window), labels[bank_id]))
     return build_training_set(samples)
 
-
-def case_processing_summary(ts: TrainingSet) -> dict[str, dict[str, dict[str, float]]]:
-    """Valid/missing counts and percents per variable and group.
-
-    Training sets only hold fully-available samples, so every variable shows
-    the group size as valid and zero missing; the table exists to make that
-    explicit in reports.
-    """
-    summary: dict[str, dict[str, dict[str, float]]] = {}
-    counts = {"bankrupt": ts.n0, "nonbankrupt": ts.n1}
-    for name in VARIABLES:
-        summary[name] = {
-            group: {"valid": n, "valid_percent": 100.0, "missing": 0, "missing_percent": 0.0}
-            for group, n in counts.items()
-        }
-    return summary

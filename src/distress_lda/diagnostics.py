@@ -111,13 +111,9 @@ def wilks_from_eigenvalue(eigenvalue: float, n: int, p: int, g: int = 2) -> Wilk
     )
 
 
-def wilks_test(model: DiscriminantModel, n: int | None = None, p: int | None = None, g: int = 2) -> WilksResult:
-    """Wilks' Lambda significance for a fitted model; n and p default to the model's."""
-    if n is None:
-        n = model.n0 + model.n1
-    if p is None:
-        p = len(model.variables)
-    return wilks_from_eigenvalue(model.eigenvalue, n, p, g)
+def wilks_test(model: DiscriminantModel) -> WilksResult:
+    """Wilks' Lambda significance for a fitted model, at its own n and p."""
+    return wilks_from_eigenvalue(model.eigenvalue, model.n0 + model.n1, len(model.variables))
 
 
 def _box_f_approx(m: float, c1: float, c2: float, df1: float) -> tuple[float, float, str]:
@@ -186,7 +182,7 @@ def box_m_from_model(model: DiscriminantModel) -> BoxMResult:
     return _box_m_from_variances([model.s0**2, model.s1**2], [model.n0, model.n1])
 
 
-def canonical_summary_from_eigenvalue(eigenvalue: float) -> dict[str, float]:
+def canonical_summary(eigenvalue: float) -> dict[str, float]:
     """Eigenvalue/variance-share/canonical-correlation block for one function."""
     if eigenvalue < 0:
         raise DomainError(f"eigenvalue must be non-negative, got {eigenvalue}")
@@ -200,25 +196,13 @@ def canonical_summary_from_eigenvalue(eigenvalue: float) -> dict[str, float]:
     }
 
 
-def canonical_summary(model: DiscriminantModel) -> dict[str, float]:
-    return canonical_summary_from_eigenvalue(model.eigenvalue)
-
-
-def wilks_significant(result: WilksResult, alpha: float = ALPHA_DEFAULT) -> bool:
-    return result.p_value < alpha
-
-
 def wilks_verdict(result: WilksResult, alpha: float = ALPHA_DEFAULT) -> str:
-    if wilks_significant(result, alpha):
+    if result.p_value < alpha:
         return "discriminant function is significant"
     return "discriminant function is not significant"
 
 
-def box_homogeneous(result: BoxMResult, alpha: float = ALPHA_DEFAULT) -> bool:
-    return result.p_value >= alpha
-
-
 def box_verdict(result: BoxMResult, alpha: float = ALPHA_DEFAULT) -> str:
-    if box_homogeneous(result, alpha):
+    if result.p_value >= alpha:
         return "group score variance is homogenous"
     return "group score variance is not homogenous"

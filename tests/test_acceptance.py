@@ -19,13 +19,12 @@ import numpy as np
 from distress_lda.classification import (
     confusion_matrix,
     cutoff_from_centroids,
-    cutoff_point,
     evaluate_panel,
 )
 from distress_lda.dataset import VARIABLES, GroupLabel
 from distress_lda.diagnostics import (
     box_m_test,
-    canonical_summary_from_eigenvalue,
+    canonical_summary,
     eigenvalue_from_scores,
     wilks_from_eigenvalue,
 )
@@ -116,7 +115,7 @@ def test_reported_score_table_summary_statistics(score_table):
     c = Checklist()
     lam = eigenvalue_from_scores(score_table)
     c.within("eigenvalue of reported scores", lam, 3.136, 0.005)
-    summary = canonical_summary_from_eigenvalue(lam)
+    summary = canonical_summary(lam)
     c.within("canonical correlation", summary["canonical_correlation"], 0.871, 0.001)
     wilks = wilks_from_eigenvalue(lam, n=14, p=6)
     c.within("wilks lambda", wilks.wilks_lambda, 0.242, 0.001)
@@ -320,7 +319,8 @@ def test_fitted_model_invariants_under_sampling():
         s1 = _score_matrix(model, X1)
         both = np.concatenate([s0, s1])
 
-        worst_cut = max(worst_cut, abs(cutoff_point(model) - both.mean()))
+        cutoff = cutoff_from_centroids(model.y0, model.n0, model.y1, model.n1)
+        worst_cut = max(worst_cut, abs(cutoff - both.mean()))
 
         n0, n1 = len(s0), len(s1)
         pooled = ((n0 - 1) * s0.var(ddof=1) + (n1 - 1) * s1.var(ddof=1)) / (n0 + n1 - 2)

@@ -17,7 +17,6 @@ from distress_lda import (
     classify_zone,
     confusion_matrix,
     cutoff_from_centroids,
-    cutoff_point,
     derive_zones,
     evaluate_panel,
     grey_zone,
@@ -77,7 +76,10 @@ class TestCutoff:
 
     def test_cutoff_equals_grand_score_mean(self, fitted_model, normalized_set):
         scores = [score(fitted_model, s.ratios) for s in normalized_set.samples]
-        assert cutoff_point(fitted_model) == pytest.approx(np.mean(scores), abs=1e-12)
+        cutoff = cutoff_from_centroids(
+            fitted_model.y0, fitted_model.n0, fitted_model.y1, fitted_model.n1
+        )
+        assert cutoff == pytest.approx(np.mean(scores), abs=1e-12)
 
 
 class TestGreyZone:
@@ -98,7 +100,9 @@ class TestGreyZone:
     def test_derive_zones_is_tagged(self, reference_model):
         zones = derive_zones(reference_model)
         assert zones.source == "derived-from-model"
-        assert zones.cutoff == pytest.approx(cutoff_point(reference_model), rel=1e-15)
+        m = reference_model
+        cutoff = cutoff_from_centroids(m.y0, m.n0, m.y1, m.n1)
+        assert zones.cutoff == pytest.approx(cutoff, rel=1e-15)
         assert zones.grey == grey_zone(reference_model)
 
     def test_zone_validation(self):

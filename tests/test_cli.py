@@ -1,15 +1,22 @@
 """Command-line interface: config precedence, output formats, exit codes.
 
-Every test drives main(argv) directly, against the bundled case-study data
-or against small handcrafted panels written to tmp_path.
+Tests drive main(argv) directly, against the bundled case-study data or
+against small handcrafted panels written to tmp_path; the closed-stdout case
+runs the CLI as a subprocess.
 """
 from __future__ import annotations
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import distress_lda
 from distress_lda.cli import main, parse_window
 from distress_lda.errors import ConfigError
 from distress_lda.fixtures import data_path
@@ -19,6 +26,7 @@ TABLE = str(data_path("table2.csv"))
 PANEL_A = str(data_path("appendix_a.csv"))
 PANEL_B = str(data_path("appendix_b.csv"))
 REFERENCE = str(data_path("reference_model.json"))
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "cli"
 
 RATIO_HEADER = "bank,year,eaa,roae,roaa,nii,laaa,bdtla"
 
@@ -561,3 +569,162 @@ class TestExitCodes:
         )
         assert code == 3
         assert "duplicate" in err.lower()
+
+    def test_model_statistics_must_agree(self, tmp_path, capsys):
+        doc = json.loads(Path(REFERENCE).read_text(encoding="utf-8"))
+        doc["eigenvalue"] = 5.0
+        doc["wilks_lambda"] = 0.9
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "diagnose", "--model", str(model))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: model: wilks_lambda disagrees") and err.count("\n") == 1
+
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        """A reader that hangs up early (`| head -1`) gets exit 1 and no traceback."""
+        panel = tmp_path / "large.csv"
+        rows = [
+            f"Bank {bank:03d},{year},0.10,0.20,0.010,0.050,0.60,0.030"
+            for bank in range(300)
+            for year in range(2012, 2021)
+        ]
+        panel.write_text("\n".join([RATIO_HEADER, *rows]) + "\n", encoding="utf-8")
+        # Under PYTHONUNBUFFERED stdout is a raw file, and its short write to a
+        # closed pipe passes as success, so the broken pipe never surfaces.
+        env = {
+            k: v for k, v in os.environ.items()
+            if k not in ("DISTRESS_LDA_CONFIG", "PYTHONUNBUFFERED")
+        }
+        env["PYTHONPATH"] = str(Path(distress_lda.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "distress_lda.cli", "classify", "--panel", str(panel),
+             "--model", REFERENCE, "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        # The report (~250 kB) is far larger than a pipe buffer, so the CLI is
+        # still writing when the pipe closes.
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
+
+
+CASE_STUDY_ARGS = {
+    "fit": ["--train", TABLE, "--model", "model.json"],
+    "diagnose": ["--model", "model.json"],
+    "classify": ["--panel", PANEL_A, "--panel", PANEL_B, "--model", REFERENCE, "--zones", "paper"],
+    "evaluate": ["--panel", PANEL_A, "--panel", PANEL_B, "--model", REFERENCE, "--zones", "paper"],
+}
+
+
+def test_case_study_outputs_match_goldens(tmp_path, capsys, monkeypatch):
+    """stdout of each command and format on the bundled case study is byte-equal
+    to the goldens the benchmark checks against."""
+    monkeypatch.chdir(tmp_path)
+    for cmd, args in CASE_STUDY_ARGS.items():  # fit first: diagnose reads its model.json
+        for fmt in ("text", "json"):
+            code, out, err = run_cli(capsys, cmd, *args, "--format", fmt)
+            assert (code, err) == (0, "")
+            assert out.encode("utf-8") == (GOLDEN / f"{cmd}.{fmt}").read_bytes(), f"{cmd}.{fmt}"
+
+
+class TestTextMatchesJson:
+    """Every number a text report prints is the JSON value at the text's precision."""
+
+    NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?![\w.])")
+    GLYPHS = {"▼": "bankrupt", "■": "grey", "▲": "nonbankrupt"}
+
+    @staticmethod
+    def both_formats(capsys, tmp_path, monkeypatch, cmd):
+        monkeypatch.chdir(tmp_path)
+        if cmd == "diagnose":
+            run_cli(capsys, "fit", *CASE_STUDY_ARGS["fit"])
+        code, text, _ = run_cli(capsys, cmd, *CASE_STUDY_ARGS[cmd])
+        assert code == 0
+        code, out, _ = run_cli(capsys, cmd, *CASE_STUDY_ARGS[cmd], "--format", "json")
+        assert code == 0
+        return text, json.loads(out)
+
+    def assert_numbers(self, text, expected):
+        tokens = self.NUMBER.findall(text)
+        assert len(tokens) == len(expected)
+        for token, value in zip(tokens, expected):
+            decimals = len(token.partition(".")[2])
+            assert abs(float(token) - value) <= 0.5 * 10.0**-decimals + 1e-9, (token, value)
+
+    def test_fit(self, capsys, tmp_path, monkeypatch):
+        text, doc = self.both_formats(capsys, tmp_path, monkeypatch, "fit")
+        model, zones = doc["model"], doc["zones"]
+        norm, fisher = model["normalization"], model["fisher"]
+        expected = []
+        for name in model["variables"]:
+            expected += [norm["means"][name], norm["sds"][name]]
+            expected += [model["coefficients"][name], model["standardized"][name]]
+        expected.append(model["constant"])
+        for group in ("bankrupt", "nonbankrupt"):
+            expected += [model["centroids"][group], model["score_sd"][group]]
+        expected += [model["eigenvalue"], model["canonical_correlation"], model["wilks_lambda"]]
+        expected += [zones["cutoff"], *zones["grey"]]
+        for name in model["variables"]:
+            expected += [fisher["weights"]["bankrupt"][name], fisher["weights"]["nonbankrupt"][name]]
+        expected += [fisher["constants"]["bankrupt"], fisher["constants"]["nonbankrupt"]]
+        counts = doc["training_classification"]["counts"]
+        expected += [
+            sum(counts[group][group] for group in counts),
+            sum(sum(row.values()) for row in counts.values()),
+            100.0 * doc["training_classification"]["correct_fraction"],
+        ]
+        self.assert_numbers(text, expected)
+
+    def test_diagnose(self, capsys, tmp_path, monkeypatch):
+        text, doc = self.both_formats(capsys, tmp_path, monkeypatch, "diagnose")
+        collinearity, wilks, box, canon = (
+            doc["collinearity"], doc["wilks"], doc["box_m"], doc["canonical"]
+        )
+        expected = [value for row in collinearity["matrix"] for value in row]
+        expected += [collinearity["threshold"], *(entry["r"] for entry in collinearity["flagged"])]
+        expected += [wilks["lambda"], wilks["chi_square"], wilks["df"], wilks["p_value"], doc["alpha"]]
+        expected += [box["m"], box["f"], box["df1"], box["df2"], box["p_value"], doc["alpha"]]
+        expected += [canon["eigenvalue"], canon["percent_variance"]]
+        expected += [canon["canonical_correlation"], canon["r_squared"]]
+        self.assert_numbers(text, expected)
+        assert f"-> {wilks['verdict']} " in text and f"-> {box['verdict']} " in text
+
+    def test_classify(self, capsys, tmp_path, monkeypatch):
+        text, doc = self.both_formats(capsys, tmp_path, monkeypatch, "classify")
+        zones_line, *rows = text.splitlines()
+        self.assert_numbers(zones_line, [doc["zones"]["cutoff"], *doc["zones"]["grey"]])
+        records = {(r["bank"], r["year"]): r for r in doc["records"]}
+        scored = 0
+        for line in rows:
+            bank, year, cell = re.fullmatch(r"(.+?)\s+(\d{4})\s+(.+)", line).groups()
+            record = records.get((bank, int(year)))
+            if cell == "n.a":
+                assert record is None
+                continue
+            scored += 1
+            assert self.GLYPHS[cell[0]] == record["zone"]
+            self.assert_numbers(cell, [100.0 * record["score"]])
+        assert scored == len(records)
+
+    def test_evaluate(self, capsys, tmp_path, monkeypatch):
+        text, doc = self.both_formats(capsys, tmp_path, monkeypatch, "evaluate")
+        expected = [doc["zones"]["cutoff"], *doc["zones"]["grey"]]
+        for table, columns in (
+            ("years", ("bankrupt", "grey", "nonbankrupt")),
+            ("cutoff_only", ("bankrupt", "nonbankrupt")),
+        ):
+            for row in doc[table]:
+                expected += [row["year"], *(row["counts"][c] for c in columns)]
+                expected += [row["hits"], row["total"]]
+                expected += [100.0 * row[key] for key in ("accuracy", "type1", "type2")]
+        zones = []
+        for row in doc["years"]:
+            expected.append(row["year"])
+            expected += [100.0 * bank["score"] for bank in row["banks"]]
+            zones += [bank["zone"] for bank in row["banks"]]
+        self.assert_numbers(text, expected)
+        assert [self.GLYPHS[g] for g in re.findall("[▼■▲]", text)] == zones

@@ -14,7 +14,6 @@ from distress_lda import (
     VariableCountError,
     average_ratios,
     build_training_set,
-    case_processing_summary,
     panel_labels,
     parse_panel,
     serialize_panel,
@@ -255,14 +254,3 @@ class TestTrainingSetAssembly:
 
     def test_bundled_panel_shape(self, training_set):
         assert (training_set.n0, training_set.n1, training_set.p) == (2, 12, 6)
-
-    def test_case_processing_summary(self, training_set):
-        summary = case_processing_summary(training_set)
-        assert set(summary) == {"eaa", "roae", "roaa", "nii", "laaa", "bdtla"}
-        assert summary["eaa"]["bankrupt"] == {
-            "valid": 2,
-            "valid_percent": 100.0,
-            "missing": 0,
-            "missing_percent": 0.0,
-        }
-        assert summary["bdtla"]["nonbankrupt"]["valid"] == 12

@@ -8,17 +8,14 @@ from distress_lda import (
     DomainError,
     InsufficientGroupError,
     ZeroVarianceError,
-    box_homogeneous,
     box_m_from_model,
     box_m_test,
     box_verdict,
     canonical_summary,
-    canonical_summary_from_eigenvalue,
     collinearity_check,
     eigenvalue_from_scores,
     f_sf,
     wilks_from_eigenvalue,
-    wilks_significant,
     wilks_test,
     wilks_verdict,
 )
@@ -143,9 +140,7 @@ class TestWilks:
 
     def test_verdict_depends_on_alpha(self, reference_model):
         result = wilks_test(reference_model)
-        assert wilks_significant(result)
         assert wilks_verdict(result) == "discriminant function is significant"
-        assert not wilks_significant(result, alpha=0.01)
         assert wilks_verdict(result, alpha=0.01) == "discriminant function is not significant"
 
 
@@ -222,27 +217,25 @@ class TestBoxM:
 
     def test_verdict_depends_on_alpha(self, reference_model):
         result = box_m_from_model(reference_model)
-        assert box_homogeneous(result)
         assert box_verdict(result) == "group score variance is homogenous"
-        assert not box_homogeneous(result, alpha=0.10)
         assert box_verdict(result, alpha=0.10) == "group score variance is not homogenous"
 
 
 class TestCanonicalSummary:
     def test_known_eigenvalues(self):
-        summary = canonical_summary_from_eigenvalue(3.0)
+        summary = canonical_summary(3.0)
         assert summary["canonical_correlation"] == pytest.approx(math.sqrt(0.75), rel=1e-12)
         assert summary["r_squared"] == pytest.approx(0.75, rel=1e-12)
         assert summary["percent_variance"] == 100.0
         assert summary["cumulative_percent"] == 100.0
-        assert canonical_summary_from_eigenvalue(0.0)["canonical_correlation"] == 0.0
+        assert canonical_summary(0.0)["canonical_correlation"] == 0.0
 
     def test_reference_model(self, reference_model):
-        summary = canonical_summary(reference_model)
+        summary = canonical_summary(reference_model.eigenvalue)
         assert summary["eigenvalue"] == pytest.approx(3.136, abs=5e-4)
         assert summary["canonical_correlation"] == pytest.approx(0.871, abs=5e-4)
         assert summary["r_squared"] == pytest.approx(0.7582, abs=5e-4)
 
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(DomainError):
-            canonical_summary_from_eigenvalue(-1e-9)
+            canonical_summary(-1e-9)

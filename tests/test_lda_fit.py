@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 
 from distress_lda import (
+    VARIABLES,
     BindingError,
     DegenerateSeparationError,
     GroupLabel,
     InsufficientGroupError,
     SingularMatrixError,
-    compute_group_stats,
     confusion_matrix,
     fisher_classify,
-    fisher_decision,
     fit,
     fit_from_matrices,
     group_stats_from_matrices,
@@ -85,7 +84,11 @@ class TestGroupStats:
             group_stats_from_matrices(X0, X1, ("u", "v", "w"))
 
     def test_bundled_panel_counts(self, normalized_set):
-        stats = compute_group_stats(normalized_set)
+        X0, X1 = (
+            [s.ratios.as_array() for s in normalized_set.samples if s.label is label]
+            for label in (GroupLabel.BANKRUPT, GroupLabel.NONBANKRUPT)
+        )
+        stats = group_stats_from_matrices(X0, X1, VARIABLES)
         assert (stats.n0, stats.n1) == (2, 12)
         np.testing.assert_allclose(np.diag(stats.correlation), np.ones(6), atol=1e-12)
 
@@ -128,7 +131,7 @@ class TestFitHandCase:
         assert fisher_classify(hand_model, {"x": 2.9}) is GroupLabel.BANKRUPT
         assert fisher_classify(hand_model, {"x": 3.1}) is GroupLabel.NONBANKRUPT
 
-    def test_exact_tie_flags_and_goes_healthy(self, hand_model):
+    def test_exact_tie_goes_healthy(self, hand_model):
         # Solver rounding keeps real fits off exact ties, so force one by
         # giving both groups the same linear function.
         import dataclasses
@@ -141,9 +144,7 @@ class TestFitHandCase:
             constants={"bankrupt": 0.0, "nonbankrupt": 0.0},
         )
         tied = dataclasses.replace(hand_model, fisher=flat)
-        decision = fisher_decision(tied, {"x": 3.0})
-        assert decision.tie
-        assert decision.label is GroupLabel.NONBANKRUPT
+        assert fisher_classify(tied, {"x": 3.0}) is GroupLabel.NONBANKRUPT
 
 
 class TestFitBundledPanel:

@@ -135,6 +135,15 @@ class TestModelValidation:
         model_doc["wilks_lambda"] = 0.0
         self._reject(model_doc, r"\(0, 1\]")
 
+    def test_wilks_must_match_eigenvalue(self, model_doc):
+        model_doc["eigenvalue"] = 5.0
+        model_doc["wilks_lambda"] = 0.9
+        self._reject(model_doc, r"wilks_lambda disagrees with 1/\(1 \+ eigenvalue\)")
+
+    def test_canonical_correlation_must_match_eigenvalue(self, model_doc):
+        model_doc["canonical_correlation"] += 2e-5
+        self._reject(model_doc, "canonical_correlation disagrees")
+
     def test_fisher_block_required(self, model_doc):
         del model_doc["fisher"]
         self._reject(model_doc, "'fisher' block")
