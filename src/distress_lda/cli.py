@@ -2,7 +2,8 @@
 
 Configuration precedence, lowest to highest: built-in defaults, the file
 named by DISTRESS_LDA_CONFIG, the file named by --config, then explicit
-flags. Config files are either JSON objects or key=value lines.
+flags. Config files are either JSON objects or key=value lines. Every value
+passes its setting's one parser in _SETTINGS, whatever its source.
 
 Exit codes: 0 success, 2 configuration problems, 3 unreadable/invalid input
 data or model files, 4 fit degeneracies (singular covariance, coincident
@@ -14,7 +15,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .classification import (
@@ -53,18 +55,11 @@ from .normalization import fit_normalizer, normalize_training_set
 
 _GLYPH = {"bankrupt": "▼", "grey": "■", "nonbankrupt": "▲"}
 
-# Allowed values of the choice settings, shared by argparse and config validation.
-_CHOICES = {
-    "mode": ("raw", "normalized"),
-    "format": ("text", "json"),
-    "priors": ("proportional", "equal"),
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
     train: str | None = None
-    panels: tuple[str, ...] = ()
+    panel: tuple[str, ...] = ()
     model: str = "model.json"
     zones: str = "derived"
     mode: str = "raw"
@@ -75,10 +70,6 @@ class RunConfig:
     priors: str = "proportional"
     labels: dict[str, GroupLabel] = field(default_factory=dict)
     warning_years: dict[str, int] = field(default_factory=dict)
-
-
-# Config files name the panel list "panel", like the repeatable flag.
-_CONFIG_KEYS = tuple("panel" if f.name == "panels" else f.name for f in fields(RunConfig))
 
 
 def parse_window(text: str) -> tuple[int, int]:
@@ -92,6 +83,52 @@ def parse_window(text: str) -> tuple[int, int]:
     if first > last:
         raise ConfigError(f"window is inverted: {first} > {last}")
     return first, last
+
+
+# Setting parsers: (key, flag text, key=value text or any JSON value) -> typed value.
+
+
+def _text(key: str, value) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{key!r} must be a non-empty string, got {value!r}")
+    return value
+
+
+def _paths(key: str, value) -> tuple[str, ...]:
+    if isinstance(value, str):  # key=value files list panels comma-separated
+        value = [path.strip() for path in value.split(",") if path.strip()]
+    if not isinstance(value, list) or not all(isinstance(path, str) for path in value):
+        raise ConfigError(f"{key!r} must be a path list")
+    return tuple(value)
+
+
+def _choice(allowed: tuple[str, str], key: str, value) -> str:
+    if value not in allowed:
+        raise ConfigError(f"{key} must be {allowed[0]!r} or {allowed[1]!r}, got {value!r}")
+    return value
+
+
+def _fraction(key: str, value) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key!r} must be a number") from None
+    if not 0.0 < number < 1.0:
+        raise ConfigError(f"{key.replace('_', ' ')} must lie in (0, 1), got {number}")
+    return number
+
+
+def _year(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):  # unlike int(), refuses 2015.9 and true
+        raise ConfigError(f"warning year must be an integer, got {text}")
+    return int(text)
+
+
+def _bank_map(parse_entry, what: str, key: str, value) -> dict:
+    # Entries are parsed as text, so a JSON year 2015 reads as "2015".
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key!r} must be a bank -> {what} object")
+    return {bank: parse_entry(str(raw)) for bank, raw in value.items()}
 
 
 def _read_config_file(path: str) -> dict:
@@ -116,74 +153,21 @@ def _read_config_file(path: str) -> dict:
     return doc
 
 
-def _apply_config(values: dict, doc: dict, origin: str) -> None:
-    for key, raw in doc.items():
-        key = key.replace("-", "_")
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"{origin}: unknown config key {key!r}")
-        if key == "panel":
-            if isinstance(raw, str):
-                values["panels"] = tuple(p.strip() for p in raw.split(",") if p.strip())
-            elif isinstance(raw, list) and all(isinstance(p, str) for p in raw):
-                values["panels"] = tuple(raw)
-            else:
-                raise ConfigError(f"{origin}: 'panel' must be a path list")
-        elif key == "alpha" or key == "collinearity_threshold":
-            try:
-                values[key] = float(raw)
-            except (TypeError, ValueError):
-                raise ConfigError(f"{origin}: {key!r} must be a number") from None
-        elif key == "window":
-            values["window"] = parse_window(str(raw))
-        elif key in ("labels", "warning_years"):
-            if not isinstance(raw, dict):
-                value = "label" if key == "labels" else "year"
-                raise ConfigError(f"{origin}: {key!r} must be a bank -> {value} object")
-            values[key] = dict(raw)
-        else:
-            values[key] = raw
-
-
 def build_config(args: argparse.Namespace) -> RunConfig:
-    values = asdict(RunConfig())
-    env_path = os.environ.get("DISTRESS_LDA_CONFIG")
-    if env_path:
-        _apply_config(values, _read_config_file(env_path), f"config file {env_path}")
-    if args.config:
-        _apply_config(values, _read_config_file(args.config), f"config file {args.config}")
-    if args.panel:
-        values["panels"] = tuple(args.panel)
-    flags = ("train", "model", "zones", "mode", "format", "alpha", "collinearity_threshold", "priors")
-    for flag in flags:
-        value = getattr(args, flag)
-        if value is not None:
-            values[flag] = value
-    if args.window is not None:
-        values["window"] = parse_window(args.window)
-
-    for key, allowed in _CHOICES.items():
-        if values[key] not in allowed:
-            raise ConfigError(f"{key} must be {allowed[0]!r} or {allowed[1]!r}, got {values[key]!r}")
-    if not 0.0 < values["alpha"] < 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1), got {values['alpha']}")
-    if not 0.0 < values["collinearity_threshold"] < 1.0:
-        raise ConfigError(
-            f"collinearity threshold must lie in (0, 1), got {values['collinearity_threshold']}"
-        )
-    labels = {}
-    for bank, raw in values["labels"].items():
-        try:
-            labels[bank] = GroupLabel.from_string(str(raw))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    warning_years = {}
-    for bank, raw in values["warning_years"].items():
-        try:
-            warning_years[bank] = int(raw)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"warning year for {bank!r} must be an integer") from None
-    values["labels"] = labels
-    values["warning_years"] = warning_years
+    paths = (os.environ.get("DISTRESS_LDA_CONFIG"), args.config)
+    sources = [(f"config file {path}", _read_config_file(path)) for path in paths if path]
+    flags = {key: raw for key, raw in vars(args).items() if key in _SETTINGS and raw is not None}
+    sources += [(f"argument --{key.replace('_', '-')}", {key: raw}) for key, raw in flags.items()]
+    values = {}
+    for origin, doc in sources:
+        for key, raw in doc.items():
+            key = key.replace("-", "_")
+            if key not in _SETTINGS:
+                raise ConfigError(f"{origin}: unknown config key {key!r}")
+            try:
+                values[key] = _SETTINGS[key][0](key, raw)
+            except (ConfigError, ValueError) as exc:  # ValueError: unknown label, huge year
+                raise ConfigError(f"{origin}: {exc}") from None
     return RunConfig(**values)
 
 
@@ -227,9 +211,9 @@ def _load_panels(
 def _panel_inputs(config: RunConfig, command: str, need_labels: bool) -> tuple:
     """Model, normalization, records, labels and zones of a panel-scoring command."""
     model, stats = load_model(config.model)
-    if not config.panels:
+    if not config.panel:
         raise ConfigError(f"{command} requires at least one panel (--panel)")
-    records, labels = _load_panels(config.panels, "panel", need_labels, config.labels)
+    records, labels = _load_panels(config.panel, "panel", need_labels, config.labels)
     if config.zones == "derived":
         zones = derive_zones(model)
     elif config.zones == "paper":
@@ -485,6 +469,25 @@ _EXIT_CODES = (
     (DistressLdaError, 1),
 )
 
+_PANEL_COMMANDS = ("classify", "evaluate")
+
+# One row per setting: its parser, the subcommands taking it as a flag, and the
+# flag's help. Config files may set any key, as one file serves all commands.
+_SETTINGS = {
+    "train": (_text, ("fit",), "training panel CSV"),
+    "panel": (_paths, _PANEL_COMMANDS, "panel CSV (repeatable)"),
+    "model": (_text, tuple(_COMMANDS), "model file (written by fit, read elsewhere)"),
+    "zones": (_text, _PANEL_COMMANDS, "'derived', 'paper', or a zones JSON file"),
+    "mode": (partial(_choice, ("raw", "normalized")), _PANEL_COMMANDS, "raw|normalized"),
+    "format": (partial(_choice, ("text", "json")), tuple(_COMMANDS), "text|json"),
+    "alpha": (_fraction, ("diagnose",), "significance level (default 0.05)"),
+    "collinearity_threshold": (_fraction, ("diagnose",), "|r| flag threshold (default 0.8)"),
+    "window": (lambda _key, value: parse_window(str(value)), ("fit",), "averaging YYYY:YYYY"),
+    "priors": (partial(_choice, ("proportional", "equal")), ("fit",), "proportional|equal priors"),
+    "labels": (partial(_bank_map, GroupLabel.from_string, "label"), (), None),
+    "warning_years": (partial(_bank_map, _year, "year"), (), None),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -493,30 +496,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name, (_command, _render, help_text) in _COMMANDS.items():
-        sub = subparsers.add_parser(name, help=help_text)
-        sub.add_argument("--train", metavar="FILE", help="training panel CSV")
-        sub.add_argument(
-            "--panel", metavar="FILE", action="append", help="panel CSV (repeatable)"
-        )
-        sub.add_argument(
-            "--model", metavar="FILE", help="model file (written by fit, read elsewhere)"
-        )
-        sub.add_argument(
-            "--zones", metavar="SRC", help="'derived', 'paper', or a zones JSON file"
-        )
-        sub.add_argument("--mode", choices=_CHOICES["mode"], help="scoring mode")
-        sub.add_argument("--format", choices=_CHOICES["format"], help="report format")
-        sub.add_argument("--alpha", type=float, help="significance level (default 0.05)")
-        sub.add_argument(
-            "--collinearity-threshold",
-            type=float,
-            dest="collinearity_threshold",
-            help="|r| flag threshold (default 0.8)",
-        )
-        sub.add_argument("--window", metavar="YYYY:YYYY", help="averaging window for fit")
-        sub.add_argument("--priors", choices=_CHOICES["priors"], help="fisher priors for fit")
+        # No abbreviations: diagnose would read --mode as --model.
+        sub = subparsers.add_parser(name, help=help_text, allow_abbrev=False)
+        for key, (_parse, commands, flag_help) in _SETTINGS.items():
+            if name in commands:
+                action = "append" if key == "panel" else "store"
+                sub.add_argument(f"--{key.replace('_', '-')}", action=action, help=flag_help)
         sub.add_argument("--config", metavar="FILE", help="config file (JSON or key=value)")
     return parser
+
+
+def _write_stdout(text: str) -> None:
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:  # a text-only stream, such as io.StringIO
+        sys.stdout.write(text)
+        return
+    # Under PYTHONUNBUFFERED the buffer is a raw file whose write may take only
+    # part of the data; write the rest until a reader that hung up raises.
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[buffer.write(data) :]
+    buffer.flush()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -533,8 +534,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         text = render(doc, context)
     try:
-        sys.stdout.write(text + "\n")
-        sys.stdout.flush()
+        _write_stdout(text + "\n")
     except BrokenPipeError:
         # The reader hung up (`| head -1`). Point stdout at devnull so the
         # interpreter's final flush cannot raise again and print a traceback.

@@ -111,13 +111,16 @@ def _split_rows(text: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
     reader = csv.reader(io.StringIO(text))
     header: list[str] | None = None
     rows: list[tuple[int, list[str]]] = []
-    for lineno, row in enumerate(reader, start=1):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if header is None:
-            header = [cell.strip().lower() for cell in row]
-        else:
-            rows.append((lineno, row))
+    try:
+        for lineno, row in enumerate(reader, start=1):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if header is None:
+                header = [cell.strip().lower() for cell in row]
+            else:
+                rows.append((lineno, row))
+    except csv.Error as exc:  # a bare carriage return, a field over the csv size limit
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
     if header is None:
         raise SchemaError("panel is empty: header row required")
     for column in _REQUIRED_COLUMNS:
@@ -196,10 +199,14 @@ def panel_labels(text: str) -> dict[str, GroupLabel]:
 
 
 def serialize_panel(records: list[BankYearRecord], labels: dict[str, GroupLabel] | None = None) -> str:
-    """Inverse of parse_panel (plus optional label column); round-trips exactly."""
+    """Inverse of parse_panel (plus optional label column); round-trips exactly.
+
+    Lines end in CRLF, the csv default, which also makes the writer quote a
+    bank name holding a bare carriage return.
+    """
     out = io.StringIO()
     columns = list(_REQUIRED_COLUMNS) + (["label"] if labels is not None else [])
-    writer = csv.writer(out, lineterminator="\n")
+    writer = csv.writer(out)
     writer.writerow(columns)
     for rec in records:
         row = [rec.bank_id, str(rec.year)]
@@ -239,6 +246,13 @@ def average_ratios(records: list[BankYearRecord], bank_id: str, years: tuple[int
     return RatioVector.from_array(np.mean(rows, axis=0))
 
 
+def check_variable_count(p: int, n: int) -> None:
+    """Reject p variables over n samples in two groups: the pooled within-group
+    scatter has rank at most n - 2, so more variables make it singular."""
+    if p > n - 2:
+        raise VariableCountError(f"{p} variables exceed the limit of {n - 2} for {n} samples")
+
+
 def build_training_set(samples: list[LabeledSample]) -> TrainingSet:
     """Assemble and validate a training set, preserving sample order."""
     n0 = sum(1 for s in samples if s.label is GroupLabel.BANKRUPT)
@@ -248,9 +262,7 @@ def build_training_set(samples: list[LabeledSample]) -> TrainingSet:
         raise InsufficientGroupError(
             f"each group needs at least 2 samples, got bankrupt={n0}, nonbankrupt={n1}"
         )
-    # More variables than N-1 makes the within-group scatter singular.
-    if p > n0 + n1 - 1:
-        raise VariableCountError(f"{p} variables exceed the limit of {n0 + n1 - 1} for {n0 + n1} samples")
+    check_variable_count(p, n0 + n1)
     return TrainingSet(samples=tuple(samples), n0=n0, n1=n1, p=p)
 
 

@@ -51,14 +51,10 @@ class CollinearityReport:
     flagged_pairs: tuple[tuple[str, str, float], ...]
 
 
-def collinearity_check(corr, threshold: float = 0.8, variables: Sequence[str] = VARIABLES) -> CollinearityReport:
-    """Flag every variable pair whose |correlation| exceeds the threshold.
-
-    Pairs come back sorted by |r| descending. The comparison is strict, so a
-    pair sitting exactly at the threshold is not flagged.
-    """
+def check_correlation_matrix(corr, p: int) -> np.ndarray:
+    """corr as a p x p array; raises DomainError unless it is symmetric, has a
+    unit diagonal and entries in [-1, 1], each within 1e-8."""
     matrix = np.asarray(corr, dtype=float)
-    p = len(variables)
     if matrix.shape != (p, p):
         raise DomainError(f"correlation matrix must be {p}x{p}, got {matrix.shape}")
     if not np.allclose(matrix, matrix.T, atol=1e-8):
@@ -67,6 +63,17 @@ def collinearity_check(corr, threshold: float = 0.8, variables: Sequence[str] = 
         raise DomainError("correlation matrix must have unit diagonal")
     if np.max(np.abs(matrix)) > 1.0 + 1e-8:
         raise DomainError("correlation entries must lie in [-1, 1]")
+    return matrix
+
+
+def collinearity_check(corr, threshold: float = 0.8, variables: Sequence[str] = VARIABLES) -> CollinearityReport:
+    """Flag every variable pair whose |correlation| exceeds the threshold.
+
+    Pairs come back sorted by |r| descending. The comparison is strict, so a
+    pair sitting exactly at the threshold is not flagged.
+    """
+    p = len(variables)
+    matrix = check_correlation_matrix(corr, p)
     pairs = [
         (variables[i], variables[j], float(matrix[i, j]))
         for i in range(p)

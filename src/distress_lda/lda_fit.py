@@ -15,13 +15,12 @@ position.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .dataset import VARIABLES, GroupLabel, TrainingSet
+from .dataset import VARIABLES, GroupLabel, TrainingSet, check_variable_count
 from .errors import (
     BindingError,
     DegenerateSeparationError,
@@ -113,14 +112,8 @@ def group_stats_from_matrices(X0, X1, variables: Sequence[str]) -> GroupStatisti
     X1 = np.atleast_2d(np.asarray(X1, dtype=float))
     if X0.size == 0 or X1.size == 0:
         raise InsufficientGroupError("both groups must be non-empty")
-    n0, n1, p = len(X0), len(X1), X0.shape[1]
-    if n0 + n1 - 2 < p:
-        warnings.warn(
-            f"{p} variables with only {n0 + n1 - 2} within-group degrees of freedom; "
-            "the pooled covariance will be singular or near-singular",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    n0, n1 = len(X0), len(X1)
+    check_variable_count(X0.shape[1], n0 + n1)
     mu0 = X0.mean(axis=0)
     mu1 = X1.mean(axis=0)
     W = (X0 - mu0).T @ (X0 - mu0) + (X1 - mu1).T @ (X1 - mu1)
@@ -158,8 +151,6 @@ def fit_from_matrices(
     # b_raw' S_w b_raw = diff' b_raw, positive whenever the solve succeeded.
     scale = float(diff @ b_raw)
     b = b_raw / math.sqrt(scale)
-    if float(b @ diff) < 0:  # orientation guard; cannot trigger after an SPD solve
-        b = -b
 
     X = np.vstack([np.atleast_2d(np.asarray(X0, dtype=float)), np.atleast_2d(np.asarray(X1, dtype=float))])
     grand_mean = X.mean(axis=0)

@@ -13,7 +13,9 @@ import math
 from pathlib import Path
 
 from .classification import ZONE_SOURCES, ClassificationZones, zones_to_dict
-from .errors import ModelFileError
+from .dataset import VARIABLES
+from .diagnostics import check_correlation_matrix
+from .errors import DomainError, ModelFileError
 from .lda_fit import GROUP_KEYS, DiscriminantModel, FisherFunctions
 from .normalization import NormalizationStats
 
@@ -76,11 +78,12 @@ def model_from_dict(doc: dict) -> tuple[DiscriminantModel, NormalizationStats]:
     variables = doc.get("variables")
     if (
         not isinstance(variables, list)
-        or not variables
         or not all(isinstance(v, str) for v in variables)
-        or len(set(variables)) != len(variables)
+        or sorted(variables) != sorted(VARIABLES)
     ):
-        raise ModelFileError(f"{context}: 'variables' must be a list of distinct names")
+        raise ModelFileError(
+            f"{context}: 'variables' must list the distinct ratio names {', '.join(VARIABLES)}"
+        )
     variables = tuple(variables)
 
     coefficients = _variable_map(doc, "coefficients", variables, context)
@@ -143,6 +146,10 @@ def model_from_dict(doc: dict) -> tuple[DiscriminantModel, NormalizationStats]:
         if not all(map(_is_finite_number, row)):
             raise ModelFileError(f"{context}: pooled_correlation entries must be finite numbers")
         correlation.append(tuple(float(v) for v in row))
+    try:
+        check_correlation_matrix(correlation, p)
+    except DomainError as exc:
+        raise ModelFileError(f"{context}: pooled_correlation: {exc}") from None
 
     norm_doc = doc.get("normalization")
     if not isinstance(norm_doc, dict):

@@ -458,6 +458,83 @@ class TestConfigPrecedence:
         assert "cannot read config file" in err
 
 
+COMMAND_FLAGS = {
+    "fit": {"--train", "--model", "--window", "--priors", "--format"},
+    "diagnose": {"--model", "--alpha", "--collinearity-threshold", "--format"},
+    "classify": {"--panel", "--model", "--zones", "--mode", "--format"},
+    "evaluate": {"--panel", "--model", "--zones", "--mode", "--format"},
+}
+
+
+class TestSettings:
+    @pytest.mark.parametrize("command", COMMAND_FLAGS)
+    def test_each_command_takes_only_the_flags_it_reads(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert listed == COMMAND_FLAGS[command] | {"--config", "--help"}
+        for flag in set().union(*COMMAND_FLAGS.values()) - COMMAND_FLAGS[command]:
+            with pytest.raises(SystemExit) as exit_:
+                main([command, flag, "x"])
+            assert exit_.value.code == 2
+            assert f"unrecognized arguments: {flag} x" in capsys.readouterr().err
+
+    def test_every_command_accepts_every_config_key(self, tmp_path, capsys):
+        """One config file serves all four commands, so each takes all 12 keys."""
+        config = tmp_path / "all.json"
+        config.write_text(
+            json.dumps({
+                "train": TABLE, "panel": [PANEL_A, PANEL_B], "model": str(tmp_path / "m.json"),
+                "zones": "paper", "mode": "raw", "format": "json", "alpha": 0.05,
+                "collinearity_threshold": 0.8, "window": "2012:2015", "priors": "proportional",
+                "labels": {}, "warning_years": {"Moza Banco, S.A": "2015"},
+            }),
+            encoding="utf-8",
+        )
+        for command in COMMAND_FLAGS:  # fit first: the others read its model
+            code, out, err = run_cli(capsys, command, "--config", str(config))
+            assert (code, err) == (0, "")
+            json.loads(out)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"model": 5},
+            {"zones": ["paper"]},
+            {"mode": None},
+            {"panel": 3},
+            {"warning_years": {"Moza Banco, S.A": 2015.9}},
+            {"warning_years": {"Moza Banco, S.A": True}},
+            {"warning_years": ["Moza Banco, S.A", 2015]},
+            {"labels": {"Moza Banco, S.A": 0}},
+        ],
+    )
+    def test_config_values_are_typed(self, tmp_path, capsys, doc):
+        config = tmp_path / "typed.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "evaluate", "--panel", PANEL_A, "--panel", PANEL_B, "--config", str(config)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: config file {config}: ") and err.count("\n") == 1
+
+    def test_bad_flag_value_is_one_error_line(self, capsys):
+        code, out, err = run_cli(capsys, "diagnose", "--model", REFERENCE, "--alpha", "high")
+        assert (code, out) == (2, "")
+        assert err == "error: argument --alpha: 'alpha' must be a number\n"
+
+    def test_overridden_config_value_is_still_checked(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("mode = fancy\n", encoding="utf-8")
+        code, _, err = run_cli(
+            capsys, "classify", "--panel", PANEL_A, "--model", REFERENCE,
+            "--config", str(config), "--mode", "raw",
+        )
+        assert code == 2
+        assert err == f"error: config file {config}: mode must be 'raw' or 'normalized', got 'fancy'\n"
+
+
 class TestWindowParsing:
     def test_parse_window(self):
         assert parse_window("2012:2015") == (2012, 2015)
@@ -581,35 +658,62 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: model: wilks_lambda disagrees") and err.count("\n") == 1
 
+    def test_seven_banks_cannot_carry_six_variables(self, tmp_path, capsys):
+        """The pooled scatter of 7 banks has rank 5 at most, so 6 ratios make it singular."""
+        rows = [
+            f"bank-{k},2013,{0.1 + 0.01 * k * k},{0.2 - 0.03 * k},{0.01 * k},"
+            f"{0.05 + 0.002 * k * k * k},{0.6 - 0.01 * k * k},{0.03 * (k % 3)},"
+            + ("bankrupt" if k < 3 else "nonbankrupt")
+            for k in range(7)
+        ]
+        panel = tmp_path / "seven.csv"
+        panel.write_text("\n".join([RATIO_HEADER + ",label", *rows]) + "\n", encoding="utf-8")
+        model = tmp_path / "m.json"
+        code, out, err = run_cli(capsys, "fit", "--train", str(panel), "--model", str(model))
+        assert (code, out) == (3, "")
+        assert err == "error: 6 variables exceed the limit of 5 for 7 samples\n"
+        assert not model.exists()
+
     def test_closed_stdout_exits_quietly(self, tmp_path):
         """A reader that hangs up early (`| head -1`) gets exit 1 and no traceback."""
-        panel = tmp_path / "large.csv"
-        rows = [
-            f"Bank {bank:03d},{year},0.10,0.20,0.010,0.050,0.60,0.030"
-            for bank in range(300)
-            for year in range(2012, 2021)
-        ]
-        panel.write_text("\n".join([RATIO_HEADER, *rows]) + "\n", encoding="utf-8")
-        # Under PYTHONUNBUFFERED stdout is a raw file, and its short write to a
-        # closed pipe passes as success, so the broken pipe never surfaces.
-        env = {
-            k: v for k, v in os.environ.items()
-            if k not in ("DISTRESS_LDA_CONFIG", "PYTHONUNBUFFERED")
-        }
-        env["PYTHONPATH"] = str(Path(distress_lda.__file__).resolve().parents[1])
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "distress_lda.cli", "classify", "--panel", str(panel),
-             "--model", REFERENCE, "--format", "json"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-        )
-        # The report (~250 kB) is far larger than a pipe buffer, so the CLI is
-        # still writing when the pipe closes.
-        assert proc.stdout.readline() == b"{\n"
-        proc.stdout.close()
-        err = proc.stderr.read()
-        proc.stderr.close()
-        assert proc.wait(timeout=60) == 1
-        assert err == b""
+        _classify_into_closed_pipe(tmp_path, unbuffered=False)
+
+    def test_closed_unbuffered_stdout_exits_quietly(self, tmp_path):
+        """Under PYTHONUNBUFFERED a write to a closed pipe can come back short
+        instead of raising; the rest of the report must still be written."""
+        _classify_into_closed_pipe(tmp_path, unbuffered=True)
+
+
+def _classify_into_closed_pipe(tmp_path, unbuffered: bool) -> None:
+    """Run `classify --format json` on a large panel, close the pipe after
+    one line, and check for exit 1 with nothing on stderr."""
+    panel = tmp_path / "large.csv"
+    rows = [
+        f"Bank {bank:03d},{year},0.10,0.20,0.010,0.050,0.60,0.030"
+        for bank in range(300)
+        for year in range(2012, 2021)
+    ]
+    panel.write_text("\n".join([RATIO_HEADER, *rows]) + "\n", encoding="utf-8")
+    env = {
+        k: v for k, v in os.environ.items()
+        if k not in ("DISTRESS_LDA_CONFIG", "PYTHONUNBUFFERED")
+    }
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = str(Path(distress_lda.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "distress_lda.cli", "classify", "--panel", str(panel),
+         "--model", REFERENCE, "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    # The report (~250 kB) is far larger than a pipe buffer, so the CLI is
+    # still writing when the pipe closes.
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 CASE_STUDY_ARGS = {

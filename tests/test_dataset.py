@@ -2,6 +2,7 @@
 import pytest
 
 from distress_lda import (
+    BankYearRecord,
     DuplicateRecordError,
     EmptyWindowError,
     GroupLabel,
@@ -83,6 +84,21 @@ class TestParsePanel:
     def test_empty_bank_rejected(self):
         with pytest.raises(ParseError, match="'bank'"):
             parse_panel(_panel(",2014,1,1,1,1,1,1"))
+
+    @pytest.mark.parametrize(
+        "row, match",
+        [
+            ("Al\rpha,2014,1,1,1,1,1,1", "new-line character"),
+            ("A" * 200_000 + ",2014,1,1,1,1,1,1", "field larger than field limit"),
+        ],
+    )
+    def test_unreadable_csv_is_a_parse_error(self, row, match):
+        with pytest.raises(ParseError, match=f"line 2: {match}"):
+            parse_panel(_panel(row))
+
+    def test_bank_name_with_carriage_return_round_trips(self):
+        records = [BankYearRecord("Al\rpha", 2014, _vec(1.0), True)]
+        assert parse_panel(serialize_panel(records)) == records
 
     def test_duplicate_bank_year_rejected(self):
         with pytest.raises(DuplicateRecordError, match="Alpha"):
@@ -201,11 +217,12 @@ class TestTrainingSetAssembly:
             LabeledSample("H3", _vec(0.5), GroupLabel.NONBANKRUPT),
             LabeledSample("H4", _vec(0.6), GroupLabel.NONBANKRUPT),
             LabeledSample("H5", _vec(0.7), GroupLabel.NONBANKRUPT),
+            LabeledSample("H6", _vec(0.8), GroupLabel.NONBANKRUPT),
         ]
         ts = build_training_set(samples)
-        assert (ts.n0, ts.n1, ts.p) == (2, 5, 6)
+        assert (ts.n0, ts.n1, ts.p) == (2, 6, 6)
         assert ts.n0 + ts.n1 == len(ts.samples)
-        assert [s.bank_id for s in ts.samples] == ["B1", "H1", "B2", "H2", "H3", "H4", "H5"]
+        assert [s.bank_id for s in ts.samples] == ["B1", "H1", "B2", "H2", "H3", "H4", "H5", "H6"]
 
     def test_single_member_group_rejected(self):
         samples = [LabeledSample("B1", _vec(0.1), GroupLabel.BANKRUPT)] + [
@@ -221,12 +238,15 @@ class TestTrainingSetAssembly:
         with pytest.raises(VariableCountError, match="6 variables exceed"):
             build_training_set(samples)
 
-    def test_seven_samples_suffice(self):
+    def test_eight_samples_suffice(self):
+        """The pooled within-group scatter of N samples has rank at most N - 2."""
         samples = [LabeledSample(f"B{i}", _vec(0.1 * i), GroupLabel.BANKRUPT) for i in range(3)] + [
-            LabeledSample(f"H{i}", _vec(1 + i), GroupLabel.NONBANKRUPT) for i in range(4)
+            LabeledSample(f"H{i}", _vec(1 + i), GroupLabel.NONBANKRUPT) for i in range(5)
         ]
         ts = build_training_set(samples)
-        assert (ts.n0, ts.n1) == (3, 4)
+        assert (ts.n0, ts.n1) == (3, 5)
+        with pytest.raises(VariableCountError, match="6 variables exceed the limit of 5 for 7 samples"):
+            build_training_set(samples[:-1])
 
     def test_from_panel_first_appearance_order(self):
         text = _panel(
@@ -238,10 +258,11 @@ class TestTrainingSetAssembly:
             "Epsilon,2012,6,6,6,6,6,6",
             "Zeta,2012,7,7,7,7,7,7",
             "Eta,2012,8,8,8,8,8,8",
+            "Theta,2012,9,9,9,9,9,9",
         )
         labels = {"Beta": GroupLabel.BANKRUPT, "Alpha": GroupLabel.BANKRUPT}
         labels.update(
-            {b: GroupLabel.NONBANKRUPT for b in ("Gamma", "Delta", "Epsilon", "Zeta", "Eta")}
+            {b: GroupLabel.NONBANKRUPT for b in ("Gamma", "Delta", "Epsilon", "Zeta", "Eta", "Theta")}
         )
         ts = training_set_from_panel(parse_panel(text), labels)
         assert [s.bank_id for s in ts.samples][:2] == ["Beta", "Alpha"]

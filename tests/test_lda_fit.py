@@ -11,6 +11,7 @@ from distress_lda import (
     GroupLabel,
     InsufficientGroupError,
     SingularMatrixError,
+    VariableCountError,
     confusion_matrix,
     fisher_classify,
     fit,
@@ -77,10 +78,10 @@ class TestGroupStats:
         with pytest.raises(InsufficientGroupError):
             group_stats_from_matrices(np.empty((0, 2)), [[1.0, 2.0]], ("u", "v"))
 
-    def test_underdetermined_scatter_warns(self):
+    def test_underdetermined_scatter_rejected(self):
         X0 = [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]
         X1 = [[2.0, 0.0, 1.0], [3.0, 1.0, 0.0]]
-        with pytest.warns(RuntimeWarning, match="degrees of freedom"):
+        with pytest.raises(VariableCountError, match="3 variables exceed the limit of 2 for 4 samples"):
             group_stats_from_matrices(X0, X1, ("u", "v", "w"))
 
     def test_bundled_panel_counts(self, normalized_set):

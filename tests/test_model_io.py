@@ -97,6 +97,18 @@ class TestModelValidation:
         model_doc["variables"] = ["eaa"] * 6
         self._reject(model_doc, "distinct")
 
+    def test_variables_must_be_the_ratio_names(self, model_doc):
+        """A model over an extra variable would load, then fail to score any panel."""
+        model_doc["variables"].append("foo")
+        weights = model_doc["fisher"]["weights"]
+        for block in (model_doc["coefficients"], model_doc["standardized"], *weights.values()):
+            block["foo"] = 0.0
+        model_doc["normalization"]["means"]["foo"] = 0.0
+        model_doc["normalization"]["sds"]["foo"] = 1.0
+        corr = model_doc["pooled_correlation"]
+        model_doc["pooled_correlation"] = [row + [0.0] for row in corr] + [[0.0] * 6 + [1.0]]
+        self._reject(model_doc, "'variables' must list the distinct ratio names")
+
     def test_coefficients_must_cover_variables(self, model_doc):
         del model_doc["coefficients"]["nii"]
         self._reject(model_doc, "exactly the model variables")
@@ -159,6 +171,19 @@ class TestModelValidation:
     def test_correlation_entries_finite(self, model_doc):
         model_doc["pooled_correlation"][2][3] = None
         self._reject(model_doc, "finite numbers")
+
+    @pytest.mark.parametrize(
+        "cells, match",
+        [
+            ({(2, 3): 0.5}, "symmetric"),
+            ({(0, 0): 0.9}, "unit diagonal"),
+            ({(1, 2): 1.5, (2, 1): 1.5}, r"\[-1, 1\]"),
+        ],
+    )
+    def test_correlation_must_be_a_correlation_matrix(self, model_doc, cells, match):
+        for (i, j), value in cells.items():
+            model_doc["pooled_correlation"][i][j] = value
+        self._reject(model_doc, f"pooled_correlation: correlation .*{match}")
 
     def test_normalization_block_required(self, model_doc):
         del model_doc["normalization"]

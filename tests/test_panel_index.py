@@ -34,7 +34,7 @@ def panels(draw):
     """(records with each bank's rows contiguous and year-ordered, labels)."""
     records: list[BankYearRecord] = []
     labels: dict[str, GroupLabel] = {}
-    for b in range(draw(st.integers(7, 10))):
+    for b in range(draw(st.integers(8, 10))):
         bank = f"Bank {b}"
         if b < 4:
             labels[bank] = GroupLabel.BANKRUPT if b < 2 else GroupLabel.NONBANKRUPT
