@@ -132,7 +132,7 @@ def _bank_map(parse_entry, what: str, key: str, value) -> dict:
 
 
 def _read_config_file(path: str) -> dict:
-    text = _read_text(path, "config")
+    text = _read_text(path, "config", ConfigError)
     if text.lstrip().startswith("{"):
         try:
             doc = loads_finite(text)
@@ -171,21 +171,23 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
-def _read_text(path: str, what: str) -> str:
+def _read_text(path: str, what: str, error: type[DistressLdaError]) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot read {what} file {path}: {exc}") from None
+        raise error(f"cannot read {what} file {path}: {exc}") from None
 
 
 def _load_panels(
-    paths: tuple[str, ...], what: str, need_labels: bool, config_labels: dict
+    paths: tuple[str, ...], what: str, config_labels: dict | None
 ) -> tuple[list[BankYearRecord], dict[str, GroupLabel]]:
+    """Records of every panel and, unless config_labels is None, the labels of
+    their banks: each panel's label column, overridden by config_labels."""
     records: list[BankYearRecord] = []
     labels: dict[str, GroupLabel] = {}
     seen: set[tuple[str, int]] = set()
     for path in paths:
-        text = _read_text(path, what)
+        text = _read_text(path, what, PanelError)
         for record in parse_panel(text):
             key = (record.bank_id, record.year)
             if key in seen:
@@ -194,26 +196,28 @@ def _load_panels(
                 )
             seen.add(key)
             records.append(record)
+        if config_labels is None:
+            continue
         try:
             file_labels = panel_labels(text)
         except SchemaError:
-            if need_labels and not config_labels:
+            if not config_labels:
                 raise
             file_labels = {}
         for bank, label in file_labels.items():
             if bank in labels and labels[bank] is not label:
                 raise ParseError(f"bank {bank!r} has conflicting labels across panels")
             labels[bank] = label
-    labels.update(config_labels)
+    labels.update(config_labels or {})
     return records, labels
 
 
-def _panel_inputs(config: RunConfig, command: str, need_labels: bool) -> tuple:
+def _panel_inputs(config: RunConfig, command: str, config_labels: dict | None) -> tuple:
     """Model, normalization, records, labels and zones of a panel-scoring command."""
     model, stats = load_model(config.model)
     if not config.panel:
         raise ConfigError(f"{command} requires at least one panel (--panel)")
-    records, labels = _load_panels(config.panel, "panel", need_labels, config.labels)
+    records, labels = _load_panels(config.panel, "panel", config_labels)
     if config.zones == "derived":
         zones = derive_zones(model)
     elif config.zones == "paper":
@@ -232,7 +236,7 @@ def _panel_inputs(config: RunConfig, command: str, need_labels: bool) -> tuple:
 def cmd_fit(config: RunConfig) -> tuple[dict, str]:
     if not config.train:
         raise ConfigError("fit requires a training panel (--train)")
-    records, labels = _load_panels((config.train,), "training", True, config.labels)
+    records, labels = _load_panels((config.train,), "training", config.labels)
     ts = training_set_from_panel(records, labels, config.window)
     stats = fit_normalizer(ts)
     tsZ = normalize_training_set(stats, ts)
@@ -294,7 +298,7 @@ def cmd_diagnose(config: RunConfig) -> tuple[dict, tuple[str, ...]]:
 
 
 def cmd_classify(config: RunConfig) -> tuple[dict, list[tuple[str, int]]]:
-    model, stats, records, _labels, zones = _panel_inputs(config, "classify", False)
+    model, stats, records, _labels, zones = _panel_inputs(config, "classify", None)
     scored = []
     unavailable = []  # text prints these bank-years as n.a; JSON leaves them out
     for record in sorted(records, key=lambda r: (r.bank_id, r.year)):
@@ -309,7 +313,7 @@ def cmd_classify(config: RunConfig) -> tuple[dict, list[tuple[str, int]]]:
 
 
 def cmd_evaluate(config: RunConfig) -> tuple[dict, None]:
-    model, stats, records, labels, zones = _panel_inputs(config, "evaluate", True)
+    model, stats, records, labels, zones = _panel_inputs(config, "evaluate", config.labels)
     report = evaluate_panel(
         model, stats, records, labels, zones, config.mode, config.warning_years or None
     )

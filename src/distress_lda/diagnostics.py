@@ -4,10 +4,11 @@ Four checks: a collinearity screen over the pooled within-group correlations,
 Bartlett's chi-square approximation for Wilks' Lambda, Box's M homogeneity
 test with its F approximation, and the canonical-correlation summary.
 
-Box's M is applied to the discriminant scores (one function, so the group
-"covariance matrices" are plain variances). The six-variable version would
-need every group covariance to be full rank, which a group of two members
-cannot deliver.
+Every test is sized to the one fit this package makes: two groups and one
+discriminant function. Box's M is applied to the discriminant scores, so the
+group "covariance matrices" are plain variances. The six-variable version
+would need every group covariance to be full rank, which a group of two
+members cannot deliver.
 """
 from __future__ import annotations
 
@@ -41,12 +42,11 @@ class BoxMResult:
     df1: float
     df2: float
     p_value: float
-    branch: str  # which tail of the F approximation produced f_approx
+    branch: str  # the form of the F approximation; one function always takes c2<=c1^2
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CollinearityReport:
-    matrix: np.ndarray
     threshold: float
     flagged_pairs: tuple[tuple[str, str, float], ...]
 
@@ -57,9 +57,9 @@ def check_correlation_matrix(corr, p: int) -> np.ndarray:
     matrix = np.asarray(corr, dtype=float)
     if matrix.shape != (p, p):
         raise DomainError(f"correlation matrix must be {p}x{p}, got {matrix.shape}")
-    if not np.allclose(matrix, matrix.T, atol=1e-8):
+    if not np.allclose(matrix, matrix.T, rtol=0.0, atol=1e-8):
         raise DomainError("correlation matrix must be symmetric")
-    if not np.allclose(np.diag(matrix), 1.0, atol=1e-8):
+    if not np.allclose(np.diag(matrix), 1.0, rtol=0.0, atol=1e-8):
         raise DomainError("correlation matrix must have unit diagonal")
     if np.max(np.abs(matrix)) > 1.0 + 1e-8:
         raise DomainError("correlation entries must lie in [-1, 1]")
@@ -81,7 +81,7 @@ def collinearity_check(corr, threshold: float = 0.8, variables: Sequence[str] = 
         if abs(matrix[i, j]) > threshold
     ]
     pairs.sort(key=lambda pair: abs(pair[2]), reverse=True)
-    return CollinearityReport(matrix=matrix, threshold=threshold, flagged_pairs=tuple(pairs))
+    return CollinearityReport(threshold=threshold, flagged_pairs=tuple(pairs))
 
 
 def eigenvalue_from_scores(scores_by_group: Mapping[str, Sequence[float]]) -> float:
@@ -98,23 +98,22 @@ def eigenvalue_from_scores(scores_by_group: Mapping[str, Sequence[float]]) -> fl
     return float(ss_between / ss_within)
 
 
-def wilks_from_eigenvalue(eigenvalue: float, n: int, p: int, g: int = 2) -> WilksResult:
-    """Bartlett's chi-square test of Wilks' Lambda = 1/(1 + eigenvalue)."""
+def wilks_from_eigenvalue(eigenvalue: float, n: int, p: int) -> WilksResult:
+    """Bartlett's chi-square test of Wilks' Lambda = 1/(1 + eigenvalue), two groups."""
     if eigenvalue < 0:
         raise DomainError(f"eigenvalue must be non-negative, got {eigenvalue}")
-    multiplier = n - 1 - (p + g) / 2.0
+    multiplier = n - 1 - (p + 2) / 2.0
     if multiplier <= 0:
         raise InsufficientGroupError(
-            f"too few cases for the chi-square approximation (n={n}, p={p}, g={g})"
+            f"too few cases for the chi-square approximation (n={n}, p={p})"
         )
     wilks = 1.0 / (1.0 + eigenvalue)
     chi_square = -multiplier * math.log(wilks)
-    df = p * (g - 1)
     return WilksResult(
         wilks_lambda=wilks,
         chi_square=chi_square,
-        df=df,
-        p_value=chi_square_sf(chi_square, df),
+        df=p,
+        p_value=chi_square_sf(chi_square, p),
     )
 
 
@@ -123,50 +122,33 @@ def wilks_test(model: DiscriminantModel) -> WilksResult:
     return wilks_from_eigenvalue(model.eigenvalue, model.n0 + model.n1, len(model.variables))
 
 
-def _box_f_approx(m: float, c1: float, c2: float, df1: float) -> tuple[float, float, str]:
-    # Box's two-tailed F transformation of M; the branch depends on the sign
-    # of c2 - c1^2. With one discriminant function c2 is identically zero, so
-    # live fits only ever see the second branch.
-    if c2 > c1 * c1:
-        df2 = (df1 + 2.0) / (c2 - c1 * c1)
-        f = m * (1.0 - c1 - df1 / df2) / df1
-        branch = "c2>c1^2"
-    else:
-        df2 = (df1 + 2.0) / (c1 * c1 - c2)
-        b = df2 / (1.0 - c1 + 2.0 / df2)
-        # The transformation is derived for M < b; beyond that the tail
-        # probability has already collapsed to zero.
-        f = df2 * m / (df1 * (b - m)) if m < b else math.inf
-        branch = "c2<=c1^2"
-    return f, df2, branch
-
-
-def _box_m_from_variances(variances: Sequence[float], sizes: Sequence[int]) -> BoxMResult:
-    g = len(variances)
-    n_total = sum(sizes)
-    dof = [n - 1 for n in sizes]
-    dof_total = n_total - g
-    pooled = sum(d * v for d, v in zip(dof, variances)) / dof_total
-    m = dof_total * math.log(pooled) - sum(d * math.log(v) for d, v in zip(dof, variances))
+def _box_m_two_groups(v0: float, n0: int, v1: float, n1: int) -> BoxMResult:
+    # Box's F approximation at p = 1 function and g = 2 groups: c1's factor
+    # (2p^2 + 3p - 1) / (6(p + 1)(g - 1)) is 4/12.0, df1 = p(p + 1)(g - 1)/2 = 1,
+    # and c2 carries a factor p - 1, so it is 0 and only the c2 <= c1^2 form applies.
+    d0, d1 = n0 - 1, n1 - 1
+    dof = n0 + n1 - 2
+    pooled = (d0 * v0 + d1 * v1) / dof
+    m = dof * math.log(pooled) - (d0 * math.log(v0) + d1 * math.log(v1))
     m = max(m, 0.0)  # exact-zero case can round to -1e-16
-
-    pf = 1  # number of discriminant functions
-    c1 = (sum(1.0 / d for d in dof) - 1.0 / dof_total) * (2 * pf * pf + 3 * pf - 1) / (
-        6.0 * (pf + 1) * (g - 1)
-    )
-    c2 = (sum(1.0 / d**2 for d in dof) - 1.0 / dof_total**2) * (pf - 1) * (pf + 2) / (
-        6.0 * (g - 1)
-    )
-    df1 = pf * (pf + 1) * (g - 1) / 2.0
-    f, df2, branch = _box_f_approx(m, c1, c2, df1)
+    c1 = (1.0 / d0 + 1.0 / d1 - 1.0 / dof) * 4 / 12.0
+    df1 = 1.0
+    df2 = (df1 + 2.0) / (c1 * c1)
+    b = df2 / (1.0 - c1 + 2.0 / df2)
+    # The transformation is derived for M < b; beyond that the tail
+    # probability has already collapsed to zero.
+    f = df2 * m / (df1 * (b - m)) if m < b else math.inf
     p_value = 0.0 if math.isinf(f) else f_sf(f, df1, df2)
-    return BoxMResult(m=m, f_approx=f, df1=df1, df2=df2, p_value=p_value, branch=branch)
+    return BoxMResult(m=m, f_approx=f, df1=df1, df2=df2, p_value=p_value, branch="c2<=c1^2")
 
 
 def box_m_test(scores_by_group: Mapping[str, Sequence[float]]) -> BoxMResult:
-    """Box's M homogeneity test on per-group discriminant scores."""
-    variances = []
-    sizes = []
+    """Box's M homogeneity test on the discriminant scores of two groups."""
+    if len(scores_by_group) != 2:
+        raise InsufficientGroupError(
+            f"Box's M needs exactly two groups, got {len(scores_by_group)}"
+        )
+    groups = []
     for key, values in scores_by_group.items():
         arr = np.asarray(values, dtype=float)
         if len(arr) < 2:
@@ -174,11 +156,9 @@ def box_m_test(scores_by_group: Mapping[str, Sequence[float]]) -> BoxMResult:
         var = float(arr.var(ddof=1))
         if var == 0.0:
             raise ZeroVarianceError(f"group {key!r} has zero score variance")
-        variances.append(var)
-        sizes.append(len(arr))
-    if len(variances) < 2:
-        raise InsufficientGroupError("Box's M needs at least two groups")
-    return _box_m_from_variances(variances, sizes)
+        groups.append((var, len(arr)))
+    (v0, n0), (v1, n1) = groups
+    return _box_m_two_groups(v0, n0, v1, n1)
 
 
 def box_m_from_model(model: DiscriminantModel) -> BoxMResult:
@@ -186,7 +166,7 @@ def box_m_from_model(model: DiscriminantModel) -> BoxMResult:
     for key, sd in (("bankrupt", model.s0), ("nonbankrupt", model.s1)):
         if sd <= 0.0:
             raise ZeroVarianceError(f"group {key!r} has zero score variance")
-    return _box_m_from_variances([model.s0**2, model.s1**2], [model.n0, model.n1])
+    return _box_m_two_groups(model.s0**2, model.n0, model.s1**2, model.n1)
 
 
 def canonical_summary(eigenvalue: float) -> dict[str, float]:

@@ -21,13 +21,6 @@ _EPS = 1e-15
 _TINY = 1e-300
 
 
-def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if not x > 0:
-        raise DomainError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
 def _gamma_p_series(a: float, x: float) -> float:
     # Power series for P(a,x), reliable for x < a + 1.
     term = 1.0 / a

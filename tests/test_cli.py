@@ -249,6 +249,33 @@ class TestClassifyCommand:
         assert code == 2
         assert "classify requires at least one panel" in err
 
+    def test_unknown_label_is_not_read(self, tmp_path, capsys):
+        panel = tmp_path / "healthy.csv"
+        panel.write_text(
+            RATIO_HEADER + ",label\nAlpha,2012,0.10,0.20,0.010,0.050,0.60,0.030,healthy\n",
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(capsys, "classify", "--panel", str(panel), "--model", REFERENCE)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].startswith("Alpha  2012")
+
+    def test_conflicting_labels_across_panels_are_not_read(self, tmp_path, capsys):
+        panels = []
+        for year, label in ((2012, "bankrupt"), (2013, "nonbankrupt")):
+            panel = tmp_path / f"{label}.csv"
+            panel.write_text(
+                RATIO_HEADER + f",label\nAlpha,{year},0.10,0.20,0.010,0.050,0.60,0.030,{label}\n",
+                encoding="utf-8",
+            )
+            panels += ["--panel", str(panel)]
+        code, out, err = run_cli(capsys, "classify", *panels, "--model", REFERENCE)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 3
+        code, out, err = run_cli(capsys, "evaluate", *panels, "--model", REFERENCE)
+        assert code == 3
+        assert out == ""
+        assert "bank 'Alpha' has conflicting labels across panels" in err
+
 
 class TestEvaluateCommand:
     def test_text_sections(self, capsys):
@@ -638,6 +665,15 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unreadable_panel_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        code, out, err = run_cli(
+            capsys, "classify", "--panel", str(missing), "--model", REFERENCE
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: cannot read panel file {missing}") and err.count("\n") == 1
 
     def test_duplicate_record_across_panels(self, capsys):
         code, _, err = run_cli(

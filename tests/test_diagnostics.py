@@ -19,7 +19,6 @@ from distress_lda import (
     wilks_test,
     wilks_verdict,
 )
-from distress_lda.diagnostics import _box_f_approx
 
 # Pooled within-group correlations of the standardized panel, as reported
 # alongside the reference model (row order EAA, ROAA, ROAE, NII, LAAA, BDTLA).
@@ -197,12 +196,6 @@ class TestBoxM:
         assert math.isinf(result.f_approx)
         assert result.p_value == 0.0
 
-    def test_first_branch_reachable(self):
-        f, df2, branch = _box_f_approx(2.0, 0.1, 0.5, 3.0)
-        assert branch == "c2>c1^2"
-        assert df2 == pytest.approx(5.0 / 0.49, rel=1e-12)
-        assert f == pytest.approx(2.0 * (0.9 - 3.0 / df2) / 3.0, rel=1e-12)
-
     def test_group_size_checked(self):
         with pytest.raises(InsufficientGroupError, match="'b'"):
             box_m_test({"a": [1.0, 2.0], "b": [1.0]})
@@ -210,6 +203,10 @@ class TestBoxM:
     def test_two_groups_required(self):
         with pytest.raises(InsufficientGroupError):
             box_m_test({"a": [1.0, 2.0]})
+
+    def test_three_groups_rejected(self):
+        with pytest.raises(InsufficientGroupError, match="exactly two groups, got 3"):
+            box_m_test({"a": [1.0, 2.0], "b": [1.0, 3.0], "c": [2.0, 5.0]})
 
     def test_zero_variance_rejected(self):
         with pytest.raises(ZeroVarianceError, match="'a'"):

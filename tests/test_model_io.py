@@ -178,6 +178,9 @@ class TestModelValidation:
             ({(2, 3): 0.5}, "symmetric"),
             ({(0, 0): 0.9}, "unit diagonal"),
             ({(1, 2): 1.5, (2, 1): 1.5}, r"\[-1, 1\]"),
+            # Within numpy's default rtol of 1e-5, not within the documented 1e-8.
+            ({(0, 0): 0.999995}, "unit diagonal"),
+            ({(1, 2): 0.832995}, "symmetric"),
         ],
     )
     def test_correlation_must_be_a_correlation_matrix(self, model_doc, cells, match):

@@ -1,14 +1,12 @@
 """Special-function tests against closed forms and the mpmath oracles."""
 import math
 
-import mpmath as mp
 import pytest
 
 from distress_lda import DomainError
 from distress_lda.special_functions import (
     chi_square_sf,
     f_sf,
-    ln_gamma,
     reg_inc_beta,
     reg_inc_gamma_p,
     reg_inc_gamma_q,
@@ -25,25 +23,6 @@ GAMMA_A_GRID = (0.5, 1.0, 2.5, 3.0, 7.0, 13.298, 30.0)
 GAMMA_X_GRID = (1e-3, 0.3, 1.0, 2.7, 8.0, 20.0, 75.0)
 BETA_AB_GRID = ((0.5, 0.5), (1.0, 3.0), (2.0, 2.0), (13.298, 0.5), (5.5, 9.25))
 BETA_X_GRID = (1e-4, 0.1, 0.37, 0.5, 0.82, 0.999)
-
-
-class TestLnGamma:
-    def test_half_integer_and_factorial_values(self):
-        """ln Gamma(1/2) = ln sqrt(pi); Gamma(6) = 5! = 120."""
-        assert ln_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
-        assert ln_gamma(6.0) == pytest.approx(math.log(120.0), rel=1e-14)
-        assert ln_gamma(1.0) == 0.0
-        assert ln_gamma(2.0) == 0.0
-
-    def test_against_high_precision_grid(self):
-        for x in (1e-3, 0.1, 0.5, 1.7, 4.0, 25.0, 123.456, 1e3):
-            expected = float(mp.loggamma(mp.mpf(x)))
-            assert ln_gamma(x) == pytest.approx(expected, abs=1e-10)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5, -100.0])
-    def test_nonpositive_argument_rejected(self, x):
-        with pytest.raises(DomainError):
-            ln_gamma(x)
 
 
 class TestRegIncGamma:
