@@ -5,7 +5,7 @@ cut-off is the size-weighted centroid mean and the grey interval is
 [y0 + s0, y1 - s1], collapsing to cut-off-only when the candidate interval is
 empty. Override zones are loaded from a file and carry whatever cut-off and
 interval the caller trusts; they are tagged with their source so reports can
-say which rule produced them.
+say which rule produced them, and the source fixes the score scale.
 
 Yearly evaluation scores every available bank-year, assigns a zone, and
 counts hits the way early-warning tables are usually read: a distressed bank
@@ -27,7 +27,10 @@ from .errors import DomainError, MissingDataError, MissingLabelError
 from .lda_fit import DiscriminantModel, fisher_classify, score
 from .normalization import NormalizationStats
 
-ZONE_SOURCES = ("derived-from-model", "explicit-override")
+# Score scale of each zone source: derived zones sit between the fit's centroids,
+# which are z-scored; explicit overrides are the published zones, on raw ratios.
+ZONE_SCALES = {"derived-from-model": "normalized", "explicit-override": "raw"}
+ZONE_SOURCES = tuple(ZONE_SCALES)
 
 
 class ZoneLabel(enum.Enum):

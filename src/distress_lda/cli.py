@@ -17,9 +17,9 @@ import os
 import sys
 from dataclasses import dataclass, field
 from functools import partial
-from pathlib import Path
 
 from .classification import (
+    ZONE_SCALES,
     classify_zone,
     confusion_matrix,
     derive_zones,
@@ -28,7 +28,7 @@ from .classification import (
     score_observation,
     zones_to_dict,
 )
-from .dataset import BankYearRecord, GroupLabel, panel_labels, parse_panel, training_set_from_panel
+from .dataset import GroupLabel, load_panels, read_text, training_set_from_panel
 from .diagnostics import (
     box_m_from_model,
     box_verdict,
@@ -41,11 +41,8 @@ from .errors import (
     ConfigError,
     DegenerateSeparationError,
     DistressLdaError,
-    DuplicateRecordError,
     EvaluationError,
     PanelError,
-    ParseError,
-    SchemaError,
     SingularMatrixError,
 )
 from .fixtures import load_published_zones
@@ -62,7 +59,6 @@ class RunConfig:
     panel: tuple[str, ...] = ()
     model: str = "model.json"
     zones: str = "derived"
-    mode: str = "raw"
     format: str = "text"
     alpha: float = 0.05
     collinearity_threshold: float = 0.8
@@ -132,7 +128,7 @@ def _bank_map(parse_entry, what: str, key: str, value) -> dict:
 
 
 def _read_config_file(path: str) -> dict:
-    text = _read_text(path, "config", ConfigError)
+    text = read_text(path, "config", ConfigError)
     if text.lstrip().startswith("{"):
         try:
             doc = loads_finite(text)
@@ -171,60 +167,20 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
-def _read_text(path: str, what: str, error: type[DistressLdaError]) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise error(f"cannot read {what} file {path}: {exc}") from None
-
-
-def _load_panels(
-    paths: tuple[str, ...], what: str, config_labels: dict | None
-) -> tuple[list[BankYearRecord], dict[str, GroupLabel]]:
-    """Records of every panel and, unless config_labels is None, the labels of
-    their banks: each panel's label column, overridden by config_labels."""
-    records: list[BankYearRecord] = []
-    labels: dict[str, GroupLabel] = {}
-    seen: set[tuple[str, int]] = set()
-    for path in paths:
-        text = _read_text(path, what, PanelError)
-        for record in parse_panel(text):
-            key = (record.bank_id, record.year)
-            if key in seen:
-                raise DuplicateRecordError(
-                    f"duplicate record for bank {record.bank_id!r}, year {record.year} across panels"
-                )
-            seen.add(key)
-            records.append(record)
-        if config_labels is None:
-            continue
-        try:
-            file_labels = panel_labels(text)
-        except SchemaError:
-            if not config_labels:
-                raise
-            file_labels = {}
-        for bank, label in file_labels.items():
-            if bank in labels and labels[bank] is not label:
-                raise ParseError(f"bank {bank!r} has conflicting labels across panels")
-            labels[bank] = label
-    labels.update(config_labels or {})
-    return records, labels
-
-
 def _panel_inputs(config: RunConfig, command: str, config_labels: dict | None) -> tuple:
-    """Model, normalization, records, labels and zones of a panel-scoring command."""
+    """Model, normalization, records, labels, zones and the zones' score scale
+    of a panel-scoring command."""
     model, stats = load_model(config.model)
     if not config.panel:
         raise ConfigError(f"{command} requires at least one panel (--panel)")
-    records, labels = _load_panels(config.panel, "panel", config_labels)
+    records, labels = load_panels(config.panel, "panel", config_labels)
     if config.zones == "derived":
         zones = derive_zones(model)
     elif config.zones == "paper":
         zones = load_published_zones()
     else:
         zones = load_zones(config.zones)
-    return model, stats, records, labels, zones
+    return model, stats, records, labels, zones, ZONE_SCALES[zones.source]
 
 
 # ------------------------------------------------------------------ commands
@@ -236,7 +192,7 @@ def _panel_inputs(config: RunConfig, command: str, config_labels: dict | None) -
 def cmd_fit(config: RunConfig) -> tuple[dict, str]:
     if not config.train:
         raise ConfigError("fit requires a training panel (--train)")
-    records, labels = _load_panels((config.train,), "training", config.labels)
+    records, labels = load_panels((config.train,), "training", config.labels)
     ts = training_set_from_panel(records, labels, config.window)
     stats = fit_normalizer(ts)
     tsZ = normalize_training_set(stats, ts)
@@ -298,25 +254,23 @@ def cmd_diagnose(config: RunConfig) -> tuple[dict, tuple[str, ...]]:
 
 
 def cmd_classify(config: RunConfig) -> tuple[dict, list[tuple[str, int]]]:
-    model, stats, records, _labels, zones = _panel_inputs(config, "classify", None)
+    model, stats, records, _labels, zones, mode = _panel_inputs(config, "classify", None)
     scored = []
     unavailable = []  # text prints these bank-years as n.a; JSON leaves them out
     for record in sorted(records, key=lambda r: (r.bank_id, r.year)):
         if not record.available:
             unavailable.append((record.bank_id, record.year))
             continue
-        s = score_observation(model, stats, record, config.mode)
+        s = score_observation(model, stats, record, mode)
         zone = classify_zone(s, zones).value
         scored.append({"bank": record.bank_id, "year": record.year, "score": s, "zone": zone})
-    doc = {"mode": config.mode, "zones": zones_to_dict(zones), "records": scored}
+    doc = {"mode": mode, "zones": zones_to_dict(zones), "records": scored}
     return doc, unavailable
 
 
 def cmd_evaluate(config: RunConfig) -> tuple[dict, None]:
-    model, stats, records, labels, zones = _panel_inputs(config, "evaluate", config.labels)
-    report = evaluate_panel(
-        model, stats, records, labels, zones, config.mode, config.warning_years or None
-    )
+    model, stats, records, labels, zones, mode = _panel_inputs(config, "evaluate", config.labels)
+    report = evaluate_panel(model, stats, records, labels, zones, mode, config.warning_years or None)
     return report_to_dict(report), None
 
 
@@ -482,7 +436,6 @@ _SETTINGS = {
     "panel": (_paths, _PANEL_COMMANDS, "panel CSV (repeatable)"),
     "model": (_text, tuple(_COMMANDS), "model file (written by fit, read elsewhere)"),
     "zones": (_text, _PANEL_COMMANDS, "'derived', 'paper', or a zones JSON file"),
-    "mode": (partial(_choice, ("raw", "normalized")), _PANEL_COMMANDS, "raw|normalized"),
     "format": (partial(_choice, ("text", "json")), tuple(_COMMANDS), "text|json"),
     "alpha": (_fraction, ("diagnose",), "significance level (default 0.05)"),
     "collinearity_threshold": (_fraction, ("diagnose",), "|r| flag threshold (default 0.8)"),
@@ -500,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name, (_command, _render, help_text) in _COMMANDS.items():
-        # No abbreviations: diagnose would read --mode as --model.
+        # No abbreviations: --mode, an unknown flag, would read as --model.
         sub = subparsers.add_parser(name, help=help_text, allow_abbrev=False)
         for key, (_parse, commands, flag_help) in _SETTINGS.items():
             if name in commands:

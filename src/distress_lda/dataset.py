@@ -12,15 +12,19 @@ import enum
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from pathlib import Path
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
+    DistressLdaError,
     DuplicateRecordError,
     EmptyWindowError,
     InsufficientGroupError,
     MissingLabelError,
+    PanelError,
     ParseError,
     SchemaError,
     VariableCountError,
@@ -139,7 +143,10 @@ def parse_panel(text: str) -> list[BankYearRecord]:
     Rows whose six ratio cells are all zero or all empty become records with
     available=False (the ratios are kept as zeros but mean nothing).
     """
-    header, rows = _split_rows(text)
+    return _records(*_split_rows(text))
+
+
+def _records(header: list[str], rows: list[tuple[int, list[str]]]) -> list[BankYearRecord]:
     bank_at, year_at = header.index("bank"), header.index("year")
     ratio_at = [header.index(name) for name in VARIABLES]
     records: list[BankYearRecord] = []
@@ -178,7 +185,10 @@ def parse_panel(text: str) -> list[BankYearRecord]:
 
 def panel_labels(text: str) -> dict[str, GroupLabel]:
     """Extract the bank -> group mapping from a panel's label column."""
-    header, rows = _split_rows(text)
+    return _labels(*_split_rows(text))
+
+
+def _labels(header: list[str], rows: list[tuple[int, list[str]]]) -> dict[str, GroupLabel]:
     if "label" not in header:
         raise SchemaError("panel has no 'label' column")
     bank_at, label_at = header.index("bank"), header.index("label")
@@ -196,6 +206,51 @@ def panel_labels(text: str) -> dict[str, GroupLabel]:
             raise ParseError(f"row {lineno}: bank {bank!r} has conflicting labels")
         labels[bank] = label
     return labels
+
+
+def read_text(path: str | Path, what: str, error: type[DistressLdaError]) -> str:
+    """A file's UTF-8 text; a file that cannot be read raises `error`."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise error(f"cannot read {what} file {path}: {exc}") from None
+
+
+def load_panels(
+    paths: Iterable[str | Path], what: str, overrides: Mapping[str, GroupLabel] | None
+) -> tuple[list[BankYearRecord], dict[str, GroupLabel]]:
+    """Records of every panel file and, unless overrides is None, the labels of
+    their banks: each panel's label column, overridden by overrides.
+
+    Each file is read and split once. Refused: a bank-year in two panels, a
+    bank that two panels label differently, an override for a bank in no
+    panel, and a panel without a label column when no override is given.
+    """
+    records: list[BankYearRecord] = []
+    labels: dict[str, GroupLabel] = {}
+    seen: set[tuple[str, int]] = set()
+    for path in paths:
+        header, rows = _split_rows(read_text(path, what, PanelError))
+        for record in _records(header, rows):
+            key = (record.bank_id, record.year)
+            if key in seen:
+                raise DuplicateRecordError(
+                    f"duplicate record for bank {record.bank_id!r}, year {record.year} across panels"
+                )
+            seen.add(key)
+            records.append(record)
+        if overrides is None or (overrides and "label" not in header):
+            continue
+        for bank, label in _labels(header, rows).items():
+            if bank in labels and labels[bank] is not label:
+                raise ParseError(f"bank {bank!r} has conflicting labels across panels")
+            labels[bank] = label
+    if overrides:
+        unknown = sorted(set(overrides) - {record.bank_id for record in records})
+        if unknown:
+            raise ConfigError(f"label for bank {unknown[0]!r} rejected: bank not in panel")
+        labels.update(overrides)
+    return records, labels
 
 
 def serialize_panel(records: list[BankYearRecord], labels: dict[str, GroupLabel] | None = None) -> str:

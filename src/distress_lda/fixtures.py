@@ -11,7 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .classification import ClassificationZones
-from .dataset import BankYearRecord, GroupLabel, panel_labels, parse_panel
+from .dataset import BankYearRecord, GroupLabel, load_panels
 from .lda_fit import DiscriminantModel
 from .model_io import load_model, load_zones
 from .normalization import NormalizationStats
@@ -29,19 +29,12 @@ def data_path(name: str) -> Path:
 
 def load_training_panel() -> tuple[list[BankYearRecord], dict[str, GroupLabel]]:
     """The 14-bank training table of 2012-2015 average ratios, with labels."""
-    text = data_path("table2.csv").read_text(encoding="utf-8")
-    return parse_panel(text), panel_labels(text)
+    return load_panels([data_path("table2.csv")], "training", {})
 
 
 def load_evaluation_panel() -> tuple[list[BankYearRecord], dict[str, GroupLabel]]:
     """Both yearly panels (2012-2020) concatenated, with labels."""
-    records: list[BankYearRecord] = []
-    labels: dict[str, GroupLabel] = {}
-    for name in ("appendix_a.csv", "appendix_b.csv"):
-        text = data_path(name).read_text(encoding="utf-8")
-        records.extend(parse_panel(text))
-        labels.update(panel_labels(text))
-    return records, labels
+    return load_panels([data_path("appendix_a.csv"), data_path("appendix_b.csv")], "panel", {})
 
 
 def load_reference_model() -> tuple[DiscriminantModel, NormalizationStats]:

@@ -13,7 +13,7 @@ import math
 from pathlib import Path
 
 from .classification import ZONE_SOURCES, ClassificationZones, zones_to_dict
-from .dataset import VARIABLES
+from .dataset import VARIABLES, read_text
 from .diagnostics import check_correlation_matrix
 from .errors import DomainError, ModelFileError
 from .lda_fit import GROUP_KEYS, DiscriminantModel, FisherFunctions
@@ -199,11 +199,7 @@ def loads_finite(text: str):
 
 
 def _load_json(path: str | Path, what: str) -> dict:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ModelFileError(f"cannot read {what} file {path}: {exc}") from None
+    text = read_text(path, what, ModelFileError)
     try:
         return loads_finite(text)
     except ValueError as exc:

@@ -6,6 +6,7 @@ runs the CLI as a subprocess.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import distress_lda
-from distress_lda.cli import main, parse_window
+from distress_lda.cli import RunConfig, main, parse_window
 from distress_lda.errors import ConfigError
 from distress_lda.fixtures import data_path
 from distress_lda.model_io import load_model
@@ -27,6 +28,7 @@ PANEL_A = str(data_path("appendix_a.csv"))
 PANEL_B = str(data_path("appendix_b.csv"))
 REFERENCE = str(data_path("reference_model.json"))
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "cli"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 RATIO_HEADER = "bank,year,eaa,roae,roaa,nii,laaa,bdtla"
 
@@ -207,11 +209,15 @@ class TestClassifyCommand:
         assert f"{-8.96:7.2f}%"[:5] in moza_2015
 
     def test_default_zones_come_from_model(self, capsys):
+        """Derived zones sit on the z-score scale, so the default scores z-scores:
+        Moza Banco's 2012 ratios (raw score -26.88%) raise the alarm."""
         code, out, _ = run_cli(
             capsys, "classify", "--panel", PANEL_A, "--model", REFERENCE
         )
         assert code == 0
-        assert "(derived-from-model)" in out.splitlines()[0]
+        assert out.splitlines()[0].endswith("(derived-from-model); mode: normalized")
+        moza_2012 = next(line for line in out.splitlines() if line.startswith("Moza Banco, S.A   2012"))
+        assert "▼" in moza_2012
 
     def test_json_skips_unavailable_records(self, capsys):
         code, out, _ = run_cli(
@@ -242,7 +248,24 @@ class TestClassifyCommand:
             "--zones", str(zones_path),
         )
         assert code == 0
-        assert "cut-off 0.000000, no grey zone" in out.splitlines()[0]
+        assert out.splitlines()[0] == (
+            "zones: cut-off 0.000000, no grey zone (explicit-override); mode: raw"
+        )
+
+    def test_zones_file_tagged_derived_scores_z_scores(self, tmp_path, capsys):
+        """The scale follows the zones' source, not whether they came from a file."""
+        zones_path = tmp_path / "zones.json"
+        zones_path.write_text(
+            json.dumps({"cutoff": 0.0, "grey": None, "source": "derived-from-model"}),
+            encoding="utf-8",
+        )
+        code, out, _ = run_cli(
+            capsys,
+            "classify", "--panel", PANEL_A, "--model", REFERENCE,
+            "--zones", str(zones_path), "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["mode"] == "normalized"
 
     def test_requires_panel(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--model", REFERENCE)
@@ -325,6 +348,20 @@ class TestEvaluateCommand:
         assert "grey" in by_year[2015]["counts"]
         cutoff_years = {row["year"]: row for row in doc["cutoff_only"]}
         assert "grey" not in cutoff_years[2015]["counts"]
+
+    def test_default_evaluation_raises_alarms(self, capsys):
+        """Derived zones score z-scores: 2015 has 3 alarms and 13/19 hits."""
+        code, out, err = run_cli(
+            capsys, "evaluate", "--panel", PANEL_A, "--panel", PANEL_B, "--model", REFERENCE
+        )
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0].endswith("(derived-from-model); mode: normalized")
+        grey_block = lines[lines.index("with grey zone:"):lines.index("cut-off only:")]
+        row_2015 = next(line for line in grey_block if line.lstrip().startswith("2015"))
+        assert row_2015.split() == [
+            "2015", "3", "4", "12", "13", "19", "68.4%", "50.0%", "11.8%"
+        ]
 
     def test_warning_year_override_via_config(self, tmp_path, capsys):
         """Moving the alarm year to 2014 makes 2015 a clean type I miss."""
@@ -488,8 +525,8 @@ class TestConfigPrecedence:
 COMMAND_FLAGS = {
     "fit": {"--train", "--model", "--window", "--priors", "--format"},
     "diagnose": {"--model", "--alpha", "--collinearity-threshold", "--format"},
-    "classify": {"--panel", "--model", "--zones", "--mode", "--format"},
-    "evaluate": {"--panel", "--model", "--zones", "--mode", "--format"},
+    "classify": {"--panel", "--model", "--zones", "--format"},
+    "evaluate": {"--panel", "--model", "--zones", "--format"},
 }
 
 
@@ -507,12 +544,12 @@ class TestSettings:
             assert f"unrecognized arguments: {flag} x" in capsys.readouterr().err
 
     def test_every_command_accepts_every_config_key(self, tmp_path, capsys):
-        """One config file serves all four commands, so each takes all 12 keys."""
+        """One config file serves all four commands, so each takes all 11 keys."""
         config = tmp_path / "all.json"
         config.write_text(
             json.dumps({
                 "train": TABLE, "panel": [PANEL_A, PANEL_B], "model": str(tmp_path / "m.json"),
-                "zones": "paper", "mode": "raw", "format": "json", "alpha": 0.05,
+                "zones": "paper", "format": "json", "alpha": 0.05,
                 "collinearity_threshold": 0.8, "window": "2012:2015", "priors": "proportional",
                 "labels": {}, "warning_years": {"Moza Banco, S.A": "2015"},
             }),
@@ -528,7 +565,7 @@ class TestSettings:
         [
             {"model": 5},
             {"zones": ["paper"]},
-            {"mode": None},
+            {"format": None},
             {"panel": 3},
             {"warning_years": {"Moza Banco, S.A": 2015.9}},
             {"warning_years": {"Moza Banco, S.A": True}},
@@ -553,13 +590,50 @@ class TestSettings:
 
     def test_overridden_config_value_is_still_checked(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
-        config.write_text("mode = fancy\n", encoding="utf-8")
+        config.write_text("format = fancy\n", encoding="utf-8")
         code, _, err = run_cli(
             capsys, "classify", "--panel", PANEL_A, "--model", REFERENCE,
-            "--config", str(config), "--mode", "raw",
+            "--config", str(config), "--format", "text",
         )
         assert code == 2
-        assert err == f"error: config file {config}: mode must be 'raw' or 'normalized', got 'fancy'\n"
+        assert err == f"error: config file {config}: format must be 'text' or 'json', got 'fancy'\n"
+
+    def test_mode_is_not_a_setting(self, tmp_path, capsys):
+        """The zones fix the score scale, so neither a flag nor a key may set it."""
+        with pytest.raises(SystemExit) as exit_:
+            main(["classify", "--panel", PANEL_A, "--model", REFERENCE, "--mode", "raw"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --mode raw" in capsys.readouterr().err
+        config = tmp_path / "run.cfg"
+        config.write_text("mode = raw\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "classify", "--panel", PANEL_A, "--model", REFERENCE, "--config", str(config)
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: config file {config}: unknown config key 'mode'\n"
+
+    def test_readme_flags_table_matches_the_parser(self):
+        """The README's table of flags per subcommand names what --help lists."""
+        readme = README.read_text(encoding="utf-8")
+        table = readme[readme.index("| subcommand "):]
+        table = table[:table.index("\n\n")].splitlines()[2:]
+        documented = {}
+        for row in table:
+            commands, flags = row.strip("|").split("|")
+            for command in re.findall(r"`([a-z]+)`", commands):
+                documented[command] = set(flags.strip(" `").split())
+        assert documented == {
+            command: flags | {"--config"} for command, flags in COMMAND_FLAGS.items()
+        }
+
+    def test_readme_lists_every_config_key(self):
+        readme = README.read_text(encoding="utf-8")
+        count, listed = re.search(
+            r"A config file may set any of the (\d+) keys (.*?) for every subcommand", readme, re.S
+        ).groups()
+        keys = re.findall(r"`([a-z_]+)`", listed)
+        assert len(keys) == int(count)
+        assert keys == [f.name for f in dataclasses.fields(RunConfig)]
 
 
 class TestWindowParsing:
@@ -665,6 +739,24 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--train", TABLE],
+            ["evaluate", "--panel", PANEL_A, "--panel", PANEL_B, "--model", REFERENCE],
+        ],
+    )
+    def test_label_must_name_a_bank(self, tmp_path, capsys, monkeypatch, argv):
+        """A mistyped bank name in `labels` is refused, not dropped: without its
+        comma, Moza Banco would stay bankrupt."""
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "typo.json"
+        config.write_text(json.dumps({"labels": {"Moza Banco SA": "nonbankrupt"}}), encoding="utf-8")
+        code, out, err = run_cli(capsys, *argv, "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == "error: label for bank 'Moza Banco SA' rejected: bank not in panel\n"
+        assert not (tmp_path / "model.json").exists()
 
     def test_unreadable_panel_file(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
