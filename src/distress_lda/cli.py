@@ -170,9 +170,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 def _panel_inputs(config: RunConfig, command: str, config_labels: dict | None) -> tuple:
     """Model, normalization, records, labels, zones and the zones' score scale
     of a panel-scoring command."""
-    model, stats = load_model(config.model)
     if not config.panel:
         raise ConfigError(f"{command} requires at least one panel (--panel)")
+    model, stats = load_model(config.model)
     records, labels = load_panels(config.panel, "panel", config_labels)
     if config.zones == "derived":
         zones = derive_zones(model)
@@ -446,8 +446,16 @@ _SETTINGS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one `error:` line, like every other error;
+    add_subparsers makes each subcommand parser of this class too."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="distress-lda",
         description="Two-group linear discriminant toolkit for bank-distress early warning.",
     )

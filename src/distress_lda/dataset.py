@@ -13,9 +13,7 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
-
-import numpy as np
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     ConfigError,
@@ -56,8 +54,8 @@ class RatioVector:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"ratio {name!r} must be finite, got {getattr(self, name)!r}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in VARIABLES], dtype=float)
+    def as_tuple(self) -> tuple[float, ...]:
+        return tuple(getattr(self, name) for name in VARIABLES)
 
     @classmethod
     def from_array(cls, values) -> "RatioVector":
@@ -281,6 +279,16 @@ def rows_by_bank(records: Iterable[BankYearRecord]) -> dict[str, list[BankYearRe
     return grouped
 
 
+def column_sums(rows: Sequence[Sequence[float]]) -> list[float]:
+    """Column totals added row by row from 0.0, in the order and to the bits of numpy's
+    sums along axis 0. Not sum(): from Python 3.12 it compensates float rounding."""
+    totals = [0.0] * len(rows[0])
+    for row in rows:
+        for j, x in enumerate(row):
+            totals[j] += x
+    return totals
+
+
 def average_ratios(records: list[BankYearRecord], bank_id: str, years: tuple[int, int]) -> RatioVector:
     """Mean ratios for one bank over an inclusive year window.
 
@@ -292,13 +300,13 @@ def average_ratios(records: list[BankYearRecord], bank_id: str, years: tuple[int
     """
     first, last = years
     rows = [
-        rec.ratios.as_array()
+        rec.ratios.as_tuple()
         for rec in records
         if rec.bank_id == bank_id and first <= rec.year <= last and rec.available
     ]
     if not rows:
         raise EmptyWindowError(f"bank {bank_id!r} has no available data in {first}-{last}")
-    return RatioVector.from_array(np.mean(rows, axis=0))
+    return RatioVector.from_array(total / len(rows) for total in column_sums(rows))
 
 
 def check_variable_count(p: int, n: int) -> None:

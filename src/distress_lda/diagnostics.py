@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .dataset import VARIABLES
 from .errors import DomainError, InsufficientGroupError, ZeroVarianceError
 from .lda_fit import DiscriminantModel
@@ -51,17 +49,17 @@ class CollinearityReport:
     flagged_pairs: tuple[tuple[str, str, float], ...]
 
 
-def check_correlation_matrix(corr, p: int) -> np.ndarray:
-    """corr as a p x p array; raises DomainError unless it is symmetric, has a
-    unit diagonal and entries in [-1, 1], each within 1e-8."""
-    matrix = np.asarray(corr, dtype=float)
-    if matrix.shape != (p, p):
-        raise DomainError(f"correlation matrix must be {p}x{p}, got {matrix.shape}")
-    if not np.allclose(matrix, matrix.T, rtol=0.0, atol=1e-8):
+def check_correlation_matrix(corr, p: int) -> tuple[tuple[float, ...], ...]:
+    """corr as a tuple of p rows of p floats; raises DomainError unless it is symmetric,
+    has a unit diagonal and entries in [-1, 1], each within 1e-8. NaN fails every check."""
+    matrix = tuple(tuple(float(v) for v in row) for row in corr)
+    if len(matrix) != p or any(len(row) != p for row in matrix):
+        raise DomainError(f"correlation matrix must be {p}x{p}, got rows of {list(map(len, matrix))}")
+    if not all(abs(matrix[i][j] - matrix[j][i]) <= 1e-8 for i in range(p) for j in range(i)):
         raise DomainError("correlation matrix must be symmetric")
-    if not np.allclose(np.diag(matrix), 1.0, rtol=0.0, atol=1e-8):
+    if not all(abs(matrix[i][i] - 1.0) <= 1e-8 for i in range(p)):
         raise DomainError("correlation matrix must have unit diagonal")
-    if np.max(np.abs(matrix)) > 1.0 + 1e-8:
+    if not all(abs(x) <= 1.0 + 1e-8 for row in matrix for x in row):
         raise DomainError("correlation entries must lie in [-1, 1]")
     return matrix
 
@@ -75,10 +73,10 @@ def collinearity_check(corr, threshold: float = 0.8, variables: Sequence[str] = 
     p = len(variables)
     matrix = check_correlation_matrix(corr, p)
     pairs = [
-        (variables[i], variables[j], float(matrix[i, j]))
+        (variables[i], variables[j], matrix[i][j])
         for i in range(p)
         for j in range(i + 1, p)
-        if abs(matrix[i, j]) > threshold
+        if abs(matrix[i][j]) > threshold
     ]
     pairs.sort(key=lambda pair: abs(pair[2]), reverse=True)
     return CollinearityReport(threshold=threshold, flagged_pairs=tuple(pairs))
@@ -86,6 +84,7 @@ def collinearity_check(corr, threshold: float = 0.8, variables: Sequence[str] = 
 
 def eigenvalue_from_scores(scores_by_group: Mapping[str, Sequence[float]]) -> float:
     """Between- over within-group sum of squares of discriminant scores."""
+    import numpy as np
     groups = {key: np.asarray(vals, dtype=float) for key, vals in scores_by_group.items()}
     if any(len(v) == 0 for v in groups.values()):
         raise InsufficientGroupError("every group needs at least one score")
@@ -144,10 +143,9 @@ def _box_m_two_groups(v0: float, n0: int, v1: float, n1: int) -> BoxMResult:
 
 def box_m_test(scores_by_group: Mapping[str, Sequence[float]]) -> BoxMResult:
     """Box's M homogeneity test on the discriminant scores of two groups."""
+    import numpy as np
     if len(scores_by_group) != 2:
-        raise InsufficientGroupError(
-            f"Box's M needs exactly two groups, got {len(scores_by_group)}"
-        )
+        raise InsufficientGroupError(f"Box's M needs exactly two groups, got {len(scores_by_group)}")
     groups = []
     for key, values in scores_by_group.items():
         arr = np.asarray(values, dtype=float)

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .dataset import VARIABLES, GroupLabel, TrainingSet, check_variable_count
 from .errors import (
@@ -27,6 +25,9 @@ from .errors import (
     InsufficientGroupError,
     SingularMatrixError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 GROUP_KEYS = ("bankrupt", "nonbankrupt")
 
@@ -79,6 +80,7 @@ def solve_spd(S, d) -> np.ndarray:
     the failing pivot index, which in this pipeline names the offending
     variable directly.
     """
+    import numpy as np
     S = np.asarray(S, dtype=float)
     d = np.asarray(d, dtype=float)
     n = d.shape[0]
@@ -100,16 +102,10 @@ def solve_spd(S, d) -> np.ndarray:
     return v
 
 
-def _group_matrices(ts: TrainingSet) -> tuple[np.ndarray, np.ndarray]:
-    X0 = np.array([s.ratios.as_array() for s in ts.samples if s.label is GroupLabel.BANKRUPT])
-    X1 = np.array([s.ratios.as_array() for s in ts.samples if s.label is GroupLabel.NONBANKRUPT])
-    return X0, X1
-
-
 def group_stats_from_matrices(X0, X1, variables: Sequence[str]) -> GroupStatistics:
     """Pooled within-group covariance of two row-per-sample matrices."""
-    X0 = np.atleast_2d(np.asarray(X0, dtype=float))
-    X1 = np.atleast_2d(np.asarray(X1, dtype=float))
+    import numpy as np
+    X0, X1 = (np.atleast_2d(np.asarray(X, dtype=float)) for X in (X0, X1))
     if X0.size == 0 or X1.size == 0:
         raise InsufficientGroupError("both groups must be non-empty")
     n0, n1 = len(X0), len(X1)
@@ -134,14 +130,14 @@ def fit_from_matrices(
     X0 holds the bankrupt-group rows, X1 the non-bankrupt ones; each group
     needs at least two rows so its score dispersion exists.
     """
+    import numpy as np
     if priors not in ("proportional", "equal"):
         raise ValueError(f"priors must be 'proportional' or 'equal', got {priors!r}")
+    X0, X1 = (np.atleast_2d(np.asarray(X, dtype=float)) for X in (X0, X1))
     stats = group_stats_from_matrices(X0, X1, variables)
     n0, n1 = stats.n0, stats.n1
     if n0 < 2 or n1 < 2:
-        raise InsufficientGroupError(
-            f"each group needs at least 2 samples, got {n0} and {n1}"
-        )
+        raise InsufficientGroupError(f"each group needs at least 2 samples, got {n0} and {n1}")
     N = n0 + n1
     diff = stats.mu1 - stats.mu0
     if np.max(np.abs(diff)) < 1e-12:
@@ -152,14 +148,13 @@ def fit_from_matrices(
     scale = float(diff @ b_raw)
     b = b_raw / math.sqrt(scale)
 
-    X = np.vstack([np.atleast_2d(np.asarray(X0, dtype=float)), np.atleast_2d(np.asarray(X1, dtype=float))])
-    grand_mean = X.mean(axis=0)
+    grand_mean = np.vstack([X0, X1]).mean(axis=0)
     a = -float(b @ grand_mean)
 
     y0 = float(b @ stats.mu0) + a
     y1 = float(b @ stats.mu1) + a
-    scores0 = np.atleast_2d(np.asarray(X0, dtype=float)) @ b + a
-    scores1 = np.atleast_2d(np.asarray(X1, dtype=float)) @ b + a
+    scores0 = X0 @ b + a
+    scores1 = X1 @ b + a
     s0 = float(scores0.std(ddof=1))
     s1 = float(scores1.std(ddof=1))
 
@@ -210,7 +205,8 @@ def fit(tsZ: TrainingSet, priors: str = "proportional") -> DiscriminantModel:
     for unbalanced panels), "equal" uses 1/2 per group, under which Fisher
     classification collapses to the centroid-midpoint rule.
     """
-    X0, X1 = _group_matrices(tsZ)
+    X0 = [s.ratios.as_tuple() for s in tsZ.samples if s.label is GroupLabel.BANKRUPT]
+    X1 = [s.ratios.as_tuple() for s in tsZ.samples if s.label is GroupLabel.NONBANKRUPT]
     return fit_from_matrices(X0, X1, VARIABLES, priors=priors)
 
 

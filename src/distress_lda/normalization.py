@@ -1,11 +1,10 @@
 """Z-score normalization fitted on the pooled training set."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .dataset import VARIABLES, LabeledSample, RatioVector, TrainingSet
+from .dataset import VARIABLES, LabeledSample, RatioVector, TrainingSet, column_sums
 from .errors import ZeroVarianceError
 
 
@@ -30,16 +29,15 @@ class NormalizationStats:
 
 def fit_normalizer(ts: TrainingSet) -> NormalizationStats:
     """Compute pooled means and n-1 standard deviations per variable."""
-    matrix = np.array([s.ratios.as_array() for s in ts.samples])
-    means = matrix.mean(axis=0)
-    sds = matrix.std(axis=0, ddof=1)
+    rows = [s.ratios.as_tuple() for s in ts.samples]
+    n = len(rows)
+    means = [total / n for total in column_sums(rows)]
+    squares = [[(x - m) * (x - m) for x, m in zip(row, means)] for row in rows]
+    sds = [math.sqrt(total / (n - 1)) for total in column_sums(squares)]
     for name, sd in zip(VARIABLES, sds):
         if sd == 0.0:
             raise ZeroVarianceError(f"variable {name!r} is constant across the training set")
-    return NormalizationStats(
-        mean={name: float(m) for name, m in zip(VARIABLES, means)},
-        sd={name: float(s) for name, s in zip(VARIABLES, sds)},
-    )
+    return NormalizationStats(mean=dict(zip(VARIABLES, means)), sd=dict(zip(VARIABLES, sds)))
 
 
 def apply(stats: NormalizationStats, v: RatioVector) -> RatioVector:

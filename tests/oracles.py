@@ -2,9 +2,11 @@
 
 Nothing here shares code with the package: the incomplete-gamma oracle is a
 plain power series and the incomplete-beta oracle is numerical quadrature,
-both evaluated at 50-digit precision with mpmath, and the linear-system
-oracle is Gaussian elimination with partial pivoting. Agreement between the
-package and these routines is evidence, not circularity.
+both evaluated at 50-digit precision with mpmath, the linear-system oracle
+is Gaussian elimination with partial pivoting, and the window-mean and
+normalizer oracles are numpy's own reductions, which the package's pure-Python
+sums must match to the bit. Agreement between the package and these routines
+is evidence, not circularity.
 """
 import mpmath as mp
 import numpy as np
@@ -113,6 +115,17 @@ def eliminate(A, d):
     for row in range(n - 1, -1, -1):
         v[row] = (d[row] - A[row, row + 1 :] @ v[row + 1 :]) / A[row, row]
     return v
+
+
+def window_mean_reference(rows):
+    """Mean of each column of the window's rows."""
+    return np.mean(rows, axis=0)
+
+
+def normalizer_reference(rows):
+    """Pooled means and n-1 standard deviations of the stacked sample rows."""
+    matrix = np.array(rows, dtype=float)
+    return matrix.mean(axis=0), matrix.std(axis=0, ddof=1)
 
 
 def discriminant_direction_reference(X0, X1):

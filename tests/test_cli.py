@@ -27,6 +27,7 @@ TABLE = str(data_path("table2.csv"))
 PANEL_A = str(data_path("appendix_a.csv"))
 PANEL_B = str(data_path("appendix_b.csv"))
 REFERENCE = str(data_path("reference_model.json"))
+MISSING_MODEL = str(Path(REFERENCE).with_name("no_such_model.json"))
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "cli"
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -267,8 +268,9 @@ class TestClassifyCommand:
         assert code == 0
         assert json.loads(out)["mode"] == "normalized"
 
-    def test_requires_panel(self, capsys):
-        code, _, err = run_cli(capsys, "classify", "--model", REFERENCE)
+    @pytest.mark.parametrize("model", [REFERENCE, MISSING_MODEL], ids=["reference", "missing"])
+    def test_requires_panel(self, capsys, model):
+        code, _, err = run_cli(capsys, "classify", "--model", model)
         assert code == 2
         assert "classify requires at least one panel" in err
 
@@ -433,8 +435,9 @@ class TestEvaluateCommand:
         assert out == ""
         assert "bank 'Beta' has no group label" in err
 
-    def test_requires_panel(self, capsys):
-        code, _, err = run_cli(capsys, "evaluate", "--model", REFERENCE)
+    @pytest.mark.parametrize("model", [REFERENCE, MISSING_MODEL], ids=["reference", "missing"])
+    def test_requires_panel(self, capsys, model):
+        code, _, err = run_cli(capsys, "evaluate", "--model", model)
         assert code == 2
         assert "evaluate requires at least one panel" in err
 
@@ -583,6 +586,12 @@ class TestSettings:
         assert out == ""
         assert err.startswith(f"error: config file {config}: ") and err.count("\n") == 1
 
+    def test_missing_subcommand_is_one_error_line(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main([])
+        assert exit_.value.code == 2
+        assert capsys.readouterr() == ("", "error: the following arguments are required: command\n")
+
     def test_bad_flag_value_is_one_error_line(self, capsys):
         code, out, err = run_cli(capsys, "diagnose", "--model", REFERENCE, "--alpha", "high")
         assert (code, out) == (2, "")
@@ -603,7 +612,7 @@ class TestSettings:
         with pytest.raises(SystemExit) as exit_:
             main(["classify", "--panel", PANEL_A, "--model", REFERENCE, "--mode", "raw"])
         assert exit_.value.code == 2
-        assert "unrecognized arguments: --mode raw" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", "error: unrecognized arguments: --mode raw\n")
         config = tmp_path / "run.cfg"
         config.write_text("mode = raw\n", encoding="utf-8")
         code, out, err = run_cli(
@@ -861,6 +870,38 @@ def test_case_study_outputs_match_goldens(tmp_path, capsys, monkeypatch):
             code, out, err = run_cli(capsys, cmd, *args, "--format", fmt)
             assert (code, err) == (0, "")
             assert out.encode("utf-8") == (GOLDEN / f"{cmd}.{fmt}").read_bytes(), f"{cmd}.{fmt}"
+
+
+def _numpy_loaded_after(*calls: list[str]) -> bool:
+    """Run the CLI calls in one fresh interpreter; whether numpy got imported."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from distress_lda.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "assert codes == [0] * len(codes), codes\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "DISTRESS_LDA_CONFIG"}
+    env["PYTHONPATH"] = str(Path(distress_lda.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(calls)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {"True\n": True, "False\n": False}[proc.stdout]
+
+
+def test_only_fit_imports_numpy(tmp_path):
+    """numpy serves the fit's linear algebra alone, so scoring a panel and
+    checking a stored model never pay for its import."""
+    assert not _numpy_loaded_after(
+        *[[cmd, *CASE_STUDY_ARGS[cmd], "--format", fmt]
+          for cmd in ("classify", "evaluate") for fmt in ("text", "json")],
+        ["diagnose", "--model", REFERENCE],
+        ["diagnose", "--model", REFERENCE, "--format", "json"],
+    )
+    assert _numpy_loaded_after(["fit", "--train", TABLE, "--model", str(tmp_path / "m.json")])
 
 
 class TestTextMatchesJson:

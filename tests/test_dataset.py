@@ -169,7 +169,7 @@ class TestRatioVector:
 
     def test_array_round_trip(self):
         v = RatioVector(0.1, -0.2, 0.3, 0.4, 1.5, 0.6)
-        assert RatioVector.from_array(v.as_array()) == v
+        assert RatioVector.from_array(v.as_tuple()) == v
 
     def test_from_array_length_checked(self):
         with pytest.raises(ValueError):
@@ -187,7 +187,7 @@ class TestAverageRatios:
             )
         )
         avg = average_ratios(records, "Alpha", (2012, 2015))
-        assert avg.as_array() == pytest.approx([0.3] * 6, rel=1e-12)
+        assert avg.as_tuple() == pytest.approx([0.3] * 6, rel=1e-12)
 
     def test_single_available_year_passes_through(self):
         records = parse_panel(_panel("Alpha,2013,0.1,0.2,0.3,0.4,0.5,0.6"))

@@ -78,6 +78,16 @@ class TestCollinearity:
         with pytest.raises(DomainError, match=r"\[-1, 1\]"):
             collinearity_check(matrix)
 
+    @pytest.mark.parametrize(
+        "cells, match", [([(1, 1)], "diagonal"), ([(2, 4), (4, 2)], "symmetric")]
+    )
+    def test_nan_fails_the_checks(self, cells, match):
+        matrix = np.eye(6)
+        for i, j in cells:
+            matrix[i, j] = math.nan
+        with pytest.raises(DomainError, match=match):
+            collinearity_check(matrix)
+
     def test_fitted_model_correlation_passes_screen(self, fitted_model):
         report = collinearity_check(np.array(fitted_model.pooled_correlation))
         flagged = {frozenset((a, b)) for a, b, _ in report.flagged_pairs}

@@ -86,7 +86,7 @@ class TestGroupStats:
 
     def test_bundled_panel_counts(self, normalized_set):
         X0, X1 = (
-            [s.ratios.as_array() for s in normalized_set.samples if s.label is label]
+            [s.ratios.as_tuple() for s in normalized_set.samples if s.label is label]
             for label in (GroupLabel.BANKRUPT, GroupLabel.NONBANKRUPT)
         )
         stats = group_stats_from_matrices(X0, X1, VARIABLES)

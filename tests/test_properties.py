@@ -3,22 +3,31 @@
 - Writing a panel and parsing it back gives the same records and labels.
 - Zones are ordered along the score axis: bankrupt below grey below healthy.
 - The fitted coefficients do not depend on the order of rows within a group.
+- Window means and normalizer statistics carry numpy's bits exactly.
 """
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import normalizer_reference, window_mean_reference
 
 from distress_lda import (
     VARIABLES,
     BankYearRecord,
     ClassificationZones,
+    EmptyWindowError,
     GroupLabel,
+    LabeledSample,
     RatioVector,
+    ZeroVarianceError,
     ZoneLabel,
+    average_ratios,
+    build_training_set,
     classify_zone,
     fit_from_matrices,
+    fit_normalizer,
     group_stats_from_matrices,
     panel_labels,
     parse_panel,
@@ -103,3 +112,61 @@ def test_fit_ignores_row_order_within_groups(case):
     shuffled = fit_from_matrices(X0[list(order0)], X1[list(order1)], names)
     b_shuffled = np.array(list(shuffled.coefficients.values()))
     assert np.max(np.abs(b_shuffled - b)) <= 1e-9 * np.max(np.abs(b))
+
+
+# Bounded so that no sum or square overflows. Signed zeros are drawn often, as
+# a column of -0.0 alone tells a sum started at 0.0 from one started at row 0.
+ratio_cells = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+ratio_rows = st.lists(ratio_cells, min_size=6, max_size=6)
+
+
+def bits(values) -> list[str]:
+    """Exact bit patterns, so -0.0 and 0.0 differ and no tolerance applies."""
+    return [float(v).hex() for v in values]
+
+
+@st.composite
+def bank_windows(draw):
+    """One bank's records over 1-40 years, some of them unavailable, and a
+    window that covers all of them half of the time."""
+    n = draw(st.integers(1, 40))
+    rows = draw(st.lists(st.one_of(st.just([0.0] * 6), ratio_rows), min_size=n, max_size=n))
+    records = [
+        BankYearRecord("Alpha", 2000 + k, RatioVector.from_array(row), any(v != 0.0 for v in row))
+        for k, row in enumerate(rows)
+    ]
+    if draw(st.booleans()):
+        return records, (2000, 2000 + n - 1)
+    first, last = sorted(draw(st.lists(st.integers(1999, 2000 + n), min_size=2, max_size=2)))
+    return records, (first, last)
+
+
+@SETTINGS
+@given(bank_windows())
+def test_window_mean_carries_numpys_bits(case):
+    records, (first, last) = case
+    rows = [r.ratios.as_tuple() for r in records if r.available and first <= r.year <= last]
+    if not rows:
+        with pytest.raises(EmptyWindowError):
+            average_ratios(records, "Alpha", (first, last))
+        return
+    mean = average_ratios(records, "Alpha", (first, last))
+    assert bits(mean.as_tuple()) == bits(window_mean_reference(rows))
+
+
+@SETTINGS
+@given(st.lists(ratio_rows, min_size=9, max_size=60))
+def test_normalizer_carries_numpys_bits(rows):
+    labels = [GroupLabel(k % 2) for k in range(len(rows))]
+    ts = build_training_set(
+        [LabeledSample(f"B{k}", RatioVector.from_array(row), label)
+         for k, (row, label) in enumerate(zip(rows, labels))]
+    )
+    means, sds = normalizer_reference(rows)
+    if not sds.all():
+        with pytest.raises(ZeroVarianceError):
+            fit_normalizer(ts)
+        return
+    stats = fit_normalizer(ts)
+    assert bits(stats.mean[name] for name in VARIABLES) == bits(means)
+    assert bits(stats.sd[name] for name in VARIABLES) == bits(sds)
