@@ -19,12 +19,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from operator import attrgetter
+from typing import Callable, Mapping, Sequence
 
-from . import normalization as norm
-from .dataset import BankYearRecord, GroupLabel, RatioVector, TrainingSet, rows_by_bank
-from .errors import DomainError, MissingDataError, MissingLabelError
-from .lda_fit import DiscriminantModel, fisher_classify, score
+from .dataset import VARIABLES, BankYearRecord, GroupLabel, RatioVector, TrainingSet, rows_by_bank
+from .errors import BindingError, DomainError, MissingDataError, MissingLabelError
+from .lda_fit import DiscriminantModel, fisher_classify
 from .normalization import NormalizationStats
 
 # Score scale of each zone source: derived zones sit between the fit's centroids,
@@ -48,6 +48,9 @@ class ClassificationZones:
     source: str
 
     def __post_init__(self) -> None:
+        bounds = (self.cutoff,) if self.grey is None else (self.cutoff, *self.grey)
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError(f"zone bounds must be finite, got cutoff {self.cutoff!r}, grey {self.grey!r}")
         if self.grey is not None and self.grey[0] > self.grey[1]:
             raise ValueError(f"grey interval is inverted: {self.grey}")
         if self.source not in ZONE_SOURCES:
@@ -95,6 +98,43 @@ def classify_zone(score_value: float, zones: ClassificationZones) -> ZoneLabel:
     return ZoneLabel.BANKRUPT if score_value < zones.cutoff else ZoneLabel.NONBANKRUPT
 
 
+_IDENTITY_SCALE = NormalizationStats(mean=dict.fromkeys(VARIABLES, 0.0), sd=dict.fromkeys(VARIABLES, 1.0))
+
+
+def _row_scorer(
+    model: DiscriminantModel, stats: NormalizationStats | None, mode: str
+) -> Callable[[Sequence[float]], float]:
+    """The model's score of a ratio tuple in VARIABLES order, in either scoring mode.
+
+    Each coefficient is bound to its tuple index once. The arithmetic is that
+    of score(model, v) in raw mode and of score(model, apply(stats, v)) in
+    normalized mode, term by term in model.coefficients order, so the scores
+    carry the same bits.
+    """
+    if mode not in ("raw", "normalized"):
+        raise ValueError(f"mode must be 'raw' or 'normalized', got {mode!r}")
+    if mode == "normalized" and stats is None:
+        raise ValueError("normalized mode requires normalization stats")
+    for name in model.coefficients:
+        if name not in VARIABLES:
+            raise BindingError(f"observation has no variable {name!r}")
+    # Raw mode is z-scoring against mean 0.0 and sd 1.0, which leaves every finite ratio's bits.
+    scale = stats if mode == "normalized" else _IDENTITY_SCALE
+    terms = [
+        (coef, VARIABLES.index(name), scale.mean[name], scale.sd[name])
+        for name, coef in model.coefficients.items()
+    ]
+    constant = model.constant
+
+    def row_score(x: Sequence[float]) -> float:
+        total = constant
+        for coef, at, mean, sd in terms:
+            total += coef * ((x[at] - mean) / sd)
+        return total
+
+    return row_score
+
+
 def score_observation(
     model: DiscriminantModel,
     stats: NormalizationStats | None,
@@ -111,16 +151,8 @@ def score_observation(
             raise MissingDataError(
                 f"bank {observation.bank_id!r} year {observation.year} is not available"
             )
-        v = observation.ratios
-    else:
-        v = observation
-    if mode == "raw":
-        return score(model, v)
-    if mode == "normalized":
-        if stats is None:
-            raise ValueError("normalized mode requires normalization stats")
-        return score(model, norm.apply(stats, v))
-    raise ValueError(f"mode must be 'raw' or 'normalized', got {mode!r}")
+        observation = observation.ratios
+    return _row_scorer(model, stats, mode)(observation.as_tuple())
 
 
 @dataclass(frozen=True)
@@ -196,8 +228,15 @@ def infer_warning_years(
     started reporting); a bank that never drops out warns in its final
     available year.
     """
+    return _warning_years(rows_by_bank(records), actual)
+
+
+def _warning_years(
+    banks: Mapping[str, Sequence[BankYearRecord]], actual: Mapping[str, GroupLabel]
+) -> dict[str, int]:
+    """infer_warning_years over a panel already grouped by rows_by_bank."""
     warning: dict[str, int] = {}
-    for bank, recs in rows_by_bank(records).items():
+    for bank, recs in banks.items():
         if actual.get(bank) is not GroupLabel.BANKRUPT:
             continue
         available = sorted(r.year for r in recs if r.available)
@@ -212,35 +251,40 @@ def _year_row(
     year: int,
     scored: Sequence[tuple[str, float]],
     zones: ClassificationZones,
-    actual: Mapping[str, GroupLabel],
-    warning: Mapping[str, int],
+    expected: set[str],
 ) -> YearRow:
-    zoned = [(bank, s, classify_zone(s, zones)) for bank, s in scored]
-    expected_bankrupt = {
-        bank
-        for bank, _, _ in zoned
-        if actual[bank] is GroupLabel.BANKRUPT and warning.get(bank) == year
-    }
-    total = len(zoned)
-    n_b = sum(1 for _, _, z in zoned if z is ZoneLabel.BANKRUPT)
-    n_g = sum(1 for _, _, z in zoned if z is ZoneLabel.GREY)
-    n_n = total - n_b - n_g
-    type1 = sum(
-        1 for bank, _, z in zoned if bank in expected_bankrupt and z is ZoneLabel.NONBANKRUPT
-    )
-    type2 = sum(
-        1 for bank, _, z in zoned if bank not in expected_bankrupt and z is ZoneLabel.BANKRUPT
-    )
+    """Zones and tallies of one year's (bank, score) pairs, given in bank order.
+
+    expected holds the distressed banks whose warning year this is: only they
+    are expected to look distressed.
+    """
+    banks = []
+    warned = set()  # expected banks scored this year
+    n_b = n_g = type1 = type2 = 0
+    for bank, s in scored:
+        zone = classify_zone(s, zones)
+        banks.append(BankScore(bank, s, zone))
+        if zone is ZoneLabel.BANKRUPT:
+            n_b += 1
+        elif zone is ZoneLabel.GREY:
+            n_g += 1
+        if bank in expected:
+            warned.add(bank)
+            if zone is ZoneLabel.NONBANKRUPT:
+                type1 += 1
+        elif zone is ZoneLabel.BANKRUPT:
+            type2 += 1
+    total = len(banks)
     # Hit arithmetic: false alarms and grey calls are subtracted from the
     # total; a missed warning shows up in the type-I rate, not in the hits.
     hits = total - type2 - n_g
-    eb = len(expected_bankrupt)
+    eb = len(warned)
     en = total - eb
     return YearRow(
         year=year,
         bankrupt_count=n_b,
         grey_count=n_g,
-        nonbankrupt_count=n_n,
+        nonbankrupt_count=total - n_b - n_g,
         hits=hits,
         total=total,
         type1_count=type1,
@@ -248,9 +292,7 @@ def _year_row(
         type1_rate=type1 / eb if eb else 0.0,
         type2_rate=type2 / en if en else 0.0,
         accuracy=hits / total,
-        banks=tuple(
-            BankScore(bank=b, score=s, zone=z) for b, s, z in sorted(zoned, key=lambda t: t[0])
-        ),
+        banks=tuple(banks),
     )
 
 
@@ -273,20 +315,24 @@ def evaluate_panel(
     for bank in banks:
         if bank not in actual:
             raise MissingLabelError(f"bank {bank!r} has no group label")
-    warning = infer_warning_years(records, actual)
+    warning = _warning_years(banks, actual)
     notices: list[str] = []
     for bank, year in sorted((warning_years or {}).items()):
         if bank in banks:
             warning[bank] = year
         else:
             notices.append(f"warning year for bank {bank!r} ignored: bank not in panel")
+    expected_by_year: dict[int, set[str]] = {}
+    for bank, year in warning.items():
+        if actual[bank] is GroupLabel.BANKRUPT:
+            expected_by_year.setdefault(year, set()).add(bank)
 
+    row_score = _row_scorer(model, stats, mode)
     scored_by_year: dict[int, list[tuple[str, float]]] = {}
-    for record in sorted(records, key=lambda r: (r.year, r.bank_id)):
-        scored_by_year.setdefault(record.year, [])
+    for record in sorted(records, key=attrgetter("year", "bank_id")):
+        scored = scored_by_year.setdefault(record.year, [])
         if record.available:
-            s = score_observation(model, stats, record, mode)
-            scored_by_year[record.year].append((record.bank_id, s))
+            scored.append((record.bank_id, row_score(record.ratios.as_tuple())))
 
     cutoff_zones = replace(zones, grey=None)
     years: list[YearRow] = []
@@ -296,8 +342,9 @@ def evaluate_panel(
         if not scored:
             notices.append(f"year {year}: no available records, omitted")
             continue
-        years.append(_year_row(year, scored, zones, actual, warning))
-        cutoff_rows.append(_year_row(year, scored, cutoff_zones, actual, warning))
+        expected = expected_by_year.get(year, set())
+        years.append(_year_row(year, scored, zones, expected))
+        cutoff_rows.append(_year_row(year, scored, cutoff_zones, expected))
     return EvaluationReport(
         years=tuple(years),
         cutoff_only=tuple(cutoff_rows),

@@ -20,12 +20,12 @@ from functools import partial
 
 from .classification import (
     ZONE_SCALES,
+    _row_scorer,
     classify_zone,
     confusion_matrix,
     derive_zones,
     evaluate_panel,
     report_to_dict,
-    score_observation,
     zones_to_dict,
 )
 from .dataset import GroupLabel, load_panels, read_text, training_set_from_panel
@@ -255,13 +255,14 @@ def cmd_diagnose(config: RunConfig) -> tuple[dict, tuple[str, ...]]:
 
 def cmd_classify(config: RunConfig) -> tuple[dict, list[tuple[str, int]]]:
     model, stats, records, _labels, zones, mode = _panel_inputs(config, "classify", None)
+    row_score = _row_scorer(model, stats, mode)
     scored = []
     unavailable = []  # text prints these bank-years as n.a; JSON leaves them out
     for record in sorted(records, key=lambda r: (r.bank_id, r.year)):
         if not record.available:
             unavailable.append((record.bank_id, record.year))
             continue
-        s = score_observation(model, stats, record, mode)
+        s = row_score(record.ratios.as_tuple())
         zone = classify_zone(s, zones).value
         scored.append({"bank": record.bank_id, "year": record.year, "score": s, "zone": zone})
     doc = {"mode": mode, "zones": zones_to_dict(zones), "records": scored}

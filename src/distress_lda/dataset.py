@@ -50,19 +50,20 @@ class RatioVector:
     bdtla: float
 
     def __post_init__(self) -> None:
-        for name in VARIABLES:
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"ratio {name!r} must be finite, got {getattr(self, name)!r}")
+        for name, value in zip(VARIABLES, self.as_tuple()):
+            if not math.isfinite(value):
+                raise ValueError(f"ratio {name!r} must be finite, got {value!r}")
 
     def as_tuple(self) -> tuple[float, ...]:
-        return tuple(getattr(self, name) for name in VARIABLES)
+        """The six ratios in VARIABLES order."""
+        return (self.eaa, self.roae, self.roaa, self.nii, self.laaa, self.bdtla)
 
     @classmethod
     def from_array(cls, values) -> "RatioVector":
         values = list(values)
         if len(values) != len(VARIABLES):
             raise ValueError(f"expected {len(VARIABLES)} values, got {len(values)}")
-        return cls(**{name: float(v) for name, v in zip(VARIABLES, values)})
+        return cls(*map(float, values))
 
     def as_dict(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in VARIABLES}
@@ -115,7 +116,7 @@ def _split_rows(text: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
     rows: list[tuple[int, list[str]]] = []
     try:
         for lineno, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
+            if not "".join(row).strip():  # every cell blank
                 continue
             if header is None:
                 header = [cell.strip().lower() for cell in row]
@@ -131,8 +132,9 @@ def _split_rows(text: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
     return header, rows
 
 
-def _cell(row: list[str], idx: int) -> str:
-    return row[idx].strip() if idx < len(row) else ""
+def _padded(row: list[str], width: int) -> list[str]:
+    """The row with empty cells appended up to width: a short row's missing cells are empty."""
+    return row if len(row) >= width else row + [""] * (width - len(row))
 
 
 def parse_panel(text: str) -> list[BankYearRecord]:
@@ -144,16 +146,31 @@ def parse_panel(text: str) -> list[BankYearRecord]:
     return _records(*_split_rows(text))
 
 
+def _ratio_error(lineno: int, cells: list[str]) -> ParseError:
+    """The error for a row's first ratio cell, in VARIABLES order, that is not a finite number."""
+    for name, cell in zip(VARIABLES, cells):
+        try:
+            value = float(cell)
+        except ValueError:
+            return ParseError(f"row {lineno}: column {name!r}: not a number: {cell!r}")
+        if not math.isfinite(value):
+            return ParseError(f"row {lineno}: column {name!r}: not finite: {cell!r}")
+    raise AssertionError(f"row {lineno}: every ratio cell is a finite number")
+
+
 def _records(header: list[str], rows: list[tuple[int, list[str]]]) -> list[BankYearRecord]:
     bank_at, year_at = header.index("bank"), header.index("year")
     ratio_at = [header.index(name) for name in VARIABLES]
+    width = max(bank_at, year_at, *ratio_at) + 1
+    blank = RatioVector(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # shared by every row with empty ratio cells
     records: list[BankYearRecord] = []
     seen: set[tuple[str, int]] = set()
     for lineno, row in rows:
-        bank = _cell(row, bank_at)
+        row = _padded(row, width)
+        bank = row[bank_at].strip()
         if not bank:
             raise ParseError(f"row {lineno}: column 'bank' is empty")
-        year_text = _cell(row, year_at)
+        year_text = row[year_at].strip()
         try:
             year = int(year_text)
         except ValueError:
@@ -163,21 +180,16 @@ def _records(header: list[str], rows: list[tuple[int, list[str]]]) -> list[BankY
             raise DuplicateRecordError(f"row {lineno}: duplicate record for bank {bank!r}, year {year}")
         seen.add(key)
 
-        cells = [_cell(row, idx) for idx in ratio_at]
-        if all(cell == "" for cell in cells):
-            records.append(BankYearRecord(bank, year, RatioVector.from_array([0.0] * 6), False))
+        cells = [row[idx].strip() for idx in ratio_at]
+        if not "".join(cells):
+            records.append(BankYearRecord(bank, year, blank, False))
             continue
-        values = []
-        for name, cell in zip(VARIABLES, cells):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ParseError(f"row {lineno}: column {name!r}: not a number: {cell!r}") from None
-            if not math.isfinite(value):
-                raise ParseError(f"row {lineno}: column {name!r}: not finite: {cell!r}")
-            values.append(value)
-        available = any(v != 0.0 for v in values)
-        records.append(BankYearRecord(bank, year, RatioVector.from_array(values), available))
+        try:
+            values = list(map(float, cells))
+            ratios = RatioVector(*values)
+        except ValueError:  # a cell that is not a number, or not finite
+            raise _ratio_error(lineno, cells) from None
+        records.append(BankYearRecord(bank, year, ratios, any(values)))
     return records
 
 
@@ -190,10 +202,12 @@ def _labels(header: list[str], rows: list[tuple[int, list[str]]]) -> dict[str, G
     if "label" not in header:
         raise SchemaError("panel has no 'label' column")
     bank_at, label_at = header.index("bank"), header.index("label")
+    width = max(bank_at, label_at) + 1
     labels: dict[str, GroupLabel] = {}
     for lineno, row in rows:
-        bank = _cell(row, bank_at)
-        cell = _cell(row, label_at)
+        row = _padded(row, width)
+        bank = row[bank_at].strip()
+        cell = row[label_at].strip()
         if not cell:
             continue
         try:

@@ -111,6 +111,22 @@ class TestGreyZone:
         with pytest.raises(ValueError, match="source"):
             ClassificationZones(cutoff=0.0, grey=None, source="guessed")
 
+    @pytest.mark.parametrize(
+        "cutoff, grey",
+        [
+            (float("nan"), None),
+            (float("-inf"), None),
+            (0.0, (float("nan"), 1.0)),
+            (0.0, (-1.0, float("nan"))),
+            (0.0, (float("-inf"), 1.0)),
+            (0.0, (-1.0, float("inf"))),
+        ],
+    )
+    def test_non_finite_bounds_rejected(self, cutoff, grey):
+        """A NaN cut-off would zone every score healthy, a NaN grey bound every low score grey."""
+        with pytest.raises(ValueError, match="finite"):
+            ClassificationZones(cutoff=cutoff, grey=grey, source="explicit-override")
+
 
 class TestClassifyZone:
     def test_three_zone_boundaries_are_grey(self, published_zones):

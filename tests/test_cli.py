@@ -237,6 +237,15 @@ class TestClassifyCommand:
             assert record["zone"] in ("bankrupt", "grey", "nonbankrupt")
             assert np.isfinite(record["score"])
 
+    def test_overflowing_z_score_is_one_error_line(self, tmp_path, capsys):
+        """A finite ratio whose z-score overflows is refused where the score is zoned."""
+        panel = tmp_path / "huge.csv"
+        panel.write_text(RATIO_HEADER + "\nAlpha,2014,1e308,0.1,0.01,0.05,0.5,0.04\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "classify", "--panel", str(panel), "--model", REFERENCE)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == ["error: score must be finite, got -inf"]
+
     def test_zones_file(self, tmp_path, capsys):
         zones_path = tmp_path / "zones.json"
         zones_path.write_text(

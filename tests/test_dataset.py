@@ -34,13 +34,15 @@ def _vec(k: float) -> RatioVector:
 
 class TestParsePanel:
     def test_basic_row(self):
-        records = parse_panel(_panel("Alpha,2014,0.1,0.2,0.3,0.4,0.5,0.6"))
-        assert len(records) == 1
-        rec = records[0]
-        assert rec.bank_id == "Alpha"
-        assert rec.year == 2014
-        assert rec.available
-        assert rec.ratios == RatioVector(0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
+        # Cells are stripped of surrounding whitespace before they are read.
+        for row in ("Alpha,2014,0.1,0.2,0.3,0.4,0.5,0.6", " Alpha , 2014 , 0.1 ,0.2, 0.3,0.4 ,0.5,\t0.6 "):
+            records = parse_panel(_panel(row))
+            assert len(records) == 1
+            rec = records[0]
+            assert rec.bank_id == "Alpha"
+            assert rec.year == 2014
+            assert rec.available
+            assert rec.ratios == RatioVector(0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
 
     def test_column_order_is_free(self):
         text = "year,bdtla,laaa,nii,roaa,roae,eaa,bank\n2013,6,5,4,3,2,1,Alpha\n"
@@ -48,7 +50,7 @@ class TestParsePanel:
         assert rec.ratios == RatioVector(1, 2, 3, 4, 5, 6)
 
     def test_blank_lines_ignored(self):
-        records = parse_panel(_panel("", "Alpha,2014,1,1,1,1,1,1", "", ""))
+        records = parse_panel(_panel("", "Alpha,2014,1,1,1,1,1,1", " , , ", "", ""))
         assert len(records) == 1
 
     def test_all_zero_row_is_unavailable(self):
@@ -57,9 +59,11 @@ class TestParsePanel:
         assert rec.ratios == _vec(0.0)
 
     def test_all_empty_row_is_unavailable(self):
-        rec = parse_panel(_panel("Alpha,2016,,,,,,"))[0]
-        assert not rec.available
-        assert rec.ratios == _vec(0.0)
+        # A row shorter than the header has empty cells for the columns it lacks.
+        for row in ("Alpha,2016,,,,,,", "Alpha,2016, , ,,,,", "Alpha,2016"):
+            rec = parse_panel(_panel(row))[0]
+            assert not rec.available
+            assert rec.ratios == _vec(0.0)
 
     def test_missing_column_rejected(self):
         with pytest.raises(SchemaError, match="'bdtla'"):
@@ -74,12 +78,23 @@ class TestParsePanel:
             parse_panel(_panel("Alpha,20x4,1,1,1,1,1,1"))
 
     def test_bad_number_names_row_and_column(self):
-        with pytest.raises(ParseError, match=r"row 3: column 'roaa': not a number: 'x'"):
-            parse_panel(_panel("Alpha,2014,1,1,1,1,1,1", "Beta,2014,1,1,x,1,1,1"))
+        # The first bad cell in column order is named; a short row's missing cells are empty.
+        for row, match in (
+            ("Beta,2014,1,1,x,1,1,1", r"row 3: column 'roaa': not a number: 'x'"),
+            ("Beta,2014,1,1,1", r"row 3: column 'nii': not a number: ''"),
+            ("Beta,2014,1,1, x ,inf,1,1", r"row 3: column 'roaa': not a number: 'x'"),
+        ):
+            with pytest.raises(ParseError, match=match):
+                parse_panel(_panel("Alpha,2014,1,1,1,1,1,1", row))
 
     def test_non_finite_cell_rejected(self):
-        with pytest.raises(ParseError, match="not finite"):
-            parse_panel(_panel("Alpha,2014,1,inf,1,1,1,1"))
+        for row, match in (
+            ("Alpha,2014,1,inf,1,1,1,1", r"column 'roae': not finite: 'inf'"),
+            ("Alpha,2014,1,1,nan,x,1,1", r"column 'roaa': not finite: 'nan'"),
+            ("Alpha,2014,1,1,1,1,1,1e999", r"column 'bdtla': not finite: '1e999'"),
+        ):
+            with pytest.raises(ParseError, match=match):
+                parse_panel(_panel(row))
 
     def test_empty_bank_rejected(self):
         with pytest.raises(ParseError, match="'bank'"):

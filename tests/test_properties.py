@@ -4,8 +4,11 @@
 - Zones are ordered along the score axis: bankrupt below grey below healthy.
 - The fitted coefficients do not depend on the order of rows within a group.
 - Window means and normalizer statistics carry numpy's bits exactly.
+- Panel scoring carries the bits of score() on the (z-scored) ratio vector.
 """
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from oracles import normalizer_reference, window_mean_reference
 from distress_lda import (
     VARIABLES,
     BankYearRecord,
+    BindingError,
     ClassificationZones,
     EmptyWindowError,
     GroupLabel,
@@ -26,13 +30,19 @@ from distress_lda import (
     average_ratios,
     build_training_set,
     classify_zone,
+    evaluate_panel,
     fit_from_matrices,
     fit_normalizer,
     group_stats_from_matrices,
     panel_labels,
+    load_model,
     parse_panel,
+    score,
+    score_observation,
     serialize_panel,
 )
+from distress_lda.fixtures import data_path
+from distress_lda.normalization import NormalizationStats, apply
 
 # No deadline: per-example times vary with machine load more than the default allows.
 SETTINGS = settings(deadline=None, max_examples=50)
@@ -170,3 +180,47 @@ def test_normalizer_carries_numpys_bits(rows):
     stats = fit_normalizer(ts)
     assert bits(stats.mean[name] for name in VARIABLES) == bits(means)
     assert bits(stats.sd[name] for name in VARIABLES) == bits(sds)
+
+
+REFERENCE_MODEL, _ = load_model(data_path("reference_model.json"))
+coef_values = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def scoring_cases(draw):
+    """A model with drawn coefficients over a permutation of the variables,
+    sometimes with one renamed to a variable no ratio vector has, drawn
+    normalization stats, and up to 8 ratio rows."""
+    names = list(draw(st.permutations(VARIABLES)))
+    if draw(st.booleans()):
+        names[draw(st.integers(0, 5))] = "tier1"
+    coefficients = dict(zip(names, draw(st.lists(coef_values, min_size=6, max_size=6))))
+    model = dataclasses.replace(REFERENCE_MODEL, coefficients=coefficients, constant=draw(coef_values))
+    means = draw(st.lists(st.floats(-1e6, 1e6), min_size=6, max_size=6))
+    sds = draw(st.lists(st.floats(1e-3, 1e6), min_size=6, max_size=6))
+    stats = NormalizationStats(mean=dict(zip(VARIABLES, means)), sd=dict(zip(VARIABLES, sds)))
+    rows = draw(st.lists(ratio_rows, min_size=1, max_size=8))
+    return model, stats, [RatioVector.from_array(row) for row in rows]
+
+
+@SETTINGS
+@given(scoring_cases(), st.sampled_from(["raw", "normalized"]))
+def test_panel_scores_carry_the_bits_of_score(case, mode):
+    model, stats, vectors = case
+    records = [BankYearRecord(f"B{k}", 2015, v, True) for k, v in enumerate(vectors)]
+    labels = {record.bank_id: GroupLabel.NONBANKRUPT for record in records}
+    zones = ClassificationZones(cutoff=0.0, grey=None, source="explicit-override")
+    try:
+        expected = [score(model, apply(stats, v) if mode == "normalized" else v) for v in vectors]
+    except BindingError as exc:
+        with pytest.raises(BindingError) as from_observation:
+            score_observation(model, stats, records[0], mode)
+        with pytest.raises(BindingError) as from_panel:
+            evaluate_panel(model, stats, records, labels, zones, mode)
+        assert str(from_observation.value) == str(from_panel.value) == str(exc)
+        return
+    assert bits(score_observation(model, stats, r, mode) for r in records) == bits(expected)
+    assert bits(score_observation(model, stats, v, mode) for v in vectors) == bits(expected)
+    report = evaluate_panel(model, stats, records, labels, zones, mode)
+    by_bank = {b.bank: b.score for b in report.years[0].banks}
+    assert bits(by_bank[r.bank_id] for r in records) == bits(expected)
