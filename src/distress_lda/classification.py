@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Callable, Mapping, Sequence
 
-from .dataset import VARIABLES, BankYearRecord, GroupLabel, RatioVector, TrainingSet, rows_by_bank
-from .errors import BindingError, DomainError, MissingDataError, MissingLabelError
+from .dataset import VARIABLES, BankYearRecord, GroupLabel, TrainingSet, rows_by_bank
+from .errors import BindingError, DomainError, MissingLabelError
 from .lda_fit import DiscriminantModel, fisher_classify
 from .normalization import NormalizationStats
 
@@ -53,8 +53,14 @@ class ClassificationZones:
             raise ValueError(f"zone bounds must be finite, got cutoff {self.cutoff!r}, grey {self.grey!r}")
         if self.grey is not None and self.grey[0] > self.grey[1]:
             raise ValueError(f"grey interval is inverted: {self.grey}")
+        # A tuple, not a dict: an unhashable source is unknown, not a TypeError.
         if self.source not in ZONE_SOURCES:
-            raise ValueError(f"unknown zone source {self.source!r}")
+            raise ValueError(f"source must be one of {ZONE_SOURCES}, got {self.source!r}")
+
+    @property
+    def scale(self) -> str:
+        """The score scale these zones are on: "normalized" or "raw"."""
+        return ZONE_SCALES[self.source]
 
 
 def cutoff_from_centroids(y0: float, n0: int, y1: float, n1: int) -> float:
@@ -102,26 +108,24 @@ _IDENTITY_SCALE = NormalizationStats(mean=dict.fromkeys(VARIABLES, 0.0), sd=dict
 
 
 def _row_scorer(
-    model: DiscriminantModel, stats: NormalizationStats | None, mode: str
+    model: DiscriminantModel, stats: NormalizationStats | None, scale: str
 ) -> Callable[[Sequence[float]], float]:
-    """The model's score of a ratio tuple in VARIABLES order, in either scoring mode.
+    """The model's score of a ratio tuple in VARIABLES order, on either score scale.
 
     Each coefficient is bound to its tuple index once. The arithmetic is that
-    of score(model, v) in raw mode and of score(model, apply(stats, v)) in
-    normalized mode, term by term in model.coefficients order, so the scores
-    carry the same bits.
+    of score(model, v) on the raw scale and of score(model, apply(stats, v))
+    on the normalized one, term by term in model.coefficients order, so the
+    scores carry the same bits.
     """
-    if mode not in ("raw", "normalized"):
-        raise ValueError(f"mode must be 'raw' or 'normalized', got {mode!r}")
-    if mode == "normalized" and stats is None:
-        raise ValueError("normalized mode requires normalization stats")
+    if scale == "normalized" and stats is None:
+        raise ValueError("the normalized scale requires normalization stats")
     for name in model.coefficients:
         if name not in VARIABLES:
             raise BindingError(f"observation has no variable {name!r}")
-    # Raw mode is z-scoring against mean 0.0 and sd 1.0, which leaves every finite ratio's bits.
-    scale = stats if mode == "normalized" else _IDENTITY_SCALE
+    # The raw scale is z-scoring against mean 0.0 and sd 1.0, which leaves every finite ratio's bits.
+    moments = stats if scale == "normalized" else _IDENTITY_SCALE
     terms = [
-        (coef, VARIABLES.index(name), scale.mean[name], scale.sd[name])
+        (coef, VARIABLES.index(name), moments.mean[name], moments.sd[name])
         for name, coef in model.coefficients.items()
     ]
     constant = model.constant
@@ -135,24 +139,29 @@ def _row_scorer(
     return row_score
 
 
-def score_observation(
+def score_panel(
     model: DiscriminantModel,
     stats: NormalizationStats | None,
-    observation: BankYearRecord | RatioVector,
-    mode: str = "raw",
-) -> float:
-    """Score one observation in either scoring mode.
+    records: Sequence[BankYearRecord],
+    zones: ClassificationZones,
+) -> list[tuple[BankYearRecord, float]]:
+    """The available records, in the order given, each with its score on the
+    scale of the zones; unavailable records are skipped.
 
-    Raw mode applies the coefficients directly to the ratio fractions;
-    normalized mode z-scores the ratios with the supplied stats first.
+    A score that is not finite (a huge ratio can overflow its z-score) is
+    refused with the bank-year it belongs to.
     """
-    if isinstance(observation, BankYearRecord):
-        if not observation.available:
-            raise MissingDataError(
-                f"bank {observation.bank_id!r} year {observation.year} is not available"
-            )
-        observation = observation.ratios
-    return _row_scorer(model, stats, mode)(observation.as_tuple())
+    row_score = _row_scorer(model, stats, zones.scale)
+    scored = []
+    for record in records:
+        if record.available:
+            s = row_score(record.ratios.as_tuple())
+            if not math.isfinite(s):
+                raise DomainError(
+                    f"bank {record.bank_id!r} year {record.year}: score must be finite, got {s!r}"
+                )
+            scored.append((record, s))
+    return scored
 
 
 @dataclass(frozen=True)
@@ -215,7 +224,6 @@ class EvaluationReport:
     years: tuple[YearRow, ...]
     cutoff_only: tuple[YearRow, ...]
     zones: ClassificationZones
-    mode: str
     notices: tuple[str, ...]
 
 
@@ -302,15 +310,18 @@ def evaluate_panel(
     records: Sequence[BankYearRecord],
     actual: Mapping[str, GroupLabel],
     zones: ClassificationZones,
-    mode: str = "raw",
+    mode: str | None = None,
     warning_years: Mapping[str, int] | None = None,
 ) -> EvaluationReport:
     """Score and zone a yearly panel, with and without the grey interval.
 
+    The zones fix the score scale; a mode, if given, must name that scale.
     warning_years overrides the inferred last-reporting-year per bank for
     distressed banks whose drop-out year is not visible in the panel. An
     override for a bank that is not in the panel is ignored with a notice.
     """
+    if mode is not None and mode != zones.scale:
+        raise ValueError(f"mode {mode!r} disagrees with the zones' {zones.scale} scale")
     banks = rows_by_bank(records)
     for bank in banks:
         if bank not in actual:
@@ -327,18 +338,15 @@ def evaluate_panel(
         if actual[bank] is GroupLabel.BANKRUPT:
             expected_by_year.setdefault(year, set()).add(bank)
 
-    row_score = _row_scorer(model, stats, mode)
-    scored_by_year: dict[int, list[tuple[str, float]]] = {}
-    for record in sorted(records, key=attrgetter("year", "bank_id")):
-        scored = scored_by_year.setdefault(record.year, [])
-        if record.available:
-            scored.append((record.bank_id, row_score(record.ratios.as_tuple())))
+    ordered = sorted(records, key=attrgetter("year", "bank_id"))
+    scored_by_year: dict[int, list[tuple[str, float]]] = {record.year: [] for record in ordered}
+    for record, s in score_panel(model, stats, ordered, zones):
+        scored_by_year[record.year].append((record.bank_id, s))
 
     cutoff_zones = replace(zones, grey=None)
     years: list[YearRow] = []
     cutoff_rows: list[YearRow] = []
-    for year in sorted(scored_by_year):
-        scored = scored_by_year[year]
+    for year, scored in scored_by_year.items():
         if not scored:
             notices.append(f"year {year}: no available records, omitted")
             continue
@@ -349,7 +357,6 @@ def evaluate_panel(
         years=tuple(years),
         cutoff_only=tuple(cutoff_rows),
         zones=zones,
-        mode=mode,
         notices=tuple(notices),
     )
 
@@ -386,6 +393,6 @@ def report_to_dict(report: EvaluationReport) -> dict:
         "years": [row_dict(row, True) for row in report.years],
         "cutoff_only": [row_dict(row, False) for row in report.cutoff_only],
         "zones": zones_to_dict(report.zones),
-        "mode": report.mode,
+        "mode": report.zones.scale,
         "notices": list(report.notices),
     }

@@ -19,13 +19,12 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .classification import (
-    ZONE_SCALES,
-    _row_scorer,
     classify_zone,
     confusion_matrix,
     derive_zones,
     evaluate_panel,
     report_to_dict,
+    score_panel,
     zones_to_dict,
 )
 from .dataset import GroupLabel, load_panels, read_text, training_set_from_panel
@@ -168,8 +167,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _panel_inputs(config: RunConfig, command: str, config_labels: dict | None) -> tuple:
-    """Model, normalization, records, labels, zones and the zones' score scale
-    of a panel-scoring command."""
+    """Model, normalization, records, labels and zones of a panel-scoring command."""
     if not config.panel:
         raise ConfigError(f"{command} requires at least one panel (--panel)")
     model, stats = load_model(config.model)
@@ -180,7 +178,7 @@ def _panel_inputs(config: RunConfig, command: str, config_labels: dict | None) -
         zones = load_published_zones()
     else:
         zones = load_zones(config.zones)
-    return model, stats, records, labels, zones, ZONE_SCALES[zones.source]
+    return model, stats, records, labels, zones
 
 
 # ------------------------------------------------------------------ commands
@@ -254,24 +252,23 @@ def cmd_diagnose(config: RunConfig) -> tuple[dict, tuple[str, ...]]:
 
 
 def cmd_classify(config: RunConfig) -> tuple[dict, list[tuple[str, int]]]:
-    model, stats, records, _labels, zones, mode = _panel_inputs(config, "classify", None)
-    row_score = _row_scorer(model, stats, mode)
-    scored = []
-    unavailable = []  # text prints these bank-years as n.a; JSON leaves them out
-    for record in sorted(records, key=lambda r: (r.bank_id, r.year)):
-        if not record.available:
-            unavailable.append((record.bank_id, record.year))
-            continue
-        s = row_score(record.ratios.as_tuple())
-        zone = classify_zone(s, zones).value
-        scored.append({"bank": record.bank_id, "year": record.year, "score": s, "zone": zone})
-    doc = {"mode": mode, "zones": zones_to_dict(zones), "records": scored}
+    model, stats, records, _labels, zones = _panel_inputs(config, "classify", None)
+    ordered = sorted(records, key=lambda r: (r.bank_id, r.year))
+    scored = [
+        {"bank": r.bank_id, "year": r.year, "score": s, "zone": classify_zone(s, zones).value}
+        for r, s in score_panel(model, stats, ordered, zones)
+    ]
+    # Text prints the unavailable bank-years as n.a; JSON leaves them out.
+    unavailable = [(r.bank_id, r.year) for r in ordered if not r.available]
+    doc = {"mode": zones.scale, "zones": zones_to_dict(zones), "records": scored}
     return doc, unavailable
 
 
 def cmd_evaluate(config: RunConfig) -> tuple[dict, None]:
-    model, stats, records, labels, zones, mode = _panel_inputs(config, "evaluate", config.labels)
-    report = evaluate_panel(model, stats, records, labels, zones, mode, config.warning_years or None)
+    model, stats, records, labels, zones = _panel_inputs(config, "evaluate", config.labels)
+    report = evaluate_panel(
+        model, stats, records, labels, zones, warning_years=config.warning_years or None
+    )
     return report_to_dict(report), None
 
 

@@ -78,9 +78,5 @@ class BindingError(EvaluationError):
     """An observation does not carry the variables the model expects."""
 
 
-class MissingDataError(EvaluationError):
-    """Attempt to score an observation marked not available."""
-
-
 class MissingLabelError(EvaluationError):
     """A bank in the evaluation panel has no actual group label."""

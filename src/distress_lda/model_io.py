@@ -12,7 +12,7 @@ import json
 import math
 from pathlib import Path
 
-from .classification import ZONE_SOURCES, ClassificationZones, zones_to_dict
+from .classification import ClassificationZones, zones_to_dict
 from .dataset import VARIABLES, read_text
 from .diagnostics import check_correlation_matrix
 from .errors import DomainError, ModelFileError
@@ -222,11 +222,8 @@ def zones_from_dict(doc: dict) -> ClassificationZones:
         grey = (float(grey_doc[0]), float(grey_doc[1]))
     else:
         raise ModelFileError("zones: 'grey' must be null or a [lo, hi] pair of finite numbers")
-    source = doc.get("source")
-    if source not in ZONE_SOURCES:
-        raise ModelFileError(f"zones: 'source' must be one of {ZONE_SOURCES}")
     try:
-        return ClassificationZones(cutoff=cutoff, grey=grey, source=source)
+        return ClassificationZones(cutoff=cutoff, grey=grey, source=doc.get("source"))
     except ValueError as exc:
         raise ModelFileError(f"zones: {exc}") from None
 

@@ -1,5 +1,7 @@
-"""Zones, scoring modes, confusion counts, and the yearly evaluation."""
+"""Zones and their score scales, scoring, confusion counts, and the yearly evaluation."""
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from distress_lda import (
     ConfusionMatrix,
     DomainError,
     GroupLabel,
-    MissingDataError,
     MissingLabelError,
     RatioVector,
     ZoneLabel,
@@ -24,7 +25,7 @@ from distress_lda import (
     parse_panel,
     report_to_dict,
     score,
-    score_observation,
+    score_panel,
 )
 from distress_lda.normalization import apply
 
@@ -58,9 +59,7 @@ EXPECTED_CUTOFF_ONLY = {
 @pytest.fixture(scope="module")
 def evaluation_report(reference_model, reference_stats, evaluation_panel, published_zones):
     records, labels = evaluation_panel
-    return evaluate_panel(
-        reference_model, reference_stats, records, labels, published_zones, mode="raw"
-    )
+    return evaluate_panel(reference_model, reference_stats, records, labels, published_zones)
 
 
 class TestCutoff:
@@ -155,37 +154,58 @@ class TestClassifyZone:
         assert ranks == sorted(ranks)
 
 
+RAW_ZONES = ClassificationZones(cutoff=0.0, grey=None, source="explicit-override")
+
+
+def score_one(model, stats, ratios, zones):
+    """score_panel's score of one available bank-year with these ratios."""
+    record = BankYearRecord("Alpha", 2015, ratios, True)
+    [(_record, value)] = score_panel(model, stats, [record], zones)
+    return value
+
+
 class TestScoreObservation:
-    def test_raw_mode_reproduces_reported_index(self, reference_model, evaluation_panel):
+    """Observations scored through score_panel, on the scale of the zones."""
+
+    def test_raw_mode_reproduces_reported_index(
+        self, reference_model, evaluation_panel, published_zones
+    ):
         """Last pre-failure year of the failed bank scores about -0.09."""
         records, _ = evaluation_panel
         rec = next(r for r in records if r.bank_id == "Moza Banco, S.A" and r.year == 2015)
-        value = score_observation(reference_model, None, rec, mode="raw")
+        [(scored, value)] = score_panel(reference_model, None, [rec], published_zones)
+        assert scored is rec
         assert value == pytest.approx(-0.0896, abs=2e-3)
 
-    def test_unavailable_record_rejected(self, reference_model, evaluation_panel):
+    def test_unavailable_record_skipped(self, reference_model, evaluation_panel, published_zones):
+        """Unavailable records are left out; the others keep the order given."""
         records, _ = evaluation_panel
-        rec = next(r for r in records if r.bank_id == "Moza Banco, S.A" and r.year == 2016)
-        assert not rec.available
-        with pytest.raises(MissingDataError, match="2016"):
-            score_observation(reference_model, None, rec, mode="raw")
+        moza = {r.year: r for r in records if r.bank_id == "Moza Banco, S.A"}
+        assert not moza[2016].available
+        given = [moza[2015], moza[2016], moza[2012]]
+        scored = score_panel(reference_model, None, given, published_zones)
+        assert [record for record, _ in scored] == [moza[2015], moza[2012]]
 
     def test_normalized_mode_composes_z_scoring(self, fitted_model, norm_stats):
         v = RatioVector(0.2, 0.1, 0.02, 0.05, 0.5, 0.08)
         direct = score(fitted_model, apply(norm_stats, v))
-        assert score_observation(fitted_model, norm_stats, v, mode="normalized") == direct
+        assert score_one(fitted_model, norm_stats, v, derive_zones(fitted_model)) == direct
 
     def test_normalized_mode_requires_stats(self, fitted_model):
         with pytest.raises(ValueError, match="normalization stats"):
-            score_observation(fitted_model, None, RatioVector(0, 0, 0, 0, 0, 0), "normalized")
-
-    def test_mode_validated(self, fitted_model, norm_stats):
-        with pytest.raises(ValueError, match="mode"):
-            score_observation(fitted_model, norm_stats, RatioVector(0, 0, 0, 0, 0, 0), "zscore")
+            score_panel(fitted_model, None, [], derive_zones(fitted_model))
 
     def test_zero_vector_scores_the_constant(self, fitted_model):
-        value = score_observation(fitted_model, None, RatioVector(0, 0, 0, 0, 0, 0), "raw")
+        value = score_one(fitted_model, None, RatioVector(0, 0, 0, 0, 0, 0), RAW_ZONES)
         assert value == pytest.approx(fitted_model.constant, abs=1e-15)
+
+    def test_non_finite_score_names_the_bank_year(self, reference_model, reference_stats):
+        """A finite ratio whose z-score overflows is refused with its bank-year."""
+        huge = BankYearRecord("Alpha", 2014, RatioVector(1e308, 0.1, 0.01, 0.05, 0.5, 0.04), True)
+        zones = derive_zones(reference_model)
+        with pytest.raises(DomainError) as refused:
+            score_panel(reference_model, reference_stats, [huge], zones)
+        assert str(refused.value) == "bank 'Alpha' year 2014: score must be finite, got -inf"
 
 
 class TestConfusionMatrix:
@@ -321,9 +341,7 @@ class TestEvaluatePanel:
         partial = dict(labels)
         del partial["Moza Banco, S.A"]
         with pytest.raises(MissingLabelError, match="Moza"):
-            evaluate_panel(
-                reference_model, reference_stats, records, partial, published_zones, "raw"
-            )
+            evaluate_panel(reference_model, reference_stats, records, partial, published_zones)
 
     def test_warning_year_override_moves_the_expectation(
         self, reference_model, reference_stats, evaluation_panel, published_zones
@@ -335,7 +353,6 @@ class TestEvaluatePanel:
             records,
             labels,
             published_zones,
-            mode="raw",
             warning_years={"Moza Banco, S.A": 2014},
         )
         row2015 = next(r for r in report.years if r.year == 2015)
@@ -350,16 +367,13 @@ class TestEvaluatePanel:
         self, reference_model, reference_stats, evaluation_panel, published_zones
     ):
         records, labels = evaluation_panel
-        base = evaluate_panel(
-            reference_model, reference_stats, records, labels, published_zones, "raw"
-        )
+        base = evaluate_panel(reference_model, reference_stats, records, labels, published_zones)
         report = evaluate_panel(
             reference_model,
             reference_stats,
             records,
             labels,
             published_zones,
-            mode="raw",
             warning_years={"Zeta Bank": 2014, "Alpha Bank": 2013},
         )
         assert report.notices == (
@@ -384,11 +398,34 @@ class TestEvaluatePanel:
             )
         )
         labels = {"Alpha": GroupLabel.BANKRUPT, "Beta": GroupLabel.NONBANKRUPT}
-        report = evaluate_panel(
-            reference_model, reference_stats, records, labels, published_zones, "raw"
-        )
+        report = evaluate_panel(reference_model, reference_stats, records, labels, published_zones)
         assert [row.year for row in report.years] == [2012]
         assert report.notices == ("year 2013: no available records, omitted",)
+
+    def test_derived_zones_score_the_normalized_scale(
+        self, reference_model, reference_stats, evaluation_panel
+    ):
+        """With no mode, derived zones z-score the ratios: 2015 raises three alarms."""
+        records, labels = evaluation_panel
+        zones = derive_zones(reference_model)
+        report = evaluate_panel(reference_model, reference_stats, records, labels, zones)
+        row = next(r for r in report.years if r.year == 2015)
+        assert (row.bankrupt_count, row.grey_count, row.hits, row.total) == (3, 4, 13, 19)
+        assert report_to_dict(report)["mode"] == "normalized"
+
+    def test_mode_must_name_the_zones_scale(
+        self, reference_model, reference_stats, evaluation_panel, published_zones
+    ):
+        records, labels = evaluation_panel
+        derived = derive_zones(reference_model)
+        for zones, mode in ((published_zones, "normalized"), (derived, "raw"), (derived, "zscore")):
+            with pytest.raises(ValueError, match="mode"):
+                evaluate_panel(reference_model, reference_stats, records, labels, zones, mode)
+        agreed = evaluate_panel(
+            reference_model, reference_stats, records, labels, derived, mode="normalized"
+        )
+        unnamed = evaluate_panel(reference_model, reference_stats, records, labels, derived)
+        assert agreed == unnamed
 
     def test_report_dict_schema(self, evaluation_report, published_zones):
         doc = report_to_dict(evaluation_report)
@@ -414,3 +451,13 @@ class TestEvaluatePanel:
         assert set(first["banks"][0]) == {"bank", "score", "zone"}
         for row in doc["years"]:
             assert row["type1"] == (0.5 if row["year"] == 2015 else 0.0)
+
+
+def test_readme_library_example_runs(capsys):
+    """The README's library example runs as written and prints one line per panel year."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    [example] = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(example, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    years = [line.split()[0] for line in lines if re.fullmatch(r"\d{4} \d+%", line)]
+    assert years == [str(year) for year in range(2012, 2021)]

@@ -238,13 +238,13 @@ class TestClassifyCommand:
             assert np.isfinite(record["score"])
 
     def test_overflowing_z_score_is_one_error_line(self, tmp_path, capsys):
-        """A finite ratio whose z-score overflows is refused where the score is zoned."""
+        """A finite ratio whose z-score overflows is refused, naming its bank-year."""
         panel = tmp_path / "huge.csv"
         panel.write_text(RATIO_HEADER + "\nAlpha,2014,1e308,0.1,0.01,0.05,0.5,0.04\n", encoding="utf-8")
         code, out, err = run_cli(capsys, "classify", "--panel", str(panel), "--model", REFERENCE)
         assert code == 1
         assert out == ""
-        assert err.splitlines() == ["error: score must be finite, got -inf"]
+        assert err.splitlines() == ["error: bank 'Alpha' year 2014: score must be finite, got -inf"]
 
     def test_zones_file(self, tmp_path, capsys):
         zones_path = tmp_path / "zones.json"
@@ -443,6 +443,18 @@ class TestEvaluateCommand:
         assert code == 5
         assert out == ""
         assert "bank 'Beta' has no group label" in err
+
+    def test_overflowing_z_score_is_one_error_line(self, tmp_path, capsys):
+        """evaluate scores through classify's panel scorer, so it names the bank-year too."""
+        panel = tmp_path / "huge.csv"
+        panel.write_text(
+            RATIO_HEADER + ",label\nAlpha,2014,1e308,0.1,0.01,0.05,0.5,0.04,bankrupt\n",
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(capsys, "evaluate", "--panel", str(panel), "--model", REFERENCE)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == ["error: bank 'Alpha' year 2014: score must be finite, got -inf"]
 
     @pytest.mark.parametrize("model", [REFERENCE, MISSING_MODEL], ids=["reference", "missing"])
     def test_requires_panel(self, capsys, model):
@@ -744,6 +756,19 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err.startswith("error: zones") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("source", [["x"], {}], ids=["list", "object"])
+    def test_unhashable_zones_source(self, tmp_path, capsys, source):
+        zones = tmp_path / "zones.json"
+        zones.write_text(json.dumps({"cutoff": 0.0, "grey": None, "source": source}), encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "classify", "--panel", PANEL_A, "--model", REFERENCE, "--zones", str(zones)
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: zones: source must be one of ('derived-from-model', 'explicit-override'), "
+            f"got {source!r}\n"
+        )
 
     @pytest.mark.parametrize("year", ["Infinity", "1e999"])
     def test_non_finite_warning_year_in_config(self, tmp_path, capsys, year):

@@ -247,6 +247,12 @@ class TestZonesIO:
         with pytest.raises(ModelFileError, match="source"):
             zones_from_dict({"cutoff": 0.0, "grey": None, "source": "folk-wisdom"})
 
+    @pytest.mark.parametrize("source", [["x"], {}], ids=["list", "object"])
+    def test_unhashable_source_is_a_file_error(self, source):
+        """A JSON list or object as source is an unknown source, not a TypeError."""
+        with pytest.raises(ModelFileError, match="source"):
+            zones_from_dict({"cutoff": 0.0, "grey": None, "source": source})
+
     def test_cutoff_must_be_number(self):
         with pytest.raises(ModelFileError, match="finite number"):
             zones_from_dict({"cutoff": True, "grey": None, "source": "explicit-override"})

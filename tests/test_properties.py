@@ -38,7 +38,7 @@ from distress_lda import (
     load_model,
     parse_panel,
     score,
-    score_observation,
+    score_panel,
     serialize_panel,
 )
 from distress_lda.fixtures import data_path
@@ -204,23 +204,24 @@ def scoring_cases(draw):
 
 
 @SETTINGS
-@given(scoring_cases(), st.sampled_from(["raw", "normalized"]))
-def test_panel_scores_carry_the_bits_of_score(case, mode):
+@given(scoring_cases(), st.sampled_from(["derived-from-model", "explicit-override"]))
+def test_panel_scores_carry_the_bits_of_score(case, source):
+    """Derived zones score z-scored ratios, explicit overrides raw ones."""
     model, stats, vectors = case
     records = [BankYearRecord(f"B{k}", 2015, v, True) for k, v in enumerate(vectors)]
     labels = {record.bank_id: GroupLabel.NONBANKRUPT for record in records}
-    zones = ClassificationZones(cutoff=0.0, grey=None, source="explicit-override")
+    zones = ClassificationZones(cutoff=0.0, grey=None, source=source)
+    normalized = source == "derived-from-model"
     try:
-        expected = [score(model, apply(stats, v) if mode == "normalized" else v) for v in vectors]
+        expected = [score(model, apply(stats, v) if normalized else v) for v in vectors]
     except BindingError as exc:
-        with pytest.raises(BindingError) as from_observation:
-            score_observation(model, stats, records[0], mode)
-        with pytest.raises(BindingError) as from_panel:
-            evaluate_panel(model, stats, records, labels, zones, mode)
-        assert str(from_observation.value) == str(from_panel.value) == str(exc)
+        with pytest.raises(BindingError) as from_scorer:
+            score_panel(model, stats, records, zones)
+        with pytest.raises(BindingError) as from_report:
+            evaluate_panel(model, stats, records, labels, zones)
+        assert str(from_scorer.value) == str(from_report.value) == str(exc)
         return
-    assert bits(score_observation(model, stats, r, mode) for r in records) == bits(expected)
-    assert bits(score_observation(model, stats, v, mode) for v in vectors) == bits(expected)
-    report = evaluate_panel(model, stats, records, labels, zones, mode)
+    assert bits(s for _, s in score_panel(model, stats, records, zones)) == bits(expected)
+    report = evaluate_panel(model, stats, records, labels, zones)
     by_bank = {b.bank: b.score for b in report.years[0].banks}
     assert bits(by_bank[r.bank_id] for r in records) == bits(expected)
