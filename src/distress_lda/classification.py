@@ -236,15 +236,8 @@ def infer_warning_years(
     started reporting); a bank that never drops out warns in its final
     available year.
     """
-    return _warning_years(rows_by_bank(records), actual)
-
-
-def _warning_years(
-    banks: Mapping[str, Sequence[BankYearRecord]], actual: Mapping[str, GroupLabel]
-) -> dict[str, int]:
-    """infer_warning_years over a panel already grouped by rows_by_bank."""
     warning: dict[str, int] = {}
-    for bank, recs in banks.items():
+    for bank, recs in rows_by_bank(records).items():
         if actual.get(bank) is not GroupLabel.BANKRUPT:
             continue
         available = sorted(r.year for r in recs if r.available)
@@ -316,27 +309,28 @@ def evaluate_panel(
     """Score and zone a yearly panel, with and without the grey interval.
 
     The zones fix the score scale; a mode, if given, must name that scale.
-    warning_years overrides the inferred last-reporting-year per bank for
-    distressed banks whose drop-out year is not visible in the panel. An
-    override for a bank that is not in the panel is ignored with a notice.
+    warning_years overrides the inferred last-reporting year of distressed
+    banks whose drop-out year the panel does not show; one for a bank not in
+    the panel, or not labelled bankrupt, is ignored with a notice.
     """
     if mode is not None and mode != zones.scale:
         raise ValueError(f"mode {mode!r} disagrees with the zones' {zones.scale} scale")
-    banks = rows_by_bank(records)
+    banks = dict.fromkeys(r.bank_id for r in records)  # first-seen order names the first unlabelled bank
     for bank in banks:
         if bank not in actual:
             raise MissingLabelError(f"bank {bank!r} has no group label")
-    warning = _warning_years(banks, actual)
+    warning = infer_warning_years(records, actual)
     notices: list[str] = []
     for bank, year in sorted((warning_years or {}).items()):
-        if bank in banks:
-            warning[bank] = year
-        else:
+        if bank not in banks:
             notices.append(f"warning year for bank {bank!r} ignored: bank not in panel")
+        elif actual[bank] is not GroupLabel.BANKRUPT:
+            notices.append(f"warning year for bank {bank!r} ignored: bank is not labelled bankrupt")
+        else:
+            warning[bank] = year
     expected_by_year: dict[int, set[str]] = {}
     for bank, year in warning.items():
-        if actual[bank] is GroupLabel.BANKRUPT:
-            expected_by_year.setdefault(year, set()).add(bank)
+        expected_by_year.setdefault(year, set()).add(bank)
 
     ordered = sorted(records, key=attrgetter("year", "bank_id"))
     scored_by_year: dict[int, list[tuple[str, float]]] = {record.year: [] for record in ordered}

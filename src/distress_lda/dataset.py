@@ -32,6 +32,7 @@ from .errors import (
 VARIABLES = ("eaa", "roae", "roaa", "nii", "laaa", "bdtla")
 
 _REQUIRED_COLUMNS = ("bank", "year") + VARIABLES
+_Rows = list[tuple[int, list[str]]]  # (line number, cells) of each data row
 
 
 @dataclass(frozen=True)
@@ -110,10 +111,10 @@ class TrainingSet:
     p: int
 
 
-def _split_rows(text: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
+def _split_rows(text: str) -> tuple[list[str], _Rows]:
     reader = csv.reader(io.StringIO(text))
     header: list[str] | None = None
-    rows: list[tuple[int, list[str]]] = []
+    rows: _Rows = []
     try:
         for lineno, row in enumerate(reader, start=1):
             if not "".join(row).strip():  # every cell blank
@@ -143,12 +144,19 @@ def parse_panel(text: str) -> list[BankYearRecord]:
     Rows whose six ratio cells are all zero or all empty become records with
     available=False (the ratios are kept as zeros but mean nothing).
     """
-    return _records(*_split_rows(text))
+    return _records(*_split_rows(text), set())
+
+
+def _plain(text: str) -> bool:
+    """No underscore and only ASCII: float() also reads 0_5 as 5.0, and non-ASCII digits."""
+    return text.isascii() and "_" not in text
 
 
 def _ratio_error(lineno: int, cells: list[str]) -> ParseError:
-    """The error for a row's first ratio cell, in VARIABLES order, that is not a finite number."""
+    """The error for a row's first ratio cell, in VARIABLES order, that is not a plain finite number."""
     for name, cell in zip(VARIABLES, cells):
+        if not _plain(cell):
+            return ParseError(f"row {lineno}: column {name!r}: not a plain ASCII number: {cell!r}")
         try:
             value = float(cell)
         except ValueError:
@@ -158,32 +166,34 @@ def _ratio_error(lineno: int, cells: list[str]) -> ParseError:
     raise AssertionError(f"row {lineno}: every ratio cell is a finite number")
 
 
-def _records(header: list[str], rows: list[tuple[int, list[str]]]) -> list[BankYearRecord]:
+def _records(header: list[str], rows: _Rows, seen: set[tuple[str, int]]) -> list[BankYearRecord]:
+    """The rows' records; a bank-year already in seen (from any file) is refused, a new one added."""
     bank_at, year_at = header.index("bank"), header.index("year")
     ratio_at = [header.index(name) for name in VARIABLES]
     width = max(bank_at, year_at, *ratio_at) + 1
     blank = RatioVector(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # shared by every row with empty ratio cells
     records: list[BankYearRecord] = []
-    seen: set[tuple[str, int]] = set()
     for lineno, row in rows:
         row = _padded(row, width)
         bank = row[bank_at].strip()
         if not bank:
             raise ParseError(f"row {lineno}: column 'bank' is empty")
         year_text = row[year_at].strip()
-        try:
-            year = int(year_text)
-        except ValueError:
-            raise ParseError(f"row {lineno}: column 'year': not an integer: {year_text!r}") from None
+        if not (year_text.isascii() and year_text.isdigit()):  # unlike int(), refuses 2_015 and -5
+            raise ParseError(f"row {lineno}: column 'year': not an integer: {year_text!r}")
+        year = int(year_text)
         key = (bank, year)
         if key in seen:
             raise DuplicateRecordError(f"row {lineno}: duplicate record for bank {bank!r}, year {year}")
         seen.add(key)
 
         cells = [row[idx].strip() for idx in ratio_at]
-        if not "".join(cells):
+        joined = "".join(cells)
+        if not joined:
             records.append(BankYearRecord(bank, year, blank, False))
             continue
+        if not _plain(joined):
+            raise _ratio_error(lineno, cells)
         try:
             values = list(map(float, cells))
             ratios = RatioVector(*values)
@@ -195,15 +205,15 @@ def _records(header: list[str], rows: list[tuple[int, list[str]]]) -> list[BankY
 
 def panel_labels(text: str) -> dict[str, GroupLabel]:
     """Extract the bank -> group mapping from a panel's label column."""
-    return _labels(*_split_rows(text))
+    return _labels(*_split_rows(text), {})
 
 
-def _labels(header: list[str], rows: list[tuple[int, list[str]]]) -> dict[str, GroupLabel]:
+def _labels(header: list[str], rows: _Rows, labels: dict[str, GroupLabel]) -> dict[str, GroupLabel]:
+    """labels plus the rows' labels; a bank labelled otherwise in labels (from any file) is refused."""
     if "label" not in header:
         raise SchemaError("panel has no 'label' column")
     bank_at, label_at = header.index("bank"), header.index("label")
     width = max(bank_at, label_at) + 1
-    labels: dict[str, GroupLabel] = {}
     for lineno, row in rows:
         row = _padded(row, width)
         bank = row[bank_at].strip()
@@ -221,10 +231,10 @@ def _labels(header: list[str], rows: list[tuple[int, list[str]]]) -> dict[str, G
 
 
 def read_text(path: str | Path, what: str, error: type[DistressLdaError]) -> str:
-    """A file's UTF-8 text; a file that cannot be read raises `error`."""
+    """A file's UTF-8 text; a file that cannot be read or decoded raises `error`."""
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        return Path(path).read_bytes().decode("utf-8")  # not read_text(), which turns a quoted CR into LF
+    except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} file {path}: {exc}") from None
 
 
@@ -234,29 +244,23 @@ def load_panels(
     """Records of every panel file and, unless overrides is None, the labels of
     their banks: each panel's label column, overridden by overrides.
 
-    Each file is read and split once. Refused: a bank-year in two panels, a
-    bank that two panels label differently, an override for a bank in no
-    panel, and a panel without a label column when no override is given.
+    Each file is read and split once, and the files are checked as one panel.
+    Also refused: an override for a bank in no panel, and a panel without a
+    label column when no override is given. An error in a file names the file.
     """
     records: list[BankYearRecord] = []
     labels: dict[str, GroupLabel] = {}
     seen: set[tuple[str, int]] = set()
     for path in paths:
-        header, rows = _split_rows(read_text(path, what, PanelError))
-        for record in _records(header, rows):
-            key = (record.bank_id, record.year)
-            if key in seen:
-                raise DuplicateRecordError(
-                    f"duplicate record for bank {record.bank_id!r}, year {record.year} across panels"
-                )
-            seen.add(key)
-            records.append(record)
-        if overrides is None or (overrides and "label" not in header):
-            continue
-        for bank, label in _labels(header, rows).items():
-            if bank in labels and labels[bank] is not label:
-                raise ParseError(f"bank {bank!r} has conflicting labels across panels")
-            labels[bank] = label
+        text = read_text(path, what, PanelError)
+        try:
+            header, rows = _split_rows(text)
+            records += _records(header, rows, seen)
+            if overrides is None or (overrides and "label" not in header):
+                continue
+            _labels(header, rows, labels)
+        except PanelError as exc:
+            raise type(exc)(f"{what} file {path}: {exc}") from None
     if overrides:
         unknown = sorted(set(overrides) - {record.bank_id for record in records})
         if unknown:

@@ -383,6 +383,23 @@ class TestEvaluatePanel:
         assert report.years == base.years
         assert report.cutoff_only == base.cutoff_only
 
+    def test_override_for_healthy_bank_noticed(
+        self, reference_model, reference_stats, evaluation_panel, published_zones
+    ):
+        records, labels = evaluation_panel
+        base = evaluate_panel(reference_model, reference_stats, records, labels, published_zones)
+        bank = "Banco Internacional de Moçambique, S.A"
+        assert labels[bank] is GroupLabel.NONBANKRUPT
+        report = evaluate_panel(
+            reference_model, reference_stats, records, labels, published_zones,
+            warning_years={bank: 2015},
+        )
+        assert report.notices == (
+            f"warning year for bank {bank!r} ignored: bank is not labelled bankrupt",
+        )
+        assert report.years == base.years
+        assert report.cutoff_only == base.cutoff_only
+
     def test_empty_year_noticed_and_omitted(
         self, reference_model, reference_stats, published_zones
     ):

@@ -308,7 +308,8 @@ class TestClassifyCommand:
         code, out, err = run_cli(capsys, "evaluate", *panels, "--model", REFERENCE)
         assert code == 3
         assert out == ""
-        assert "bank 'Alpha' has conflicting labels across panels" in err
+        conflict = f"panel file {tmp_path / 'nonbankrupt.csv'}: row 2: bank 'Alpha' has conflicting labels"
+        assert conflict in err
 
 
 class TestEvaluateCommand:
@@ -405,6 +406,34 @@ class TestEvaluateCommand:
         code, out, _ = run_cli(capsys, *argv, "--format", "json")
         assert code == 0
         assert json.loads(out)["notices"] == [notice]
+
+    def test_warning_year_for_healthy_bank_noticed(self, tmp_path, capsys):
+        bank = "Banco Internacional de Moçambique, S.A"
+        config = tmp_path / "eval.json"
+        config.write_text(json.dumps({"warning_years": {bank: 2015}}), encoding="utf-8")
+        argv = (
+            "evaluate", "--panel", PANEL_A, "--panel", PANEL_B,
+            "--model", REFERENCE, "--zones", "paper", "--config", str(config),
+        )
+        notice = f"warning year for bank {bank!r} ignored: bank is not labelled bankrupt"
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[-1] == f"note: {notice}"
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["notices"] == [notice]
+
+    def test_numeric_cell_in_python_literal_form_is_not_read(self, tmp_path, capsys):
+        """float() reads 0_5 as 5.0, which would score the row as if its equity ratio were 5."""
+        panel = tmp_path / "a.csv"
+        panel.write_text(
+            RATIO_HEADER + "\nA,2012,0_5,0.2,0.01,0.05,0.6,0.03\n", encoding="utf-8"
+        )
+        code, out, err = run_cli(
+            capsys, "classify", "--panel", str(panel), "--model", REFERENCE, "--zones", "paper"
+        )
+        assert (code, out) == (3, "")
+        assert err == f"error: panel file {panel}: row 2: column 'eaa': not a plain ASCII number: '0_5'\n"
 
     def test_labels_from_config_cover_unlabeled_panel(self, tmp_path, capsys):
         panel = tmp_path / "going.csv"
@@ -809,6 +838,14 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err.startswith(f"error: cannot read panel file {missing}") and err.count("\n") == 1
+
+    def test_panel_file_not_utf8(self, tmp_path, capsys):
+        panel = tmp_path / "latin1.csv"
+        panel.write_bytes((RATIO_HEADER + "\nMo\xe7a,2012,0.1,0.2,0.01,0.05,0.6,0.03\n").encode("latin-1"))
+        code, out, err = run_cli(capsys, "classify", "--panel", str(panel), "--model", REFERENCE)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: cannot read panel file {panel}: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
 
     def test_duplicate_record_across_panels(self, capsys):
         code, _, err = run_cli(

@@ -1,4 +1,6 @@
 """Panel parsing, window averaging, and training-set assembly."""
+import re
+
 import pytest
 
 from distress_lda import (
@@ -20,6 +22,7 @@ from distress_lda import (
     serialize_panel,
     training_set_from_panel,
 )
+from distress_lda.dataset import load_panels
 
 HEADER = "bank,year,eaa,roae,roaa,nii,laaa,bdtla"
 
@@ -86,6 +89,20 @@ class TestParsePanel:
         ):
             with pytest.raises(ParseError, match=match):
                 parse_panel(_panel("Alpha,2014,1,1,1,1,1,1", row))
+
+    # int() and float() read each of these, but no panel means them.
+    @pytest.mark.parametrize("cell", ["2_015", "\u0662\u0660\u0661\u0665", "-2015", "+2015"])
+    def test_year_must_be_ascii_digits(self, cell):
+        with pytest.raises(ParseError, match=re.escape(f"row 2: column 'year': not an integer: {cell!r}")):
+            parse_panel(_panel(f"Alpha,{cell},1,1,1,1,1,1"))
+
+    @pytest.mark.parametrize("cell", ["0_5", "1_000.0", "\u0660.\u0665", "\uff10.5"])
+    def test_ratio_cell_must_be_plain_ascii(self, cell):
+        with pytest.raises(ParseError, match=re.escape(f"row 2: column 'roae': not a plain ASCII number: {cell!r}")):
+            parse_panel(_panel(f"Alpha,2014,1,{cell},x,1,1,1"))
+        # The first bad cell in column order is named, whichever rule it breaks.
+        with pytest.raises(ParseError, match=r"row 2: column 'eaa': not a number: 'x'"):
+            parse_panel(_panel(f"Alpha,2014,x,{cell},1,1,1,1"))
 
     def test_non_finite_cell_rejected(self):
         for row, match in (
@@ -175,6 +192,68 @@ class TestPanelLabels:
         assert GroupLabel.from_string(" Bankrupt ") is GroupLabel.BANKRUPT
         with pytest.raises(ValueError):
             GroupLabel.from_string("failed")
+
+
+class TestLoadPanels:
+    """Several panel files are checked as one panel, and an error names its file."""
+
+    def _write(self, tmp_path, *texts):
+        paths = []
+        for i, text in enumerate(texts):
+            paths.append(tmp_path / f"panel{i}.csv")
+            paths[-1].write_text(text, encoding="utf-8")
+        return paths
+
+    def test_records_and_labels_of_every_file(self, tmp_path):
+        paths = self._write(
+            tmp_path,
+            HEADER + ",label\nAlpha,2014,1,1,1,1,1,1,bankrupt\n",
+            HEADER + ",label\nBeta,2014,2,2,2,2,2,2,nonbankrupt\nAlpha,2015,0,0,0,0,0,0,\n",
+        )
+        records, labels = load_panels(paths, "panel", {})
+        assert [(r.bank_id, r.year) for r in records] == [("Alpha", 2014), ("Beta", 2014), ("Alpha", 2015)]
+        assert labels == {"Alpha": GroupLabel.BANKRUPT, "Beta": GroupLabel.NONBANKRUPT}
+
+    def test_quoted_carriage_return_is_kept(self, tmp_path):
+        # Read as text with universal newlines, the quoted CR would become LF.
+        records = [BankYearRecord("Al\rpha", 2014, _vec(1.0), True)]
+        paths = self._write(tmp_path, serialize_panel(records))
+        assert load_panels(paths, "panel", None)[0] == records
+
+    def test_duplicate_in_another_file_names_file_and_row(self, tmp_path):
+        paths = self._write(
+            tmp_path,
+            _panel("Alpha,2014,1,1,1,1,1,1"),
+            _panel("Beta,2014,1,1,1,1,1,1", "Alpha,2014,2,2,2,2,2,2"),
+        )
+        message = f"panel file {paths[1]}: row 3: duplicate record for bank 'Alpha', year 2014"
+        with pytest.raises(DuplicateRecordError, match=re.escape(message)):
+            load_panels(paths, "panel", None)
+
+    def test_conflicting_label_in_another_file_names_file_and_row(self, tmp_path):
+        paths = self._write(
+            tmp_path,
+            HEADER + ",label\nAlpha,2014,1,1,1,1,1,1,bankrupt\n",
+            HEADER + ",label\nAlpha,2015,1,1,1,1,1,1,nonbankrupt\n",
+        )
+        message = f"panel file {paths[1]}: row 2: bank 'Alpha' has conflicting labels"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_panels(paths, "panel", {})
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            (_panel("Alpha,2015,x,1,1,1,1,1"), ParseError, "row 2: column 'eaa': not a number: 'x'"),
+            ("bank,year\nAlpha,2015\n", SchemaError, "panel is missing required column 'eaa'"),
+            (_panel("Al\rpha,2015,1,1,1,1,1,1"), ParseError, "line 2: new-line character"),
+            (_panel("Alpha,2015,1,1,1,1,1,1"), SchemaError, "panel has no 'label' column"),
+        ],
+    )
+    def test_error_names_its_file(self, tmp_path, text, error, message):
+        paths = self._write(tmp_path, HEADER + ",label\nAlpha,2014,1,1,1,1,1,1,bankrupt\n", text)
+        with pytest.raises(error) as raised:
+            load_panels(paths, "panel", {})
+        assert str(raised.value).startswith(f"panel file {paths[1]}: {message}")
 
 
 class TestRatioVector:

@@ -1,6 +1,7 @@
 """Properties of the panel format, the zone partition and the fit.
 
 - Writing a panel and parsing it back gives the same records and labels.
+- A panel split across files reads as the panel, and breaks its rules the same way.
 - Zones are ordered along the score axis: bankrupt below grey below healthy.
 - The fitted coefficients do not depend on the order of rows within a group.
 - Window means and normalizer statistics carry numpy's bits exactly.
@@ -9,6 +10,8 @@
 from __future__ import annotations
 
 import dataclasses
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +24,11 @@ from distress_lda import (
     BankYearRecord,
     BindingError,
     ClassificationZones,
+    DuplicateRecordError,
     EmptyWindowError,
     GroupLabel,
     LabeledSample,
+    ParseError,
     RatioVector,
     ZeroVarianceError,
     ZoneLabel,
@@ -41,6 +46,7 @@ from distress_lda import (
     score_panel,
     serialize_panel,
 )
+from distress_lda.dataset import load_panels
 from distress_lda.fixtures import data_path
 from distress_lda.normalization import NormalizationStats, apply
 
@@ -75,6 +81,63 @@ def test_serialized_panel_parses_back(case):
     text = serialize_panel(records, labels)
     assert parse_panel(text) == records
     assert panel_labels(text) == labels
+
+
+def load_texts(texts: list[str]):
+    """load_panels over one file per text, in a fresh directory (a function-scoped
+    tmp_path fixture would be shared by every example), with the files' labels."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp, f"panel{i}.csv") for i in range(len(texts))]
+        for path, text in zip(paths, texts):
+            path.write_bytes(text.encode("utf-8"))
+        return load_panels(paths, "panel", {})
+
+
+def split_panel(data, records, labels) -> list[str]:
+    """The panel's rows split into 1-3 files, in order, each with the header."""
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(records)), max_size=2)))
+    bounds = [0, *cuts, len(records)]
+    return [serialize_panel(records[a:b], labels) for a, b in zip(bounds, bounds[1:])]
+
+
+def data_rows(text: str) -> str:
+    """A serialized panel without its header line."""
+    return text.split("\r\n", 1)[1]
+
+
+@SETTINGS
+@given(labelled_panels(), st.data())
+def test_split_panel_reads_as_one(case, data):
+    records, labels = case
+    loaded, loaded_labels = load_texts(split_panel(data, records, labels))
+    text = serialize_panel(records, labels)
+    assert loaded == parse_panel(text) == records
+    assert loaded_labels == panel_labels(text) == labels
+
+
+@SETTINGS
+@given(labelled_panels(), st.data())
+def test_split_panel_breaks_rules_as_one(case, data):
+    """A repeated bank-year, or a bank labelled the other way in a new year, raises
+    the same error type in another file as within one, and the error names that file."""
+    records, labels = case
+    assume(labels)
+    bank = data.draw(st.sampled_from(sorted(labels)))
+    year = max(r.year for r in records if r.bank_id == bank) + 1
+    flipped = GroupLabel(1 - labels[bank])
+    repeated = serialize_panel([data.draw(st.sampled_from(records))], labels)
+    new_year = BankYearRecord(bank, year, RatioVector.from_array([1.0] * 6), True)
+    relabelled = serialize_panel([new_year], {bank: flipped})
+    whole = serialize_panel(records, labels)
+    for extra, error, read in (
+        (repeated, DuplicateRecordError, parse_panel),
+        (relabelled, ParseError, panel_labels),
+    ):
+        with pytest.raises(error):
+            read(whole + data_rows(extra))
+        texts = [*split_panel(data, records, labels), extra]
+        with pytest.raises(error, match=rf"^panel file \S*panel{len(texts) - 1}\.csv: row 2: "):
+            load_texts(texts)
 
 
 ZONE_ORDER = {ZoneLabel.BANKRUPT: 0, ZoneLabel.GREY: 1, ZoneLabel.NONBANKRUPT: 2}
