@@ -12,7 +12,6 @@ group means), 5 evaluation problems such as unlabeled banks.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass, field
@@ -27,7 +26,7 @@ from .classification import (
     score_panel,
     zones_to_dict,
 )
-from .dataset import GroupLabel, load_panels, read_text, training_set_from_panel
+from .dataset import GroupLabel, load_panels, parse_year, read_text, training_set_from_panel
 from .diagnostics import (
     box_m_from_model,
     box_verdict,
@@ -46,7 +45,7 @@ from .errors import (
 )
 from .fixtures import load_published_zones
 from .lda_fit import fit
-from .model_io import load_model, load_zones, loads_finite, model_to_dict, save_model
+from .model_io import json_text, load_model, load_zones, model_to_dict, parse_json, save_model
 from .normalization import fit_normalizer, normalize_training_set
 
 _GLYPH = {"bankrupt": "▼", "grey": "■", "nonbankrupt": "▲"}
@@ -72,7 +71,7 @@ def parse_window(text: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise ConfigError(f"window must be YYYY:YYYY, got {text!r}")
     try:
-        first, last = int(parts[0]), int(parts[1])
+        first, last = parse_year(parts[0]), parse_year(parts[1])
     except ValueError:
         raise ConfigError(f"window must be YYYY:YYYY, got {text!r}") from None
     if first > last:
@@ -114,9 +113,10 @@ def _fraction(key: str, value) -> float:
 
 
 def _year(text: str) -> int:
-    if not (text.isascii() and text.isdigit()):  # unlike int(), refuses 2015.9 and true
-        raise ConfigError(f"warning year must be an integer, got {text}")
-    return int(text)
+    try:
+        return parse_year(text)
+    except ValueError:
+        raise ConfigError(f"warning year must be an integer, got {text}") from None
 
 
 def _bank_map(parse_entry, what: str, key: str, value) -> dict:
@@ -129,10 +129,7 @@ def _bank_map(parse_entry, what: str, key: str, value) -> dict:
 def _read_config_file(path: str) -> dict:
     text = read_text(path, "config", ConfigError)
     if text.lstrip().startswith("{"):
-        try:
-            doc = loads_finite(text)
-        except ValueError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+        doc = parse_json(text, "config", path, ConfigError)
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
         return doc
@@ -492,12 +489,9 @@ def main(argv: list[str] | None = None) -> int:
     except DistressLdaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
-    if config.format == "json":
-        text = json.dumps(doc, indent=2, sort_keys=True)
-    else:
-        text = render(doc, context)
+    text = json_text(doc) if config.format == "json" else render(doc, context) + "\n"
     try:
-        _write_stdout(text + "\n")
+        _write_stdout(text)
     except BrokenPipeError:
         # The reader hung up (`| head -1`). Point stdout at devnull so the
         # interpreter's final flush cannot raise again and print a traceback.

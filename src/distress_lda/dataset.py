@@ -130,6 +130,11 @@ def _split_rows(text: str) -> tuple[list[str], _Rows]:
     for column in _REQUIRED_COLUMNS:
         if column not in header:
             raise SchemaError(f"panel is missing required column {column!r}")
+    # A repeated column would go unread. Blank or unknown cells may repeat, as
+    # spreadsheet exports often end their rows with empty columns.
+    for column in _REQUIRED_COLUMNS + ("label",):
+        if header.count(column) > 1:
+            raise SchemaError(f"panel names column {column!r} more than once")
     return header, rows
 
 
@@ -166,6 +171,16 @@ def _ratio_error(lineno: int, cells: list[str]) -> ParseError:
     raise AssertionError(f"row {lineno}: every ratio cell is a finite number")
 
 
+def parse_year(text: str) -> int:
+    """A year written as ASCII digits, surrounding whitespace aside: the one year
+    rule of panels and settings. Unlike int(), refuses 2_015, -5, +5 and
+    non-ASCII digits with ValueError."""
+    text = text.strip()
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _records(header: list[str], rows: _Rows, seen: set[tuple[str, int]]) -> list[BankYearRecord]:
     """The rows' records; a bank-year already in seen (from any file) is refused, a new one added."""
     bank_at, year_at = header.index("bank"), header.index("year")
@@ -178,10 +193,10 @@ def _records(header: list[str], rows: _Rows, seen: set[tuple[str, int]]) -> list
         bank = row[bank_at].strip()
         if not bank:
             raise ParseError(f"row {lineno}: column 'bank' is empty")
-        year_text = row[year_at].strip()
-        if not (year_text.isascii() and year_text.isdigit()):  # unlike int(), refuses 2_015 and -5
-            raise ParseError(f"row {lineno}: column 'year': not an integer: {year_text!r}")
-        year = int(year_text)
+        try:
+            year = parse_year(row[year_at])
+        except ValueError as exc:
+            raise ParseError(f"row {lineno}: column 'year': {exc}") from None
         key = (bank, year)
         if key in seen:
             raise DuplicateRecordError(f"row {lineno}: duplicate record for bank {bank!r}, year {year}")
@@ -231,9 +246,10 @@ def _labels(header: list[str], rows: _Rows, labels: dict[str, GroupLabel]) -> di
 
 
 def read_text(path: str | Path, what: str, error: type[DistressLdaError]) -> str:
-    """A file's UTF-8 text; a file that cannot be read or decoded raises `error`."""
+    """A file's UTF-8 text, without the byte-order mark that spreadsheet exports
+    may put first; a file that cannot be read or decoded raises `error`."""
     try:
-        return Path(path).read_bytes().decode("utf-8")  # not read_text(), which turns a quoted CR into LF
+        return Path(path).read_bytes().decode("utf-8-sig")  # not read_text(), which turns a quoted CR into LF
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} file {path}: {exc}") from None
 

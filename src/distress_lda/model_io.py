@@ -1,5 +1,9 @@
 """Model and zone files: JSON documents with load-time validation.
 
+json_text is the one layout of JSON output (model and zones files, `--format
+json`), write_json the one file writer and parse_json the one reader of model,
+zones and JSON config files.
+
 The loader checks structure and ranges, then the two identities that tie the
 stored separation statistics to the eigenvalue: wilks = 1/(1 + eigenvalue)
 and canonical correlation = sqrt(eigenvalue/(1 + eigenvalue)). Stored models
@@ -15,7 +19,7 @@ from pathlib import Path
 from .classification import ClassificationZones, zones_to_dict
 from .dataset import VARIABLES, read_text
 from .diagnostics import check_correlation_matrix
-from .errors import DomainError, ModelFileError
+from .errors import DistressLdaError, DomainError, ModelFileError
 from .lda_fit import GROUP_KEYS, DiscriminantModel, FisherFunctions
 from .normalization import NormalizationStats
 
@@ -181,33 +185,48 @@ def model_from_dict(doc: dict) -> tuple[DiscriminantModel, NormalizationStats]:
     return model, stats
 
 
-def save_model(path: str | Path, model: DiscriminantModel, stats: NormalizationStats) -> None:
-    doc = model_to_dict(model, stats)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def json_text(doc) -> str:
+    """The layout of every JSON document written, to a file or to stdout."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _reject_constant(name: str) -> None:
-    raise ValueError(f"{name} is not a finite number")
-
-
-def loads_finite(text: str):
-    """json.loads without the NaN and Infinity literals Python accepts by default.
-
-    Raises ValueError (json.JSONDecodeError for malformed text).
-    """
-    return json.loads(text, parse_constant=_reject_constant)
-
-
-def _load_json(path: str | Path, what: str) -> dict:
-    text = read_text(path, what, ModelFileError)
+def write_json(path: str | Path, doc, what: str) -> None:
+    """Write doc in the json_text layout; a file that cannot be written raises ModelFileError."""
     try:
-        return loads_finite(text)
-    except ValueError as exc:
-        raise ModelFileError(f"{what} file {path} is not valid JSON: {exc}") from None
+        Path(path).write_text(json_text(doc), encoding="utf-8")
+    except OSError as exc:
+        raise ModelFileError(f"cannot write {what} file {path}: {exc}") from None
+
+
+def parse_json(text: str, what: str, path: str | Path, error: type[DistressLdaError]):
+    """The JSON value of a file's text. Besides malformed text, `error` refuses
+    what Python's json would accept: NaN and Infinity, an object that repeats
+    a key (json keeps the last value unseen) and nesting too deep to decode."""
+
+    def finite_only(literal: str):
+        raise ValueError(f"{literal} is not a finite number")
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f"key {key!r} is repeated")
+            obj[key] = value
+        return obj
+
+    try:
+        return json.loads(text, parse_constant=finite_only, object_pairs_hook=unique_keys)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{what} file {path} is not valid JSON: {exc}") from None
+
+
+def save_model(path: str | Path, model: DiscriminantModel, stats: NormalizationStats) -> None:
+    write_json(path, model_to_dict(model, stats), "model")
 
 
 def load_model(path: str | Path) -> tuple[DiscriminantModel, NormalizationStats]:
-    return model_from_dict(_load_json(path, "model"))
+    text = read_text(path, "model", ModelFileError)
+    return model_from_dict(parse_json(text, "model", path, ModelFileError))
 
 
 def zones_from_dict(doc: dict) -> ClassificationZones:
@@ -229,9 +248,9 @@ def zones_from_dict(doc: dict) -> ClassificationZones:
 
 
 def load_zones(path: str | Path) -> ClassificationZones:
-    return zones_from_dict(_load_json(path, "zones"))
+    text = read_text(path, "zones", ModelFileError)
+    return zones_from_dict(parse_json(text, "zones", path, ModelFileError))
 
 
 def save_zones(path: str | Path, zones: ClassificationZones) -> None:
-    doc = zones_to_dict(zones)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(path, zones_to_dict(zones), "zones")

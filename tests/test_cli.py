@@ -27,6 +27,7 @@ TABLE = str(data_path("table2.csv"))
 PANEL_A = str(data_path("appendix_a.csv"))
 PANEL_B = str(data_path("appendix_b.csv"))
 REFERENCE = str(data_path("reference_model.json"))
+PAPER_ZONES = str(data_path("paper_zones.json"))
 MISSING_MODEL = str(Path(REFERENCE).with_name("no_such_model.json"))
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "cli"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -701,10 +702,11 @@ class TestWindowParsing:
         assert parse_window("2014:2014") == (2014, 2014)
 
     def test_rejects_malformed(self):
-        with pytest.raises(ConfigError, match="must be YYYY:YYYY"):
-            parse_window("2012-2015")
-        with pytest.raises(ConfigError, match="must be YYYY:YYYY"):
-            parse_window("twelve:2015")
+        # int() reads 2_012, Arabic-Indic digits and -5, but a window year is
+        # ASCII digits by the same rule as a panel's year cells.
+        for text in ("2012-2015", "twelve:2015", "2_012:2015", "\u0662\u0660\u0661\u0662:2015", "-5:2015"):
+            with pytest.raises(ConfigError, match="must be YYYY:YYYY"):
+                parse_window(text)
 
     def test_rejects_inverted(self):
         with pytest.raises(ConfigError, match="window is inverted: 2016 > 2012"):
@@ -882,6 +884,35 @@ class TestExitCodes:
         assert err == "error: 6 variables exceed the limit of 5 for 7 samples\n"
         assert not model.exists()
 
+    @pytest.mark.parametrize("where", ["missing-dir/m.json", "."], ids=["missing-dir", "directory"])
+    def test_unwritable_model_file(self, tmp_path, capsys, where):
+        model = tmp_path / where
+        code, out, err = run_cli(capsys, "fit", "--train", TABLE, "--model", str(model))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: cannot write model file {model}: ") and err.count("\n") == 1
+
+    # json keeps the last of two equal keys: the second constant below would
+    # move Moza Banco 2012 from bankrupt to healthy under the paper's zones.
+    @pytest.mark.parametrize(
+        "flag, source, old, new, code",
+        [
+            ("--model", REFERENCE, '"constant": 0.0,', '"constant": 0.0, "constant": 0.5,', 3),
+            ("--model", REFERENCE, '"bankrupt": -4.01605', '"bankrupt": -4.01605, "bankrupt": -1.0', 3),
+            ("--zones", PAPER_ZONES, '"cutoff": -7e-06,', '"cutoff": -7e-06, "cutoff": 0.5,', 3),
+            ("--config", None, '{"format": "json"}', '{"format": "json", "format": "text"}', 2),
+        ],
+        ids=["model", "model-nested", "zones", "config"],
+    )
+    def test_repeated_json_key(self, tmp_path, capsys, flag, source, old, new, code):
+        text = Path(source).read_text(encoding="utf-8") if source else old
+        path = tmp_path / "doc.json"
+        path.write_text(text.replace(old, new, 1), encoding="utf-8")
+        key = re.search(r'"(\w+)"', new).group(1)
+        argv = ["classify", "--panel", PANEL_A, "--model", REFERENCE, "--zones", "paper", flag, str(path)]
+        assert run_cli(capsys, *argv) == (
+            code, "", f"error: {flag[2:]} file {path} is not valid JSON: key {key!r} is repeated\n"
+        )
+
     def test_closed_stdout_exits_quietly(self, tmp_path):
         """A reader that hangs up early (`| head -1`) gets exit 1 and no traceback."""
         _classify_into_closed_pipe(tmp_path, unbuffered=False)
@@ -890,6 +921,37 @@ class TestExitCodes:
         """Under PYTHONUNBUFFERED a write to a closed pipe can come back short
         instead of raising; the rest of the report must still be written."""
         _classify_into_closed_pipe(tmp_path, unbuffered=True)
+
+
+# Each file a run reads, saved with the UTF-8 byte-order mark of spreadsheet
+# exports: (argv before the file, file content, file name).
+BOM_CASES = {
+    "panel": (["classify", "--model", REFERENCE, "--panel"], Path(PANEL_A).read_bytes(), "p.csv"),
+    "train": (["fit", "--model", "{tmp}/m.json", "--train"], Path(TABLE).read_bytes(), "t.csv"),
+    "model": (["diagnose", "--model"], Path(REFERENCE).read_bytes(), "m.json"),
+    "zones": (
+        ["classify", "--panel", PANEL_A, "--model", REFERENCE, "--zones"],
+        Path(PAPER_ZONES).read_bytes(),
+        "z.json",
+    ),
+    "json-config": (["diagnose", "--model", REFERENCE, "--config"], b'{"alpha": 0.1}', "c.json"),
+    "key-value-config": (["diagnose", "--model", REFERENCE, "--config"], b"alpha = 0.1\n", "c.cfg"),
+}
+
+
+@pytest.mark.parametrize("case", BOM_CASES)
+def test_byte_order_mark_is_not_data(tmp_path, capsys, case):
+    """A file that starts with a byte-order mark reads as the same file without it."""
+    argv, content, name = BOM_CASES[case]
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    outputs = []
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        path = tmp_path / prefix.hex() / name
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(prefix + content)
+        outputs.append(run_cli(capsys, *argv, str(path)))
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[0]
 
 
 def _classify_into_closed_pipe(tmp_path, unbuffered: bool) -> None:

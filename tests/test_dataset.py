@@ -48,9 +48,13 @@ class TestParsePanel:
             assert rec.ratios == RatioVector(0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
 
     def test_column_order_is_free(self):
-        text = "year,bdtla,laaa,nii,roaa,roae,eaa,bank\n2013,6,5,4,3,2,1,Alpha\n"
-        rec = parse_panel(text)[0]
-        assert rec.ratios == RatioVector(1, 2, 3, 4, 5, 6)
+        # Blank and unknown header cells may repeat, as in spreadsheet exports.
+        for text in (
+            "year,bdtla,laaa,nii,roaa,roae,eaa,bank\n2013,6,5,4,3,2,1,Alpha\n",
+            "note,year,bdtla,laaa,nii,roaa,roae,eaa,bank,note,,\nx,2013,6,5,4,3,2,1,Alpha,y,,\n",
+        ):
+            rec = parse_panel(text)[0]
+            assert rec.ratios == RatioVector(1, 2, 3, 4, 5, 6)
 
     def test_blank_lines_ignored(self):
         records = parse_panel(_panel("", "Alpha,2014,1,1,1,1,1,1", " , , ", "", ""))
@@ -95,6 +99,10 @@ class TestParsePanel:
     def test_year_must_be_ascii_digits(self, cell):
         with pytest.raises(ParseError, match=re.escape(f"row 2: column 'year': not an integer: {cell!r}")):
             parse_panel(_panel(f"Alpha,{cell},1,1,1,1,1,1"))
+
+    def test_year_past_int_digit_limit_is_a_parse_error(self):
+        with pytest.raises(ParseError, match=r"row 2: column 'year': Exceeds the limit"):
+            parse_panel(_panel(f"Alpha,{'9' * 5000},1,1,1,1,1,1"))
 
     @pytest.mark.parametrize("cell", ["0_5", "1_000.0", "\u0660.\u0665", "\uff10.5"])
     def test_ratio_cell_must_be_plain_ascii(self, cell):
@@ -245,6 +253,10 @@ class TestLoadPanels:
         [
             (_panel("Alpha,2015,x,1,1,1,1,1"), ParseError, "row 2: column 'eaa': not a number: 'x'"),
             ("bank,year\nAlpha,2015\n", SchemaError, "panel is missing required column 'eaa'"),
+            (HEADER + ",label,eaa\nAlpha,2015,1,1,1,1,1,1,bankrupt,2\n", SchemaError,
+             "panel names column 'eaa' more than once"),
+            (HEADER + ",label,label\nAlpha,2015,1,1,1,1,1,1,bankrupt,nonbankrupt\n", SchemaError,
+             "panel names column 'label' more than once"),
             (_panel("Al\rpha,2015,1,1,1,1,1,1"), ParseError, "line 2: new-line character"),
             (_panel("Alpha,2015,1,1,1,1,1,1"), SchemaError, "panel has no 'label' column"),
         ],

@@ -216,6 +216,13 @@ class TestLoadErrors:
             load_model(path)
 
 
+    def test_nesting_too_deep_to_decode(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(ModelFileError, match="not valid JSON: maximum recursion depth"):
+            load_model(path)
+
+
 class TestZonesIO:
     def test_round_trip(self, tmp_path):
         zones = ClassificationZones(cutoff=-7e-6, grey=(-0.04, -0.003), source="explicit-override")
