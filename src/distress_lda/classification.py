@@ -311,7 +311,8 @@ def evaluate_panel(
     The zones fix the score scale; a mode, if given, must name that scale.
     warning_years overrides the inferred last-reporting year of distressed
     banks whose drop-out year the panel does not show; one for a bank not in
-    the panel, or not labelled bankrupt, is ignored with a notice.
+    the panel, not labelled bankrupt, or without an available record in that
+    year, is ignored with a notice.
     """
     if mode is not None and mode != zones.scale:
         raise ValueError(f"mode {mode!r} disagrees with the zones' {zones.scale} scale")
@@ -326,6 +327,11 @@ def evaluate_panel(
             notices.append(f"warning year for bank {bank!r} ignored: bank not in panel")
         elif actual[bank] is not GroupLabel.BANKRUPT:
             notices.append(f"warning year for bank {bank!r} ignored: bank is not labelled bankrupt")
+        elif not any(r.available and r.bank_id == bank and r.year == year for r in records):
+            notices.append(
+                f"warning year {year} for bank {bank!r} ignored: "
+                f"bank has no available record in {year}"
+            )
         else:
             warning[bank] = year
     expected_by_year: dict[int, set[str]] = {}

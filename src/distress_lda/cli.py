@@ -89,8 +89,6 @@ def _text(key: str, value) -> str:
 
 
 def _paths(key: str, value) -> tuple[str, ...]:
-    if isinstance(value, str):  # key=value files list panels comma-separated
-        value = [path.strip() for path in value.split(",") if path.strip()]
     if not isinstance(value, list) or not all(isinstance(path, str) for path in value):
         raise ConfigError(f"{key!r} must be a path list")
     return tuple(value)
@@ -126,36 +124,43 @@ def _bank_map(parse_entry, what: str, key: str, value) -> dict:
     return {bank: parse_entry(str(raw)) for bank, raw in value.items()}
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(path: str) -> list[tuple[str, object]]:
+    """The (key, value) pairs of a config file, in file order, repeats kept."""
     text = read_text(path, "config", ConfigError)
     if text.lstrip().startswith("{"):
         doc = parse_json(text, "config", path, ConfigError)
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
-        return doc
-    doc = {}
+        return list(doc.items())
+    pairs = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise ConfigError(f"config file {path} line {lineno}: expected key=value")
-        key, _, value = stripped.partition("=")
-        doc[key.strip()] = value.strip()
-    return doc
+        key, _, value = (part.strip() for part in stripped.partition("="))
+        if key == "panel":  # the one list setting, written comma-separated
+            value = [panel.strip() for panel in value.split(",") if panel.strip()]
+        pairs.append((key, value))
+    return pairs
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     paths = (os.environ.get("DISTRESS_LDA_CONFIG"), args.config)
     sources = [(f"config file {path}", _read_config_file(path)) for path in paths if path]
     flags = {key: raw for key, raw in vars(args).items() if key in _SETTINGS and raw is not None}
-    sources += [(f"argument --{key.replace('_', '-')}", {key: raw}) for key, raw in flags.items()]
+    sources += [(f"argument --{key.replace('_', '-')}", [(key, raw)]) for key, raw in flags.items()]
     values = {}
-    for origin, doc in sources:
-        for key, raw in doc.items():
+    for origin, pairs in sources:
+        seen = set()  # a later source overrides an earlier one, but no source sets a key twice
+        for key, raw in pairs:
             key = key.replace("-", "_")
             if key not in _SETTINGS:
                 raise ConfigError(f"{origin}: unknown config key {key!r}")
+            if key in seen:
+                raise ConfigError(f"{origin}: config key {key!r} is set twice")
+            seen.add(key)
             try:
                 values[key] = _SETTINGS[key][0](key, raw)
             except (ConfigError, ValueError) as exc:  # ValueError: unknown label, huge year
@@ -473,8 +478,8 @@ def _write_stdout(text: str) -> None:
         return
     # Under PYTHONUNBUFFERED the buffer is a raw file whose write may take only
     # part of the data; write the rest until a reader that hung up raises.
-    sys.stdout.flush()
     data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    sys.stdout.flush()
     while data:
         data = data[buffer.write(data) :]
     buffer.flush()
@@ -496,6 +501,13 @@ def main(argv: list[str] | None = None) -> int:
         # The reader hung up (`| head -1`). Point stdout at devnull so the
         # interpreter's final flush cannot raise again and print a traceback.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except UnicodeEncodeError:  # raised before any byte is written
+        print(
+            f"error: stdout encoding {sys.stdout.encoding!r} cannot encode the report;"
+            " use --format json or a UTF-8 stdout (PYTHONIOENCODING=utf-8)",
+            file=sys.stderr,
+        )
         return 1
     return 0
 

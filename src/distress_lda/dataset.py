@@ -343,9 +343,15 @@ def average_ratios(records: list[BankYearRecord], bank_id: str, years: tuple[int
     return RatioVector.from_array(total / len(rows) for total in column_sums(rows))
 
 
-def check_variable_count(p: int, n: int) -> None:
-    """Reject p variables over n samples in two groups: the pooled within-group
-    scatter has rank at most n - 2, so more variables make it singular."""
+def check_design(n0: int, n1: int, p: int) -> None:
+    """The two-group design rule: each group needs two members for its score
+    dispersion, and p variables need N >= p + 2 samples, since the pooled
+    within-group scatter of N samples has rank at most N - 2."""
+    if n0 < 2 or n1 < 2:
+        raise InsufficientGroupError(
+            f"each group needs at least 2 samples, got bankrupt={n0}, nonbankrupt={n1}"
+        )
+    n = n0 + n1
     if p > n - 2:
         raise VariableCountError(f"{p} variables exceed the limit of {n - 2} for {n} samples")
 
@@ -355,11 +361,7 @@ def build_training_set(samples: list[LabeledSample]) -> TrainingSet:
     n0 = sum(1 for s in samples if s.label is GroupLabel.BANKRUPT)
     n1 = len(samples) - n0
     p = len(VARIABLES)
-    if n0 < 2 or n1 < 2:
-        raise InsufficientGroupError(
-            f"each group needs at least 2 samples, got bankrupt={n0}, nonbankrupt={n1}"
-        )
-    check_variable_count(p, n0 + n1)
+    check_design(n0, n1, p)
     return TrainingSet(samples=tuple(samples), n0=n0, n1=n1, p=p)
 
 

@@ -18,31 +18,13 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .dataset import VARIABLES, GroupLabel, TrainingSet, check_variable_count
-from .errors import (
-    BindingError,
-    DegenerateSeparationError,
-    InsufficientGroupError,
-    SingularMatrixError,
-)
+from .dataset import VARIABLES, GroupLabel, TrainingSet, check_design
+from .errors import BindingError, DegenerateSeparationError, SingularMatrixError
 
 if TYPE_CHECKING:
     import numpy as np
 
 GROUP_KEYS = ("bankrupt", "nonbankrupt")
-
-
-@dataclass(frozen=True, eq=False)
-class GroupStatistics:
-    """Per-group means plus the pooled within-group covariance/correlation."""
-
-    variables: tuple[str, ...]
-    n0: int
-    n1: int
-    mu0: np.ndarray
-    mu1: np.ndarray
-    s_w: np.ndarray  # pooled within-group covariance, divisor N - 2
-    correlation: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -102,57 +84,43 @@ def solve_spd(S, d) -> np.ndarray:
     return v
 
 
-def group_stats_from_matrices(X0, X1, variables: Sequence[str]) -> GroupStatistics:
-    """Pooled within-group covariance of two row-per-sample matrices."""
-    import numpy as np
-    X0, X1 = (np.atleast_2d(np.asarray(X, dtype=float)) for X in (X0, X1))
-    if X0.size == 0 or X1.size == 0:
-        raise InsufficientGroupError("both groups must be non-empty")
-    n0, n1 = len(X0), len(X1)
-    check_variable_count(X0.shape[1], n0 + n1)
-    mu0 = X0.mean(axis=0)
-    mu1 = X1.mean(axis=0)
-    W = (X0 - mu0).T @ (X0 - mu0) + (X1 - mu1).T @ (X1 - mu1)
-    s_w = W / (n0 + n1 - 2)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        dd = np.sqrt(np.diag(s_w))
-        correlation = s_w / np.outer(dd, dd)
-    return GroupStatistics(
-        variables=tuple(variables), n0=n0, n1=n1, mu0=mu0, mu1=mu1, s_w=s_w, correlation=correlation
-    )
-
-
 def fit_from_matrices(
     X0, X1, variables: Sequence[str], priors: str = "proportional"
 ) -> DiscriminantModel:
     """Fit the canonical discriminant function on two per-group matrices.
 
-    X0 holds the bankrupt-group rows, X1 the non-bankrupt ones; each group
-    needs at least two rows so its score dispersion exists.
+    X0 holds the bankrupt-group rows, X1 the non-bankrupt ones; the design
+    must pass check_design.
     """
     import numpy as np
     if priors not in ("proportional", "equal"):
         raise ValueError(f"priors must be 'proportional' or 'equal', got {priors!r}")
     X0, X1 = (np.atleast_2d(np.asarray(X, dtype=float)) for X in (X0, X1))
-    stats = group_stats_from_matrices(X0, X1, variables)
-    n0, n1 = stats.n0, stats.n1
-    if n0 < 2 or n1 < 2:
-        raise InsufficientGroupError(f"each group needs at least 2 samples, got {n0} and {n1}")
+    n0, n1 = len(X0), len(X1)
+    check_design(n0, n1, X0.shape[1])
     N = n0 + n1
-    diff = stats.mu1 - stats.mu0
+    variables = tuple(variables)
+    mu0 = X0.mean(axis=0)
+    mu1 = X1.mean(axis=0)
+    diff = mu1 - mu0
     if np.max(np.abs(diff)) < 1e-12:
         raise DegenerateSeparationError("group means coincide; no discriminant direction")
 
-    b_raw = solve_spd(stats.s_w, diff)
+    W = (X0 - mu0).T @ (X0 - mu0) + (X1 - mu1).T @ (X1 - mu1)
+    s_w = W / (N - 2)  # pooled within-group covariance
+    b_raw = solve_spd(s_w, diff)
     # b_raw' S_w b_raw = diff' b_raw, positive whenever the solve succeeded.
     scale = float(diff @ b_raw)
     b = b_raw / math.sqrt(scale)
+    # The solve proved S_w positive definite, so its diagonal is positive.
+    dd = np.sqrt(np.diag(s_w))
+    correlation = s_w / np.outer(dd, dd)
 
     grand_mean = np.vstack([X0, X1]).mean(axis=0)
     a = -float(b @ grand_mean)
 
-    y0 = float(b @ stats.mu0) + a
-    y1 = float(b @ stats.mu1) + a
+    y0 = float(b @ mu0) + a
+    y1 = float(b @ mu1) + a
     scores0 = X0 @ b + a
     scores1 = X1 @ b + a
     s0 = float(scores0.std(ddof=1))
@@ -165,7 +133,7 @@ def fit_from_matrices(
     canonical_correlation = math.sqrt(eigenvalue / (1.0 + eigenvalue))
     wilks_lambda = 1.0 / (1.0 + eigenvalue)
 
-    standardized = b * np.sqrt(np.diag(stats.s_w))
+    standardized = b * dd
 
     if priors == "proportional":
         pi = {"bankrupt": n0 / N, "nonbankrupt": n1 / N}
@@ -173,16 +141,16 @@ def fit_from_matrices(
         pi = {"bankrupt": 0.5, "nonbankrupt": 0.5}
     weights = {}
     constants = {}
-    for key, mu in (("bankrupt", stats.mu0), ("nonbankrupt", stats.mu1)):
-        w = solve_spd(stats.s_w, mu)
-        weights[key] = dict(zip(stats.variables, map(float, w)))
+    for key, mu in (("bankrupt", mu0), ("nonbankrupt", mu1)):
+        w = solve_spd(s_w, mu)
+        weights[key] = dict(zip(variables, map(float, w)))
         constants[key] = -0.5 * float(mu @ w) + math.log(pi[key])
 
     return DiscriminantModel(
-        variables=stats.variables,
-        coefficients=dict(zip(stats.variables, map(float, b))),
+        variables=variables,
+        coefficients=dict(zip(variables, map(float, b))),
         constant=a,
-        standardized=dict(zip(stats.variables, map(float, standardized))),
+        standardized=dict(zip(variables, map(float, standardized))),
         y0=y0,
         y1=y1,
         s0=s0,
@@ -193,7 +161,7 @@ def fit_from_matrices(
         canonical_correlation=canonical_correlation,
         wilks_lambda=wilks_lambda,
         fisher=FisherFunctions(priors=pi, weights=weights, constants=constants),
-        pooled_correlation=tuple(tuple(float(v) for v in row) for row in stats.correlation),
+        pooled_correlation=tuple(tuple(float(v) for v in row) for row in correlation),
     )
 
 
@@ -221,12 +189,17 @@ def _component(z, name: str) -> float:
         raise BindingError(f"observation has no variable {name!r}") from None
 
 
+def _linear(constant: float, weights: dict[str, float], z) -> float:
+    """constant + sum of weight * component, in the weights' order."""
+    total = constant
+    for name, w in weights.items():
+        total += w * _component(z, name)
+    return total
+
+
 def score(model: DiscriminantModel, z) -> float:
     """Discriminant score a + b'z, coefficients matched to z by name."""
-    total = model.constant
-    for name, coef in model.coefficients.items():
-        total += coef * _component(z, name)
-    return total
+    return _linear(model.constant, model.coefficients, z)
 
 
 def fisher_classify(model: DiscriminantModel, z) -> GroupLabel:
@@ -235,12 +208,8 @@ def fisher_classify(model: DiscriminantModel, z) -> GroupLabel:
     An exact tie resolves to NonBankrupt: silently inventing a bankruptcy
     call from a coin-flip boundary is the costly mistake.
     """
-    values = {}
-    for key in GROUP_KEYS:
-        total = model.fisher.constants[key]
-        for name, w in model.fisher.weights[key].items():
-            total += w * _component(z, name)
-        values[key] = total
-    if values["bankrupt"] > values["nonbankrupt"]:
+    fisher = model.fisher
+    bankrupt, healthy = (_linear(fisher.constants[k], fisher.weights[k], z) for k in GROUP_KEYS)
+    if bankrupt > healthy:
         return GroupLabel.BANKRUPT
     return GroupLabel.NONBANKRUPT

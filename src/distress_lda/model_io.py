@@ -17,9 +17,9 @@ import math
 from pathlib import Path
 
 from .classification import ClassificationZones, zones_to_dict
-from .dataset import VARIABLES, read_text
+from .dataset import VARIABLES, check_design, read_text
 from .diagnostics import check_correlation_matrix
-from .errors import DistressLdaError, DomainError, ModelFileError
+from .errors import DistressLdaError, DomainError, ModelFileError, PanelError
 from .lda_fit import GROUP_KEYS, DiscriminantModel, FisherFunctions
 from .normalization import NormalizationStats
 
@@ -105,6 +105,11 @@ def model_from_dict(doc: dict) -> tuple[DiscriminantModel, NormalizationStats]:
         size = group_sizes[group]
         if size != int(size) or size < 2:
             raise ModelFileError(f"{context}: group_sizes.{group} must be an integer >= 2")
+    n0, n1 = int(group_sizes["bankrupt"]), int(group_sizes["nonbankrupt"])
+    try:
+        check_design(n0, n1, len(variables))
+    except PanelError as exc:  # a design the fit could never have produced
+        raise ModelFileError(f"{context}: group_sizes: {exc}") from None
 
     eigenvalue = _number(doc, "eigenvalue", context)
     canonical = _number(doc, "canonical_correlation", context)
@@ -174,8 +179,8 @@ def model_from_dict(doc: dict) -> tuple[DiscriminantModel, NormalizationStats]:
         y1=centroids["nonbankrupt"],
         s0=score_sd["bankrupt"],
         s1=score_sd["nonbankrupt"],
-        n0=int(group_sizes["bankrupt"]),
-        n1=int(group_sizes["nonbankrupt"]),
+        n0=n0,
+        n1=n1,
         eigenvalue=eigenvalue,
         canonical_correlation=canonical,
         wilks_lambda=wilks,

@@ -400,6 +400,25 @@ class TestEvaluatePanel:
         assert report.years == base.years
         assert report.cutoff_only == base.cutoff_only
 
+    @pytest.mark.parametrize("year", [2030, 2016])
+    def test_override_without_available_record_noticed(
+        self, reference_model, reference_stats, evaluation_panel, published_zones, year
+    ):
+        """Moza Banco has no record in 2030 and only an n.a row in 2016; an
+        override to either would take its 2015 alarm out of the expectation."""
+        records, labels = evaluation_panel
+        base = evaluate_panel(reference_model, reference_stats, records, labels, published_zones)
+        bank = "Moza Banco, S.A"
+        report = evaluate_panel(
+            reference_model, reference_stats, records, labels, published_zones,
+            warning_years={bank: year},
+        )
+        assert report.notices == (
+            f"warning year {year} for bank {bank!r} ignored: bank has no available record in {year}",
+        )
+        assert report.years == base.years
+        assert report.cutoff_only == base.cutoff_only
+
     def test_empty_year_noticed_and_omitted(
         self, reference_model, reference_stats, published_zones
     ):

@@ -424,6 +424,27 @@ class TestEvaluateCommand:
         assert code == 0
         assert json.loads(out)["notices"] == [notice]
 
+    def test_warning_year_without_available_record_noticed(self, tmp_path, capsys):
+        """An override to a year the bank is not scored in would drop its 2015
+        alarm from the expected calls and turn 16/19 into 15/19."""
+        config = tmp_path / "eval.json"
+        config.write_text(json.dumps({"warning_years": {"Moza Banco, S.A": 2030}}), encoding="utf-8")
+        argv = (
+            "evaluate", "--panel", PANEL_A, "--panel", PANEL_B,
+            "--model", REFERENCE, "--zones", "paper", "--format", "json",
+        )
+        _, base, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv, "--config", str(config))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["notices"] == [
+            "warning year 2030 for bank 'Moza Banco, S.A' ignored: "
+            "bank has no available record in 2030"
+        ]
+        assert doc["years"] == json.loads(base)["years"]
+        row2015 = next(row for row in doc["years"] if row["year"] == 2015)
+        assert (row2015["hits"], row2015["total"]) == (16, 19)
+
     def test_numeric_cell_in_python_literal_form_is_not_read(self, tmp_path, capsys):
         """float() reads 0_5 as 5.0, which would score the row as if its equity ratio were 5."""
         panel = tmp_path / "a.csv"
@@ -555,6 +576,39 @@ class TestConfigPrecedence:
         code, out, _ = run_cli(capsys, "fit", "--config", str(config))
         assert code == 0
         assert json.loads(out)["training_classification"]["correct_fraction"] == 1.0
+
+    @pytest.mark.parametrize(
+        "name, text, key",
+        [
+            ("run.cfg", "alpha = 0.01\nalpha = 0.5\n", "alpha"),
+            (
+                "run.json",
+                '{"collinearity-threshold": 0.5, "collinearity_threshold": 0.9}',
+                "collinearity_threshold",
+            ),
+        ],
+        ids=["key-value", "json-dash-and-underscore"],
+    )
+    def test_key_set_twice_in_one_file(self, tmp_path, capsys, name, text, key):
+        """Within one source a repeated key is refused, not resolved to its last value."""
+        config = tmp_path / name
+        config.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "diagnose", "--model", REFERENCE, "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == f"error: config file {config}: config key {key!r} is set twice\n"
+
+    def test_panel_is_a_list_except_in_key_value_files(self, tmp_path, capsys):
+        """Only a key=value file lists panels comma-separated; a JSON string is refused."""
+        argv = ("classify", "--model", REFERENCE, "--zones", "paper", "--format", "json")
+        _, expected, _ = run_cli(capsys, *argv, "--panel", PANEL_A, "--panel", PANEL_B)
+        key_value = tmp_path / "run.cfg"
+        key_value.write_text(f"panel = {PANEL_A} , {PANEL_B}\n", encoding="utf-8")
+        assert run_cli(capsys, *argv, "--config", str(key_value)) == (0, expected, "")
+        as_json = tmp_path / "run.json"
+        as_json.write_text(json.dumps({"panel": f"{PANEL_A},{PANEL_B}"}), encoding="utf-8")
+        assert run_cli(capsys, *argv, "--config", str(as_json)) == (
+            2, "", f"error: config file {as_json}: 'panel' must be a path list\n"
+        )
 
     def test_unknown_config_key(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
@@ -868,6 +922,18 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: model: wilks_lambda disagrees") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["diagnose", "classify"])
+    def test_model_group_sizes_must_fit_the_design(self, tmp_path, capsys, command):
+        """Five banks cannot carry six ratios, so no fit writes group sizes 2 and 3."""
+        doc = json.loads(Path(REFERENCE).read_text(encoding="utf-8"))
+        doc["group_sizes"]["nonbankrupt"] = 3
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        argv = [command, "--model", str(model)] + (["--panel", PANEL_A] if command == "classify" else [])
+        assert run_cli(capsys, *argv) == (
+            3, "", "error: model: group_sizes: 6 variables exceed the limit of 3 for 5 samples\n"
+        )
+
     def test_seven_banks_cannot_carry_six_variables(self, tmp_path, capsys):
         """The pooled scatter of 7 banks has rank 5 at most, so 6 ratios make it singular."""
         rows = [
@@ -916,6 +982,26 @@ class TestExitCodes:
     def test_closed_stdout_exits_quietly(self, tmp_path):
         """A reader that hangs up early (`| head -1`) gets exit 1 and no traceback."""
         _classify_into_closed_pipe(tmp_path, unbuffered=False)
+
+    @pytest.mark.parametrize("encoding", ["ascii", "cp1252"])
+    @pytest.mark.parametrize("command", ["classify", "evaluate"])
+    def test_stdout_that_cannot_encode_the_report(self, command, encoding):
+        """The text report's zone glyphs have no byte in ascii or cp1252: one
+        error line naming the encoding, nothing on stdout, while JSON (ASCII) works."""
+        env = {k: v for k, v in os.environ.items() if k != "DISTRESS_LDA_CONFIG"}
+        env["PYTHONIOENCODING"] = encoding
+        env["PYTHONPATH"] = str(Path(distress_lda.__file__).resolve().parents[1])
+        argv = [sys.executable, "-m", "distress_lda.cli", command, "--panel", PANEL_A,
+                "--model", REFERENCE, "--zones", "paper"]
+        text = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+        assert (text.returncode, text.stdout) == (1, b"")
+        assert text.stderr.decode("ascii").startswith(
+            f"error: stdout encoding {encoding!r} cannot encode the report"
+        )
+        assert text.stderr.count(b"\n") == 1
+        as_json = subprocess.run(argv + ["--format", "json"], capture_output=True, env=env, timeout=60)
+        assert (as_json.returncode, as_json.stderr) == (0, b"")
+        json.loads(as_json.stdout)
 
     def test_closed_unbuffered_stdout_exits_quietly(self, tmp_path):
         """Under PYTHONUNBUFFERED a write to a closed pipe can come back short

@@ -16,7 +16,6 @@ from distress_lda import (
     fisher_classify,
     fit,
     fit_from_matrices,
-    group_stats_from_matrices,
     score,
     solve_spd,
 )
@@ -66,32 +65,34 @@ class TestSolveSpd:
 
 
 class TestGroupStats:
+    """The pooled statistics, seen through the fitted model."""
+
     def test_one_variable_hand_case(self):
-        """Groups {0,2} and {4,6}: pooled variance (1+1+1+1)/2 = 2."""
-        stats = group_stats_from_matrices([[0.0], [2.0]], [[4.0], [6.0]], ("x",))
-        assert stats.mu0 == pytest.approx([1.0])
-        assert stats.mu1 == pytest.approx([5.0])
-        np.testing.assert_allclose(stats.s_w, [[2.0]], atol=1e-14)
-        assert (stats.n0, stats.n1) == (2, 2)
+        """Groups {0,2} and {4,6}: pooled variance (1+1+1+1)/2 = 2, so the
+        coefficient is 1/sqrt(2) and the standardized one b * sqrt(2) = 1."""
+        model = fit_from_matrices([[0.0], [2.0]], [[4.0], [6.0]], ("x",))
+        assert model.coefficients["x"] == pytest.approx(1 / math.sqrt(2), abs=1e-14)
+        assert model.standardized["x"] == pytest.approx(1.0, abs=1e-14)
+        assert (model.n0, model.n1) == (2, 2)
 
     def test_empty_group_rejected(self):
         with pytest.raises(InsufficientGroupError):
-            group_stats_from_matrices(np.empty((0, 2)), [[1.0, 2.0]], ("u", "v"))
+            fit_from_matrices(np.empty((0, 2)), [[1.0, 2.0]], ("u", "v"))
 
     def test_underdetermined_scatter_rejected(self):
         X0 = [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]
         X1 = [[2.0, 0.0, 1.0], [3.0, 1.0, 0.0]]
         with pytest.raises(VariableCountError, match="3 variables exceed the limit of 2 for 4 samples"):
-            group_stats_from_matrices(X0, X1, ("u", "v", "w"))
+            fit_from_matrices(X0, X1, ("u", "v", "w"))
 
     def test_bundled_panel_counts(self, normalized_set):
         X0, X1 = (
             [s.ratios.as_tuple() for s in normalized_set.samples if s.label is label]
             for label in (GroupLabel.BANKRUPT, GroupLabel.NONBANKRUPT)
         )
-        stats = group_stats_from_matrices(X0, X1, VARIABLES)
-        assert (stats.n0, stats.n1) == (2, 12)
-        np.testing.assert_allclose(np.diag(stats.correlation), np.ones(6), atol=1e-12)
+        model = fit_from_matrices(X0, X1, VARIABLES)
+        assert (model.n0, model.n1) == (2, 12)
+        np.testing.assert_allclose(np.diag(model.pooled_correlation), np.ones(6), atol=1e-12)
 
 
 @pytest.fixture(scope="module")

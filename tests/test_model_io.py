@@ -127,6 +127,14 @@ class TestModelValidation:
         model_doc["group_sizes"]["bankrupt"] = 2.5
         self._reject(model_doc, ">= 2")
 
+    def test_group_sizes_must_fit_the_design(self, model_doc):
+        """Six ratios need N >= 8 banks; the fit could never write 2 and 3."""
+        model_doc["group_sizes"] = {"bankrupt": 2, "nonbankrupt": 3}
+        self._reject(model_doc, r"^model: group_sizes: 6 variables exceed the limit of 3 for 5 samples$")
+        model_doc["group_sizes"]["nonbankrupt"] = 6
+        model, _stats = model_from_dict(model_doc)  # 8 banks carry 6 ratios
+        assert (model.n0, model.n1) == (2, 6)
+
     def test_booleans_are_not_numbers(self, model_doc):
         model_doc["constant"] = True
         self._reject(model_doc, "finite number")
