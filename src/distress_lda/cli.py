@@ -26,8 +26,10 @@ from .classification import (
     score_panel,
     zones_to_dict,
 )
-from .dataset import GroupLabel, load_panels, parse_year, read_text, training_set_from_panel
+from .dataset import WINDOW_DEFAULT, GroupLabel, load_panels, parse_year, read_text, training_set_from_panel
 from .diagnostics import (
+    ALPHA_DEFAULT,
+    COLLINEARITY_THRESHOLD_DEFAULT,
     box_m_from_model,
     box_verdict,
     canonical_summary,
@@ -44,7 +46,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .fixtures import load_published_zones
-from .lda_fit import fit
+from .lda_fit import PRIORS, fit
 from .model_io import json_text, load_model, load_zones, model_to_dict, parse_json, save_model
 from .normalization import fit_normalizer, normalize_training_set
 
@@ -58,10 +60,10 @@ class RunConfig:
     model: str = "model.json"
     zones: str = "derived"
     format: str = "text"
-    alpha: float = 0.05
-    collinearity_threshold: float = 0.8
-    window: tuple[int, int] = (2012, 2015)
-    priors: str = "proportional"
+    alpha: float = ALPHA_DEFAULT
+    collinearity_threshold: float = COLLINEARITY_THRESHOLD_DEFAULT
+    window: tuple[int, int] = WINDOW_DEFAULT
+    priors: str = PRIORS[0]
     labels: dict[str, GroupLabel] = field(default_factory=dict)
     warning_years: dict[str, int] = field(default_factory=dict)
 
@@ -430,17 +432,18 @@ _EXIT_CODES = (
 _PANEL_COMMANDS = ("classify", "evaluate")
 
 # One row per setting: its parser, the subcommands taking it as a flag, and the
-# flag's help. Config files may set any key, as one file serves all commands.
+# flag's help, where {default} is RunConfig's. Config files may set any key, as
+# one file serves all commands.
 _SETTINGS = {
     "train": (_text, ("fit",), "training panel CSV"),
     "panel": (_paths, _PANEL_COMMANDS, "panel CSV (repeatable)"),
     "model": (_text, tuple(_COMMANDS), "model file (written by fit, read elsewhere)"),
     "zones": (_text, _PANEL_COMMANDS, "'derived', 'paper', or a zones JSON file"),
     "format": (partial(_choice, ("text", "json")), tuple(_COMMANDS), "text|json"),
-    "alpha": (_fraction, ("diagnose",), "significance level (default 0.05)"),
-    "collinearity_threshold": (_fraction, ("diagnose",), "|r| flag threshold (default 0.8)"),
+    "alpha": (_fraction, ("diagnose",), "significance level (default {default:g})"),
+    "collinearity_threshold": (_fraction, ("diagnose",), "|r| flag threshold (default {default:g})"),
     "window": (lambda _key, value: parse_window(str(value)), ("fit",), "averaging YYYY:YYYY"),
-    "priors": (partial(_choice, ("proportional", "equal")), ("fit",), "proportional|equal priors"),
+    "priors": (partial(_choice, PRIORS), ("fit",), "|".join(PRIORS) + " priors"),
     "labels": (partial(_bank_map, GroupLabel.from_string, "label"), (), None),
     "warning_years": (partial(_bank_map, _year, "year"), (), None),
 }
@@ -466,6 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
         for key, (_parse, commands, flag_help) in _SETTINGS.items():
             if name in commands:
                 action = "append" if key == "panel" else "store"
+                flag_help = flag_help.format(default=getattr(RunConfig, key))
                 sub.add_argument(f"--{key.replace('_', '-')}", action=action, help=flag_help)
         sub.add_argument("--config", metavar="FILE", help="config file (JSON or key=value)")
     return parser

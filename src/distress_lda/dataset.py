@@ -30,6 +30,7 @@ from .errors import (
 
 # Canonical predictor order; every matrix and serialized mapping follows it.
 VARIABLES = ("eaa", "roae", "roaa", "nii", "laaa", "bdtla")
+WINDOW_DEFAULT = (2012, 2015)  # the case study's averaging window
 
 _REQUIRED_COLUMNS = ("bank", "year") + VARIABLES
 _Rows = list[tuple[int, list[str]]]  # (line number, cells) of each data row
@@ -313,14 +314,23 @@ def rows_by_bank(records: Iterable[BankYearRecord]) -> dict[str, list[BankYearRe
     return grouped
 
 
+def ordered_sum(terms: Iterable[float]) -> float:
+    """The terms added one by one from 0.0. Not sum(): from Python 3.12 it compensates float rounding."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
 def column_sums(rows: Sequence[Sequence[float]]) -> list[float]:
-    """Column totals added row by row from 0.0, in the order and to the bits of numpy's
-    sums along axis 0. Not sum(): from Python 3.12 it compensates float rounding."""
-    totals = [0.0] * len(rows[0])
-    for row in rows:
-        for j, x in enumerate(row):
-            totals[j] += x
-    return totals
+    """Column totals added row by row from 0.0, in the order and to the bits of numpy's sums along axis 0."""
+    return [ordered_sum(column) for column in zip(*rows)]
+
+
+def column_moments(rows: Sequence[Sequence[float]]) -> tuple[list[float], list[float]]:
+    """Column means, and column sums of squared deviations from them, summed as column_sums does."""
+    means = [total / len(rows) for total in column_sums(rows)]
+    return means, column_sums([[(x - m) * (x - m) for x, m in zip(row, means)] for row in rows])
 
 
 def average_ratios(records: list[BankYearRecord], bank_id: str, years: tuple[int, int]) -> RatioVector:
@@ -340,7 +350,10 @@ def average_ratios(records: list[BankYearRecord], bank_id: str, years: tuple[int
     ]
     if not rows:
         raise EmptyWindowError(f"bank {bank_id!r} has no available data in {first}-{last}")
-    return RatioVector.from_array(total / len(rows) for total in column_sums(rows))
+    try:
+        return RatioVector.from_array(total / len(rows) for total in column_sums(rows))
+    except ValueError as exc:  # finite ratios whose sum overflows
+        raise EmptyWindowError(f"bank {bank_id!r}: mean over {first}-{last}: {exc}") from None
 
 
 def check_design(n0: int, n1: int, p: int) -> None:
@@ -368,7 +381,7 @@ def build_training_set(samples: list[LabeledSample]) -> TrainingSet:
 def training_set_from_panel(
     records: list[BankYearRecord],
     labels: dict[str, GroupLabel],
-    window: tuple[int, int] = (2012, 2015),
+    window: tuple[int, int] = WINDOW_DEFAULT,
 ) -> TrainingSet:
     """Average each labeled bank over the window and build a training set.
 

@@ -16,13 +16,14 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .dataset import VARIABLES
+from .dataset import VARIABLES, column_moments
 from .errors import DomainError, InsufficientGroupError, ZeroVarianceError
 from .lda_fit import DiscriminantModel
 from .special_functions import chi_square_sf, f_sf
 
-# Default significance level for verdicts; every entry point takes an override.
+# Default significance level and |r| flag threshold; every entry point takes an override.
 ALPHA_DEFAULT = 0.05
+COLLINEARITY_THRESHOLD_DEFAULT = 0.8
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,9 @@ def check_correlation_matrix(corr, p: int) -> tuple[tuple[float, ...], ...]:
     return matrix
 
 
-def collinearity_check(corr, threshold: float = 0.8, variables: Sequence[str] = VARIABLES) -> CollinearityReport:
+def collinearity_check(
+    corr, threshold: float = COLLINEARITY_THRESHOLD_DEFAULT, variables: Sequence[str] = VARIABLES
+) -> CollinearityReport:
     """Flag every variable pair whose |correlation| exceeds the threshold.
 
     Pairs come back sorted by |r| descending. The comparison is strict, so a
@@ -84,17 +87,18 @@ def collinearity_check(corr, threshold: float = 0.8, variables: Sequence[str] = 
 
 def eigenvalue_from_scores(scores_by_group: Mapping[str, Sequence[float]]) -> float:
     """Between- over within-group sum of squares of discriminant scores."""
-    import numpy as np
-    groups = {key: np.asarray(vals, dtype=float) for key, vals in scores_by_group.items()}
-    if any(len(v) == 0 for v in groups.values()):
+    groups = [[(float(v),) for v in vals] for vals in scores_by_group.values()]
+    if any(len(rows) == 0 for rows in groups):
         raise InsufficientGroupError("every group needs at least one score")
-    all_scores = np.concatenate(list(groups.values()))
-    grand = all_scores.mean()
-    ss_between = sum(len(v) * (v.mean() - grand) ** 2 for v in groups.values())
-    ss_within = sum(float(((v - v.mean()) ** 2).sum()) for v in groups.values())
+    (grand,), _ = column_moments([row for rows in groups for row in rows])
+    ss_between = ss_within = 0.0
+    for rows in groups:
+        (mean,), (scatter,) = column_moments(rows)
+        ss_between += len(rows) * (mean - grand) ** 2
+        ss_within += scatter
     if ss_within == 0.0:
         raise ZeroVarianceError("within-group score scatter is zero")
-    return float(ss_between / ss_within)
+    return ss_between / ss_within
 
 
 def wilks_from_eigenvalue(eigenvalue: float, n: int, p: int) -> WilksResult:
@@ -143,18 +147,17 @@ def _box_m_two_groups(v0: float, n0: int, v1: float, n1: int) -> BoxMResult:
 
 def box_m_test(scores_by_group: Mapping[str, Sequence[float]]) -> BoxMResult:
     """Box's M homogeneity test on the discriminant scores of two groups."""
-    import numpy as np
     if len(scores_by_group) != 2:
         raise InsufficientGroupError(f"Box's M needs exactly two groups, got {len(scores_by_group)}")
     groups = []
     for key, values in scores_by_group.items():
-        arr = np.asarray(values, dtype=float)
-        if len(arr) < 2:
+        rows = [(float(v),) for v in values]
+        if len(rows) < 2:
             raise InsufficientGroupError(f"group {key!r} needs at least 2 scores")
-        var = float(arr.var(ddof=1))
+        var = column_moments(rows)[1][0] / (len(rows) - 1)
         if var == 0.0:
             raise ZeroVarianceError(f"group {key!r} has zero score variance")
-        groups.append((var, len(arr)))
+        groups.append((var, len(rows)))
     (v0, n0), (v1, n1) = groups
     return _box_m_two_groups(v0, n0, v1, n1)
 

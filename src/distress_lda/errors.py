@@ -33,7 +33,7 @@ class DuplicateRecordError(PanelError):
 
 
 class EmptyWindowError(PanelError):
-    """No available observations for a bank inside the averaging window."""
+    """No available observations for a bank inside the averaging window, or no finite mean."""
 
 
 class InsufficientGroupError(PanelError):
@@ -45,7 +45,7 @@ class VariableCountError(PanelError):
 
 
 class ZeroVarianceError(PanelError):
-    """A variable (or score group) is constant where variance is required."""
+    """A variable (or score group) is constant, or overflows, where variance is required."""
 
 
 class ModelFileError(PanelError):

@@ -16,15 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
-from .dataset import VARIABLES, GroupLabel, TrainingSet, check_design
+from .dataset import VARIABLES, GroupLabel, TrainingSet, check_design, ordered_sum
 from .errors import BindingError, DegenerateSeparationError, SingularMatrixError
 
-if TYPE_CHECKING:
-    import numpy as np
-
 GROUP_KEYS = ("bankrupt", "nonbankrupt")
+PRIORS = ("proportional", "equal")  # the Fisher-function prior rules; the first is the default
 
 
 @dataclass(frozen=True)
@@ -55,37 +53,37 @@ class DiscriminantModel:
     pooled_correlation: tuple[tuple[float, ...], ...]
 
 
-def solve_spd(S, d) -> np.ndarray:
+def solve_spd(S, d) -> list[float]:
     """Solve S v = d for symmetric positive-definite S by Cholesky.
 
-    A non-positive pivot means S is singular or indefinite and raises with
-    the failing pivot index, which in this pipeline names the offending
-    variable directly.
+    S is rows of numbers and d a sequence; v comes back as a list. A non-positive
+    pivot means S is singular or indefinite and raises with the failing pivot
+    index, which in this pipeline names the offending variable directly.
     """
-    import numpy as np
-    S = np.asarray(S, dtype=float)
-    d = np.asarray(d, dtype=float)
-    n = d.shape[0]
-    L = np.zeros((n, n))
+    S = [list(map(float, row)) for row in S]
+    d = list(map(float, d))
+    n = len(d)
+    L = [[0.0] * n for _ in range(n)]
     for j in range(n):
-        pivot = S[j, j] - sum(L[j, k] ** 2 for k in range(j))
+        # ** 2 is C pow; x * x can round differently in the last bit, and the recorded fits use pow.
+        pivot = S[j][j] - ordered_sum(L[j][k] ** 2 for k in range(j))
         if pivot <= 0.0:
             raise SingularMatrixError(f"matrix is not positive definite (pivot {j})")
-        L[j, j] = math.sqrt(pivot)
+        L[j][j] = math.sqrt(pivot)
         for i in range(j + 1, n):
-            L[i, j] = (S[i, j] - sum(L[i, k] * L[j, k] for k in range(j))) / L[j, j]
+            L[i][j] = (S[i][j] - ordered_sum(L[i][k] * L[j][k] for k in range(j))) / L[j][j]
     # L y = d, then L' v = y.
-    y = np.zeros(n)
+    y = [0.0] * n
     for i in range(n):
-        y[i] = (d[i] - sum(L[i, k] * y[k] for k in range(i))) / L[i, i]
-    v = np.zeros(n)
+        y[i] = (d[i] - ordered_sum(L[i][k] * y[k] for k in range(i))) / L[i][i]
+    v = [0.0] * n
     for i in range(n - 1, -1, -1):
-        v[i] = (y[i] - sum(L[k, i] * v[k] for k in range(i + 1, n))) / L[i, i]
+        v[i] = (y[i] - ordered_sum(L[k][i] * v[k] for k in range(i + 1, n))) / L[i][i]
     return v
 
 
 def fit_from_matrices(
-    X0, X1, variables: Sequence[str], priors: str = "proportional"
+    X0, X1, variables: Sequence[str], priors: str = PRIORS[0]
 ) -> DiscriminantModel:
     """Fit the canonical discriminant function on two per-group matrices.
 
@@ -93,8 +91,8 @@ def fit_from_matrices(
     must pass check_design.
     """
     import numpy as np
-    if priors not in ("proportional", "equal"):
-        raise ValueError(f"priors must be 'proportional' or 'equal', got {priors!r}")
+    if priors not in PRIORS:
+        raise ValueError(f"priors must be {PRIORS[0]!r} or {PRIORS[1]!r}, got {priors!r}")
     X0, X1 = (np.atleast_2d(np.asarray(X, dtype=float)) for X in (X0, X1))
     n0, n1 = len(X0), len(X1)
     check_design(n0, n1, X0.shape[1])
@@ -108,7 +106,7 @@ def fit_from_matrices(
 
     W = (X0 - mu0).T @ (X0 - mu0) + (X1 - mu1).T @ (X1 - mu1)
     s_w = W / (N - 2)  # pooled within-group covariance
-    b_raw = solve_spd(s_w, diff)
+    b_raw = np.array(solve_spd(s_w, diff))
     # b_raw' S_w b_raw = diff' b_raw, positive whenever the solve succeeded.
     scale = float(diff @ b_raw)
     b = b_raw / math.sqrt(scale)
@@ -142,7 +140,7 @@ def fit_from_matrices(
     weights = {}
     constants = {}
     for key, mu in (("bankrupt", mu0), ("nonbankrupt", mu1)):
-        w = solve_spd(s_w, mu)
+        w = np.array(solve_spd(s_w, mu))
         weights[key] = dict(zip(variables, map(float, w)))
         constants[key] = -0.5 * float(mu @ w) + math.log(pi[key])
 
@@ -165,7 +163,7 @@ def fit_from_matrices(
     )
 
 
-def fit(tsZ: TrainingSet, priors: str = "proportional") -> DiscriminantModel:
+def fit(tsZ: TrainingSet, priors: str = PRIORS[0]) -> DiscriminantModel:
     """Fit the canonical discriminant function on a (normalized) training set.
 
     priors selects the Fisher-function prior probabilities: "proportional"

@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dataset import VARIABLES, LabeledSample, RatioVector, TrainingSet, column_sums
+from .dataset import VARIABLES, LabeledSample, RatioVector, TrainingSet, column_moments
 from .errors import ZeroVarianceError
 
 
@@ -30,11 +30,11 @@ class NormalizationStats:
 def fit_normalizer(ts: TrainingSet) -> NormalizationStats:
     """Compute pooled means and n-1 standard deviations per variable."""
     rows = [s.ratios.as_tuple() for s in ts.samples]
-    n = len(rows)
-    means = [total / n for total in column_sums(rows)]
-    squares = [[(x - m) * (x - m) for x, m in zip(row, means)] for row in rows]
-    sds = [math.sqrt(total / (n - 1)) for total in column_sums(squares)]
-    for name, sd in zip(VARIABLES, sds):
+    means, scatter = column_moments(rows)
+    sds = [math.sqrt(total / (len(rows) - 1)) for total in scatter]
+    for name, mean, sd in zip(VARIABLES, means, sds):
+        if not math.isfinite(sd):  # an overflowing mean overflows the sd too
+            raise ZeroVarianceError(f"variable {name!r} overflows across the training set: mean {mean}, sd {sd}")
         if sd == 0.0:
             raise ZeroVarianceError(f"variable {name!r} is constant across the training set")
     return NormalizationStats(mean=dict(zip(VARIABLES, means)), sd=dict(zip(VARIABLES, sds)))

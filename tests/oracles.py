@@ -5,8 +5,9 @@ plain power series and the incomplete-beta oracle is numerical quadrature,
 both evaluated at 50-digit precision with mpmath, the linear-system oracle
 is Gaussian elimination with partial pivoting, and the window-mean and
 normalizer oracles are numpy's own reductions, which the package's pure-Python
-sums must match to the bit. Agreement between the package and these routines
-is evidence, not circularity.
+sums must match to the bit. The score-table oracles are the eigenvalue and
+Box's M written with numpy's pairwise-summed mean and variance. Agreement
+between the package and these routines is evidence, not circularity.
 """
 import mpmath as mp
 import numpy as np
@@ -137,3 +138,22 @@ def discriminant_direction_reference(X0, X1):
     W = (X0 - mu0).T @ (X0 - mu0) + (X1 - mu1).T @ (X1 - mu1)
     s_w = W / (len(X0) + len(X1) - 2)
     return eliminate(s_w, mu1 - mu0), s_w, mu0, mu1
+
+
+def score_eigenvalue_reference(scores_by_group):
+    """Between- over within-group sum of squares of the scores of each group."""
+    groups = [np.asarray(values, dtype=float) for values in scores_by_group.values()]
+    grand = np.concatenate(groups).mean()
+    ss_between = sum(len(v) * (v.mean() - grand) ** 2 for v in groups)
+    ss_within = sum(float(((v - v.mean()) ** 2).sum()) for v in groups)
+    return float(ss_between / ss_within)
+
+
+def score_box_m_reference(scores_by_group):
+    """Box's M of two groups of scores with positive variances:
+    (N - 2) log(pooled variance) - sum over groups of (n - 1) log(variance)."""
+    (v0, n0), (v1, n1) = (
+        (np.var(values, ddof=1), len(values)) for values in scores_by_group.values()
+    )
+    pooled = ((n0 - 1) * v0 + (n1 - 1) * v1) / (n0 + n1 - 2)
+    return float((n0 + n1 - 2) * np.log(pooled) - ((n0 - 1) * np.log(v0) + (n1 - 1) * np.log(v1)))

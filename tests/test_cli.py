@@ -6,6 +6,7 @@ runs the CLI as a subprocess.
 """
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import os
@@ -825,6 +826,36 @@ class TestExitCodes:
         )
         assert code == 4
         assert "group means coincide" in err
+
+    def test_window_mean_overflow(self, tmp_path, capsys):
+        """Moza Banco's 2012 and 2013 EAA of 1e308 are finite, their sum is not."""
+        rows = Path(PANEL_A).read_text(encoding="utf-8").splitlines()
+        rows += Path(PANEL_B).read_text(encoding="utf-8").splitlines()[1:]
+        rows = [re.sub(r'^("Moza Banco, S\.A",201[23]),[^,]*', r"\1,1e308", row) for row in rows]
+        panel = tmp_path / "both.csv"
+        panel.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "fit", "--train", str(panel), "--model", str(tmp_path / "m.json"))
+        assert (code, out) == (3, "")
+        assert err == "error: bank 'Moza Banco, S.A': mean over 2012-2015: ratio 'eaa' must be finite, got inf\n"
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize(
+        "eaa, moments",
+        [(["1e308"] * 2, "mean inf, sd inf"), (["-1e200", "1e200"] * 7, "mean 0.0, sd inf")],
+        ids=["mean", "sd"],
+    )
+    def test_normalizer_overflow(self, tmp_path, capsys, eaa, moments):
+        """An overflowing EAA mean would z-score to NaN, an overflowing sd to all
+        zeros and a singular fit: both are input errors."""
+        rows = list(csv.reader(Path(TABLE).read_text(encoding="utf-8").splitlines()))
+        for row, value in zip(rows[1:], eaa):
+            row[rows[0].index("eaa")] = value
+        panel = tmp_path / "table.csv"
+        with panel.open("w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        code, out, err = run_cli(capsys, "fit", "--train", str(panel), "--model", str(tmp_path / "m.json"))
+        assert (code, out) == (3, "")
+        assert err == f"error: variable 'eaa' overflows across the training set: {moments}\n"
 
     @pytest.mark.parametrize(
         "grey", ["[NaN, NaN]", "[-Infinity, Infinity]", "[1e999, 1e999]"]

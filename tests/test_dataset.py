@@ -305,6 +305,15 @@ class TestAverageRatios:
         with pytest.raises(EmptyWindowError, match="'Alpha' has no available data in 2012-2015"):
             average_ratios(records, "Alpha", (2012, 2015))
 
+    def test_overflowing_window_mean_rejected(self):
+        """Two finite EAA values of 1e308 sum past the float range; the error names
+        the bank, the ratio and the window."""
+        records = parse_panel(
+            _panel("Alpha,2012,1e308,0.1,0.1,0.1,0.1,0.1", "Alpha,2013,1e308,0.2,0.2,0.2,0.2,0.2")
+        )
+        with pytest.raises(EmptyWindowError, match="'Alpha': mean over 2012-2015: ratio 'eaa' must be finite, got inf"):
+            average_ratios(records, "Alpha", (2012, 2015))
+
     def test_bundled_panel_reproduces_training_average(self, evaluation_panel):
         """The failed bank's 2012-2015 mean EAA is 0.13388 to 4 decimals."""
         records, _ = evaluation_panel

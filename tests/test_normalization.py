@@ -65,6 +65,20 @@ def test_constant_variable_rejected():
         fit_normalizer(_training_set(matrix))
 
 
+@pytest.mark.parametrize(
+    "column, moments",
+    [([1e308, 1e308] + [0.1] * 6, "mean inf, sd inf"), ([-1e200, 1e200] * 4, "mean 0.0, sd inf")],
+    ids=["mean", "sd"],
+)
+def test_overflowing_variable_rejected(column, moments):
+    """Finite ratios whose mean or squared deviations overflow would z-score to
+    NaN or to all zeros; the variable is refused instead."""
+    matrix = np.random.default_rng(7).normal(size=(8, 6))
+    matrix[:, 0] = column
+    with pytest.raises(ZeroVarianceError, match=f"'eaa' overflows across the training set: {moments}"):
+        fit_normalizer(_training_set(matrix))
+
+
 def test_affine_invariance_of_z_scores():
     """Rescaling a raw column by a > 0 and shifting it leaves z-scores alone."""
     rng = np.random.default_rng(11)

@@ -5,6 +5,7 @@
 - Zones are ordered along the score axis: bankrupt below grey below healthy.
 - The fitted coefficients do not depend on the order of rows within a group.
 - Window means and normalizer statistics carry numpy's bits exactly.
+- The eigenvalue and Box's M of a score table agree with numpy's to 1e-12.
 - Panel scoring carries the bits of score() on the (z-scored) ratio vector.
 """
 from __future__ import annotations
@@ -17,7 +18,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import normalizer_reference, window_mean_reference
+from oracles import (
+    normalizer_reference,
+    score_box_m_reference,
+    score_eigenvalue_reference,
+    window_mean_reference,
+)
 
 from distress_lda import (
     VARIABLES,
@@ -33,8 +39,10 @@ from distress_lda import (
     ZeroVarianceError,
     ZoneLabel,
     average_ratios,
+    box_m_test,
     build_training_set,
     classify_zone,
+    eigenvalue_from_scores,
     evaluate_panel,
     fit_from_matrices,
     fit_normalizer,
@@ -264,6 +272,33 @@ def scoring_cases(draw):
     stats = NormalizationStats(mean=dict(zip(VARIABLES, means)), sd=dict(zip(VARIABLES, sds)))
     rows = draw(st.lists(ratio_rows, min_size=1, max_size=8))
     return model, stats, [RatioVector.from_array(row) for row in rows]
+
+
+# Discriminant scores of 2-40 banks per group, to four decimals in [-100, 100]:
+# groups past 8 scores are where numpy's pairwise sums leave row order.
+score_lists = st.lists(st.integers(-10**6, 10**6).map(lambda k: k / 1e4), min_size=2, max_size=40)
+score_tables = st.builds(lambda b, n: {"bankrupt": b, "nonbankrupt": n}, score_lists, score_lists)
+
+
+@SETTINGS
+@given(score_tables)
+def test_score_eigenvalue_matches_numpy(table):
+    # Well conditioned: group means that differ by 1% of the largest score do
+    # not cancel to rounding noise in the between-group sum of squares.
+    means = [np.mean(scores) for scores in table.values()]
+    assume(abs(means[0] - means[1]) >= 0.01 * max(abs(x) for scores in table.values() for x in scores))
+    assume(any(np.var(scores) > 0 for scores in table.values()))
+    assert eigenvalue_from_scores(table) == pytest.approx(score_eigenvalue_reference(table), rel=1e-12, abs=0)
+
+
+@SETTINGS
+@given(score_tables)
+def test_score_box_m_matches_numpy(table):
+    v0, v1 = (np.var(scores, ddof=1) for scores in table.values())
+    # Well conditioned: M is second order in log(v0 / v1), so variances that
+    # differ by a factor of e**0.5 keep M clear of rounding noise.
+    assume(v0 > 0 and v1 > 0 and abs(np.log(v0 / v1)) >= 0.5)
+    assert box_m_test(table).m == pytest.approx(score_box_m_reference(table), rel=1e-12, abs=0)
 
 
 @SETTINGS
