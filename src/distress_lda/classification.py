@@ -232,9 +232,10 @@ def infer_warning_years(
 ) -> dict[str, int]:
     """Warning year per distressed bank: its last reporting year.
 
-    Taken as the year before the bank's first unavailable year (once it has
-    started reporting); a bank that never drops out warns in its final
-    available year.
+    Taken as the last available year before the bank's first unavailable year
+    (once it has started reporting), so a year the panel has no row for is
+    never chosen; a bank that never drops out warns in its final available
+    year.
     """
     warning: dict[str, int] = {}
     for bank, recs in rows_by_bank(records).items():
@@ -243,8 +244,8 @@ def infer_warning_years(
         available = sorted(r.year for r in recs if r.available)
         if not available:
             continue
-        gaps = sorted(r.year for r in recs if not r.available and r.year > available[0])
-        warning[bank] = gaps[0] - 1 if gaps else available[-1]
+        drop_out = min((r.year for r in recs if not r.available and r.year > available[0]), default=math.inf)
+        warning[bank] = max(year for year in available if year < drop_out)
     return warning
 
 
@@ -256,11 +257,10 @@ def _year_row(
 ) -> YearRow:
     """Zones and tallies of one year's (bank, score) pairs, given in bank order.
 
-    expected holds the distressed banks whose warning year this is: only they
-    are expected to look distressed.
+    expected holds the distressed banks whose warning year this is, each with
+    an available record that year: only they are expected to look distressed.
     """
     banks = []
-    warned = set()  # expected banks scored this year
     n_b = n_g = type1 = type2 = 0
     for bank, s in scored:
         zone = classify_zone(s, zones)
@@ -270,7 +270,6 @@ def _year_row(
         elif zone is ZoneLabel.GREY:
             n_g += 1
         if bank in expected:
-            warned.add(bank)
             if zone is ZoneLabel.NONBANKRUPT:
                 type1 += 1
         elif zone is ZoneLabel.BANKRUPT:
@@ -279,7 +278,7 @@ def _year_row(
     # Hit arithmetic: false alarms and grey calls are subtracted from the
     # total; a missed warning shows up in the type-I rate, not in the hits.
     hits = total - type2 - n_g
-    eb = len(warned)
+    eb = len(expected)
     en = total - eb
     return YearRow(
         year=year,

@@ -194,6 +194,12 @@ def _panel_inputs(config: RunConfig, command: str, config_labels: dict | None) -
 def cmd_fit(config: RunConfig) -> tuple[dict, str]:
     if not config.train:
         raise ConfigError("fit requires a training panel (--train)")
+    try:
+        overwrites_train = os.path.samefile(config.train, config.model)
+    except OSError:  # either file missing: the model cannot replace the panel
+        overwrites_train = False
+    if overwrites_train:
+        raise ConfigError(f"fit would overwrite its training panel {config.train} with the model")
     records, labels = load_panels((config.train,), "training", config.labels)
     ts = training_set_from_panel(records, labels, config.window)
     stats = fit_normalizer(ts)

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from .dataset import VARIABLES, column_moments
 from .errors import DomainError, InsufficientGroupError, ZeroVarianceError
-from .lda_fit import DiscriminantModel
+from .lda_fit import DiscriminantModel, separation
 from .special_functions import chi_square_sf, f_sf
 
 # Default significance level and |r| flag threshold; every entry point takes an override.
@@ -103,14 +103,12 @@ def eigenvalue_from_scores(scores_by_group: Mapping[str, Sequence[float]]) -> fl
 
 def wilks_from_eigenvalue(eigenvalue: float, n: int, p: int) -> WilksResult:
     """Bartlett's chi-square test of Wilks' Lambda = 1/(1 + eigenvalue), two groups."""
-    if eigenvalue < 0:
-        raise DomainError(f"eigenvalue must be non-negative, got {eigenvalue}")
+    _r_squared, wilks = separation(eigenvalue)
     multiplier = n - 1 - (p + 2) / 2.0
     if multiplier <= 0:
         raise InsufficientGroupError(
             f"too few cases for the chi-square approximation (n={n}, p={p})"
         )
-    wilks = 1.0 / (1.0 + eigenvalue)
     chi_square = -multiplier * math.log(wilks)
     return WilksResult(
         wilks_lambda=wilks,
@@ -172,9 +170,7 @@ def box_m_from_model(model: DiscriminantModel) -> BoxMResult:
 
 def canonical_summary(eigenvalue: float) -> dict[str, float]:
     """Eigenvalue/variance-share/canonical-correlation block for one function."""
-    if eigenvalue < 0:
-        raise DomainError(f"eigenvalue must be non-negative, got {eigenvalue}")
-    r_squared = eigenvalue / (1.0 + eigenvalue)
+    r_squared, _wilks = separation(eigenvalue)
     return {
         "eigenvalue": eigenvalue,
         "percent_variance": 100.0,

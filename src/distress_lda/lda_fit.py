@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .dataset import VARIABLES, GroupLabel, TrainingSet, check_design, ordered_sum
-from .errors import BindingError, DegenerateSeparationError, SingularMatrixError
+from .errors import BindingError, DegenerateSeparationError, DomainError, SingularMatrixError
 
 GROUP_KEYS = ("bankrupt", "nonbankrupt")
 PRIORS = ("proportional", "equal")  # the Fisher-function prior rules; the first is the default
@@ -51,6 +51,14 @@ class DiscriminantModel:
     wilks_lambda: float
     fisher: FisherFunctions
     pooled_correlation: tuple[tuple[float, ...], ...]
+
+
+def separation(eigenvalue: float) -> tuple[float, float]:
+    """(r_squared, wilks_lambda) of one discriminant function: eigenvalue/(1 + eigenvalue)
+    and 1/(1 + eigenvalue). The canonical correlation is sqrt(r_squared)."""
+    if eigenvalue < 0:
+        raise DomainError(f"eigenvalue must be non-negative, got {eigenvalue}")
+    return eigenvalue / (1.0 + eigenvalue), 1.0 / (1.0 + eigenvalue)
 
 
 def solve_spd(S, d) -> list[float]:
@@ -128,8 +136,7 @@ def fit_from_matrices(
     ss_between = n0 * (y0 - grand) ** 2 + n1 * (y1 - grand) ** 2
     ss_within = float(((scores0 - y0) ** 2).sum() + ((scores1 - y1) ** 2).sum())
     eigenvalue = float(ss_between / ss_within)
-    canonical_correlation = math.sqrt(eigenvalue / (1.0 + eigenvalue))
-    wilks_lambda = 1.0 / (1.0 + eigenvalue)
+    r_squared, wilks_lambda = separation(eigenvalue)
 
     standardized = b * dd
 
@@ -156,7 +163,7 @@ def fit_from_matrices(
         n0=n0,
         n1=n1,
         eigenvalue=eigenvalue,
-        canonical_correlation=canonical_correlation,
+        canonical_correlation=math.sqrt(r_squared),
         wilks_lambda=wilks_lambda,
         fisher=FisherFunctions(priors=pi, weights=weights, constants=constants),
         pooled_correlation=tuple(tuple(float(v) for v in row) for row in correlation),

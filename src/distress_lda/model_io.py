@@ -20,7 +20,7 @@ from .classification import ClassificationZones, zones_to_dict
 from .dataset import VARIABLES, check_design, read_text
 from .diagnostics import check_correlation_matrix
 from .errors import DistressLdaError, DomainError, ModelFileError, PanelError
-from .lda_fit import GROUP_KEYS, DiscriminantModel, FisherFunctions
+from .lda_fit import GROUP_KEYS, DiscriminantModel, FisherFunctions, separation
 from .normalization import NormalizationStats
 
 _IDENTITY_TOLERANCE = 1e-5
@@ -120,9 +120,10 @@ def model_from_dict(doc: dict) -> tuple[DiscriminantModel, NormalizationStats]:
         raise ModelFileError(f"{context}: canonical_correlation must lie in [0, 1)")
     if not 0.0 < wilks <= 1.0:
         raise ModelFileError(f"{context}: wilks_lambda must lie in (0, 1]")
-    if abs(wilks - 1.0 / (1.0 + eigenvalue)) > _IDENTITY_TOLERANCE:
+    r_squared, expected_wilks = separation(eigenvalue)
+    if abs(wilks - expected_wilks) > _IDENTITY_TOLERANCE:
         raise ModelFileError(f"{context}: wilks_lambda disagrees with 1/(1 + eigenvalue)")
-    if abs(canonical - math.sqrt(eigenvalue / (1.0 + eigenvalue))) > _IDENTITY_TOLERANCE:
+    if abs(canonical - math.sqrt(r_squared)) > _IDENTITY_TOLERANCE:
         raise ModelFileError(
             f"{context}: canonical_correlation disagrees with sqrt(eigenvalue/(1 + eigenvalue))"
         )

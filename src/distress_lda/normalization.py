@@ -32,10 +32,12 @@ def fit_normalizer(ts: TrainingSet) -> NormalizationStats:
     rows = [s.ratios.as_tuple() for s in ts.samples]
     means, scatter = column_moments(rows)
     sds = [math.sqrt(total / (len(rows) - 1)) for total in scatter]
-    for name, mean, sd in zip(VARIABLES, means, sds):
+    for column, (name, mean, sd) in enumerate(zip(VARIABLES, means, sds)):
         if not math.isfinite(sd):  # an overflowing mean overflows the sd too
             raise ZeroVarianceError(f"variable {name!r} overflows across the training set: mean {mean}, sd {sd}")
         if sd == 0.0:
+            if len({row[column] for row in rows}) > 1:  # the squared deviations underflowed
+                raise ZeroVarianceError(f"variable {name!r} varies too little to measure across the training set")
             raise ZeroVarianceError(f"variable {name!r} is constant across the training set")
     return NormalizationStats(mean=dict(zip(VARIABLES, means)), sd=dict(zip(VARIABLES, sds)))
 

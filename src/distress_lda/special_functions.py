@@ -21,65 +21,69 @@ _EPS = 1e-15
 _TINY = 1e-300
 
 
+def _lentz_step(an: float, bn: float, c: float, d: float) -> tuple[float, float, float]:
+    # One modified-Lentz update (Lentz 1976; Thompson & Barnett 1986) by partial
+    # numerator an and denominator bn: the new c and d, and the factor d * c.
+    d = bn + an * d
+    if abs(d) < _TINY:
+        d = _TINY
+    c = bn + an / c
+    if abs(c) < _TINY:
+        c = _TINY
+    d = 1.0 / d
+    return c, d, d * c
+
+
 def _gamma_p_series(a: float, x: float) -> float:
-    # Power series for P(a,x), reliable for x < a + 1.
+    # Power series for P(a,x) over its front factor, reliable for x < a + 1.
     term = 1.0 / a
     total = term
     for n in range(1, _MAX_ITER):
         term *= x / (a + n)
         total += term
         if abs(term) < abs(total) * _EPS:
-            return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+            return total
     raise DomainError(f"incomplete gamma series failed to converge at a={a}, x={x}")
 
 
 def _gamma_q_contfrac(a: float, x: float) -> float:
-    # Continued fraction for Q(a,x) via modified Lentz, for x >= a + 1.
+    # Continued fraction for Q(a,x) over its front factor, for x >= a + 1.
     b = x + 1.0 - a
     c = 1.0 / _TINY
     d = 1.0 / b
     h = d
     for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
         b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
+        c, d, delta = _lentz_step(-i * (i - a), b, c, d)
         h *= delta
         if abs(delta - 1.0) < _EPS:
-            return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+            return h
     raise DomainError(f"incomplete gamma fraction failed to converge at a={a}, x={x}")
+
+
+def _gamma_tails(name: str, a: float, x: float) -> tuple[float, float]:
+    # (P, Q): the series below x = a + 1, the fraction above it, and the
+    # other tail as one minus the computed one.
+    if not a > 0:
+        raise DomainError(f"{name} requires a > 0, got {a}")
+    if x < 0:
+        raise DomainError(f"{name} requires x >= 0, got {x}")
+    if x == 0.0:
+        return 0.0, 1.0
+    lower = x < a + 1.0
+    tail = (_gamma_p_series if lower else _gamma_q_contfrac)(a, x)
+    tail *= math.exp(-x + a * math.log(x) - math.lgamma(a))
+    return (tail, 1.0 - tail) if lower else (1.0 - tail, tail)
 
 
 def reg_inc_gamma_p(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x)."""
-    if not a > 0:
-        raise DomainError(f"reg_inc_gamma_p requires a > 0, got {a}")
-    if x < 0:
-        raise DomainError(f"reg_inc_gamma_p requires x >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_p_series(a, x)
-    return 1.0 - _gamma_q_contfrac(a, x)
+    return _gamma_tails("reg_inc_gamma_p", a, x)[0]
 
 
 def reg_inc_gamma_q(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    if not a > 0:
-        raise DomainError(f"reg_inc_gamma_q requires a > 0, got {a}")
-    if x < 0:
-        raise DomainError(f"reg_inc_gamma_q requires x >= 0, got {x}")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_p_series(a, x)
-    return _gamma_q_contfrac(a, x)
+    return _gamma_tails("reg_inc_gamma_q", a, x)[1]
 
 
 def _beta_contfrac(a: float, b: float, x: float) -> float:
@@ -95,24 +99,9 @@ def _beta_contfrac(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _MAX_ITER):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
+        c, d, delta = _lentz_step(m * (b - m) * x / ((qam + m2) * (a + m2)), 1.0, c, d)
+        h *= delta
+        c, d, delta = _lentz_step(-(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)), 1.0, c, d)
         h *= delta
         if abs(delta - 1.0) < _EPS:
             return h

@@ -259,6 +259,18 @@ class TestWarningYears:
         warning = infer_warning_years(records, {"Fail": GroupLabel.BANKRUPT})
         assert warning == {"Fail": 2014}
 
+    def test_year_without_a_row_is_never_the_warning_year(self):
+        """The panel has no 2014 row for the bank: it last reported in 2013."""
+        records = self._records(
+            [
+                "Fail,2012,1,1,1,1,1,1",
+                "Fail,2013,1,1,1,1,1,1",
+                "Fail,2015,0,0,0,0,0,0",
+            ]
+        )
+        warning = infer_warning_years(records, {"Fail": GroupLabel.BANKRUPT})
+        assert warning == {"Fail": 2013}
+
     def test_healthy_and_silent_banks_skipped(self):
         records = self._records(
             [
@@ -316,6 +328,22 @@ class TestEvaluatePanel:
         assert row.type1_rate == 0.5
         nosso = next(b for b in row.banks if b.bank == "Nosso Banco, S.A")
         assert nosso.zone is ZoneLabel.NONBANKRUPT
+
+    def test_warning_year_skips_a_year_without_a_row(
+        self, reference_model, reference_stats, evaluation_panel, published_zones
+    ):
+        """Without its 2015 row, Moza Banco last reports in 2014 and is scored
+        there as a missed warning, instead of vanishing from the expected calls."""
+        records, labels = evaluation_panel
+        moza = "Moza Banco, S.A"
+        records = [r for r in records if (r.bank_id, r.year) != (moza, 2015)]
+        report = evaluate_panel(reference_model, reference_stats, records, labels, published_zones)
+        assert report.notices == ()
+        row2014 = next(r for r in report.years if r.year == 2014)
+        assert (row2014.type1_count, row2014.type1_rate) == (1, 1.0)
+        assert next(b for b in row2014.banks if b.bank == moza).zone is ZoneLabel.NONBANKRUPT
+        row2015 = next(r for r in report.years if r.year == 2015)
+        assert (row2015.type1_count, row2015.type1_rate) == (1, 1.0)  # Nosso Banco alone
 
     def test_grey_banks_named(self, evaluation_report):
         greys = {

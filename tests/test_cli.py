@@ -108,6 +108,16 @@ class TestFitCommand:
         assert "fisher classification functions (equal priors):" in out
         assert "training classification: 13/14 correct (92.9%)" in out
 
+    def test_fit_refuses_to_overwrite_its_training_panel(self, tmp_path, capsys):
+        panel = tmp_path / "t.csv"
+        panel.write_bytes(Path(TABLE).read_bytes())
+        (tmp_path / "sub").mkdir()
+        same = tmp_path / "sub" / ".." / "t.csv"  # another spelling of the same file
+        code, out, err = run_cli(capsys, "fit", "--train", str(panel), "--model", str(same))
+        assert (code, out) == (2, "")
+        assert err == f"error: fit would overwrite its training panel {panel} with the model\n"
+        assert panel.read_bytes() == Path(TABLE).read_bytes()
+
     def test_fit_without_training_panel(self, capsys):
         code, out, err = run_cli(capsys, "fit")
         assert code == 2
@@ -445,6 +455,25 @@ class TestEvaluateCommand:
         assert doc["years"] == json.loads(base)["years"]
         row2015 = next(row for row in doc["years"] if row["year"] == 2015)
         assert (row2015["hits"], row2015["total"]) == (16, 19)
+
+    def test_warning_year_skips_a_year_without_a_row(self, tmp_path, capsys):
+        """Without its 2015 row, Moza Banco's missed warning shows in 2014."""
+        rows = Path(PANEL_A).read_text(encoding="utf-8").splitlines()
+        panel = tmp_path / "a.csv"
+        panel.write_text(
+            "\n".join(row for row in rows if not row.startswith('"Moza Banco, S.A",2015,')) + "\n",
+            encoding="utf-8",
+        )
+        code, out, _ = run_cli(
+            capsys,
+            "evaluate", "--panel", str(panel), "--panel", PANEL_B,
+            "--model", REFERENCE, "--zones", "paper", "--format", "json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["notices"] == []
+        by_year = {row["year"]: row for row in doc["years"]}
+        assert (by_year[2014]["type1"], by_year[2015]["type1"]) == (1.0, 1.0)
 
     def test_numeric_cell_in_python_literal_form_is_not_read(self, tmp_path, capsys):
         """float() reads 0_5 as 5.0, which would score the row as if its equity ratio were 5."""

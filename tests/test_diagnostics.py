@@ -15,10 +15,12 @@ from distress_lda import (
     collinearity_check,
     eigenvalue_from_scores,
     f_sf,
+    fit_from_matrices,
     wilks_from_eigenvalue,
     wilks_test,
     wilks_verdict,
 )
+from distress_lda.lda_fit import separation
 
 # Pooled within-group correlations of the standardized panel, as reported
 # alongside the reference model (row order EAA, ROAA, ROAE, NII, LAAA, BDTLA).
@@ -246,3 +248,27 @@ class TestCanonicalSummary:
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(DomainError):
             canonical_summary(-1e-9)
+
+
+class TestOneEigenvalueRule:
+    """The fit and the diagnostics derive Wilks' Lambda and the canonical
+    correlation from the eigenvalue by one rule, so they agree to the bit."""
+
+    @staticmethod
+    def _models(fitted_model):
+        yield fitted_model
+        rng = np.random.default_rng(15)
+        for n0, n1, p in ((3, 9, 2), (5, 5, 4), (2, 12, 6), (8, 30, 3)):
+            X0 = rng.normal(size=(n0, p))
+            X1 = rng.normal(size=(n1, p)) + rng.normal(scale=2.0, size=p)
+            yield fit_from_matrices(X0, X1, [f"x{i}" for i in range(p)])
+
+    def test_fit_and_diagnostics_agree_bitwise(self, fitted_model):
+        for model in self._models(fitted_model):
+            assert model.wilks_lambda == wilks_test(model).wilks_lambda
+            summary = canonical_summary(model.eigenvalue)
+            assert model.canonical_correlation == summary["canonical_correlation"]
+
+    def test_negative_eigenvalue_rejected(self):
+        with pytest.raises(DomainError, match=r"^eigenvalue must be non-negative, got -0\.001$"):
+            separation(-1e-3)

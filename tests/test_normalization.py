@@ -65,6 +65,14 @@ def test_constant_variable_rejected():
         fit_normalizer(_training_set(matrix))
 
 
+def test_tiny_spread_is_not_called_constant():
+    """Values i * 1e-170 differ, but their squared deviations underflow to zero."""
+    matrix = np.random.default_rng(7).normal(size=(8, 6))
+    matrix[:, 0] = [i * 1e-170 for i in range(8)]
+    with pytest.raises(ZeroVarianceError, match="^variable 'eaa' varies too little to measure across"):
+        fit_normalizer(_training_set(matrix))
+
+
 @pytest.mark.parametrize(
     "column, moments",
     [([1e308, 1e308] + [0.1] * 6, "mean inf, sd inf"), ([-1e200, 1e200] * 4, "mean 0.0, sd inf")],

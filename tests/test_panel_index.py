@@ -65,9 +65,10 @@ def interleaved_panels(draw):
 
 
 def _warning_years_reference(records, actual):
-    """Per bank, straight from the definition: the year before the first
-    placeholder row after the bank starts reporting, else its last
-    available year."""
+    """Per bank, straight from the definition: the last available year before
+    the first placeholder row after the bank starts reporting, else its last
+    available year. A panel may skip years, so this need not be the year
+    before the placeholder."""
     warning = {}
     for bank in set(r.bank_id for r in records):
         if actual.get(bank) is not GroupLabel.BANKRUPT:
@@ -80,7 +81,7 @@ def _warning_years_reference(records, actual):
             for r in records
             if r.bank_id == bank and not r.available and r.year > min(available)
         ]
-        warning[bank] = min(gaps) - 1 if gaps else max(available)
+        warning[bank] = max(year for year in available if not gaps or year < min(gaps))
     return warning
 
 
