@@ -176,10 +176,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    def row_percent(self, actual: GroupLabel, predicted: GroupLabel) -> float:
-        row = sum(self.count(actual, pred) for pred in GroupLabel)
-        return 100.0 * self.count(actual, predicted) / row if row else 0.0
-
     def correct_fraction(self) -> float:
         total = self.total()
         if total == 0:

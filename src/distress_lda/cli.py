@@ -26,7 +26,9 @@ from .classification import (
     score_panel,
     zones_to_dict,
 )
-from .dataset import WINDOW_DEFAULT, GroupLabel, load_panels, parse_year, read_text, training_set_from_panel
+from .dataset import (
+    WINDOW_DEFAULT, GroupLabel, load_panels, parse_number, parse_year, read_text, training_set_from_panel
+)
 from .diagnostics import (
     ALPHA_DEFAULT,
     COLLINEARITY_THRESHOLD_DEFAULT,
@@ -104,7 +106,7 @@ def _choice(allowed: tuple[str, str], key: str, value) -> str:
 
 def _fraction(key: str, value) -> float:
     try:
-        number = float(value)
+        number = parse_number(value) if isinstance(value, str) else float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key!r} must be a number") from None
     if not 0.0 < number < 1.0:
@@ -149,8 +151,8 @@ def _read_config_file(path: str) -> list[tuple[str, object]]:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    paths = (os.environ.get("DISTRESS_LDA_CONFIG"), args.config)
-    sources = [(f"config file {path}", _read_config_file(path)) for path in paths if path]
+    paths = [path for path in (os.environ.get("DISTRESS_LDA_CONFIG"), args.config) if path]
+    sources = [(f"config file {path}", _read_config_file(path)) for path in paths]
     flags = {key: raw for key, raw in vars(args).items() if key in _SETTINGS and raw is not None}
     sources += [(f"argument --{key.replace('_', '-')}", [(key, raw)]) for key, raw in flags.items()]
     values = {}
@@ -167,7 +169,16 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 values[key] = _SETTINGS[key][0](key, raw)
             except (ConfigError, ValueError) as exc:  # ValueError: unknown label, huge year
                 raise ConfigError(f"{origin}: {exc}") from None
-    return RunConfig(**values)
+    config = RunConfig(**values)
+    if args.command == "fit" and config.train:  # fit, the one command that writes, keeps its inputs
+        for what, path in [("training panel", config.train)] + [("config file", p) for p in paths]:
+            try:
+                same = os.path.samefile(path, config.model)
+            except OSError:  # either file missing: the model cannot replace the input
+                same = False
+            if same:
+                raise ConfigError(f"fit would overwrite its {what} {path} with the model")
+    return config
 
 
 def _panel_inputs(config: RunConfig, command: str, config_labels: dict | None) -> tuple:
@@ -194,12 +205,6 @@ def _panel_inputs(config: RunConfig, command: str, config_labels: dict | None) -
 def cmd_fit(config: RunConfig) -> tuple[dict, str]:
     if not config.train:
         raise ConfigError("fit requires a training panel (--train)")
-    try:
-        overwrites_train = os.path.samefile(config.train, config.model)
-    except OSError:  # either file missing: the model cannot replace the panel
-        overwrites_train = False
-    if overwrites_train:
-        raise ConfigError(f"fit would overwrite its training panel {config.train} with the model")
     records, labels = load_panels((config.train,), "training", config.labels)
     ts = training_set_from_panel(records, labels, config.window)
     stats = fit_normalizer(ts)

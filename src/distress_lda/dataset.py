@@ -67,9 +67,6 @@ class RatioVector:
             raise ValueError(f"expected {len(VARIABLES)} values, got {len(values)}")
         return cls(*map(float, values))
 
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in VARIABLES}
-
 
 class GroupLabel(enum.IntEnum):
     """Binary solvency status; the integer value is the discriminant target."""
@@ -109,7 +106,6 @@ class TrainingSet:
     samples: tuple[LabeledSample, ...]
     n0: int  # bankrupt count
     n1: int  # non-bankrupt count
-    p: int
 
 
 def _split_rows(text: str) -> tuple[list[str], _Rows]:
@@ -158,17 +154,27 @@ def _plain(text: str) -> bool:
     return text.isascii() and "_" not in text
 
 
+def parse_number(text: str) -> float:
+    """A finite number in plain ASCII: the one number rule of ratio cells and settings.
+    Unlike float(), refuses 0_5, non-ASCII digits, nan and inf with ValueError."""
+    if not _plain(text):
+        raise ValueError(f"not a plain ASCII number: {text!r}")
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"not finite: {text!r}")
+    return value
+
+
 def _ratio_error(lineno: int, cells: list[str]) -> ParseError:
-    """The error for a row's first ratio cell, in VARIABLES order, that is not a plain finite number."""
+    """The error for a row's first ratio cell, in VARIABLES order, that parse_number refuses."""
     for name, cell in zip(VARIABLES, cells):
-        if not _plain(cell):
-            return ParseError(f"row {lineno}: column {name!r}: not a plain ASCII number: {cell!r}")
         try:
-            value = float(cell)
-        except ValueError:
-            return ParseError(f"row {lineno}: column {name!r}: not a number: {cell!r}")
-        if not math.isfinite(value):
-            return ParseError(f"row {lineno}: column {name!r}: not finite: {cell!r}")
+            parse_number(cell)
+        except ValueError as exc:
+            return ParseError(f"row {lineno}: column {name!r}: {exc}")
     raise AssertionError(f"row {lineno}: every ratio cell is a finite number")
 
 
@@ -286,26 +292,6 @@ def load_panels(
     return records, labels
 
 
-def serialize_panel(records: list[BankYearRecord], labels: dict[str, GroupLabel] | None = None) -> str:
-    """Inverse of parse_panel (plus optional label column); round-trips exactly.
-
-    Lines end in CRLF, the csv default, which also makes the writer quote a
-    bank name holding a bare carriage return.
-    """
-    out = io.StringIO()
-    columns = list(_REQUIRED_COLUMNS) + (["label"] if labels is not None else [])
-    writer = csv.writer(out)
-    writer.writerow(columns)
-    for rec in records:
-        row = [rec.bank_id, str(rec.year)]
-        row += [repr(getattr(rec.ratios, name)) for name in VARIABLES]
-        if labels is not None:
-            label = labels.get(rec.bank_id)
-            row.append(label.name.lower() if label is not None else "")
-        writer.writerow(row)
-    return out.getvalue()
-
-
 def rows_by_bank(records: Iterable[BankYearRecord]) -> dict[str, list[BankYearRecord]]:
     """Each bank's records, banks in first-seen order, rows in panel order."""
     grouped: dict[str, list[BankYearRecord]] = {}
@@ -373,9 +359,8 @@ def build_training_set(samples: list[LabeledSample]) -> TrainingSet:
     """Assemble and validate a training set, preserving sample order."""
     n0 = sum(1 for s in samples if s.label is GroupLabel.BANKRUPT)
     n1 = len(samples) - n0
-    p = len(VARIABLES)
-    check_design(n0, n1, p)
-    return TrainingSet(samples=tuple(samples), n0=n0, n1=n1, p=p)
+    check_design(n0, n1, len(VARIABLES))
+    return TrainingSet(samples=tuple(samples), n0=n0, n1=n1)
 
 
 def training_set_from_panel(

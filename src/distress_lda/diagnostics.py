@@ -46,7 +46,6 @@ class BoxMResult:
 
 @dataclass(frozen=True)
 class CollinearityReport:
-    threshold: float
     flagged_pairs: tuple[tuple[str, str, float], ...]
 
 
@@ -82,7 +81,7 @@ def collinearity_check(
         if abs(matrix[i][j]) > threshold
     ]
     pairs.sort(key=lambda pair: abs(pair[2]), reverse=True)
-    return CollinearityReport(threshold=threshold, flagged_pairs=tuple(pairs))
+    return CollinearityReport(flagged_pairs=tuple(pairs))
 
 
 def eigenvalue_from_scores(scores_by_group: Mapping[str, Sequence[float]]) -> float:

@@ -16,7 +16,7 @@ import json
 import math
 from pathlib import Path
 
-from .classification import ClassificationZones, zones_to_dict
+from .classification import ClassificationZones
 from .dataset import VARIABLES, check_design, read_text
 from .diagnostics import check_correlation_matrix
 from .errors import DistressLdaError, DomainError, ModelFileError, PanelError
@@ -256,7 +256,3 @@ def zones_from_dict(doc: dict) -> ClassificationZones:
 def load_zones(path: str | Path) -> ClassificationZones:
     text = read_text(path, "zones", ModelFileError)
     return zones_from_dict(parse_json(text, "zones", path, ModelFileError))
-
-
-def save_zones(path: str | Path, zones: ClassificationZones) -> None:
-    write_json(path, zones_to_dict(zones), "zones")

@@ -54,4 +54,4 @@ def normalize_training_set(stats: NormalizationStats, ts: TrainingSet) -> Traini
     samples = tuple(
         LabeledSample(s.bank_id, apply(stats, s.ratios), s.label) for s in ts.samples
     )
-    return TrainingSet(samples=samples, n0=ts.n0, n1=ts.n1, p=ts.p)
+    return TrainingSet(samples=samples, n0=ts.n0, n1=ts.n1)

@@ -216,13 +216,11 @@ class TestConfusionMatrix:
         assert cm.count(GroupLabel.BANKRUPT, GroupLabel.NONBANKRUPT) == 0
         assert cm.total() == 14
         assert cm.correct_fraction() == 1.0
-        assert cm.row_percent(GroupLabel.BANKRUPT, GroupLabel.BANKRUPT) == 100.0
 
     def test_empty_matrix_reports_zero(self):
         cm = ConfusionMatrix(counts={})
         assert cm.total() == 0
         assert cm.correct_fraction() == 0.0
-        assert cm.row_percent(GroupLabel.BANKRUPT, GroupLabel.BANKRUPT) == 0.0
 
 
 class TestWarningYears:

@@ -118,6 +118,39 @@ class TestFitCommand:
         assert err == f"error: fit would overwrite its training panel {panel} with the model\n"
         assert panel.read_bytes() == Path(TABLE).read_bytes()
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [("run.json", '{"format": "json"}'), ("run.cfg", "window = 2012:2015\n")],
+        ids=["json", "key-value"],
+    )
+    @pytest.mark.parametrize("source", ["flag", "environment"])
+    def test_fit_refuses_to_overwrite_its_config_file(self, tmp_path, capsys, monkeypatch, name, text, source):
+        """The --config file and the DISTRESS_LDA_CONFIG file are inputs like the
+        training panel: a --model naming either is refused and the file kept."""
+        config = tmp_path / name
+        config.write_text(text, encoding="utf-8")
+        (tmp_path / "sub").mkdir()
+        same = tmp_path / "sub" / ".." / name
+        argv = ["fit", "--train", TABLE, "--model", str(same)]
+        if source == "flag":
+            argv += ["--config", str(config)]
+        else:
+            monkeypatch.setenv("DISTRESS_LDA_CONFIG", str(config))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: fit would overwrite its config file {config} with the model\n"
+        assert config.read_text(encoding="utf-8") == text
+
+    def test_fit_writes_beside_its_config_file(self, tmp_path, capsys):
+        """A model next to the config file, in a new file, is written as usual."""
+        config = tmp_path / "run.cfg"
+        config.write_text("window = 2012:2015\n", encoding="utf-8")
+        code, _, err = run_cli(
+            capsys, "fit", "--train", TABLE, "--config", str(config), "--model", str(tmp_path / "m.json")
+        )
+        assert (code, err) == (0, "")
+        assert config.read_text(encoding="utf-8") == "window = 2012:2015\n"
+
     def test_fit_without_training_panel(self, capsys):
         code, out, err = run_cli(capsys, "fit")
         assert code == 2
@@ -802,6 +835,21 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "fit", "--train", TABLE, "--window", "2016:2012")
         assert code == 2
         assert "window is inverted" in err
+
+    @pytest.mark.parametrize("text", ["0.0_5", "\u0660.\u0660\u0665", "\uff10.\uff10\uff15", "nan", "inf"])
+    @pytest.mark.parametrize("key", ["alpha", "collinearity_threshold"])
+    def test_fraction_follows_the_ratio_number_rule(self, tmp_path, capsys, key, text):
+        """float() reads 0.0_5, Arabic-Indic and full-width digits as 0.05, but a
+        setting's text is a number by the rule of a panel's ratio cells."""
+        flag = "--" + key.replace("_", "-")
+        code, out, err = run_cli(capsys, "diagnose", "--model", REFERENCE, flag, text)
+        assert (code, out) == (2, "")
+        assert err == f"error: argument {flag}: {key!r} must be a number\n"
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key} = {text}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "diagnose", "--model", REFERENCE, "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == f"error: config file {config}: {key!r} must be a number\n"
 
     def test_alpha_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "diagnose", "--model", REFERENCE, "--alpha", "1.5")

@@ -19,10 +19,10 @@ from distress_lda import (
     build_training_set,
     panel_labels,
     parse_panel,
-    serialize_panel,
     training_set_from_panel,
 )
 from distress_lda.dataset import load_panels
+from panel_csv import serialize_panel
 
 HEADER = "bank,year,eaa,roae,roaa,nii,laaa,bdtla"
 
@@ -335,7 +335,7 @@ class TestTrainingSetAssembly:
             LabeledSample("H6", _vec(0.8), GroupLabel.NONBANKRUPT),
         ]
         ts = build_training_set(samples)
-        assert (ts.n0, ts.n1, ts.p) == (2, 6, 6)
+        assert (ts.n0, ts.n1) == (2, 6)
         assert ts.n0 + ts.n1 == len(ts.samples)
         assert [s.bank_id for s in ts.samples] == ["B1", "H1", "B2", "H2", "H3", "H4", "H5", "H6"]
 
@@ -389,4 +389,4 @@ class TestTrainingSetAssembly:
             training_set_from_panel(records, {})
 
     def test_bundled_panel_shape(self, training_set):
-        assert (training_set.n0, training_set.n1, training_set.p) == (2, 12, 6)
+        assert (training_set.n0, training_set.n1) == (2, 12)

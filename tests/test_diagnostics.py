@@ -57,7 +57,12 @@ class TestCollinearity:
     def test_identity_matrix_is_clean(self):
         report = collinearity_check(np.eye(6))
         assert report.flagged_pairs == ()
-        assert report.threshold == 0.8
+        # The default threshold is 0.8: |r| = 0.8 passes, 0.81 is flagged.
+        matrix = np.eye(2)
+        matrix[0, 1] = matrix[1, 0] = 0.8
+        assert collinearity_check(matrix, variables=("u", "v")).flagged_pairs == ()
+        matrix[0, 1] = matrix[1, 0] = 0.81
+        assert collinearity_check(matrix, variables=("u", "v")).flagged_pairs == (("u", "v", 0.81),)
 
     def test_shape_checked(self):
         with pytest.raises(DomainError, match="6x6"):

@@ -216,7 +216,6 @@ class TestFitProperties:
             samples=tuple(reversed(normalized_set.samples)),
             n0=normalized_set.n0,
             n1=normalized_set.n1,
-            p=normalized_set.p,
         )
         other = fit(reordered)
         for name in fitted_model.variables:
@@ -277,7 +276,7 @@ class TestScoreBinding:
     def test_mapping_and_attribute_access(self, fitted_model, normalized_set):
         sample = normalized_set.samples[0]
         via_attrs = score(fitted_model, sample.ratios)
-        via_dict = score(fitted_model, sample.ratios.as_dict())
+        via_dict = score(fitted_model, dict(zip(VARIABLES, sample.ratios.as_tuple())))
         assert via_dict == via_attrs
 
     def test_missing_variable_raises_binding_error(self, fitted_model):

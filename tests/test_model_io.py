@@ -10,9 +10,9 @@ from distress_lda import (
     load_zones,
     model_to_dict,
     save_model,
-    save_zones,
+    zones_to_dict,
 )
-from distress_lda.model_io import model_from_dict, zones_from_dict
+from distress_lda.model_io import model_from_dict, write_json, zones_from_dict
 
 
 @pytest.fixture()
@@ -235,13 +235,13 @@ class TestZonesIO:
     def test_round_trip(self, tmp_path):
         zones = ClassificationZones(cutoff=-7e-6, grey=(-0.04, -0.003), source="explicit-override")
         path = tmp_path / "zones.json"
-        save_zones(path, zones)
+        write_json(path, zones_to_dict(zones), "zones")
         assert load_zones(path) == zones
 
     def test_null_grey_round_trip(self, tmp_path):
         zones = ClassificationZones(cutoff=0.5, grey=None, source="derived-from-model")
         path = tmp_path / "zones.json"
-        save_zones(path, zones)
+        write_json(path, zones_to_dict(zones), "zones")
         assert load_zones(path) == zones
 
     def test_bundled_override_zones(self, published_zones):

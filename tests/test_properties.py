@@ -24,6 +24,7 @@ from oracles import (
     score_eigenvalue_reference,
     window_mean_reference,
 )
+from panel_csv import serialize_panel
 
 from distress_lda import (
     VARIABLES,
@@ -51,7 +52,6 @@ from distress_lda import (
     parse_panel,
     score,
     score_panel,
-    serialize_panel,
 )
 from distress_lda.dataset import load_panels
 from distress_lda.fixtures import data_path

@@ -1,13 +1,17 @@
 """Source structure: file I/O, the JSON format, the two-group design rule and
-numpy each live in one function, and the rest of the package runs without numpy."""
+numpy each live in one function, and the rest of the package runs without numpy.
+The package exports what __init__ imports, and the bench finds every name it calls."""
 import ast
+import importlib
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "distress_lda"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # Each call that reads, writes or formats a file, each raise of the design
 # rule's error and each import of numpy, with the one function allowed to make it.
@@ -88,3 +92,30 @@ def test_numerics_outside_the_fit_run_without_numpy(score_table):
     ]
     assert [proc.returncode for proc in outputs] == [0, 0], [proc.stderr for proc in outputs]
     assert outputs[0].stdout == outputs[1].stdout
+
+
+def test_all_lists_what_init_imports():
+    """__all__ and the names __init__ imports are one list, declared twice."""
+    import distress_lda
+
+    imported = {
+        name
+        for name, value in vars(distress_lda).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(distress_lda.__all__) == sorted(imported)
+    assert len(set(distress_lda.__all__)) == len(distress_lda.__all__)
+
+
+def test_bench_reaches_what_it_calls(monkeypatch):
+    """The bench's tracer resolves every name it times, and one panel-800 op
+    passes its own check: a renamed function fails here, not at bench time."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    spans = importlib.import_module("spans")
+    workloads = importlib.import_module("workloads")
+    spans.Tracer()
+    panel = workloads.Panel800(0, False)
+    try:
+        assert panel.check(0, panel.op(0)) == []
+    finally:
+        panel.close()
