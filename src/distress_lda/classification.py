@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Callable, Mapping, Sequence
 
@@ -26,6 +25,7 @@ from .dataset import VARIABLES, BankYearRecord, GroupLabel, TrainingSet, rows_by
 from .errors import BindingError, DomainError, MissingLabelError
 from .lda_fit import DiscriminantModel, fisher_classify
 from .normalization import NormalizationStats
+from .record import Record
 
 # Score scale of each zone source: derived zones sit between the fit's centroids,
 # which are z-scored; explicit overrides are the published zones, on raw ratios.
@@ -39,15 +39,14 @@ class ZoneLabel(enum.Enum):
     NONBANKRUPT = "nonbankrupt"
 
 
-@dataclass(frozen=True)
-class ClassificationZones:
+class ClassificationZones(Record):
     """Cut-off plus optional grey interval [lo, hi] on the score axis."""
 
     cutoff: float
     grey: tuple[float, float] | None
     source: str
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         bounds = (self.cutoff,) if self.grey is None else (self.cutoff, *self.grey)
         if not all(map(math.isfinite, bounds)):
             raise ValueError(f"zone bounds must be finite, got cutoff {self.cutoff!r}, grey {self.grey!r}")
@@ -164,8 +163,7 @@ def score_panel(
     return scored
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
+class ConfusionMatrix(Record):
     """Counts indexed by (actual, predicted) group."""
 
     counts: dict[tuple[GroupLabel, GroupLabel], int]
@@ -192,15 +190,13 @@ def confusion_matrix(model: DiscriminantModel, tsZ: TrainingSet) -> ConfusionMat
     return ConfusionMatrix(counts=counts)
 
 
-@dataclass(frozen=True)
-class BankScore:
+class BankScore(Record):
     bank: str
     score: float
     zone: ZoneLabel
 
 
-@dataclass(frozen=True)
-class YearRow:
+class YearRow(Record):
     year: int
     bankrupt_count: int
     grey_count: int
@@ -215,8 +211,7 @@ class YearRow:
     banks: tuple[BankScore, ...]
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(Record):
     years: tuple[YearRow, ...]
     cutoff_only: tuple[YearRow, ...]
     zones: ClassificationZones
@@ -317,12 +312,13 @@ def evaluate_panel(
             raise MissingLabelError(f"bank {bank!r} has no group label")
     warning = infer_warning_years(records, actual)
     notices: list[str] = []
+    reported = {(r.bank_id, r.year) for r in records if r.available} if warning_years else set()
     for bank, year in sorted((warning_years or {}).items()):
         if bank not in banks:
             notices.append(f"warning year for bank {bank!r} ignored: bank not in panel")
         elif actual[bank] is not GroupLabel.BANKRUPT:
             notices.append(f"warning year for bank {bank!r} ignored: bank is not labelled bankrupt")
-        elif not any(r.available and r.bank_id == bank and r.year == year for r in records):
+        elif (bank, year) not in reported:
             notices.append(
                 f"warning year {year} for bank {bank!r} ignored: "
                 f"bank has no available record in {year}"
@@ -338,7 +334,7 @@ def evaluate_panel(
     for record, s in score_panel(model, stats, ordered, zones):
         scored_by_year[record.year].append((record.bank_id, s))
 
-    cutoff_zones = replace(zones, grey=None)
+    cutoff_zones = ClassificationZones(zones.cutoff, None, zones.source)
     years: list[YearRow] = []
     cutoff_rows: list[YearRow] = []
     for year, scored in scored_by_year.items():

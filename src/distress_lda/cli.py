@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 from functools import partial
 
 from .classification import (
@@ -51,12 +50,12 @@ from .fixtures import load_published_zones
 from .lda_fit import PRIORS, fit
 from .model_io import json_text, load_model, load_zones, model_to_dict, parse_json, save_model
 from .normalization import fit_normalizer, normalize_training_set
+from .record import Record
 
 _GLYPH = {"bankrupt": "▼", "grey": "■", "nonbankrupt": "▲"}
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     train: str | None = None
     panel: tuple[str, ...] = ()
     model: str = "model.json"
@@ -66,8 +65,8 @@ class RunConfig:
     collinearity_threshold: float = COLLINEARITY_THRESHOLD_DEFAULT
     window: tuple[int, int] = WINDOW_DEFAULT
     priors: str = PRIORS[0]
-    labels: dict[str, GroupLabel] = field(default_factory=dict)
-    warning_years: dict[str, int] = field(default_factory=dict)
+    labels: dict[str, GroupLabel] = {}  # each config gets its own copy
+    warning_years: dict[str, int] = {}
 
 
 def parse_window(text: str) -> tuple[int, int]:
@@ -474,13 +473,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-group linear discriminant toolkit for bank-distress early warning.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+    defaults = RunConfig()
     for name, (_command, _render, help_text) in _COMMANDS.items():
         # No abbreviations: --mode, an unknown flag, would read as --model.
         sub = subparsers.add_parser(name, help=help_text, allow_abbrev=False)
         for key, (_parse, commands, flag_help) in _SETTINGS.items():
             if name in commands:
                 action = "append" if key == "panel" else "store"
-                flag_help = flag_help.format(default=getattr(RunConfig, key))
+                flag_help = flag_help.format(default=getattr(defaults, key))
                 sub.add_argument(f"--{key.replace('_', '-')}", action=action, help=flag_help)
         sub.add_argument("--config", metavar="FILE", help="config file (JSON or key=value)")
     return parser

@@ -11,7 +11,6 @@ import csv
 import enum
 import io
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -27,6 +26,7 @@ from .errors import (
     SchemaError,
     VariableCountError,
 )
+from .record import Record
 
 # Canonical predictor order; every matrix and serialized mapping follows it.
 VARIABLES = ("eaa", "roae", "roaa", "nii", "laaa", "bdtla")
@@ -36,8 +36,7 @@ _REQUIRED_COLUMNS = ("bank", "year") + VARIABLES
 _Rows = list[tuple[int, list[str]]]  # (line number, cells) of each data row
 
 
-@dataclass(frozen=True)
-class RatioVector:
+class RatioVector(Record):
     """Six financial ratios as decimal fractions.
 
     Values are unbounded reals: negative returns and loans-to-assets above
@@ -51,8 +50,11 @@ class RatioVector:
     laaa: float
     bdtla: float
 
-    def __post_init__(self) -> None:
-        for name, value in zip(VARIABLES, self.as_tuple()):
+    def _validate(self) -> None:
+        values = self.as_tuple()
+        if all(map(math.isfinite, values)):
+            return
+        for name, value in zip(VARIABLES, values):  # name the first ratio that is not finite
             if not math.isfinite(value):
                 raise ValueError(f"ratio {name!r} must be finite, got {value!r}")
 
@@ -84,16 +86,14 @@ class GroupLabel(enum.IntEnum):
         raise ValueError(f"unknown group label {text!r}")
 
 
-@dataclass(frozen=True)
-class BankYearRecord:
+class BankYearRecord(Record):
     bank_id: str
     year: int
     ratios: RatioVector
     available: bool
 
 
-@dataclass(frozen=True)
-class LabeledSample:
+class LabeledSample(Record):
     """One training observation: window-averaged ratios plus group label."""
 
     bank_id: str
@@ -101,8 +101,7 @@ class LabeledSample:
     label: GroupLabel
 
 
-@dataclass(frozen=True)
-class TrainingSet:
+class TrainingSet(Record):
     samples: tuple[LabeledSample, ...]
     n0: int  # bankrupt count
     n1: int  # non-bankrupt count

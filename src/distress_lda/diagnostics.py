@@ -13,12 +13,12 @@ members cannot deliver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .dataset import VARIABLES, column_moments
 from .errors import DomainError, InsufficientGroupError, ZeroVarianceError
 from .lda_fit import DiscriminantModel, separation
+from .record import Record
 from .special_functions import chi_square_sf, f_sf
 
 # Default significance level and |r| flag threshold; every entry point takes an override.
@@ -26,16 +26,14 @@ ALPHA_DEFAULT = 0.05
 COLLINEARITY_THRESHOLD_DEFAULT = 0.8
 
 
-@dataclass(frozen=True)
-class WilksResult:
+class WilksResult(Record):
     wilks_lambda: float
     chi_square: float
     df: int
     p_value: float
 
 
-@dataclass(frozen=True)
-class BoxMResult:
+class BoxMResult(Record):
     m: float
     f_approx: float
     df1: float
@@ -44,8 +42,7 @@ class BoxMResult:
     branch: str  # the form of the F approximation; one function always takes c2<=c1^2
 
 
-@dataclass(frozen=True)
-class CollinearityReport:
+class CollinearityReport(Record):
     flagged_pairs: tuple[tuple[str, str, float], ...]
 
 

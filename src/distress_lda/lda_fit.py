@@ -15,18 +15,17 @@ position.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .dataset import VARIABLES, GroupLabel, TrainingSet, check_design, ordered_sum
 from .errors import BindingError, DegenerateSeparationError, DomainError, SingularMatrixError
+from .record import Record
 
 GROUP_KEYS = ("bankrupt", "nonbankrupt")
 PRIORS = ("proportional", "equal")  # the Fisher-function prior rules; the first is the default
 
 
-@dataclass(frozen=True)
-class FisherFunctions:
+class FisherFunctions(Record):
     """Per-group linear classification functions w_g'z + c_g."""
 
     priors: dict[str, float]
@@ -34,8 +33,11 @@ class FisherFunctions:
     constants: dict[str, float]
 
 
-@dataclass(frozen=True, eq=False)
-class DiscriminantModel:
+class DiscriminantModel(Record):
+    # Compared and hashed by identity: two fits are one model only if they are one object.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
     variables: tuple[str, ...]
     coefficients: dict[str, float]
     constant: float

@@ -2,14 +2,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .dataset import VARIABLES, LabeledSample, RatioVector, TrainingSet, column_moments
 from .errors import ZeroVarianceError
+from .record import Record
 
 
-@dataclass(frozen=True)
-class NormalizationStats:
+class NormalizationStats(Record):
     """Per-variable mean and sample standard deviation (divisor n-1).
 
     Fitted once on the full training set, both groups pooled, and reused
@@ -19,7 +18,7 @@ class NormalizationStats:
     mean: dict[str, float]
     sd: dict[str, float]
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         for name in VARIABLES:
             if name not in self.mean or name not in self.sd:
                 raise ValueError(f"normalization stats missing variable {name!r}")
@@ -45,7 +44,7 @@ def fit_normalizer(ts: TrainingSet) -> NormalizationStats:
 def apply(stats: NormalizationStats, v: RatioVector) -> RatioVector:
     """Standardize one ratio vector; returns z-values in the same six slots."""
     return RatioVector(
-        **{name: (getattr(v, name) - stats.mean[name]) / stats.sd[name] for name in VARIABLES}
+        *[(x - stats.mean[name]) / stats.sd[name] for name, x in zip(VARIABLES, v.as_tuple())]
     )
 
 

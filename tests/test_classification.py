@@ -1,10 +1,10 @@
 """Zones and their score scales, scoring, confusion counts, and the yearly evaluation."""
-import dataclasses
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from records import replace
 
 from distress_lda import (
     BankYearRecord,
@@ -89,11 +89,11 @@ class TestGreyZone:
         assert lo < hi
 
     def test_wide_dispersions_collapse_the_interval(self, fitted_model):
-        blurred = dataclasses.replace(fitted_model, s0=5.0, s1=5.0)
+        blurred = replace(fitted_model, s0=5.0, s1=5.0)
         assert grey_zone(blurred) is None
 
     def test_zero_dispersions_span_the_centroids(self, fitted_model):
-        sharp = dataclasses.replace(fitted_model, s0=0.0, s1=0.0)
+        sharp = replace(fitted_model, s0=0.0, s1=0.0)
         assert grey_zone(sharp) == (fitted_model.y0, fitted_model.y1)
 
     def test_derive_zones_is_tagged(self, reference_model):

@@ -7,7 +7,6 @@ runs the CLI as a subprocess.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import os
 import re
@@ -17,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from records import fields
 
 import distress_lda
 from distress_lda.cli import RunConfig, main, parse_window
@@ -810,7 +810,7 @@ class TestSettings:
         ).groups()
         keys = re.findall(r"`([a-z_]+)`", listed)
         assert len(keys) == int(count)
-        assert keys == [f.name for f in dataclasses.fields(RunConfig)]
+        assert keys == list(fields(RunConfig))
 
 
 class TestWindowParsing:
@@ -1199,36 +1199,48 @@ def test_case_study_outputs_match_goldens(tmp_path, capsys, monkeypatch):
             assert out.encode("utf-8") == (GOLDEN / f"{cmd}.{fmt}").read_bytes(), f"{cmd}.{fmt}"
 
 
-def _numpy_loaded_after(*calls: list[str]) -> bool:
-    """Run the CLI calls in one fresh interpreter; whether numpy got imported."""
+def _loaded_after(modules: set[str], *calls: list[str]) -> set[str]:
+    """Run the CLI calls in one fresh interpreter; which of the modules got imported."""
     script = (
         "import contextlib, io, json, sys\n"
         "from distress_lda.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
         "assert codes == [0] * len(codes), codes\n"
-        "print('numpy' in sys.modules)\n"
+        "print(json.dumps(sorted(set(json.loads(sys.argv[2])) & set(sys.modules))))\n"
     )
     env = {k: v for k, v in os.environ.items() if k != "DISTRESS_LDA_CONFIG"}
     env["PYTHONPATH"] = str(Path(distress_lda.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(calls)],
+        [sys.executable, "-c", script, json.dumps(calls), json.dumps(sorted(modules))],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    return {"True\n": True, "False\n": False}[proc.stdout]
+    return set(json.loads(proc.stdout))
+
+
+# Every command but fit, in both formats: none of them fits a model.
+READING_CALLS = [
+    *[[cmd, *CASE_STUDY_ARGS[cmd], "--format", fmt]
+      for cmd in ("classify", "evaluate") for fmt in ("text", "json")],
+    ["diagnose", "--model", REFERENCE],
+    ["diagnose", "--model", REFERENCE, "--format", "json"],
+]
 
 
 def test_only_fit_imports_numpy(tmp_path):
     """numpy serves the fit's linear algebra alone, so scoring a panel and
     checking a stored model never pay for its import."""
-    assert not _numpy_loaded_after(
-        *[[cmd, *CASE_STUDY_ARGS[cmd], "--format", fmt]
-          for cmd in ("classify", "evaluate") for fmt in ("text", "json")],
-        ["diagnose", "--model", REFERENCE],
-        ["diagnose", "--model", REFERENCE, "--format", "json"],
-    )
-    assert _numpy_loaded_after(["fit", "--train", TABLE, "--model", str(tmp_path / "m.json")])
+    assert _loaded_after({"numpy"}, *READING_CALLS) == set()
+    assert _loaded_after({"numpy"}, ["fit", "--train", TABLE, "--model", str(tmp_path / "m.json")]) == {"numpy"}
+
+
+def test_no_command_imports_dataclasses(tmp_path):
+    """The value records are built without dataclasses, whose import pulls in
+    inspect, ast, dis and tokenize. Only fit loads inspect, through numpy."""
+    assert _loaded_after({"dataclasses", "inspect"}, *READING_CALLS) == set()
+    fit_call = ["fit", "--train", TABLE, "--model", str(tmp_path / "m.json")]
+    assert _loaded_after({"dataclasses"}, fit_call) == set()
 
 
 class TestTextMatchesJson:

@@ -20,6 +20,7 @@ from distress_lda import (
     solve_spd,
 )
 from oracles import eliminate
+from records import replace
 
 
 def _random_spd(rng, n):
@@ -136,8 +137,6 @@ class TestFitHandCase:
     def test_exact_tie_goes_healthy(self, hand_model):
         # Solver rounding keeps real fits off exact ties, so force one by
         # giving both groups the same linear function.
-        import dataclasses
-
         from distress_lda import FisherFunctions
 
         flat = FisherFunctions(
@@ -145,7 +144,7 @@ class TestFitHandCase:
             weights={"bankrupt": {"x": 1.0}, "nonbankrupt": {"x": 1.0}},
             constants={"bankrupt": 0.0, "nonbankrupt": 0.0},
         )
-        tied = dataclasses.replace(hand_model, fisher=flat)
+        tied = replace(hand_model, fisher=flat)
         assert fisher_classify(tied, {"x": 3.0}) is GroupLabel.NONBANKRUPT
 
 

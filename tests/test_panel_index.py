@@ -116,3 +116,38 @@ def test_evaluation_invariant_under_row_permutation(
         evaluate_panel(reference_model, reference_stats, shuffled, labels, published_zones)
         == base
     )
+
+
+def _override_notices_reference(records, actual, overrides):
+    """The notices of warning-year overrides, each override checked against the whole panel."""
+    notices = []
+    for bank, year in sorted(overrides.items()):
+        if not any(r.bank_id == bank for r in records):
+            notices.append(f"warning year for bank {bank!r} ignored: bank not in panel")
+        elif actual[bank] is not GroupLabel.BANKRUPT:
+            notices.append(f"warning year for bank {bank!r} ignored: bank is not labelled bankrupt")
+        elif not any(r.available and r.bank_id == bank and r.year == year for r in records):
+            notices.append(
+                f"warning year {year} for bank {bank!r} ignored: bank has no available record in {year}"
+            )
+    return notices
+
+
+@st.composite
+def overridden_panels(draw):
+    """(records, labels, a warning year for every bank and for two banks not in the panel)."""
+    records, labels = draw(panels())
+    banks = sorted(labels) + ["Ghost 0", "Ghost 1"]
+    return records, labels, {bank: draw(st.sampled_from(YEARS)) for bank in banks}
+
+
+@SETTINGS
+@given(overridden_panels())
+def test_override_notices_in_bank_order(reference_model, reference_stats, published_zones, case):
+    records, labels, overrides = case
+    report = evaluate_panel(
+        reference_model, reference_stats, records, labels, published_zones, warning_years=overrides
+    )
+    expected = _override_notices_reference(records, labels, overrides)
+    assert list(report.notices[: len(expected)]) == expected
+    assert all(notice.startswith("year ") for notice in report.notices[len(expected):])

@@ -10,7 +10,6 @@
 """
 from __future__ import annotations
 
-import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from oracles import (
     window_mean_reference,
 )
 from panel_csv import serialize_panel
+from records import replace
 
 from distress_lda import (
     VARIABLES,
@@ -266,7 +266,7 @@ def scoring_cases(draw):
     if draw(st.booleans()):
         names[draw(st.integers(0, 5))] = "tier1"
     coefficients = dict(zip(names, draw(st.lists(coef_values, min_size=6, max_size=6))))
-    model = dataclasses.replace(REFERENCE_MODEL, coefficients=coefficients, constant=draw(coef_values))
+    model = replace(REFERENCE_MODEL, coefficients=coefficients, constant=draw(coef_values))
     means = draw(st.lists(st.floats(-1e6, 1e6), min_size=6, max_size=6))
     sds = draw(st.lists(st.floats(1e-3, 1e6), min_size=6, max_size=6))
     stats = NormalizationStats(mean=dict(zip(VARIABLES, means)), sd=dict(zip(VARIABLES, sds)))

@@ -1,5 +1,6 @@
 """Source structure: file I/O, the JSON format, the two-group design rule and
-numpy each live in one function, and the rest of the package runs without numpy.
+numpy each live in one function, the rest of the package runs without numpy,
+and nothing imports dataclasses.
 The package exports what __init__ imports, and the bench finds every name it calls."""
 import ast
 import importlib
@@ -12,9 +13,11 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "distress_lda"
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+TESTS = Path(__file__).resolve().parent
 
 # Each call that reads, writes or formats a file, each raise of the design
-# rule's error and each import of numpy, with the one function allowed to make it.
+# rule's error and each import of a module in IMPORTS, with the one function
+# allowed to make it.
 HOMES = {
     "import numpy": "lda_fit.fit_from_matrices",
     "json.loads": "model_io.parse_json",
@@ -23,6 +26,9 @@ HOMES = {
     ".read_bytes": "dataset.read_text",
     "raise VariableCountError": "dataset.check_design",
 }
+# dataclasses has no home: its import pulls in inspect, ast, dis and tokenize,
+# a cost every CLI call would pay, and the package's records are record.Record.
+IMPORTS = ("numpy", "dataclasses")
 
 
 def _calls(path: Path):
@@ -34,10 +40,12 @@ def _calls(path: Path):
             inner = where
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and where == module:
                 inner = f"{module}.{child.name}"
-            if isinstance(child, ast.Import) and any(alias.name.split(".")[0] == "numpy" for alias in child.names):
-                yield "import numpy", inner
-            if isinstance(child, ast.ImportFrom) and (child.module or "").split(".")[0] == "numpy":
-                yield "import numpy", inner
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            else:
+                modules = [child.module or ""] if isinstance(child, ast.ImportFrom) else []
+            for top in sorted({module.split(".")[0] for module in modules} & set(IMPORTS)):
+                yield f"import {top}", inner
             if isinstance(child, ast.Raise) and child.exc is not None:
                 exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
                 if isinstance(exc, ast.Name) and f"raise {exc.id}" in HOMES:
@@ -54,8 +62,8 @@ def _calls(path: Path):
 
 
 def test_file_io_and_json_have_one_home_each():
-    """Also: VariableCountError is raised only by dataset.check_design, and
-    numpy is imported only by lda_fit.fit_from_matrices."""
+    """Also: VariableCountError is raised only by dataset.check_design, numpy
+    is imported only by lda_fit.fit_from_matrices, and dataclasses nowhere."""
     calls = sorted(call for path in sorted(PACKAGE.glob("*.py")) for call in _calls(path))
     assert calls == sorted(HOMES.items())
 
@@ -63,7 +71,8 @@ def test_file_io_and_json_have_one_home_each():
 # Prints, as JSON, what the numerics outside the fit give on a score table and
 # on the reference model; with the argument "blocked", numpy cannot be imported.
 _NUMERICS = """
-import dataclasses, json, sys
+import json, sys
+from records import astuple
 if sys.argv[2] == "blocked":
     sys.modules["numpy"] = None
 from distress_lda import box_m_from_model, box_m_test, eigenvalue_from_scores, solve_spd, wilks_test
@@ -73,16 +82,16 @@ model, _stats = load_reference_model()
 print(json.dumps({
     "solve_spd": solve_spd(model.pooled_correlation, [model.standardized[v] for v in model.variables]),
     "eigenvalue": eigenvalue_from_scores(scores),
-    "box_m_test": dataclasses.astuple(box_m_test(scores)),
-    "wilks_test": dataclasses.astuple(wilks_test(model)),
-    "box_m_from_model": dataclasses.astuple(box_m_from_model(model)),
+    "box_m_test": astuple(box_m_test(scores)),
+    "wilks_test": astuple(wilks_test(model)),
+    "box_m_from_model": astuple(box_m_from_model(model)),
 }))
 """
 
 
 def test_numerics_outside_the_fit_run_without_numpy(score_table):
     """solve_spd and the diagnostics run with numpy blocked, to the same bits."""
-    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), str(TESTS)])}
     outputs = [
         subprocess.run(
             [sys.executable, "-c", _NUMERICS, json.dumps(score_table), numpy],
