@@ -154,7 +154,7 @@ def score_panel(
     scored = []
     for record in records:
         if record.available:
-            s = row_score(record.ratios.as_tuple())
+            s = row_score(record.ratios)
             if not math.isfinite(s):
                 raise DomainError(
                     f"bank {record.bank_id!r} year {record.year}: score must be finite, got {s!r}"
@@ -244,27 +244,32 @@ def _year_row(
     year: int,
     scored: Sequence[tuple[str, float]],
     zones: ClassificationZones,
+    cutoff_zones: ClassificationZones,
     expected: set[str],
-) -> YearRow:
-    """Zones and tallies of one year's (bank, score) pairs, given in bank order.
+) -> tuple[YearRow, YearRow]:
+    """The rows of one year's (bank, score) pairs, given in bank order, under
+    the zones and under the cut-off-only zones; the pairs are zoned in one pass.
 
     expected holds the distressed banks whose warning year this is, each with
     an available record that year: only they are expected to look distressed.
     """
-    banks = []
-    n_b = n_g = type1 = type2 = 0
+    banks, cutoff_banks = [], []
     for bank, s in scored:
         zone = classify_zone(s, zones)
-        banks.append(BankScore(bank, s, zone))
-        if zone is ZoneLabel.BANKRUPT:
-            n_b += 1
-        elif zone is ZoneLabel.GREY:
-            n_g += 1
-        if bank in expected:
-            if zone is ZoneLabel.NONBANKRUPT:
-                type1 += 1
-        elif zone is ZoneLabel.BANKRUPT:
-            type2 += 1
+        cut = classify_zone(s, cutoff_zones)
+        entry = BankScore(bank, s, zone)
+        banks.append(entry)
+        cutoff_banks.append(entry if cut is zone else BankScore(bank, s, cut))
+    return _tally(year, banks, expected), _tally(year, cutoff_banks, expected)
+
+
+def _tally(year: int, banks: list[BankScore], expected: set[str]) -> YearRow:
+    """The year's row: zone counts, hits and error rates of its zoned banks."""
+    called = [zone for _, _, zone in banks]
+    warned = [zone for bank, _, zone in banks if bank in expected]
+    n_b, n_g = called.count(ZoneLabel.BANKRUPT), called.count(ZoneLabel.GREY)
+    type1 = warned.count(ZoneLabel.NONBANKRUPT)  # missed warnings
+    type2 = n_b - warned.count(ZoneLabel.BANKRUPT)  # alarms for banks not expected to look distressed
     total = len(banks)
     # Hit arithmetic: false alarms and grey calls are subtracted from the
     # total; a missed warning shows up in the type-I rate, not in the hits.
@@ -335,18 +340,15 @@ def evaluate_panel(
         scored_by_year[record.year].append((record.bank_id, s))
 
     cutoff_zones = ClassificationZones(zones.cutoff, None, zones.source)
-    years: list[YearRow] = []
-    cutoff_rows: list[YearRow] = []
+    rows: list[tuple[YearRow, YearRow]] = []
     for year, scored in scored_by_year.items():
         if not scored:
             notices.append(f"year {year}: no available records, omitted")
             continue
-        expected = expected_by_year.get(year, set())
-        years.append(_year_row(year, scored, zones, expected))
-        cutoff_rows.append(_year_row(year, scored, cutoff_zones, expected))
+        rows.append(_year_row(year, scored, zones, cutoff_zones, expected_by_year.get(year, set())))
     return EvaluationReport(
-        years=tuple(years),
-        cutoff_only=tuple(cutoff_rows),
+        years=tuple(row for row, _ in rows),
+        cutoff_only=tuple(row for _, row in rows),
         zones=zones,
         notices=tuple(notices),
     )
@@ -375,9 +377,7 @@ def report_to_dict(report: EvaluationReport) -> dict:
             "type1": row.type1_rate,
             "type2": row.type2_rate,
             "accuracy": row.accuracy,
-            "banks": [
-                {"bank": b.bank, "score": b.score, "zone": b.zone.value} for b in row.banks
-            ],
+            "banks": [{"bank": bank, "score": s, "zone": zone.value} for bank, s, zone in row.banks],
         }
 
     return {

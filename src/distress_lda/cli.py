@@ -104,9 +104,9 @@ def _choice(allowed: tuple[str, str], key: str, value) -> str:
 
 
 def _fraction(key: str, value) -> float:
-    try:
-        number = parse_number(value) if isinstance(value, str) else float(value)
-    except (TypeError, ValueError, OverflowError):
+    try:  # a JSON value by its text, so true and false are no numbers (float(True) is 1.0)
+        number = parse_number(str(value))
+    except ValueError:
         raise ConfigError(f"{key!r} must be a number") from None
     if not 0.0 < number < 1.0:
         raise ConfigError(f"{key.replace('_', ' ')} must lie in (0, 1), got {number}")

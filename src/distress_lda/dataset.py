@@ -51,16 +51,15 @@ class RatioVector(Record):
     bdtla: float
 
     def _validate(self) -> None:
-        values = self.as_tuple()
-        if all(map(math.isfinite, values)):
+        if all(map(math.isfinite, self)):
             return
-        for name, value in zip(VARIABLES, values):  # name the first ratio that is not finite
+        for name, value in zip(VARIABLES, self):  # name the first ratio that is not finite
             if not math.isfinite(value):
                 raise ValueError(f"ratio {name!r} must be finite, got {value!r}")
 
     def as_tuple(self) -> tuple[float, ...]:
-        """The six ratios in VARIABLES order."""
-        return (self.eaa, self.roae, self.roaa, self.nii, self.laaa, self.bdtla)
+        """The six ratios in VARIABLES order, as a plain tuple."""
+        return tuple(self)
 
     @classmethod
     def from_array(cls, values) -> "RatioVector":
@@ -329,7 +328,7 @@ def average_ratios(records: list[BankYearRecord], bank_id: str, years: tuple[int
     """
     first, last = years
     rows = [
-        rec.ratios.as_tuple()
+        rec.ratios
         for rec in records
         if rec.bank_id == bank_id and first <= rec.year <= last and rec.available
     ]

@@ -35,7 +35,9 @@ class FisherFunctions(Record):
 
 class DiscriminantModel(Record):
     # Compared and hashed by identity: two fits are one model only if they are one object.
-    __eq__ = object.__eq__
+    def __eq__(self, other) -> bool:  # Record's __ne__ is its negation
+        return self is other
+
     __hash__ = object.__hash__
 
     variables: tuple[str, ...]

@@ -28,7 +28,7 @@ class NormalizationStats(Record):
 
 def fit_normalizer(ts: TrainingSet) -> NormalizationStats:
     """Compute pooled means and n-1 standard deviations per variable."""
-    rows = [s.ratios.as_tuple() for s in ts.samples]
+    rows = [s.ratios for s in ts.samples]
     means, scatter = column_moments(rows)
     sds = [math.sqrt(total / (len(rows) - 1)) for total in scatter]
     for column, (name, mean, sd) in enumerate(zip(VARIABLES, means, sds)):
@@ -44,7 +44,7 @@ def fit_normalizer(ts: TrainingSet) -> NormalizationStats:
 def apply(stats: NormalizationStats, v: RatioVector) -> RatioVector:
     """Standardize one ratio vector; returns z-values in the same six slots."""
     return RatioVector(
-        *[(x - stats.mean[name]) / stats.sd[name] for name, x in zip(VARIABLES, v.as_tuple())]
+        *[(x - stats.mean[name]) / stats.sd[name] for name, x in zip(VARIABLES, v)]
     )
 
 

@@ -3,41 +3,42 @@
 A record class lists its fields as class annotations, in order, and its
 __match_args__ names them in that order, as for a dataclass. A value assigned
 in the class body is that field's default; a dict default is copied for each
-record. Records take their fields by position or keyword, refuse assignment
-and deletion, compare and hash by value within one class, and print as
-Name(field=value, ...). Each record is one slotted object without a
-per-instance dict. A class may define _validate, which every construction
-runs once the fields are set.
+record. A record is a tuple of its fields in that order: it unpacks, iterates
+and indexes as one, and each field is a read-only property by position.
+Records take their fields by position or keyword, refuse assignment, deletion
+and ordering, compare and hash by value within one class (a plain tuple never
+equals a record), and print as Name(field=value, ...). A class may define
+_validate, which its every construction runs once the fields are set.
 
 Building a record class compiles no code and imports no module, unlike a
 dataclass, so the package's start-up pays for neither.
 """
 from __future__ import annotations
 
+from operator import itemgetter
+
 
 class _RecordType(type):
-    """Turns a class body's annotations into slots and its field values into defaults."""
+    """Turns a class body's annotations into field properties and its field values into defaults."""
 
     def __new__(mcls, name, bases, namespace):
         fields = tuple(namespace.get("__annotations__", ()))
         defaults = {key: namespace.pop(key) for key in fields if key in namespace}
-        namespace.update(__slots__=fields, __match_args__=fields, _defaults=defaults)
-        cls = super().__new__(mcls, name, bases, namespace)
-        # Each field's slot setter, bound once: the constructor's one step per field.
-        cls._setters = tuple(getattr(cls, key).__set__ for key in fields)
-        return cls
+        namespace.update({key: property(itemgetter(at)) for at, key in enumerate(fields)})
+        namespace.update(__slots__=(), __match_args__=fields, _defaults=defaults)
+        return super().__new__(mcls, name, bases, namespace)
 
 
-class Record(metaclass=_RecordType):
-    __slots__ = ()
+class Record(tuple, metaclass=_RecordType):
+    _validate = None  # or a method that raises ValueError for field values the class refuses
 
-    def __init__(self, *args, **kwargs) -> None:
-        setters = self._setters
-        if kwargs or len(args) != len(setters):
-            args = self._arguments(args, kwargs)
-        for set_field, value in zip(setters, args):
-            set_field(self, value)
-        self._validate()
+    def __new__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(cls.__match_args__):
+            args = cls._arguments(args, kwargs)
+        record = tuple.__new__(cls, args)
+        if cls._validate is not None:
+            record._validate()
+        return record
 
     @classmethod
     def _arguments(cls, args: tuple, kwargs: dict) -> list:
@@ -60,30 +61,27 @@ class Record(metaclass=_RecordType):
                 values[key] = dict(default) if isinstance(default, dict) else default
         return [values[key] for key in fields]
 
-    def _validate(self) -> None:
-        """Raise ValueError for field values the class refuses; by default none."""
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, key) for key in self.__match_args__])
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)
+        # tuple's own __eq__ would answer for another tuple, records of other classes included.
+        return False if isinstance(other, tuple) else NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(self._values())
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    __hash__ = tuple.__hash__
+
+    def __lt__(self, other):
+        raise TypeError(f"{type(self).__name__} records have no order")
+
+    __le__ = __gt__ = __ge__ = __lt__
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{key}={getattr(self, key)!r}" for key in self.__match_args__)
+        fields = ", ".join(f"{key}={value!r}" for key, value in zip(self.__match_args__, self))
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
         # Rebuilt through the constructor, so a copy or an unpickled record is validated too.
-        return type(self), self._values()
+        return type(self), tuple(self)

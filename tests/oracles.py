@@ -7,7 +7,9 @@ is Gaussian elimination with partial pivoting, and the window-mean and
 normalizer oracles are numpy's own reductions, which the package's pure-Python
 sums must match to the bit. The score-table oracles are the eigenvalue and
 Box's M written with numpy's pairwise-summed mean and variance. Agreement
-between the package and these routines is evidence, not circularity.
+between the package and these routines is evidence, not circularity. The
+one exception is the year-row oracle: it zones each score with the package's
+classify_zone, the one home of the zone rule, and tallies on its own.
 """
 import mpmath as mp
 import numpy as np
@@ -157,3 +159,40 @@ def score_box_m_reference(scores_by_group):
     )
     pooled = ((n0 - 1) * v0 + (n1 - 1) * v1) / (n0 + n1 - 2)
     return float((n0 + n1 - 2) * np.log(pooled) - ((n0 - 1) * np.log(v0) + (n1 - 1) * np.log(v1)))
+
+
+def year_rows_reference(scored, zones, warning):
+    """Evaluation rows of (bank, year, score) triples under one zone rule, as dicts
+    keyed by YearRow's fields, each bank as a (bank, score, zone) tuple.
+
+    Years ascend and banks within a year are in name order. A bank is expected
+    to look distressed only in its warning year: type I counts expected banks
+    zoned healthy, type II the other banks zoned bankrupt, and the hits are the
+    total less the type II errors and the grey calls.
+    """
+    from distress_lda import ZoneLabel, classify_zone
+
+    rows = []
+    for year in sorted({year for _, year, _ in scored}):
+        banks = [(bank, s, classify_zone(s, zones)) for bank, y, s in sorted(scored) if y == year]
+        expected = [zone for bank, _, zone in banks if warning.get(bank) == year]
+        others = [zone for bank, _, zone in banks if warning.get(bank) != year]
+        counts = {label: sum(1 for _, _, zone in banks if zone is label) for label in ZoneLabel}
+        type1 = sum(1 for zone in expected if zone is ZoneLabel.NONBANKRUPT)
+        type2 = sum(1 for zone in others if zone is ZoneLabel.BANKRUPT)
+        hits = len(banks) - type2 - counts[ZoneLabel.GREY]
+        rows.append({
+            "year": year,
+            "bankrupt_count": counts[ZoneLabel.BANKRUPT],
+            "grey_count": counts[ZoneLabel.GREY],
+            "nonbankrupt_count": counts[ZoneLabel.NONBANKRUPT],
+            "hits": hits,
+            "total": len(banks),
+            "type1_count": type1,
+            "type2_count": type2,
+            "type1_rate": type1 / len(expected) if expected else 0.0,
+            "type2_rate": type2 / len(others) if others else 0.0,
+            "accuracy": hits / len(banks),
+            "banks": banks,
+        })
+    return rows

@@ -851,6 +851,16 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == f"error: config file {config}: {key!r} must be a number\n"
 
+    @pytest.mark.parametrize("literal", ["true", "false"])
+    @pytest.mark.parametrize("key", ["alpha", "collinearity_threshold"])
+    def test_fraction_refuses_a_json_boolean(self, tmp_path, capsys, key, literal):
+        """float(True) is 1.0, but a JSON true or false is no number."""
+        config = tmp_path / "run.json"
+        config.write_text(f'{{"{key}": {literal}}}', encoding="utf-8")
+        code, out, err = run_cli(capsys, "diagnose", "--model", REFERENCE, "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == f"error: config file {config}: {key!r} must be a number\n"
+
     def test_alpha_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "diagnose", "--model", REFERENCE, "--alpha", "1.5")
         assert code == 2

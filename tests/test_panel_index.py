@@ -7,14 +7,19 @@ non-bankrupt, so every panel yields a valid training set.
 """
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import year_rows_reference
+from records import fields
 
 from distress_lda import (
     BankYearRecord,
+    ClassificationZones,
     GroupLabel,
     RatioVector,
+    YearRow,
     average_ratios,
     evaluate_panel,
     infer_warning_years,
+    score_panel,
     training_set_from_panel,
 )
 
@@ -116,6 +121,33 @@ def test_evaluation_invariant_under_row_permutation(
         evaluate_panel(reference_model, reference_stats, shuffled, labels, published_zones)
         == base
     )
+
+
+def _as_dicts(rows):
+    """Year rows in the form of year_rows_reference: dicts by field, banks as plain tuples."""
+    return [
+        {name: [tuple(b) for b in value] if name == "banks" else value
+         for name, value in zip(fields(YearRow), row)}
+        for row in rows
+    ]
+
+
+@SETTINGS
+@given(panels(), st.data())
+def test_year_rows_match_per_rule_reference(reference_model, case, data):
+    """Each rule's rows equal a zone-by-zone tally, with the cut-off and both grey
+    bounds drawn from the panel's own scores, so some scores sit exactly on them."""
+    records, labels = case
+    raw = ClassificationZones(0.0, None, "explicit-override")
+    scored = [(r.bank_id, r.year, s) for r, s in score_panel(reference_model, None, records, raw)]
+    scores = st.sampled_from(sorted({s for _, _, s in scored}))
+    grey = data.draw(st.none() | st.tuples(scores, scores).map(lambda pair: tuple(sorted(pair))))
+    zones = ClassificationZones(data.draw(scores), grey, "explicit-override")
+    report = evaluate_panel(reference_model, None, records, labels, zones)
+    warning = infer_warning_years(records, labels)
+    cutoff_zones = ClassificationZones(zones.cutoff, None, zones.source)
+    assert _as_dicts(report.years) == year_rows_reference(scored, zones, warning)
+    assert _as_dicts(report.cutoff_only) == year_rows_reference(scored, cutoff_zones, warning)
 
 
 def _override_notices_reference(records, actual, overrides):

@@ -1,11 +1,13 @@
 """The contract of the package's value records, over every record type.
 
 Fields come from the class annotations in order and are taken by position or
-keyword; a record refuses assignment and deletion, compares and hashes by
-value within its class (DiscriminantModel by identity), prints as
+keyword; a record is a tuple of its fields in that order, refuses assignment,
+deletion and ordering, compares and hashes by value within its class (never
+equal to a plain tuple; DiscriminantModel by identity), prints as
 Name(field=value, ...), and survives pickle and copy.
 """
 import copy
+import operator
 import pickle
 
 import pytest
@@ -93,7 +95,9 @@ def test_fields_follow_the_annotations_by_position_or_keyword(cls, values, field
     by_position = cls(*values)
     by_keyword = cls(**dict(zip(fields(cls), values)))
     assert astuple(by_position) == astuple(by_keyword) == values
-    assert not hasattr(by_position, "__dict__")  # one slotted object per record
+    assert tuple(by_position) == values  # unpacks in field order
+    assert [by_position[at] for at in range(len(values))] == list(values)
+    assert not hasattr(by_position, "__dict__")  # one object per record
 
 
 @cases
@@ -114,9 +118,16 @@ def test_equality_and_hash(cls, values, field, other):
     record, twin, changed = cls(*values), cls(*values), replace(cls(*values), **{field: other})
     assert record == record
     assert record != changed
-    assert record != values  # a tuple of the same values is another class
+    # A tuple of the same values is another class, on either side.
+    assert record != values and values != record
+    assert not record == values and not values == record
+    for a, b in ((record, twin), (record, values), (values, record)):
+        for order in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                order(a, b)
     if cls is DiscriminantModel:  # compared and hashed by identity
-        assert record != twin
+        assert (record == twin, record != twin) == (False, True)
+        assert (record.__eq__(twin), record.__ne__(twin)) == (False, True)
         assert hash(record) != hash(twin)
         return
     assert record == twin and not record != twin
