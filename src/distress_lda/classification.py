@@ -39,6 +39,12 @@ class ZoneLabel(enum.Enum):
     NONBANKRUPT = "nonbankrupt"
 
 
+# Members the per-bank loops use, bound once: on Python 3.11 reading a member
+# off its enum class costs ~130-220 ns, a module global ~10-20 ns.
+_BANKRUPT_ZONE, _GREY_ZONE, _HEALTHY_ZONE = ZoneLabel.BANKRUPT, ZoneLabel.GREY, ZoneLabel.NONBANKRUPT
+_BANKRUPT = GroupLabel.BANKRUPT
+
+
 class ClassificationZones(Record):
     """Cut-off plus optional grey interval [lo, hi] on the score axis."""
 
@@ -96,11 +102,11 @@ def classify_zone(score_value: float, zones: ClassificationZones) -> ZoneLabel:
     if zones.grey is not None:
         lo, hi = zones.grey
         if score_value < lo:
-            return ZoneLabel.BANKRUPT
+            return _BANKRUPT_ZONE
         if score_value <= hi:
-            return ZoneLabel.GREY
-        return ZoneLabel.NONBANKRUPT
-    return ZoneLabel.BANKRUPT if score_value < zones.cutoff else ZoneLabel.NONBANKRUPT
+            return _GREY_ZONE
+        return _HEALTHY_ZONE
+    return _BANKRUPT_ZONE if score_value < zones.cutoff else _HEALTHY_ZONE
 
 
 _IDENTITY_SCALE = NormalizationStats(mean=dict.fromkeys(VARIABLES, 0.0), sd=dict.fromkeys(VARIABLES, 1.0))
@@ -230,7 +236,7 @@ def infer_warning_years(
     """
     warning: dict[str, int] = {}
     for bank, recs in rows_by_bank(records).items():
-        if actual.get(bank) is not GroupLabel.BANKRUPT:
+        if actual.get(bank) is not _BANKRUPT:
             continue
         available = sorted(r.year for r in recs if r.available)
         if not available:
@@ -267,9 +273,9 @@ def _tally(year: int, banks: list[BankScore], expected: set[str]) -> YearRow:
     """The year's row: zone counts, hits and error rates of its zoned banks."""
     called = [zone for _, _, zone in banks]
     warned = [zone for bank, _, zone in banks if bank in expected]
-    n_b, n_g = called.count(ZoneLabel.BANKRUPT), called.count(ZoneLabel.GREY)
-    type1 = warned.count(ZoneLabel.NONBANKRUPT)  # missed warnings
-    type2 = n_b - warned.count(ZoneLabel.BANKRUPT)  # alarms for banks not expected to look distressed
+    n_b, n_g = called.count(_BANKRUPT_ZONE), called.count(_GREY_ZONE)
+    type1 = warned.count(_HEALTHY_ZONE)  # missed warnings
+    type2 = n_b - warned.count(_BANKRUPT_ZONE)  # alarms for banks not expected to look distressed
     total = len(banks)
     # Hit arithmetic: false alarms and grey calls are subtracted from the
     # total; a missed warning shows up in the type-I rate, not in the hits.
@@ -321,7 +327,7 @@ def evaluate_panel(
     for bank, year in sorted((warning_years or {}).items()):
         if bank not in banks:
             notices.append(f"warning year for bank {bank!r} ignored: bank not in panel")
-        elif actual[bank] is not GroupLabel.BANKRUPT:
+        elif actual[bank] is not _BANKRUPT:
             notices.append(f"warning year for bank {bank!r} ignored: bank is not labelled bankrupt")
         elif (bank, year) not in reported:
             notices.append(

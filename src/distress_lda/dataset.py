@@ -85,6 +85,9 @@ class GroupLabel(enum.IntEnum):
         raise ValueError(f"unknown group label {text!r}")
 
 
+_BANKRUPT = GroupLabel.BANKRUPT  # bound once: a global reads faster than a member of its enum
+
+
 class BankYearRecord(Record):
     bank_id: str
     year: int
@@ -355,7 +358,7 @@ def check_design(n0: int, n1: int, p: int) -> None:
 
 def build_training_set(samples: list[LabeledSample]) -> TrainingSet:
     """Assemble and validate a training set, preserving sample order."""
-    n0 = sum(1 for s in samples if s.label is GroupLabel.BANKRUPT)
+    n0 = sum(1 for s in samples if s.label is _BANKRUPT)
     n1 = len(samples) - n0
     check_design(n0, n1, len(VARIABLES))
     return TrainingSet(samples=tuple(samples), n0=n0, n1=n1)

@@ -3,7 +3,8 @@
 Nothing here shares code with the package: the incomplete-gamma oracle is a
 plain power series and the incomplete-beta oracle is numerical quadrature,
 both evaluated at 50-digit precision with mpmath, the linear-system oracle
-is Gaussian elimination with partial pivoting, and the window-mean and
+is Gaussian elimination with partial pivoting, the fit oracle is the
+discriminant fit written in numpy arrays on top of it, and the window-mean and
 normalizer oracles are numpy's own reductions, which the package's pure-Python
 sums must match to the bit. The score-table oracles are the eigenvalue and
 Box's M written with numpy's pairwise-summed mean and variance. Agreement
@@ -140,6 +141,42 @@ def discriminant_direction_reference(X0, X1):
     W = (X0 - mu0).T @ (X0 - mu0) + (X1 - mu1).T @ (X1 - mu1)
     s_w = W / (len(X0) + len(X1) - 2)
     return eliminate(s_w, mu1 - mu0), s_w, mu0, mu1
+
+
+def fit_reference(X0, X1, priors="proportional"):
+    """The canonical discriminant fit in numpy, as a dict keyed by DiscriminantModel's
+    fields: the elimination direction scaled to unit pooled score variance, the
+    constant at minus the grand-mean score, and Fisher functions w_g = S_w^{-1} mu_g
+    with constants -mu_g'w_g / 2 + log(prior_g). The two Fisher functions are
+    listed under "fisher" as (weights, constant) pairs, bankrupt first."""
+    X0 = np.asarray(X0, dtype=float)
+    X1 = np.asarray(X1, dtype=float)
+    b_raw, s_w, mu0, mu1 = discriminant_direction_reference(X0, X1)
+    b = b_raw / np.sqrt((mu1 - mu0) @ b_raw)
+    a = -b @ np.vstack([X0, X1]).mean(axis=0)
+    scores0, scores1 = X0 @ b + a, X1 @ b + a
+    eigenvalue = score_eigenvalue_reference({"bankrupt": scores0, "nonbankrupt": scores1})
+    sd = np.sqrt(np.diag(s_w))
+    n0, n1 = len(X0), len(X1)
+    pi = (n0 / (n0 + n1), n1 / (n0 + n1)) if priors == "proportional" else (0.5, 0.5)
+    fisher = []
+    for mu, prior in zip((mu0, mu1), pi):
+        w = eliminate(s_w, mu)
+        fisher.append((w, -0.5 * (mu @ w) + np.log(prior)))
+    return {
+        "coefficients": b,
+        "constant": a,
+        "standardized": b * sd,
+        "y0": scores0.mean(),
+        "y1": scores1.mean(),
+        "s0": scores0.std(ddof=1),
+        "s1": scores1.std(ddof=1),
+        "eigenvalue": eigenvalue,
+        "canonical_correlation": np.sqrt(eigenvalue / (1 + eigenvalue)),
+        "wilks_lambda": 1 / (1 + eigenvalue),
+        "pooled_correlation": s_w / np.outer(sd, sd),
+        "fisher": fisher,
+    }
 
 
 def score_eigenvalue_reference(scores_by_group):

@@ -1229,28 +1229,21 @@ def _loaded_after(modules: set[str], *calls: list[str]) -> set[str]:
     return set(json.loads(proc.stdout))
 
 
-# Every command but fit, in both formats: none of them fits a model.
-READING_CALLS = [
-    *[[cmd, *CASE_STUDY_ARGS[cmd], "--format", fmt]
-      for cmd in ("classify", "evaluate") for fmt in ("text", "json")],
-    ["diagnose", "--model", REFERENCE],
-    ["diagnose", "--model", REFERENCE, "--format", "json"],
-]
+def _every_command(model: Path) -> list[list[str]]:
+    """The four commands on the case study, each in both formats; fit writes model and diagnose reads it."""
+    args = {**CASE_STUDY_ARGS, "fit": ["--train", TABLE, "--model", str(model)], "diagnose": ["--model", str(model)]}
+    return [[cmd, *argv, "--format", fmt] for cmd, argv in args.items() for fmt in ("text", "json")]
 
 
-def test_only_fit_imports_numpy(tmp_path):
-    """numpy serves the fit's linear algebra alone, so scoring a panel and
-    checking a stored model never pay for its import."""
-    assert _loaded_after({"numpy"}, *READING_CALLS) == set()
-    assert _loaded_after({"numpy"}, ["fit", "--train", TABLE, "--model", str(tmp_path / "m.json")]) == {"numpy"}
+def test_no_command_imports_numpy(tmp_path):
+    """The fit runs on plain floats, so no command pays for numpy's import."""
+    assert _loaded_after({"numpy"}, *_every_command(tmp_path / "m.json")) == set()
 
 
 def test_no_command_imports_dataclasses(tmp_path):
     """The value records are built without dataclasses, whose import pulls in
-    inspect, ast, dis and tokenize. Only fit loads inspect, through numpy."""
-    assert _loaded_after({"dataclasses", "inspect"}, *READING_CALLS) == set()
-    fit_call = ["fit", "--train", TABLE, "--model", str(tmp_path / "m.json")]
-    assert _loaded_after({"dataclasses"}, fit_call) == set()
+    inspect, ast, dis and tokenize; no command loads inspect by another road."""
+    assert _loaded_after({"dataclasses", "inspect"}, *_every_command(tmp_path / "m.json")) == set()
 
 
 class TestTextMatchesJson:

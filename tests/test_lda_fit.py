@@ -1,8 +1,12 @@
-"""Discriminant fit: the SPD solver, the canonical scaling, and Fisher rules."""
+"""Discriminant fit: the SPD solver, the fused multiply-add, the input
+contract, the canonical scaling, and Fisher rules."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distress_lda import (
     VARIABLES,
@@ -19,6 +23,7 @@ from distress_lda import (
     score,
     solve_spd,
 )
+from distress_lda.lda_fit import _fma
 from oracles import eliminate
 from records import replace
 
@@ -63,6 +68,101 @@ class TestSolveSpd:
     def test_indefinite_matrix_rejected(self):
         with pytest.raises(SingularMatrixError, match=r"pivot 0"):
             solve_spd([[-1.0]], [1.0])
+
+
+# Operands where Dekker's product stops being exact, or Veltkamp's split of an
+# operand would overflow (|x| * (2**27 + 1) > max), and the ends of the range.
+_FMA_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.0**-480, 2.0**-481,
+              2.0**480, 2.0**481, 2.0**996, -(2.0**997), 1.7976931348623157e308, -1.7976931348623157e308]
+_OVERFLOW = Fraction(2**1024 - 2**970)  # the midpoint past the largest float: from here on, round to inf
+fma_operands = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_FMA_EDGES))
+
+
+def _rounded(exact: Fraction) -> float:
+    """exact to the nearest float, ties to even, +-inf from the overflow midpoint on."""
+    if abs(exact) >= _OVERFLOW:
+        return math.inf if exact > 0 else -math.inf
+    return float(exact)  # int / int rounds correctly in Python
+
+
+class TestFma:
+    """_fma(a, b, c) is a * b + c rounded once, over the whole finite range."""
+
+    @settings(deadline=None, max_examples=2000)
+    @given(fma_operands, fma_operands, fma_operands)
+    def test_rounds_the_exact_sum_once(self, a, b, c):
+        exact = Fraction(a) * Fraction(b) + Fraction(c)
+        result = _fma(a, b, c)
+        if exact == 0 and (a == 0.0 or b == 0.0):  # IEEE 754: -0 only for (-0) + (-0)
+            negative = math.copysign(1.0, a) * math.copysign(1.0, b) < 0 and math.copysign(1.0, c) < 0
+            assert result.hex() == (-0.0 if negative else 0.0).hex()
+        else:
+            assert result.hex() == _rounded(exact).hex()
+
+    def test_differs_from_the_twice_rounded_sum(self):
+        """(1 + 2**-30)**2 - 1 keeps the 2**-60 that a * b rounds away."""
+        a = 1.0 + 2.0**-30
+        assert a * a - 1.0 == 2.0**-29
+        assert _fma(a, a, -1.0) == 2.0**-29 + 2.0**-60
+
+    @pytest.mark.parametrize(
+        "a, b, c, expected",
+        [
+            (1e300, 1e300, -1e308, math.inf),  # the product alone overflows
+            (-1e300, 1e300, 1e308, -math.inf),
+            (1e300, 1e300, -math.inf, -math.inf),  # an exact product is finite
+            (math.inf, 2.0, 1.0, math.inf),
+            (math.inf, 0.0, 1.0, math.nan),
+            (math.inf, 1.0, -math.inf, math.nan),
+            (2.0, 3.0, math.nan, math.nan),
+            (2.0, 3.0, math.inf, math.inf),
+        ],
+    )
+    def test_non_finite_results(self, a, b, c, expected):
+        result = _fma(a, b, c)
+        assert result == expected or (math.isnan(expected) and math.isnan(result))
+
+
+class TestInputContract:
+    """Rows in, errors out: the fit takes lists, tuples and arrays of rows of one length."""
+
+    X0 = [[0.0, 1.0], [2.0, 0.5], [1.0, 1.5]]
+    X1 = [[4.0, 3.0], [6.0, 2.0], [5.0, 4.5]]
+
+    @pytest.mark.parametrize(
+        "X0, X1",
+        [
+            ([[0.0, 1.0], [2.0]], X1),  # a short row, which zip would silently truncate to
+            ([[0.0, 1.0], [2.0, 0.5, 9.0]], X1),  # a long row, whose extra value zip would drop
+            (X0, [[4.0, 3.0, 1.0], [6.0, 2.0, 1.0], [5.0, 4.5, 1.0]]),  # groups of different widths
+        ],
+    )
+    def test_ragged_rows_raise_value_error(self, X0, X1):
+        with pytest.raises(ValueError):
+            fit_from_matrices(X0, X1, ("u", "v"))
+
+    @pytest.mark.parametrize("flat", [[0.0, 1.0], (0.0, 1.0), np.array([0.0, 1.0])])
+    def test_a_flat_group_is_one_row(self, flat):
+        with pytest.raises(InsufficientGroupError, match="bankrupt=1"):
+            fit_from_matrices(flat, self.X1, ("u", "v"))
+
+    @pytest.mark.parametrize("empty", [[], (), np.empty((0, 2))])
+    def test_an_empty_group_is_refused(self, empty):
+        with pytest.raises(InsufficientGroupError):
+            fit_from_matrices(self.X0, empty, ("u", "v"))
+
+    def test_lists_tuples_and_arrays_fit_alike(self):
+        forms = [
+            (self.X0, self.X1),
+            (tuple(map(tuple, self.X0)), tuple(map(tuple, self.X1))),
+            (np.array(self.X0), np.array(self.X1)),
+            ([np.array(row) for row in self.X0], [tuple(row) for row in self.X1]),
+        ]
+        models = [fit_from_matrices(X0, X1, ("u", "v")) for X0, X1 in forms]
+        for model in models[1:]:
+            assert model.coefficients == models[0].coefficients
+            assert model.fisher.constants == models[0].fisher.constants
+            assert model.pooled_correlation == models[0].pooled_correlation
 
 
 class TestGroupStats:

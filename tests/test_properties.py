@@ -4,6 +4,7 @@
 - A panel split across files reads as the panel, and breaks its rules the same way.
 - Zones are ordered along the score axis: bankrupt below grey below healthy.
 - The fitted coefficients do not depend on the order of rows within a group.
+- The fit agrees with the numpy oracle to 1e-12 relative, over 1-9 variables.
 - Window means and normalizer statistics carry numpy's bits exactly.
 - The eigenvalue and Box's M of a score table agree with numpy's to 1e-12.
 - Panel scoring carries the bits of score() on the (z-scored) ratio vector.
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    fit_reference,
     normalizer_reference,
     score_box_m_reference,
     score_eigenvalue_reference,
@@ -55,6 +57,7 @@ from distress_lda import (
 )
 from distress_lda.dataset import load_panels
 from distress_lda.fixtures import data_path
+from distress_lda.lda_fit import GROUP_KEYS, PRIORS
 from distress_lda.normalization import NormalizationStats, apply
 
 # No deadline: per-example times vary with machine load more than the default allows.
@@ -193,6 +196,53 @@ def test_fit_ignores_row_order_within_groups(case):
     shuffled = fit_from_matrices(X0[list(order0)], X1[list(order1)], names)
     b_shuffled = np.array(list(shuffled.coefficients.values()))
     assert np.max(np.abs(b_shuffled - b)) <= 1e-9 * np.max(np.abs(b))
+
+
+@st.composite
+def fit_cases(draw):
+    """Two groups of seeded normal rows over 1-9 variables, the second shifted,
+    and a prior rule. p = 1-9 gives the four score lanes every tail (0-3 columns)
+    and, from p = 8, two columns each. The pooled covariance is conditioned so
+    that two correct fits agree to 1e-12."""
+    p = draw(st.integers(1, 9))
+    n0 = draw(st.integers(2, 12))
+    n1 = draw(st.integers(max(2, 2 * p + 4 - n0), 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shift = rng.normal(scale=draw(st.sampled_from([0.5, 2.0, 10.0])), size=p)
+    X0, X1 = rng.normal(size=(n0, p)), rng.normal(size=(n1, p)) + shift
+    mu0, mu1 = X0.mean(axis=0), X1.mean(axis=0)
+    assume(np.linalg.cond((X0 - mu0).T @ (X0 - mu0) + (X1 - mu1).T @ (X1 - mu1)) < 1e3)
+    return X0, X1, draw(st.sampled_from(PRIORS))
+
+
+def assert_close(actual, expected, scale):
+    """Each value within 1e-12 of its reference, relative to the larger of the
+    reference and a scale its rounding error grows with."""
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    assert np.all(np.abs(actual - expected) <= 1e-12 * np.maximum(np.abs(expected), scale)), (actual, expected)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(fit_cases())
+def test_fit_agrees_with_numpy_oracle(case):
+    X0, X1, priors = case
+    names = [f"x{i}" for i in range(X0.shape[1])]
+    model = fit_from_matrices(X0, X1, names, priors=priors)
+    ref = fit_reference(X0, X1, priors)
+    b, standardized = ref["coefficients"], ref["standardized"]
+    assert_close([model.coefficients[n] for n in names], b, np.max(np.abs(b)))
+    assert_close([model.standardized[n] for n in names], standardized, np.max(np.abs(standardized)))
+    # A score sums terms b_i x_i as large as this before they cancel.
+    score_scale = np.max(np.abs(np.vstack([X0, X1])) @ np.abs(b))
+    for field in ("constant", "y0", "y1", "s0", "s1"):
+        assert_close(getattr(model, field), ref[field], score_scale)
+    for field in ("eigenvalue", "canonical_correlation", "wilks_lambda"):
+        assert_close(getattr(model, field), ref[field], 0.0)
+    assert_close(model.pooled_correlation, ref["pooled_correlation"], 1.0)
+    for key, mu, (w, constant) in zip(GROUP_KEYS, (X0.mean(axis=0), X1.mean(axis=0)), ref["fisher"]):
+        assert_close([model.fisher.weights[key][n] for n in names], w, np.max(np.abs(w)))
+        prior = model.fisher.priors[key]
+        assert_close(model.fisher.constants[key], constant, np.abs(mu) @ np.abs(w) / 2 + abs(np.log(prior)))
 
 
 # Bounded so that no sum or square overflows. Signed zeros are drawn often, as

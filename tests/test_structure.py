@@ -1,6 +1,6 @@
-"""Source structure: file I/O, the JSON format, the two-group design rule and
-numpy each live in one function, the rest of the package runs without numpy,
-and nothing imports dataclasses.
+"""Source structure: file I/O, the JSON format and the two-group design rule
+each live in one function, the package imports only the standard library and
+itself, and nothing imports numpy or dataclasses.
 The package exports what __init__ imports, and the bench finds every name it calls."""
 import ast
 import importlib
@@ -19,15 +19,15 @@ TESTS = Path(__file__).resolve().parent
 # rule's error and each import of a module in IMPORTS, with the one function
 # allowed to make it.
 HOMES = {
-    "import numpy": "lda_fit.fit_from_matrices",
     "json.loads": "model_io.parse_json",
     "json.dumps": "model_io.json_text",
     ".write_text": "model_io.write_json",
     ".read_bytes": "dataset.read_text",
     "raise VariableCountError": "dataset.check_design",
 }
-# dataclasses has no home: its import pulls in inspect, ast, dis and tokenize,
-# a cost every CLI call would pay, and the package's records are record.Record.
+# Neither has a home. numpy's import would cost every fit ~140 ms for a 6x6
+# solve. dataclasses' pulls in inspect, ast, dis and tokenize, a cost every CLI
+# call would pay, and the package's records are record.Record.
 IMPORTS = ("numpy", "dataclasses")
 
 
@@ -62,10 +62,27 @@ def _calls(path: Path):
 
 
 def test_file_io_and_json_have_one_home_each():
-    """Also: VariableCountError is raised only by dataset.check_design, numpy
-    is imported only by lda_fit.fit_from_matrices, and dataclasses nowhere."""
+    """Also: VariableCountError is raised only by dataset.check_design, and
+    numpy and dataclasses are imported nowhere."""
     calls = sorted(call for path in sorted(PACKAGE.glob("*.py")) for call in _calls(path))
     assert calls == sorted(HOMES.items())
+
+
+def test_package_imports_only_the_standard_library():
+    """Every import under src/, at any depth, names a standard-library module or the
+    package itself, so installing it needs no runtime dependency."""
+    outside = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside |= {(path.name, name) for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names | {"distress_lda"}}
+    assert outside == set()
 
 
 # Prints, as JSON, what the numerics outside the fit give on a score table and
