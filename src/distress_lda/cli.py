@@ -2,8 +2,9 @@
 
 Configuration precedence, lowest to highest: built-in defaults, the file
 named by DISTRESS_LDA_CONFIG, the file named by --config, then explicit
-flags. Config files are either JSON objects or key=value lines. Every value
-passes its setting's one parser in _SETTINGS, whatever its source.
+flags. Config files are either JSON objects or key=value lines. _SETTINGS
+declares each setting once: its default, its one parser, which every value
+passes whatever its source, its flag's subcommands and its help.
 
 Exit codes: 0 success, 2 configuration problems, 3 unreadable/invalid input
 data or model files, 4 fit degeneracies (singular covariance, coincident
@@ -53,20 +54,6 @@ from .normalization import fit_normalizer, normalize_training_set
 from .record import Record
 
 _GLYPH = {"bankrupt": "▼", "grey": "■", "nonbankrupt": "▲"}
-
-
-class RunConfig(Record):
-    train: str | None = None
-    panel: tuple[str, ...] = ()
-    model: str = "model.json"
-    zones: str = "derived"
-    format: str = "text"
-    alpha: float = ALPHA_DEFAULT
-    collinearity_threshold: float = COLLINEARITY_THRESHOLD_DEFAULT
-    window: tuple[int, int] = WINDOW_DEFAULT
-    priors: str = PRIORS[0]
-    labels: dict[str, GroupLabel] = {}  # each config gets its own copy
-    warning_years: dict[str, int] = {}
 
 
 def parse_window(text: str) -> tuple[int, int]:
@@ -154,7 +141,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     sources = [(f"config file {path}", _read_config_file(path)) for path in paths]
     flags = {key: raw for key, raw in vars(args).items() if key in _SETTINGS and raw is not None}
     sources += [(f"argument --{key.replace('_', '-')}", [(key, raw)]) for key, raw in flags.items()]
-    values = {}
+    # Every field starts at its default; each config gets its own copy of a dict default.
+    defaults = ((key, row[0]) for key, row in _SETTINGS.items())
+    values = {key: dict(value) if isinstance(value, dict) else value for key, value in defaults}
     for origin, pairs in sources:
         seen = set()  # a later source overrides an earlier one, but no source sets a key twice
         for key, raw in pairs:
@@ -165,7 +154,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 raise ConfigError(f"{origin}: config key {key!r} is set twice")
             seen.add(key)
             try:
-                values[key] = _SETTINGS[key][0](key, raw)
+                values[key] = _SETTINGS[key][1](key, raw)
             except (ConfigError, ValueError) as exc:  # ValueError: unknown label, huge year
                 raise ConfigError(f"{origin}: {exc}") from None
     config = RunConfig(**values)
@@ -441,22 +430,28 @@ _EXIT_CODES = (
 
 _PANEL_COMMANDS = ("classify", "evaluate")
 
-# One row per setting: its parser, the subcommands taking it as a flag, and the
-# flag's help, where {default} is RunConfig's. Config files may set any key, as
-# one file serves all commands.
+# One row per setting, in RunConfig's field order: its default, its parser, the
+# subcommands taking it as a flag, and the flag's help, where {default} is the
+# row's default. Config files may set any key, as one file serves all commands.
 _SETTINGS = {
-    "train": (_text, ("fit",), "training panel CSV"),
-    "panel": (_paths, _PANEL_COMMANDS, "panel CSV (repeatable)"),
-    "model": (_text, tuple(_COMMANDS), "model file (written by fit, read elsewhere)"),
-    "zones": (_text, _PANEL_COMMANDS, "'derived', 'paper', or a zones JSON file"),
-    "format": (partial(_choice, ("text", "json")), tuple(_COMMANDS), "text|json"),
-    "alpha": (_fraction, ("diagnose",), "significance level (default {default:g})"),
-    "collinearity_threshold": (_fraction, ("diagnose",), "|r| flag threshold (default {default:g})"),
-    "window": (lambda _key, value: parse_window(str(value)), ("fit",), "averaging YYYY:YYYY"),
-    "priors": (partial(_choice, PRIORS), ("fit",), "|".join(PRIORS) + " priors"),
-    "labels": (partial(_bank_map, GroupLabel.from_string, "label"), (), None),
-    "warning_years": (partial(_bank_map, _year, "year"), (), None),
+    "train": (None, _text, ("fit",), "training panel CSV"),
+    "panel": ((), _paths, _PANEL_COMMANDS, "panel CSV (repeatable)"),
+    "model": ("model.json", _text, tuple(_COMMANDS), "model file (written by fit, read elsewhere)"),
+    "zones": ("derived", _text, _PANEL_COMMANDS, "'derived', 'paper', or a zones JSON file"),
+    "format": ("text", partial(_choice, ("text", "json")), tuple(_COMMANDS), "text|json"),
+    "alpha": (ALPHA_DEFAULT, _fraction, ("diagnose",), "significance level (default {default:g})"),
+    "collinearity_threshold": (
+        COLLINEARITY_THRESHOLD_DEFAULT, _fraction, ("diagnose",), "|r| flag threshold (default {default:g})"
+    ),
+    "window": (WINDOW_DEFAULT, lambda _key, value: parse_window(str(value)), ("fit",), "averaging YYYY:YYYY"),
+    "priors": (PRIORS[0], partial(_choice, PRIORS), ("fit",), "|".join(PRIORS) + " priors"),
+    "labels": ({}, partial(_bank_map, GroupLabel.from_string, "label"), (), None),
+    "warning_years": ({}, partial(_bank_map, _year, "year"), (), None),
 }
+
+
+class RunConfig(Record):  # the settings of one run: a field per row of _SETTINGS, in its order
+    __annotations__ = dict.fromkeys(_SETTINGS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -473,14 +468,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-group linear discriminant toolkit for bank-distress early warning.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    defaults = RunConfig()
     for name, (_command, _render, help_text) in _COMMANDS.items():
         # No abbreviations: --mode, an unknown flag, would read as --model.
         sub = subparsers.add_parser(name, help=help_text, allow_abbrev=False)
-        for key, (_parse, commands, flag_help) in _SETTINGS.items():
+        for key, (default, _parse, commands, flag_help) in _SETTINGS.items():
             if name in commands:
                 action = "append" if key == "panel" else "store"
-                flag_help = flag_help.format(default=getattr(defaults, key))
+                flag_help = flag_help.format(default=default)
                 sub.add_argument(f"--{key.replace('_', '-')}", action=action, help=flag_help)
         sub.add_argument("--config", metavar="FILE", help="config file (JSON or key=value)")
     return parser

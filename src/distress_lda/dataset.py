@@ -28,11 +28,8 @@ from .errors import (
 )
 from .record import Record
 
-# Canonical predictor order; every matrix and serialized mapping follows it.
-VARIABLES = ("eaa", "roae", "roaa", "nii", "laaa", "bdtla")
 WINDOW_DEFAULT = (2012, 2015)  # the case study's averaging window
 
-_REQUIRED_COLUMNS = ("bank", "year") + VARIABLES
 _Rows = list[tuple[int, list[str]]]  # (line number, cells) of each data row
 
 
@@ -67,6 +64,11 @@ class RatioVector(Record):
         if len(values) != len(VARIABLES):
             raise ValueError(f"expected {len(VARIABLES)} values, got {len(values)}")
         return cls(*map(float, values))
+
+
+# Canonical predictor order; every matrix and serialized mapping follows it.
+VARIABLES = RatioVector.__match_args__
+_REQUIRED_COLUMNS = ("bank", "year") + VARIABLES
 
 
 class GroupLabel(enum.IntEnum):

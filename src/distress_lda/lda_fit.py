@@ -244,8 +244,8 @@ def fit_from_matrices(
     """Fit the canonical discriminant function on two per-group matrices.
 
     X0 holds the bankrupt-group rows, X1 the non-bankrupt ones, as sequences
-    of rows (lists, tuples or arrays) of one length; the design must pass
-    check_design.
+    of rows (lists, tuples or arrays) of one length, one column per name in
+    variables; the design must pass check_design.
     """
     if priors not in PRIORS:
         raise ValueError(f"priors must be {PRIORS[0]!r} or {PRIORS[1]!r}, got {priors!r}")
@@ -253,10 +253,13 @@ def fit_from_matrices(
     widths = {len(row) for row in X0 + X1}
     if len(widths) > 1:
         raise ValueError(f"rows must all have one length, got lengths {sorted(widths)}")
-    n0, n1 = len(X0), len(X1)
-    check_design(n0, n1, widths.pop() if widths else 0)
-    N = n0 + n1
     variables = tuple(variables)
+    p = widths.pop() if widths else len(variables)  # no rows at all: check_design refuses the groups
+    if p != len(variables):
+        raise ValueError(f"{len(variables)} variables named for rows of {p} columns")
+    n0, n1 = len(X0), len(X1)
+    check_design(n0, n1, p)
+    N = n0 + n1
     mu0 = [total / n0 for total in column_sums(X0)]
     mu1 = [total / n1 for total in column_sums(X1)]
     diff = [m1 - m0 for m0, m1 in zip(mu0, mu1)]

@@ -1,14 +1,14 @@
 """Frozen value records: the one base of the package's data types.
 
 A record class lists its fields as class annotations, in order, and its
-__match_args__ names them in that order, as for a dataclass. A value assigned
-in the class body is that field's default; a dict default is copied for each
-record. A record is a tuple of its fields in that order: it unpacks, iterates
-and indexes as one, and each field is a read-only property by position.
-Records take their fields by position or keyword, refuse assignment, deletion
-and ordering, compare and hash by value within one class (a plain tuple never
-equals a record), and print as Name(field=value, ...). A class may define
-_validate, which its every construction runs once the fields are set.
+__match_args__ names them in that order, as for a dataclass. No field has a
+default: a record takes every field, by position or keyword, and a class body
+giving a field a value is refused. A record is a tuple of its fields in that
+order: it unpacks, iterates and indexes as one, and each field is a read-only
+property by position. Records refuse assignment, deletion and ordering,
+compare and hash by value within one class (a plain tuple never equals a
+record), and print as Name(field=value, ...). A class may define _validate,
+which its every construction runs once the fields are set.
 
 Building a record class compiles no code and imports no module, unlike a
 dataclass, so the package's start-up pays for neither.
@@ -19,13 +19,15 @@ from operator import itemgetter
 
 
 class _RecordType(type):
-    """Turns a class body's annotations into field properties and its field values into defaults."""
+    """Turns a class body's annotations into field properties."""
 
     def __new__(mcls, name, bases, namespace):
         fields = tuple(namespace.get("__annotations__", ()))
-        defaults = {key: namespace.pop(key) for key in fields if key in namespace}
+        for key in fields:
+            if key in namespace:  # the field's property would silently replace the value
+                raise TypeError(f"{name}.{key}: a record field takes no default")
         namespace.update({key: property(itemgetter(at)) for at, key in enumerate(fields)})
-        namespace.update(__slots__=(), __match_args__=fields, _defaults=defaults)
+        namespace.update(__slots__=(), __match_args__=fields)
         return super().__new__(mcls, name, bases, namespace)
 
 
@@ -55,10 +57,7 @@ class Record(tuple, metaclass=_RecordType):
             values[key] = value
         for key in fields:
             if key not in values:
-                if key not in cls._defaults:
-                    raise TypeError(f"{cls.__name__}() missing field {key!r}")
-                default = cls._defaults[key]
-                values[key] = dict(default) if isinstance(default, dict) else default
+                raise TypeError(f"{cls.__name__}() missing field {key!r}")
         return [values[key] for key in fields]
 
     def __eq__(self, other):

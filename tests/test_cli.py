@@ -16,10 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from records import fields
-
 import distress_lda
-from distress_lda.cli import RunConfig, main, parse_window
+from distress_lda.cli import _SETTINGS, main, parse_window
 from distress_lda.errors import ConfigError
 from distress_lda.fixtures import data_path
 from distress_lda.model_io import load_model
@@ -760,6 +758,13 @@ class TestSettings:
         assert exit_.value.code == 2
         assert capsys.readouterr() == ("", "error: the following arguments are required: command\n")
 
+    def test_diagnose_help_prints_the_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["diagnose", "--help"])
+        out = capsys.readouterr().out
+        assert "significance level (default 0.05)" in out
+        assert "|r| flag threshold (default 0.8)" in out
+
     def test_bad_flag_value_is_one_error_line(self, capsys):
         code, out, err = run_cli(capsys, "diagnose", "--model", REFERENCE, "--alpha", "high")
         assert (code, out) == (2, "")
@@ -810,7 +815,7 @@ class TestSettings:
         ).groups()
         keys = re.findall(r"`([a-z_]+)`", listed)
         assert len(keys) == int(count)
-        assert keys == list(fields(RunConfig))
+        assert keys == list(_SETTINGS)
 
 
 class TestWindowParsing:

@@ -151,6 +151,12 @@ class TestInputContract:
         with pytest.raises(InsufficientGroupError):
             fit_from_matrices(self.X0, empty, ("u", "v"))
 
+    @pytest.mark.parametrize("variables", [("u",), ("u", "v", "w")])
+    def test_one_variable_name_per_column(self, variables):
+        """Fewer names would drop a column from the score; more would name a missing coefficient."""
+        with pytest.raises(ValueError, match=f"{len(variables)} variables named for rows of 2 columns"):
+            fit_from_matrices(self.X0, self.X1, variables)
+
     def test_lists_tuples_and_arrays_fit_alike(self):
         forms = [
             (self.X0, self.X1),

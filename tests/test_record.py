@@ -32,8 +32,9 @@ from distress_lda import (
     YearRow,
     ZoneLabel,
 )
-from distress_lda.cli import RunConfig
+from distress_lda.cli import RunConfig, build_config, build_parser
 from distress_lda.fixtures import load_reference_model
+from distress_lda.record import Record
 
 MODEL, STATS = load_reference_model()
 RATIOS = RatioVector(0.1, -0.2, 0.03, 0.4, 0.5, 0.06)
@@ -80,7 +81,6 @@ def _hashable(values) -> bool:
 
 def test_every_record_type_is_covered():
     import distress_lda
-    from distress_lda.record import Record
 
     exported = {
         value for value in vars(distress_lda).values() if isinstance(value, type) and issubclass(value, Record)
@@ -154,20 +154,32 @@ def test_bad_field_lists_raise_type_error(cls, values, field, other):
     ):
         with pytest.raises(TypeError):
             call()
-    if cls is RunConfig:  # every setting has a default
-        assert astuple(cls(*values[:-1])) == values[:-1] + ({},)
-    else:
-        with pytest.raises(TypeError, match=repr(fields(cls)[-1])):
-            cls(*values[:-1])
+    with pytest.raises(TypeError, match=repr(fields(cls)[-1])):
+        cls(*values[:-1])
 
 
-def test_run_config_defaults_are_fresh_per_config():
-    first, second = RunConfig(), RunConfig()
+def test_a_field_default_is_refused():
+    # The field's property would replace the value, so a default would be lost silently.
+    with pytest.raises(TypeError, match="Point.y: a record field takes no default"):
+
+        class Point(Record):
+            x: float
+            y: float = 0.0
+
+
+def test_run_config_defaults_are_fresh_per_config(monkeypatch):
+    """build_config starts every field at its default, with a dict of its own per config."""
+    monkeypatch.delenv("DISTRESS_LDA_CONFIG", raising=False)
+
+    def build():
+        return build_config(build_parser().parse_args(["evaluate"]))
+
+    first, second = build(), build()
     assert first == second
     assert first.labels == {} and first.labels is not second.labels
     assert first.warning_years == {} and first.warning_years is not second.warning_years
     first.labels["Alpha"] = GroupLabel.BANKRUPT
-    assert RunConfig().labels == {}
+    assert build().labels == {}
 
 
 @cases
