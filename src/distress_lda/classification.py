@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import enum
 import math
-from operator import attrgetter
-from typing import Callable, Mapping, Sequence
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
+from typing import Mapping, Sequence
 
 from .dataset import VARIABLES, BankYearRecord, GroupLabel, TrainingSet, rows_by_bank
 from .errors import BindingError, DomainError, MissingLabelError
@@ -112,15 +113,17 @@ def classify_zone(score_value: float, zones: ClassificationZones) -> ZoneLabel:
 _IDENTITY_SCALE = NormalizationStats(mean=dict.fromkeys(VARIABLES, 0.0), sd=dict.fromkeys(VARIABLES, 1.0))
 
 
-def _row_scorer(
-    model: DiscriminantModel, stats: NormalizationStats | None, scale: str
-) -> Callable[[Sequence[float]], float]:
-    """The model's score of a ratio tuple in VARIABLES order, on either score scale.
+def _scores(
+    model: DiscriminantModel, stats: NormalizationStats | None, scale: str, records: Sequence[BankYearRecord]
+) -> list[float]:
+    """The model's score of each record's ratios on either score scale, in the order given.
 
-    Each coefficient is bound to its tuple index once. The arithmetic is that
-    of score(model, v) on the raw scale and of score(model, apply(stats, v))
-    on the normalized one, term by term in model.coefficients order, so the
-    scores carry the same bits.
+    The scores are summed column by column: each starts at the constant and
+    adds one term per coefficient, in model.coefficients order. The arithmetic
+    is that of score(model, v) on the raw scale and of
+    score(model, apply(stats, v)) on the normalized one, so the scores carry
+    the same bits. A score that is not finite (a huge ratio can overflow its
+    z-score) is refused with the bank-year it belongs to.
     """
     if scale == "normalized" and stats is None:
         raise ValueError("the normalized scale requires normalization stats")
@@ -129,19 +132,15 @@ def _row_scorer(
             raise BindingError(f"observation has no variable {name!r}")
     # The raw scale is z-scoring against mean 0.0 and sd 1.0, which leaves every finite ratio's bits.
     moments = stats if scale == "normalized" else _IDENTITY_SCALE
-    terms = [
-        (coef, VARIABLES.index(name), moments.mean[name], moments.sd[name])
-        for name, coef in model.coefficients.items()
-    ]
-    constant = model.constant
-
-    def row_score(x: Sequence[float]) -> float:
-        total = constant
-        for coef, at, mean, sd in terms:
-            total += coef * ((x[at] - mean) / sd)
-        return total
-
-    return row_score
+    ratios = [record.ratios for record in records]
+    scores = [model.constant] * len(ratios)
+    for name, coef in model.coefficients.items():
+        at, mean, sd = VARIABLES.index(name), moments.mean[name], moments.sd[name]
+        scores = [total + coef * ((x[at] - mean) / sd) for total, x in zip(scores, ratios)]
+    if not all(map(math.isfinite, scores)):
+        s, record = next((s, r) for s, r in zip(scores, records) if not math.isfinite(s))
+        raise DomainError(f"bank {record.bank_id!r} year {record.year}: score must be finite, got {s!r}")
+    return scores
 
 
 def score_panel(
@@ -156,17 +155,8 @@ def score_panel(
     A score that is not finite (a huge ratio can overflow its z-score) is
     refused with the bank-year it belongs to.
     """
-    row_score = _row_scorer(model, stats, zones.scale)
-    scored = []
-    for record in records:
-        if record.available:
-            s = row_score(record.ratios)
-            if not math.isfinite(s):
-                raise DomainError(
-                    f"bank {record.bank_id!r} year {record.year}: score must be finite, got {s!r}"
-                )
-            scored.append((record, s))
-    return scored
+    available = [record for record in records if record.available]
+    return list(zip(available, _scores(model, stats, zones.scale, available)))
 
 
 class ConfusionMatrix(Record):
@@ -248,25 +238,27 @@ def infer_warning_years(
 
 def _year_row(
     year: int,
-    scored: Sequence[tuple[str, float]],
+    banks: Sequence[str],
+    scores: Sequence[float],
     zones: ClassificationZones,
     cutoff_zones: ClassificationZones,
     expected: set[str],
 ) -> tuple[YearRow, YearRow]:
-    """The rows of one year's (bank, score) pairs, given in bank order, under
-    the zones and under the cut-off-only zones; the pairs are zoned in one pass.
+    """The rows of one year's banks, given in bank order, and their scores,
+    under the zones and under the cut-off-only zones; the scores are zoned in
+    one pass.
 
     expected holds the distressed banks whose warning year this is, each with
     an available record that year: only they are expected to look distressed.
     """
-    banks, cutoff_banks = [], []
-    for bank, s in scored:
+    entries, cutoff_entries = [], []
+    for bank, s in zip(banks, scores):
         zone = classify_zone(s, zones)
         cut = classify_zone(s, cutoff_zones)
         entry = BankScore(bank, s, zone)
-        banks.append(entry)
-        cutoff_banks.append(entry if cut is zone else BankScore(bank, s, cut))
-    return _tally(year, banks, expected), _tally(year, cutoff_banks, expected)
+        entries.append(entry)
+        cutoff_entries.append(entry if cut is zone else BankScore(bank, s, cut))
+    return _tally(year, entries, expected), _tally(year, cutoff_entries, expected)
 
 
 def _tally(year: int, banks: list[BankScore], expected: set[str]) -> YearRow:
@@ -340,18 +332,22 @@ def evaluate_panel(
     for bank, year in warning.items():
         expected_by_year.setdefault(year, set()).add(bank)
 
-    ordered = sorted(records, key=attrgetter("year", "bank_id"))
-    scored_by_year: dict[int, list[tuple[str, float]]] = {record.year: [] for record in ordered}
-    for record, s in score_panel(model, stats, ordered, zones):
-        scored_by_year[record.year].append((record.bank_id, s))
+    ordered = sorted(records, key=itemgetter(1, 0))  # by year, then bank
+    available = [record for record in ordered if record.available]
+    scores = _scores(model, stats, zones.scale, available)
+    bank_ids = [record.bank_id for record in available]
+    years = [record.year for record in available]
 
     cutoff_zones = ClassificationZones(zones.cutoff, None, zones.source)
     rows: list[tuple[YearRow, YearRow]] = []
-    for year, scored in scored_by_year.items():
-        if not scored:
+    for year in dict.fromkeys(record.year for record in ordered):
+        lo = bisect_left(years, year)
+        hi = bisect_right(years, year, lo)  # years[lo:hi] is this year's contiguous slice
+        if lo == hi:
             notices.append(f"year {year}: no available records, omitted")
             continue
-        rows.append(_year_row(year, scored, zones, cutoff_zones, expected_by_year.get(year, set())))
+        expected = expected_by_year.get(year, set())
+        rows.append(_year_row(year, bank_ids[lo:hi], scores[lo:hi], zones, cutoff_zones, expected))
     return EvaluationReport(
         years=tuple(row for row, _ in rows),
         cutoff_only=tuple(row for _, row in rows),
@@ -383,7 +379,8 @@ def report_to_dict(report: EvaluationReport) -> dict:
             "type1": row.type1_rate,
             "type2": row.type2_rate,
             "accuracy": row.accuracy,
-            "banks": [{"bank": bank, "score": s, "zone": zone.value} for bank, s, zone in row.banks],
+            # _value_ is the member's text, read without a call to Enum's value descriptor per bank.
+            "banks": [{"bank": bank, "score": s, "zone": zone._value_} for bank, s, zone in row.banks],
         }
 
     return {

@@ -16,6 +16,7 @@ import argparse
 import os
 import sys
 from functools import partial
+from operator import itemgetter
 
 from .classification import (
     classify_zone,
@@ -256,9 +257,9 @@ def cmd_diagnose(config: RunConfig) -> tuple[dict, tuple[str, ...]]:
 
 def cmd_classify(config: RunConfig) -> tuple[dict, list[tuple[str, int]]]:
     model, stats, records, _labels, zones = _panel_inputs(config, "classify", None)
-    ordered = sorted(records, key=lambda r: (r.bank_id, r.year))
+    ordered = sorted(records, key=itemgetter(0, 1))  # by bank, then year
     scored = [
-        {"bank": r.bank_id, "year": r.year, "score": s, "zone": classify_zone(s, zones).value}
+        {"bank": r.bank_id, "year": r.year, "score": s, "zone": classify_zone(s, zones)._value_}
         for r, s in score_panel(model, stats, ordered, zones)
     ]
     # Text prints the unavailable bank-years as n.a; JSON leaves them out.

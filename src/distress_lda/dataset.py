@@ -4,6 +4,13 @@ A panel is a CSV of yearly financial ratios per bank. Rows whose six ratio
 cells are all zero (or all empty) are markers for "no data available" and are
 carried with available=False so that averaging windows can skip them without
 losing track of the bank.
+
+A panel is read as a stream of rows: parse_panel and panel_labels consume
+each row as the csv reader splits it, and hold no split copy of the text.
+A csv error anywhere in the text (a bare carriage return, a field over the
+csv size limit) still wins over any other fault, as if the whole text had
+been split first: a panel error met before the end drains the rest of the
+reader, and a csv error found there is raised in its place.
 """
 from __future__ import annotations
 
@@ -12,7 +19,7 @@ import enum
 import io
 import math
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import (
     ConfigError,
@@ -30,7 +37,8 @@ from .record import Record
 
 WINDOW_DEFAULT = (2012, 2015)  # the case study's averaging window
 
-_Rows = list[tuple[int, list[str]]]  # (line number, cells) of each data row
+_Rows = Iterable[tuple[int, list[str]]]  # (line number, cells) of each data row
+_Read = TypeVar("_Read")
 
 
 class RatioVector(Record):
@@ -111,22 +119,14 @@ class TrainingSet(Record):
     n1: int  # non-bankrupt count
 
 
-def _split_rows(text: str) -> tuple[list[str], _Rows]:
-    reader = csv.reader(io.StringIO(text))
-    header: list[str] | None = None
-    rows: _Rows = []
-    try:
-        for lineno, row in enumerate(reader, start=1):
-            if not "".join(row).strip():  # every cell blank
-                continue
-            if header is None:
-                header = [cell.strip().lower() for cell in row]
-            else:
-                rows.append((lineno, row))
-    except csv.Error as exc:  # a bare carriage return, a field over the csv size limit
-        raise ParseError(f"line {reader.line_num}: {exc}") from None
-    if header is None:
+def _split_rows(reader: Iterator[list[str]]) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """The header and a stream of the data rows that follow it, blank rows
+    skipped; a csv error propagates from the stream as csv.Error."""
+    rows = ((lineno, row) for lineno, row in enumerate(reader, start=1) if "".join(row).strip())
+    first = next(rows, None)  # the first row with a cell that is not blank
+    if first is None:
         raise SchemaError("panel is empty: header row required")
+    header = [cell.strip().lower() for cell in first[1]]
     for column in _REQUIRED_COLUMNS:
         if column not in header:
             raise SchemaError(f"panel is missing required column {column!r}")
@@ -136,6 +136,24 @@ def _split_rows(text: str) -> tuple[list[str], _Rows]:
         if header.count(column) > 1:
             raise SchemaError(f"panel names column {column!r} more than once")
     return header, rows
+
+
+def _read_panel(text: str, read: Callable[[list[str], _Rows], _Read]) -> _Read:
+    """read(header, rows) over the text's header and its stream of data rows.
+
+    A csv error anywhere in the text wins: a panel error raised before the
+    reader is spent is raised only once the rest of the text splits cleanly.
+    """
+    reader = csv.reader(io.StringIO(text))
+    try:
+        try:
+            return read(*_split_rows(reader))
+        except PanelError:
+            for _ in reader:
+                pass
+            raise
+    except csv.Error as exc:  # a bare carriage return, a field over the csv size limit
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
 
 
 def _padded(row: list[str], width: int) -> list[str]:
@@ -149,7 +167,7 @@ def parse_panel(text: str) -> list[BankYearRecord]:
     Rows whose six ratio cells are all zero or all empty become records with
     available=False (the ratios are kept as zeros but mean nothing).
     """
-    return _records(*_split_rows(text), set())
+    return _read_panel(text, lambda header, rows: _records(header, rows, {}))
 
 
 def _plain(text: str) -> bool:
@@ -191,26 +209,31 @@ def parse_year(text: str) -> int:
     return int(text)
 
 
-def _records(header: list[str], rows: _Rows, seen: set[tuple[str, int]]) -> list[BankYearRecord]:
-    """The rows' records; a bank-year already in seen (from any file) is refused, a new one added."""
+def _records(header: list[str], rows: _Rows, seen: dict[int, set[str]]) -> list[BankYearRecord]:
+    """The rows' records; a bank already in seen under its year (from any file)
+    is refused, a new one added."""
     bank_at, year_at = header.index("bank"), header.index("year")
     ratio_at = [header.index(name) for name in VARIABLES]
     width = max(bank_at, year_at, *ratio_at) + 1
     blank = RatioVector(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # shared by every row with empty ratio cells
+    years: dict[str, tuple[int, set[str]]] = {}  # each distinct year cell: its year and that year's banks
     records: list[BankYearRecord] = []
     for lineno, row in rows:
         row = _padded(row, width)
         bank = row[bank_at].strip()
         if not bank:
             raise ParseError(f"row {lineno}: column 'bank' is empty")
-        try:
-            year = parse_year(row[year_at])
-        except ValueError as exc:
-            raise ParseError(f"row {lineno}: column 'year': {exc}") from None
-        key = (bank, year)
-        if key in seen:
+        cell = row[year_at]
+        if cell not in years:
+            try:
+                year = parse_year(cell)
+            except ValueError as exc:
+                raise ParseError(f"row {lineno}: column 'year': {exc}") from None
+            years[cell] = year, seen.setdefault(year, set())
+        year, banks = years[cell]
+        if bank in banks:
             raise DuplicateRecordError(f"row {lineno}: duplicate record for bank {bank!r}, year {year}")
-        seen.add(key)
+        banks.add(bank)
 
         cells = [row[idx].strip() for idx in ratio_at]
         joined = "".join(cells)
@@ -230,7 +253,7 @@ def _records(header: list[str], rows: _Rows, seen: set[tuple[str, int]]) -> list
 
 def panel_labels(text: str) -> dict[str, GroupLabel]:
     """Extract the bank -> group mapping from a panel's label column."""
-    return _labels(*_split_rows(text), {})
+    return _read_panel(text, lambda header, rows: _labels(header, rows, {}))
 
 
 def _labels(header: list[str], rows: _Rows, labels: dict[str, GroupLabel]) -> dict[str, GroupLabel]:
@@ -239,19 +262,22 @@ def _labels(header: list[str], rows: _Rows, labels: dict[str, GroupLabel]) -> di
         raise SchemaError("panel has no 'label' column")
     bank_at, label_at = header.index("bank"), header.index("label")
     width = max(bank_at, label_at) + 1
+    known: dict[str, GroupLabel | None] = {}  # each distinct label cell, resolved once
     for lineno, row in rows:
         row = _padded(row, width)
-        bank = row[bank_at].strip()
-        cell = row[label_at].strip()
-        if not cell:
+        cell = row[label_at]
+        if cell not in known:
+            text = cell.strip()
+            try:
+                known[cell] = GroupLabel.from_string(text) if text else None
+            except ValueError:
+                raise ParseError(f"row {lineno}: column 'label': unknown label {text!r}") from None
+        label = known[cell]
+        if label is None:
             continue
-        try:
-            label = GroupLabel.from_string(cell)
-        except ValueError:
-            raise ParseError(f"row {lineno}: column 'label': unknown label {cell!r}") from None
-        if bank in labels and labels[bank] is not label:
+        bank = row[bank_at].strip()
+        if labels.setdefault(bank, label) is not label:
             raise ParseError(f"row {lineno}: bank {bank!r} has conflicting labels")
-        labels[bank] = label
     return labels
 
 
@@ -276,11 +302,11 @@ def load_panels(
     """
     records: list[BankYearRecord] = []
     labels: dict[str, GroupLabel] = {}
-    seen: set[tuple[str, int]] = set()
+    seen: dict[int, set[str]] = {}  # each year's banks, over every file
     for path in paths:
         text = read_text(path, what, PanelError)
         try:
-            header, rows = _split_rows(text)
+            header, rows = _read_panel(text, lambda header, rows: (header, list(rows)))
             records += _records(header, rows, seen)
             if overrides is None or (overrides and "label" not in header):
                 continue

@@ -268,6 +268,65 @@ class TestLoadPanels:
         assert str(raised.value).startswith(f"panel file {paths[1]}: {message}")
 
 
+# A panel fault met before a row the csv reader cannot split, as (name, text
+# ending in a newline, the readers that refuse the fault, the error they raise).
+_LABELLED = HEADER + ",label\n"
+_EARLIER_FAULTS = [
+    ("duplicate", _LABELLED + "Alpha,2014,1,1,1,1,1,1,bankrupt\nAlpha,2014,2,2,2,2,2,2,bankrupt\n",
+     ("parse_panel", "load_panels"), DuplicateRecordError),
+    ("bad year", _LABELLED + "Alpha,20x4,1,1,1,1,1,1,bankrupt\nBeta,2014,1,1,1,1,1,1,bankrupt\n",
+     ("parse_panel", "load_panels"), ParseError),
+    ("unknown label", _LABELLED + "Alpha,2014,1,1,1,1,1,1,zzz\nBeta,2014,1,1,1,1,1,1,bankrupt\n",
+     ("panel_labels", "load_panels"), ParseError),
+    ("conflicting label", _LABELLED + "Alpha,2014,1,1,1,1,1,1,bankrupt\nAlpha,2015,1,1,1,1,1,1,nonbankrupt\n",
+     ("panel_labels", "load_panels"), ParseError),
+    ("missing column", "bank,year,eaa,roae,roaa,nii,laaa,label\nAlpha,2014,1,1,1,1,1,bankrupt\n"
+     "Beta,2014,1,1,1,1,1,bankrupt\n", ("parse_panel", "panel_labels", "load_panels"), SchemaError),
+]
+_CSV_FAULTS = [
+    ("Ga\rmma,2014,1,1,1,1,1,1,bankrupt\n", "line 4: new-line character seen in unquoted field"),
+    ("G" * 200_000 + ",2014,1,1,1,1,1,1,bankrupt\n", "line 4: field larger than field limit"),
+]
+
+
+class TestCsvErrorsWin:
+    """A csv error anywhere in a panel wins over a fault in an earlier row or in the header."""
+
+    @staticmethod
+    def _read(reader, text, tmp_path):
+        if reader != "load_panels":
+            return {"parse_panel": parse_panel, "panel_labels": panel_labels}[reader](text)
+        path = tmp_path / "panel.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        return load_panels([path], "panel", {})
+
+    @pytest.mark.parametrize("csv_row, message", _CSV_FAULTS, ids=["bare CR", "over-limit field"])
+    @pytest.mark.parametrize(
+        "reader, text, error",
+        [(reader, text, error) for _, text, readers, error in _EARLIER_FAULTS for reader in readers],
+        ids=[f"{reader}-{name}" for name, _, readers, _ in _EARLIER_FAULTS for reader in readers],
+    )
+    def test_csv_error_wins_over_earlier_fault(self, tmp_path, reader, text, error, csv_row, message):
+        with pytest.raises(error):  # the earlier fault alone is refused
+            self._read(reader, text, tmp_path)
+        with pytest.raises(ParseError) as raised:
+            self._read(reader, text + csv_row, tmp_path)
+        assert type(raised.value) is ParseError
+        assert message in str(raised.value)
+
+    @pytest.mark.parametrize(
+        "rows, where",
+        [
+            (['"Al\npha",20x4,1,1,1,1,1,1'], "row 2: column 'year'"),
+            (['"Al\npha",2014,1,1,1,1,1,1', "Beta,20x4,1,1,1,1,1,1"], "row 3: column 'year'"),
+        ],
+    )
+    def test_row_number_counts_records_not_lines(self, rows, where):
+        # The quoted bank name spans two physical lines but is one record.
+        with pytest.raises(ParseError, match=re.escape(where)):
+            parse_panel(_panel(*rows))
+
+
 class TestRatioVector:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="'roae'"):

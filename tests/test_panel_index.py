@@ -132,12 +132,23 @@ def _as_dicts(rows):
     ]
 
 
+def _omitted_years_reference(records):
+    """The notices of the panel's years without an available record, years ascending."""
+    return [
+        f"year {year}: no available records, omitted"
+        for year in sorted({r.year for r in records})
+        if not any(r.available and r.year == year for r in records)
+    ]
+
+
 @SETTINGS
-@given(panels(), st.data())
+@given(interleaved_panels(), st.data())
 def test_year_rows_match_per_rule_reference(reference_model, case, data):
     """Each rule's rows equal a zone-by-zone tally, with the cut-off and both grey
-    bounds drawn from the panel's own scores, so some scores sit exactly on them."""
-    records, labels = case
+    bounds drawn from the panel's own scores, so some scores sit exactly on them.
+    Banks may interleave, and the notices name each year without an available
+    record as omitted."""
+    _, labels, records = case
     raw = ClassificationZones(0.0, None, "explicit-override")
     scored = [(r.bank_id, r.year, s) for r, s in score_panel(reference_model, None, records, raw)]
     scores = st.sampled_from(sorted({s for _, _, s in scored}))
@@ -148,6 +159,7 @@ def test_year_rows_match_per_rule_reference(reference_model, case, data):
     cutoff_zones = ClassificationZones(zones.cutoff, None, zones.source)
     assert _as_dicts(report.years) == year_rows_reference(scored, zones, warning)
     assert _as_dicts(report.cutoff_only) == year_rows_reference(scored, cutoff_zones, warning)
+    assert list(report.notices) == _omitted_years_reference(records)
 
 
 def _override_notices_reference(records, actual, overrides):
