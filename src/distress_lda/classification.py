@@ -19,13 +19,15 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left, bisect_right
-from operator import itemgetter
+from functools import partial
+from itertools import compress, repeat
+from operator import add, is_not, itemgetter, le, lt, mul
 from typing import Mapping, Sequence
 
 from .dataset import VARIABLES, BankYearRecord, GroupLabel, TrainingSet, rows_by_bank
 from .errors import BindingError, DomainError, MissingLabelError
 from .lda_fit import DiscriminantModel, fisher_classify
-from .normalization import NormalizationStats
+from .normalization import NormalizationStats, z_columns
 from .record import Record
 
 # Score scale of each zone source: derived zones sit between the fit's centroids,
@@ -91,23 +93,27 @@ def derive_zones(model: DiscriminantModel) -> ClassificationZones:
     )
 
 
-def classify_zone(score_value: float, zones: ClassificationZones) -> ZoneLabel:
-    """Map a score to its zone.
+_ZONE_BY_RANK = (_BANKRUPT_ZONE, _GREY_ZONE, _HEALTHY_ZONE)
 
-    With a grey interval: below it bankrupt, inside it (boundaries included)
-    grey, above it non-bankrupt. Without one, the cut-off alone splits the
-    axis and a score exactly at the cut-off counts as healthy.
-    """
+
+def _zones_of(scores: Sequence[float], zones: ClassificationZones) -> list[ZoneLabel]:
+    """The zone of each score, the one home of the zone rule. With a grey
+    interval: below it bankrupt, inside it (boundaries included) grey, above it
+    non-bankrupt. Without one, the cut-off alone splits the axis and a score
+    exactly at the cut-off counts as healthy. So the zone's rank in (bankrupt,
+    grey, non-bankrupt) is (lo <= s) + (hi < s), or (cutoff <= s) twice."""
+    if zones.grey is None:
+        low = high = partial(le, zones.cutoff)
+    else:
+        low, high = partial(le, zones.grey[0]), partial(lt, zones.grey[1])
+    return list(map(_ZONE_BY_RANK.__getitem__, map(add, map(low, scores), map(high, scores))))
+
+
+def classify_zone(score_value: float, zones: ClassificationZones) -> ZoneLabel:
+    """Map a finite score to its zone by the rule of the zones (see _zones_of)."""
     if not math.isfinite(score_value):
         raise DomainError(f"score must be finite, got {score_value!r}")
-    if zones.grey is not None:
-        lo, hi = zones.grey
-        if score_value < lo:
-            return _BANKRUPT_ZONE
-        if score_value <= hi:
-            return _GREY_ZONE
-        return _HEALTHY_ZONE
-    return _BANKRUPT_ZONE if score_value < zones.cutoff else _HEALTHY_ZONE
+    return _zones_of((score_value,), zones)[0]
 
 
 _IDENTITY_SCALE = NormalizationStats(mean=dict.fromkeys(VARIABLES, 0.0), sd=dict.fromkeys(VARIABLES, 1.0))
@@ -132,11 +138,10 @@ def _scores(
             raise BindingError(f"observation has no variable {name!r}")
     # The raw scale is z-scoring against mean 0.0 and sd 1.0, which leaves every finite ratio's bits.
     moments = stats if scale == "normalized" else _IDENTITY_SCALE
-    ratios = [record.ratios for record in records]
-    scores = [model.constant] * len(ratios)
+    columns = z_columns(moments, list(map(itemgetter(2), records)))
+    scores = [model.constant] * len(records)
     for name, coef in model.coefficients.items():
-        at, mean, sd = VARIABLES.index(name), moments.mean[name], moments.sd[name]
-        scores = [total + coef * ((x[at] - mean) / sd) for total, x in zip(scores, ratios)]
+        scores = list(map(add, scores, map(mul, repeat(coef), columns[VARIABLES.index(name)])))
     if not all(map(math.isfinite, scores)):
         s, record = next((s, r) for s, r in zip(scores, records) if not math.isfinite(s))
         raise DomainError(f"bank {record.bank_id!r} year {record.year}: score must be finite, got {s!r}")
@@ -236,35 +241,14 @@ def infer_warning_years(
     return warning
 
 
-def _year_row(
-    year: int,
-    banks: Sequence[str],
-    scores: Sequence[float],
-    zones: ClassificationZones,
-    cutoff_zones: ClassificationZones,
-    expected: set[str],
-) -> tuple[YearRow, YearRow]:
-    """The rows of one year's banks, given in bank order, and their scores,
-    under the zones and under the cut-off-only zones; the scores are zoned in
-    one pass.
+def _tally(year: int, banks: list[BankScore], expected: set[str]) -> YearRow:
+    """The year's row: zone counts, hits and error rates of its zoned banks.
 
     expected holds the distressed banks whose warning year this is, each with
     an available record that year: only they are expected to look distressed.
     """
-    entries, cutoff_entries = [], []
-    for bank, s in zip(banks, scores):
-        zone = classify_zone(s, zones)
-        cut = classify_zone(s, cutoff_zones)
-        entry = BankScore(bank, s, zone)
-        entries.append(entry)
-        cutoff_entries.append(entry if cut is zone else BankScore(bank, s, cut))
-    return _tally(year, entries, expected), _tally(year, cutoff_entries, expected)
-
-
-def _tally(year: int, banks: list[BankScore], expected: set[str]) -> YearRow:
-    """The year's row: zone counts, hits and error rates of its zoned banks."""
-    called = [zone for _, _, zone in banks]
-    warned = [zone for bank, _, zone in banks if bank in expected]
+    called = list(map(itemgetter(2), banks))
+    warned = list(compress(called, map(expected.__contains__, map(itemgetter(0), banks)))) if expected else []
     n_b, n_g = called.count(_BANKRUPT_ZONE), called.count(_GREY_ZONE)
     type1 = warned.count(_HEALTHY_ZONE)  # missed warnings
     type2 = n_b - warned.count(_BANKRUPT_ZONE)  # alarms for banks not expected to look distressed
@@ -332,22 +316,28 @@ def evaluate_panel(
     for bank, year in warning.items():
         expected_by_year.setdefault(year, set()).add(bank)
 
-    ordered = sorted(records, key=itemgetter(1, 0))  # by year, then bank
-    available = [record for record in ordered if record.available]
+    ordered = sorted(sorted(records, key=itemgetter(0)), key=itemgetter(1))  # by year, then bank: two stable sorts
+    available = list(compress(ordered, map(itemgetter(3), ordered)))
     scores = _scores(model, stats, zones.scale, available)
-    bank_ids = [record.bank_id for record in available]
-    years = [record.year for record in available]
+    bank_ids = list(map(itemgetter(0), available))
+    years = list(map(itemgetter(1), available))
+    # A cut-off-only entry shares the entry under the zones where its zone is the same.
+    zoned = _zones_of(scores, zones)
+    cut = _zones_of(scores, ClassificationZones(zones.cutoff, None, zones.source))
+    entries = BankScore._from_checked(zip(bank_ids, scores, zoned))
+    differs = list(map(is_not, cut, zoned))
+    fresh = iter(BankScore._from_checked(compress(zip(bank_ids, scores, cut), differs)))
+    cutoff_entries = [next(fresh) if other else entry for entry, other in zip(entries, differs)]
 
-    cutoff_zones = ClassificationZones(zones.cutoff, None, zones.source)
     rows: list[tuple[YearRow, YearRow]] = []
-    for year in dict.fromkeys(record.year for record in ordered):
+    for year in dict.fromkeys(map(itemgetter(1), ordered)):
         lo = bisect_left(years, year)
         hi = bisect_right(years, year, lo)  # years[lo:hi] is this year's contiguous slice
         if lo == hi:
             notices.append(f"year {year}: no available records, omitted")
             continue
         expected = expected_by_year.get(year, set())
-        rows.append(_year_row(year, bank_ids[lo:hi], scores[lo:hi], zones, cutoff_zones, expected))
+        rows.append((_tally(year, entries[lo:hi], expected), _tally(year, cutoff_entries[lo:hi], expected)))
     return EvaluationReport(
         years=tuple(row for row, _ in rows),
         cutoff_only=tuple(row for _, row in rows),

@@ -5,12 +5,18 @@ cells are all zero (or all empty) are markers for "no data available" and are
 carried with available=False so that averaging windows can skip them without
 losing track of the bank.
 
-A panel is read as a stream of rows: parse_panel and panel_labels consume
-each row as the csv reader splits it, and hold no split copy of the text.
-A csv error anywhere in the text (a bare carriage return, a field over the
-csv size limit) still wins over any other fault, as if the whole text had
-been split first: a panel error met before the end drains the rest of the
-reader, and a csv error found there is raised in its place.
+A panel is read as a stream of blocks of rows: parse_panel and panel_labels
+consume each block as the csv reader splits it, and hold no split copy of
+the text. Each block is first read with C-level passes over whole columns
+(map, zip, itemgetter, compress). Those passes refuse a block that holds
+anything they do not read the way the row rules do: a blank or short row, a
+cell that is not plain, a duplicate, a label that is unknown or conflicts.
+The row rules then read that block from the state at its start, and their
+result stands, records or the first row's error: a refusal is never itself
+an error. A csv error anywhere in the text (a bare carriage return, a field
+over the csv size limit) still wins over any other fault, as if the whole
+text had been split first: a panel error met before the end drains the rest
+of the reader, and a csv error found there is raised in its place.
 """
 from __future__ import annotations
 
@@ -18,6 +24,8 @@ import csv
 import enum
 import io
 import math
+from itertools import chain, compress, groupby, islice, repeat
+from operator import is_not, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -37,7 +45,8 @@ from .record import Record
 
 WINDOW_DEFAULT = (2012, 2015)  # the case study's averaging window
 
-_Rows = Iterable[tuple[int, list[str]]]  # (line number, cells) of each data row
+_Rows = Iterable[tuple[int, list[list[str]]]]  # (record number of its first row, rows) of each block
+_BLOCK = 512  # data rows per block
 _Read = TypeVar("_Read")
 
 
@@ -119,14 +128,15 @@ class TrainingSet(Record):
     n1: int  # non-bankrupt count
 
 
-def _split_rows(reader: Iterator[list[str]]) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
-    """The header and a stream of the data rows that follow it, blank rows
-    skipped; a csv error propagates from the stream as csv.Error."""
-    rows = ((lineno, row) for lineno, row in enumerate(reader, start=1) if "".join(row).strip())
-    first = next(rows, None)  # the first row with a cell that is not blank
+def _split_rows(reader: Iterator[list[str]]) -> tuple[list[str], Iterator[tuple[int, list[list[str]]]]]:
+    """The header and a stream of blocks of the data rows that follow it, each
+    with the record number of its first row; the first row with a cell that
+    is not blank is the header. A csv error propagates from the stream as
+    csv.Error."""
+    lineno, first = next(((n, row) for n, row in enumerate(reader, start=1) if "".join(row).strip()), (0, None))
     if first is None:
         raise SchemaError("panel is empty: header row required")
-    header = [cell.strip().lower() for cell in first[1]]
+    header = [cell.strip().lower() for cell in first]
     for column in _REQUIRED_COLUMNS:
         if column not in header:
             raise SchemaError(f"panel is missing required column {column!r}")
@@ -135,7 +145,8 @@ def _split_rows(reader: Iterator[list[str]]) -> tuple[list[str], Iterator[tuple[
     for column in _REQUIRED_COLUMNS + ("label",):
         if header.count(column) > 1:
             raise SchemaError(f"panel names column {column!r} more than once")
-    return header, rows
+    blocks = iter(lambda: list(islice(reader, _BLOCK)), [])  # until the reader is spent
+    return header, ((lineno + 1 + k * _BLOCK, block) for k, block in enumerate(blocks))
 
 
 def _read_panel(text: str, read: Callable[[list[str], _Rows], _Read]) -> _Read:
@@ -156,18 +167,13 @@ def _read_panel(text: str, read: Callable[[list[str], _Rows], _Read]) -> _Read:
         raise ParseError(f"line {reader.line_num}: {exc}") from None
 
 
-def _padded(row: list[str], width: int) -> list[str]:
-    """The row with empty cells appended up to width: a short row's missing cells are empty."""
-    return row if len(row) >= width else row + [""] * (width - len(row))
-
-
 def parse_panel(text: str) -> list[BankYearRecord]:
     """Parse a ratio-panel CSV into bank-year records.
 
     Rows whose six ratio cells are all zero or all empty become records with
     available=False (the ratios are kept as zeros but mean nothing).
     """
-    return _read_panel(text, lambda header, rows: _records(header, rows, {}))
+    return _read_panel(text, lambda header, rows: _records(header, rows, set()))
 
 
 def _plain(text: str) -> bool:
@@ -209,45 +215,73 @@ def parse_year(text: str) -> int:
     return int(text)
 
 
-def _records(header: list[str], rows: _Rows, seen: dict[int, set[str]]) -> list[BankYearRecord]:
-    """The rows' records; a bank already in seen under its year (from any file)
-    is refused, a new one added."""
+_BLANK = RatioVector(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # shared by every row with empty ratio cells
+
+
+def _records(header: list[str], blocks: _Rows, seen: set[tuple[int, str]]) -> list[BankYearRecord]:
+    """The blocks' records; a (year, bank) already in seen (from any file) is
+    refused, a new one added."""
     bank_at, year_at = header.index("bank"), header.index("year")
     ratio_at = [header.index(name) for name in VARIABLES]
     width = max(bank_at, year_at, *ratio_at) + 1
-    blank = RatioVector(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # shared by every row with empty ratio cells
-    years: dict[str, tuple[int, set[str]]] = {}  # each distinct year cell: its year and that year's banks
-    records: list[BankYearRecord] = []
-    for lineno, row in rows:
-        row = _padded(row, width)
-        bank = row[bank_at].strip()
-        if not bank:
-            raise ParseError(f"row {lineno}: column 'bank' is empty")
-        cell = row[year_at]
-        if cell not in years:
+    years: dict[str, int] = {}  # each distinct year cell, parsed once
+
+    def by_block(block: list[list[str]]) -> list[BankYearRecord]:
+        """The block's records from C-level passes, which raise ValueError or
+        IndexError at a row they may not read as the row rules do."""
+        banks = list(map(str.strip, map(itemgetter(bank_at), block)))
+        cells = list(map(itemgetter(year_at), block))
+        for cell in set(cells).difference(years):
+            years[cell] = parse_year(cell)
+        row_years = list(map(years.__getitem__, cells))
+        keys = set(zip(row_years, banks))
+        cells = list(chain.from_iterable(map(itemgetter(*ratio_at), block)))  # six a row
+        values = list(map(float, cells))  # unstripped: float() reads a plain cell as strip() would, or refuses it
+        if not (all(banks) and len(keys) == len(block) and keys.isdisjoint(seen) and _plain("".join(cells))
+                and all(map(math.isfinite, values))):
+            raise ValueError("a blank bank, a duplicate, or a ratio cell that is not plain or not finite")
+        seen.update(keys)
+        ratios = RatioVector._from_checked(zip(*[iter(values)] * len(VARIABLES)))
+        return BankYearRecord._from_checked(zip(banks, row_years, ratios, map(any, ratios)))
+
+    def by_rows(lineno: int, block: list[list[str]]) -> list[BankYearRecord]:
+        records = []
+        for lineno, row in enumerate(block, lineno):
+            if not "".join(row).strip():
+                continue
+            row = row + [""] * (width - len(row))  # a short row's missing cells are empty
+            bank = row[bank_at].strip()
+            if not bank:
+                raise ParseError(f"row {lineno}: column 'bank' is empty")
             try:
-                year = parse_year(cell)
+                year = parse_year(row[year_at])
             except ValueError as exc:
                 raise ParseError(f"row {lineno}: column 'year': {exc}") from None
-            years[cell] = year, seen.setdefault(year, set())
-        year, banks = years[cell]
-        if bank in banks:
-            raise DuplicateRecordError(f"row {lineno}: duplicate record for bank {bank!r}, year {year}")
-        banks.add(bank)
+            if (year, bank) in seen:
+                raise DuplicateRecordError(f"row {lineno}: duplicate record for bank {bank!r}, year {year}")
+            seen.add((year, bank))
 
-        cells = [row[idx].strip() for idx in ratio_at]
-        joined = "".join(cells)
-        if not joined:
-            records.append(BankYearRecord(bank, year, blank, False))
-            continue
-        if not _plain(joined):
-            raise _ratio_error(lineno, cells)
+            cells = [row[idx].strip() for idx in ratio_at]
+            joined = "".join(cells)
+            if not joined:
+                records.append(BankYearRecord(bank, year, _BLANK, False))
+                continue
+            if not _plain(joined):
+                raise _ratio_error(lineno, cells)
+            try:
+                values = list(map(float, cells))
+                ratios = RatioVector(*values)
+            except ValueError:  # a cell that is not a number, or not finite
+                raise _ratio_error(lineno, cells) from None
+            records.append(BankYearRecord(bank, year, ratios, any(values)))
+        return records
+
+    records: list[BankYearRecord] = []
+    for lineno, block in blocks:
         try:
-            values = list(map(float, cells))
-            ratios = RatioVector(*values)
-        except ValueError:  # a cell that is not a number, or not finite
-            raise _ratio_error(lineno, cells) from None
-        records.append(BankYearRecord(bank, year, ratios, any(values)))
+            records += by_block(block)
+        except (ValueError, IndexError):  # a short, blank or faulty row, or a cell float() alone would misread
+            records += by_rows(lineno, block)
     return records
 
 
@@ -256,28 +290,53 @@ def panel_labels(text: str) -> dict[str, GroupLabel]:
     return _read_panel(text, lambda header, rows: _labels(header, rows, {}))
 
 
-def _labels(header: list[str], rows: _Rows, labels: dict[str, GroupLabel]) -> dict[str, GroupLabel]:
-    """labels plus the rows' labels; a bank labelled otherwise in labels (from any file) is refused."""
+def _group(cell: str) -> GroupLabel | None:
+    """The label a label cell names, None for a blank cell; ValueError for an unknown one."""
+    text = cell.strip()
+    return GroupLabel.from_string(text) if text else None
+
+
+def _labels(header: list[str], blocks: _Rows, labels: dict[str, GroupLabel]) -> dict[str, GroupLabel]:
+    """labels plus the blocks' labels; a bank labelled otherwise in labels (from any file) is refused.
+    The row rules read a refused block from the labels its C-level pass left:
+    setdefault keeps each bank's first label, so each row meets those it would have."""
     if "label" not in header:
         raise SchemaError("panel has no 'label' column")
     bank_at, label_at = header.index("bank"), header.index("label")
     width = max(bank_at, label_at) + 1
     known: dict[str, GroupLabel | None] = {}  # each distinct label cell, resolved once
-    for lineno, row in rows:
-        row = _padded(row, width)
-        cell = row[label_at]
-        if cell not in known:
-            text = cell.strip()
-            try:
-                known[cell] = GroupLabel.from_string(text) if text else None
-            except ValueError:
-                raise ParseError(f"row {lineno}: column 'label': unknown label {text!r}") from None
-        label = known[cell]
-        if label is None:
-            continue
-        bank = row[bank_at].strip()
-        if labels.setdefault(bank, label) is not label:
-            raise ParseError(f"row {lineno}: bank {bank!r} has conflicting labels")
+
+    def by_block(block: list[list[str]]) -> None:
+        """Adds the block's labels by C-level passes, which raise ValueError or
+        IndexError at an unknown label, a conflict or a short row."""
+        cells = list(map(itemgetter(label_at), block))
+        for cell in set(cells).difference(known):
+            known[cell] = _group(cell)
+        found = list(map(known.__getitem__, cells))
+        given = list(map(is_not, found, repeat(None)))
+        found = list(compress(found, given))
+        banks = compress(map(str.strip, map(itemgetter(bank_at), block)), given)
+        if any(map(is_not, map(labels.setdefault, banks, found), found)):
+            raise ValueError("conflicting labels")
+
+    def by_rows(lineno: int, block: list[list[str]]) -> None:
+        for lineno, row in enumerate(block, lineno):
+            row = row + [""] * (width - len(row))  # a short row's missing cells are empty
+            cell = row[label_at]
+            if cell not in known:
+                try:
+                    known[cell] = _group(cell)
+                except ValueError:
+                    raise ParseError(f"row {lineno}: column 'label': unknown label {cell.strip()!r}") from None
+            label = known[cell]
+            if label is not None and labels.setdefault(row[bank_at].strip(), label) is not label:
+                raise ParseError(f"row {lineno}: bank {row[bank_at].strip()!r} has conflicting labels")
+
+    for lineno, block in blocks:
+        try:
+            by_block(block)
+        except (ValueError, IndexError):
+            by_rows(lineno, block)
     return labels
 
 
@@ -302,7 +361,7 @@ def load_panels(
     """
     records: list[BankYearRecord] = []
     labels: dict[str, GroupLabel] = {}
-    seen: dict[int, set[str]] = {}  # each year's banks, over every file
+    seen: set[tuple[int, str]] = set()  # each (year, bank), over every file
     for path in paths:
         text = read_text(path, what, PanelError)
         try:
@@ -324,8 +383,8 @@ def load_panels(
 def rows_by_bank(records: Iterable[BankYearRecord]) -> dict[str, list[BankYearRecord]]:
     """Each bank's records, banks in first-seen order, rows in panel order."""
     grouped: dict[str, list[BankYearRecord]] = {}
-    for rec in records:
-        grouped.setdefault(rec.bank_id, []).append(rec)
+    for bank, run in groupby(records, itemgetter(0)):  # a run of one bank's rows at a time
+        grouped.setdefault(bank, []).extend(run)
     return grouped
 
 
@@ -358,15 +417,11 @@ def average_ratios(records: list[BankYearRecord], bank_id: str, years: tuple[int
     passing only this bank's rows gives the same result.
     """
     first, last = years
-    rows = [
-        rec.ratios
-        for rec in records
-        if rec.bank_id == bank_id and first <= rec.year <= last and rec.available
-    ]
+    rows = [ratios for bank, year, ratios, ok in records if bank == bank_id and first <= year <= last and ok]
     if not rows:
         raise EmptyWindowError(f"bank {bank_id!r} has no available data in {first}-{last}")
     try:
-        return RatioVector.from_array(total / len(rows) for total in column_sums(rows))
+        return RatioVector(*[total / len(rows) for total in column_sums(rows)])
     except ValueError as exc:  # finite ratios whose sum overflows
         raise EmptyWindowError(f"bank {bank_id!r}: mean over {first}-{last}: {exc}") from None
 
@@ -403,10 +458,10 @@ def training_set_from_panel(
     bank's rows are averaged in panel order, so interleaving other banks'
     rows between them leaves that bank's sample unchanged.
     """
-    samples: list[LabeledSample] = []
+    samples = []
     for bank_id, rows in rows_by_bank(records).items():
         if bank_id not in labels:
             raise MissingLabelError(f"bank {bank_id!r} has no group label")
-        samples.append(LabeledSample(bank_id, average_ratios(rows, bank_id, window), labels[bank_id]))
-    return build_training_set(samples)
+        samples.append((bank_id, average_ratios(rows, bank_id, window), labels[bank_id]))
+    return build_training_set(LabeledSample._from_checked(samples))
 

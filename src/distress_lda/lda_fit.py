@@ -21,20 +21,26 @@ host rather than those of whichever BLAS kernel the host picks:
 - each length-p dot (the scale, the constant, the centroids, the Fisher
   constants): one fused multiply-add chain from 0.0;
 - each row's score: four lanes over the first p - p % 4 columns, then the
-  tail (_row_dot);
+  tail (_row_dots, over all rows a column at a time);
 - the score sums (the sds with n - 1 degrees of freedom, the grand mean and
   ss_within): numpy's pairwise summation.
 These are the orders of numpy 2 on OpenBLAS's Haswell-class kernels, with
 which the package's recorded fits were made, so those records keep every
 bit. For p = 1 and p >= 8 OpenBLAS takes other orders in places, so the two
 can differ in the last bits there. A fused multiply-add rounds once;
-Python 3.11 has no math.fma, so _fma_chain makes it exactly.
+Python 3.11 has no math.fma, so _fma_chain makes it exactly. The first step
+of a chain from 0.0 needs no such care: x * y + 0.0 rounded once is the
+rounded product x * y, save that an exact zero product gives +0.0.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
+from functools import partial
+from itertools import repeat
 from math import fsum
-from typing import Sequence
+from operator import add, mul, not_
+from typing import Callable, Sequence
 
 from .dataset import VARIABLES, GroupLabel, TrainingSet, check_design, column_sums, ordered_sum
 from .errors import BindingError, DegenerateSeparationError, DomainError, SingularMatrixError
@@ -169,20 +175,35 @@ def _dot(x: Sequence[float], y: Sequence[float]) -> float:
     return _fma_chain(map(_split, x), map(_split, y))
 
 
-def _row_dot(row: Sequence[float], b: list[tuple]) -> float:
-    """row . b in four lanes: lane k chains the columns k, k + 4, ... of the
-    first p - p % 4, and the lanes add as (l0 + l2) + (l1 + l3). A one-column
-    tail chains on from there; a longer one is a chain over its other columns
-    from its second column's product, added to the lanes. b is split."""
-    row = list(map(_split, row))
-    body = len(b) - len(b) % 4
-    lanes = [_fma_chain(row[k:body:4], b[k:body:4]) for k in range(4)]
-    total = (lanes[0] + lanes[2]) + (lanes[1] + lanes[3])
-    tail, weights = row[body:], b[body:]
-    if len(tail) == 1:
-        return _fma_chain(tail, weights, total)
-    if tail:
-        return total + _fma_chain(tail[:1] + tail[2:], weights[:1] + weights[2:], tail[1][0] * weights[1][0])
+def _products(column: Sequence[float], w: float) -> list[float]:
+    """x * w + 0.0 of each x, rounded once: the first step of a fused chain
+    from 0.0 is the rounded product, save that an exact zero product gives +0.0.
+    Adding -0.0 leaves any product as it is, an underflowed one included."""
+    signs = map((-0.0, 0.0).__getitem__, map(not_, column)) if w else repeat(0.0)  # +0.0 where x is zero
+    return list(map(add, map(mul, column, repeat(w)), signs))
+
+
+def _row_dots(rows: Sequence[Sequence[float]], b: list[float]) -> list[float]:
+    """row . b of each row, column by column. In four lanes: lane k chains the
+    columns k, k + 4, ... of the first p - p % 4, and the lanes add as
+    (l0 + l2) + (l1 + l3). A one-column tail chains on from there; a longer one
+    is a chain over its other columns from its second column's product, added
+    to the lanes. For p = 6 that is 4 products and 1 fused multiply-add a row."""
+    columns, p = list(zip(*rows)), len(b)
+    body = p - p % 4
+    total = [0.0] * len(rows)
+    if body:
+        lanes = [_products(columns[k], b[k]) for k in range(4)]
+        for m in range(4, body):
+            lanes[m % 4] = list(map(_fma, columns[m], repeat(b[m]), lanes[m % 4]))
+        total = list(map(add, map(add, lanes[0], lanes[2]), map(add, lanes[1], lanes[3])))
+    if p - body == 1:
+        return list(map(_fma, columns[body], repeat(b[body]), total))
+    if p - body > 1:
+        chain = list(map(mul, columns[body + 1], repeat(b[body + 1])))
+        for m in (body, *range(body + 2, p)):
+            chain = list(map(_fma, columns[m], repeat(b[m]), chain))
+        return list(map(add, total, chain))
     return total
 
 
@@ -281,9 +302,8 @@ def fit_from_matrices(
 
     y0 = _dot(b, mu0) + a
     y1 = _dot(b, mu1) + a
-    b_split = list(map(_split, b))
-    scores0 = [_row_dot(row, b_split) + a for row in X0]
-    scores1 = [_row_dot(row, b_split) + a for row in X1]
+    scores0 = list(map(add, _row_dots(X0, b), repeat(a)))
+    scores1 = list(map(add, _row_dots(X1, b), repeat(a)))
     s0, s1 = (_sd(scores) for scores in (scores0, scores1))
 
     grand = _pairwise_sum(scores0 + scores1) / N
@@ -337,28 +357,26 @@ def fit(tsZ: TrainingSet, priors: str = PRIORS[0]) -> DiscriminantModel:
     return fit_from_matrices(X0, X1, VARIABLES, priors=priors)
 
 
-def _component(z, name: str) -> float:
-    # Observations bind by name: attribute access for ratio vectors, item
-    # access for plain mappings.
-    if hasattr(z, name):
-        return getattr(z, name)
-    try:
-        return z[name]
-    except (TypeError, KeyError, IndexError):
-        raise BindingError(f"observation has no variable {name!r}") from None
+def _reader(z) -> Callable[[str], float]:
+    """How an observation binds by name: a Mapping by key, anything else by attribute."""
+    return z.__getitem__ if isinstance(z, Mapping) else partial(getattr, z)
 
 
-def _linear(constant: float, weights: dict[str, float], z) -> float:
-    """constant + sum of weight * component, in the weights' order."""
+def _linear(constant: float, weights: dict[str, float], read: Callable[[str], float]) -> float:
+    """constant + sum of weight * component, in the weights' order, each component read with one lookup."""
     total = constant
     for name, w in weights.items():
-        total += w * _component(z, name)
+        try:
+            value = read(name)
+        except (KeyError, AttributeError):
+            raise BindingError(f"observation has no variable {name!r}") from None
+        total += w * value
     return total
 
 
 def score(model: DiscriminantModel, z) -> float:
     """Discriminant score a + b'z, coefficients matched to z by name."""
-    return _linear(model.constant, model.coefficients, z)
+    return _linear(model.constant, model.coefficients, _reader(z))
 
 
 def fisher_classify(model: DiscriminantModel, z) -> GroupLabel:
@@ -367,8 +385,8 @@ def fisher_classify(model: DiscriminantModel, z) -> GroupLabel:
     An exact tie resolves to NonBankrupt: silently inventing a bankruptcy
     call from a coin-flip boundary is the costly mistake.
     """
-    fisher = model.fisher
-    bankrupt, healthy = (_linear(fisher.constants[k], fisher.weights[k], z) for k in GROUP_KEYS)
+    fisher, read = model.fisher, _reader(z)
+    bankrupt, healthy = (_linear(fisher.constants[k], fisher.weights[k], read) for k in GROUP_KEYS)
     if bankrupt > healthy:
         return _BANKRUPT
     return _NONBANKRUPT

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import math
+from itertools import chain, repeat
+from operator import itemgetter, sub, truediv
+from typing import Sequence
 
 from .dataset import VARIABLES, LabeledSample, RatioVector, TrainingSet, column_moments
 from .errors import ZeroVarianceError
@@ -41,16 +44,29 @@ def fit_normalizer(ts: TrainingSet) -> NormalizationStats:
     return NormalizationStats(mean=dict(zip(VARIABLES, means)), sd=dict(zip(VARIABLES, sds)))
 
 
+def z_columns(stats: NormalizationStats, vectors: Sequence[Sequence[float]]) -> list[list[float]]:
+    """The z-scores (x - mean) / sd of the vectors, one list per variable in VARIABLES order:
+    the one z-score rule."""
+    return [
+        list(map(truediv, map(sub, map(itemgetter(at), vectors), repeat(stats.mean[name])), repeat(stats.sd[name])))
+        for at, name in enumerate(VARIABLES)
+    ]
+
+
+def _z_vectors(stats: NormalizationStats, vectors: Sequence[RatioVector]) -> list[RatioVector]:
+    rows = list(zip(*z_columns(stats, vectors)))
+    if all(map(math.isfinite, chain.from_iterable(rows))):
+        return RatioVector._from_checked(rows)
+    return [RatioVector(*row) for row in rows]  # raises for the first z-score that is not finite
+
+
 def apply(stats: NormalizationStats, v: RatioVector) -> RatioVector:
     """Standardize one ratio vector; returns z-values in the same six slots."""
-    return RatioVector(
-        *[(x - stats.mean[name]) / stats.sd[name] for name, x in zip(VARIABLES, v)]
-    )
+    return _z_vectors(stats, [v])[0]
 
 
 def normalize_training_set(stats: NormalizationStats, ts: TrainingSet) -> TrainingSet:
     """Replace every sample's ratios by their z-scores; labels and order kept."""
-    samples = tuple(
-        LabeledSample(s.bank_id, apply(stats, s.ratios), s.label) for s in ts.samples
-    )
-    return TrainingSet(samples=samples, n0=ts.n0, n1=ts.n1)
+    banks, ratios, labels = (list(map(itemgetter(at), ts.samples)) for at in range(3))
+    samples = LabeledSample._from_checked(zip(banks, _z_vectors(stats, ratios), labels))
+    return TrainingSet(samples=tuple(samples), n0=ts.n0, n1=ts.n1)

@@ -15,7 +15,9 @@ dataclass, so the package's start-up pays for neither.
 """
 from __future__ import annotations
 
+from itertools import repeat
 from operator import itemgetter
+from typing import Iterable
 
 
 class _RecordType(type):
@@ -41,6 +43,12 @@ class Record(tuple, metaclass=_RecordType):
         if cls._validate is not None:
             record._validate()
         return record
+
+    @classmethod
+    def _from_checked(cls, rows: Iterable[tuple]) -> list:
+        """A record of each tuple of field values, in field order, built at C level. It skips
+        _validate: a caller may use it only for values it has checked as _validate would."""
+        return list(map(tuple.__new__, repeat(cls), rows))
 
     @classmethod
     def _arguments(cls, args: tuple, kwargs: dict) -> list:

@@ -1,6 +1,7 @@
 """Shared fixtures: bundled panels, fitted and reference models, zones."""
 import pytest
 
+import distress_lda
 from distress_lda import (
     fit,
     fit_normalizer,
@@ -13,6 +14,12 @@ from distress_lda.fixtures import (
     load_reference_model,
     load_training_panel,
 )
+
+
+def pytest_report_header(config):
+    # pyproject's pythonpath puts this tree's src first, so name the package a run really tests.
+    return f"distress_lda: {distress_lda.__file__}"
+
 
 # Score table bundled with the reference model: the per-bank discriminant
 # indices over the 2012-2015 averaging window, two failed banks first.

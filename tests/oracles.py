@@ -11,7 +11,19 @@ Box's M written with numpy's pairwise-summed mean and variance. Agreement
 between the package and these routines is evidence, not circularity. The
 one exception is the year-row oracle: it zones each score with the package's
 classify_zone, the one home of the zone rule, and tallies on its own.
+
+The panel-reader and fit-kernel oracles at the end are the package's earlier
+row-at-a-time code, kept as it was: one csv row, one Python step, one
+record. They pin the block-at-a-time passes that replaced it to the same
+records, labels, errors and bits. They build the package's own record and
+error types and use its number and year rules, which they do not test.
 """
+import csv
+import io
+import math
+from fractions import Fraction
+from math import fsum
+
 import mpmath as mp
 import numpy as np
 
@@ -233,3 +245,212 @@ def year_rows_reference(scored, zones, warning):
             "banks": banks,
         })
     return rows
+
+
+# ---- the row-at-a-time panel reader ----------------------------------------
+
+
+def _split_rows(reader):
+    from distress_lda.dataset import _REQUIRED_COLUMNS
+    from distress_lda.errors import SchemaError
+
+    rows = ((lineno, row) for lineno, row in enumerate(reader, start=1) if "".join(row).strip())
+    first = next(rows, None)
+    if first is None:
+        raise SchemaError("panel is empty: header row required")
+    header = [cell.strip().lower() for cell in first[1]]
+    for column in _REQUIRED_COLUMNS:
+        if column not in header:
+            raise SchemaError(f"panel is missing required column {column!r}")
+    for column in _REQUIRED_COLUMNS + ("label",):
+        if header.count(column) > 1:
+            raise SchemaError(f"panel names column {column!r} more than once")
+    return header, rows
+
+
+def _read_panel(text, read):
+    from distress_lda.errors import PanelError, ParseError
+
+    reader = csv.reader(io.StringIO(text))
+    try:
+        try:
+            return read(*_split_rows(reader))
+        except PanelError:
+            for _ in reader:
+                pass
+            raise
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
+
+
+def _padded(row, width):
+    return row if len(row) >= width else row + [""] * (width - len(row))
+
+
+def _ratio_error(lineno, cells):
+    from distress_lda.dataset import VARIABLES, parse_number
+    from distress_lda.errors import ParseError
+
+    for name, cell in zip(VARIABLES, cells):
+        try:
+            parse_number(cell)
+        except ValueError as exc:
+            return ParseError(f"row {lineno}: column {name!r}: {exc}")
+    raise AssertionError(f"row {lineno}: every ratio cell is a finite number")
+
+
+def _records(header, rows, seen):
+    from distress_lda.dataset import VARIABLES, BankYearRecord, RatioVector, parse_year
+    from distress_lda.errors import DuplicateRecordError, ParseError
+
+    bank_at, year_at = header.index("bank"), header.index("year")
+    ratio_at = [header.index(name) for name in VARIABLES]
+    width = max(bank_at, year_at, *ratio_at) + 1
+    blank = RatioVector(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    years = {}
+    records = []
+    for lineno, row in rows:
+        row = _padded(row, width)
+        bank = row[bank_at].strip()
+        if not bank:
+            raise ParseError(f"row {lineno}: column 'bank' is empty")
+        cell = row[year_at]
+        if cell not in years:
+            try:
+                year = parse_year(cell)
+            except ValueError as exc:
+                raise ParseError(f"row {lineno}: column 'year': {exc}") from None
+            years[cell] = year, seen.setdefault(year, set())
+        year, banks = years[cell]
+        if bank in banks:
+            raise DuplicateRecordError(f"row {lineno}: duplicate record for bank {bank!r}, year {year}")
+        banks.add(bank)
+        cells = [row[idx].strip() for idx in ratio_at]
+        joined = "".join(cells)
+        if not joined:
+            records.append(BankYearRecord(bank, year, blank, False))
+            continue
+        if not (joined.isascii() and "_" not in joined):
+            raise _ratio_error(lineno, cells)
+        try:
+            values = list(map(float, cells))
+            ratios = RatioVector(*values)
+        except ValueError:
+            raise _ratio_error(lineno, cells) from None
+        records.append(BankYearRecord(bank, year, ratios, any(values)))
+    return records
+
+
+def _labels(header, rows, labels):
+    from distress_lda.dataset import GroupLabel
+    from distress_lda.errors import ParseError, SchemaError
+
+    if "label" not in header:
+        raise SchemaError("panel has no 'label' column")
+    bank_at, label_at = header.index("bank"), header.index("label")
+    width = max(bank_at, label_at) + 1
+    known = {}
+    for lineno, row in rows:
+        row = _padded(row, width)
+        cell = row[label_at]
+        if cell not in known:
+            text = cell.strip()
+            try:
+                known[cell] = GroupLabel.from_string(text) if text else None
+            except ValueError:
+                raise ParseError(f"row {lineno}: column 'label': unknown label {text!r}") from None
+        label = known[cell]
+        if label is None:
+            continue
+        bank = row[bank_at].strip()
+        if labels.setdefault(bank, label) is not label:
+            raise ParseError(f"row {lineno}: bank {bank!r} has conflicting labels")
+    return labels
+
+
+def parse_panel_reference(text):
+    return _read_panel(text, lambda header, rows: _records(header, rows, {}))
+
+
+def panel_labels_reference(text):
+    return _read_panel(text, lambda header, rows: _labels(header, rows, {}))
+
+
+def load_panels_reference(paths, what):
+    """load_panels(paths, what, {}): the records and labels of every file, checked as one panel."""
+    from distress_lda.dataset import read_text
+    from distress_lda.errors import PanelError
+
+    records, labels, seen = [], {}, {}
+    for path in paths:
+        text = read_text(path, what, PanelError)
+        try:
+            header, rows = _read_panel(text, lambda header, rows: (header, list(rows)))
+            records += _records(header, rows, seen)
+            _labels(header, rows, labels)
+        except PanelError as exc:
+            raise type(exc)(f"{what} file {path}: {exc}") from None
+    return records, labels
+
+
+# ---- the per-row fit kernels ------------------------------------------------
+
+_EXACT_LOW, _EXACT_HIGH = 2.0**-480, 2.0**480
+_SPLITTER = 134217729.0
+
+
+def split_reference(x):
+    """x with Veltkamp's halves of it, None outside the range where Dekker's product is exact."""
+    if _EXACT_LOW <= abs(x) <= _EXACT_HIGH:
+        t = _SPLITTER * x
+        hi = t - (t - x)
+        return x, hi, x - hi
+    return x, None, None
+
+
+def _fraction_fma(a, b, c):
+    if a == 0.0 or b == 0.0 or not (math.isfinite(a) and math.isfinite(b)):
+        return a * b + c
+    if not math.isfinite(c):
+        return c
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
+def _fma_chain(xs, ys, total=0.0):
+    for (u, uh, ul), (v, vh, vl) in zip(xs, ys):
+        if uh is None or vh is None:
+            total = _fraction_fma(u, v, total)
+        else:
+            p = u * v
+            total = fsum((p, ((uh * vh - p) + uh * vl + ul * vh) + ul * vl, total))
+    return total
+
+
+def row_dot_reference(row, b):
+    """row . b over split weights b, one row at a time: four lanes of fused
+    multiply-add chains from 0.0, added as (l0 + l2) + (l1 + l3), then the tail."""
+    row = list(map(split_reference, row))
+    body = len(b) - len(b) % 4
+    lanes = [_fma_chain(row[k:body:4], b[k:body:4]) for k in range(4)]
+    total = (lanes[0] + lanes[2]) + (lanes[1] + lanes[3])
+    tail, weights = row[body:], b[body:]
+    if len(tail) == 1:
+        return _fma_chain(tail, weights, total)
+    if tail:
+        return total + _fma_chain(tail[:1] + tail[2:], weights[:1] + weights[2:], tail[1][0] * weights[1][0])
+    return total
+
+
+def column_sums_reference(rows):
+    """Column totals, each added one value at a time from 0.0."""
+    totals = []
+    for column in zip(*rows):
+        total = 0.0
+        for value in column:
+            total += value
+        totals.append(total)
+    return totals
