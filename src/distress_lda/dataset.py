@@ -7,16 +7,18 @@ losing track of the bank.
 
 A panel is read as a stream of blocks of rows: parse_panel and panel_labels
 consume each block as the csv reader splits it, and hold no split copy of
-the text. Each block is first read with C-level passes over whole columns
-(map, zip, itemgetter, compress). Those passes refuse a block that holds
-anything they do not read the way the row rules do: a blank or short row, a
-cell that is not plain, a duplicate, a label that is unknown or conflicts.
-The row rules then read that block from the state at its start, and their
-result stands, records or the first row's error: a refusal is never itself
-an error. A csv error anywhere in the text (a bare carriage return, a field
-over the csv size limit) still wins over any other fault, as if the whole
-text had been split first: a panel error met before the end drains the rest
-of the reader, and a csv error found there is raised in its place.
+the text. The records of each block are first read with C-level passes over
+whole columns (map, zip, itemgetter, compress), which read empty lines and
+rows of empty ratio cells as the row rules do. Those passes refuse a block
+that holds anything else they may not read the way the row rules do: a row
+of blank cells, a short row, a cell that is not plain, a duplicate. The row
+rules then read that block from the state at its start, and their result
+stands, records or the first row's error: a refusal is never itself an
+error. Labels are read a row at a time. A csv error anywhere in the text (a
+bare carriage return, a field over the csv size limit) still wins over any
+other fault, as if the whole text had been split first: a panel error met
+before the end drains the rest of the reader, and a csv error found there
+is raised in its place.
 """
 from __future__ import annotations
 
@@ -24,8 +26,8 @@ import csv
 import enum
 import io
 import math
-from itertools import chain, compress, groupby, islice, repeat
-from operator import is_not, itemgetter
+from itertools import chain, compress, groupby, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -229,19 +231,25 @@ def _records(header: list[str], blocks: _Rows, seen: set[tuple[int, str]]) -> li
     def by_block(block: list[list[str]]) -> list[BankYearRecord]:
         """The block's records from C-level passes, which raise ValueError or
         IndexError at a row they may not read as the row rules do."""
+        block = list(filter(None, block))  # an empty line holds no record
         banks = list(map(str.strip, map(itemgetter(bank_at), block)))
         cells = list(map(itemgetter(year_at), block))
         for cell in set(cells).difference(years):
             years[cell] = parse_year(cell)
         row_years = list(map(years.__getitem__, cells))
         keys = set(zip(row_years, banks))
-        cells = list(chain.from_iterable(map(itemgetter(*ratio_at), block)))  # six a row
+        rows = list(map(itemgetter(*ratio_at), block))
+        filled = list(map(any, rows))  # False for a row whose ratio cells are all empty
+        cells = list(chain.from_iterable(compress(rows, filled)))  # six a row
         values = list(map(float, cells))  # unstripped: float() reads a plain cell as strip() would, or refuses it
         if not (all(banks) and len(keys) == len(block) and keys.isdisjoint(seen) and _plain("".join(cells))
                 and all(map(math.isfinite, values))):
             raise ValueError("a blank bank, a duplicate, or a ratio cell that is not plain or not finite")
         seen.update(keys)
         ratios = RatioVector._from_checked(zip(*[iter(values)] * len(VARIABLES)))
+        if len(ratios) < len(block):  # each no-data row takes the shared _BLANK
+            read = iter(ratios)
+            ratios = [next(read) if given else _BLANK for given in filled]
         return BankYearRecord._from_checked(zip(banks, row_years, ratios, map(any, ratios)))
 
     def by_rows(lineno: int, block: list[list[str]]) -> list[BankYearRecord]:
@@ -253,10 +261,13 @@ def _records(header: list[str], blocks: _Rows, seen: set[tuple[int, str]]) -> li
             bank = row[bank_at].strip()
             if not bank:
                 raise ParseError(f"row {lineno}: column 'bank' is empty")
-            try:
-                year = parse_year(row[year_at])
-            except ValueError as exc:
-                raise ParseError(f"row {lineno}: column 'year': {exc}") from None
+            cell = row[year_at]
+            if cell not in years:
+                try:
+                    years[cell] = parse_year(cell)
+                except ValueError as exc:
+                    raise ParseError(f"row {lineno}: column 'year': {exc}") from None
+            year = years[cell]
             if (year, bank) in seen:
                 raise DuplicateRecordError(f"row {lineno}: duplicate record for bank {bank!r}, year {year}")
             seen.add((year, bank))
@@ -290,53 +301,29 @@ def panel_labels(text: str) -> dict[str, GroupLabel]:
     return _read_panel(text, lambda header, rows: _labels(header, rows, {}))
 
 
-def _group(cell: str) -> GroupLabel | None:
-    """The label a label cell names, None for a blank cell; ValueError for an unknown one."""
-    text = cell.strip()
-    return GroupLabel.from_string(text) if text else None
-
-
 def _labels(header: list[str], blocks: _Rows, labels: dict[str, GroupLabel]) -> dict[str, GroupLabel]:
-    """labels plus the blocks' labels; a bank labelled otherwise in labels (from any file) is refused.
-    The row rules read a refused block from the labels its C-level pass left:
-    setdefault keeps each bank's first label, so each row meets those it would have."""
+    """labels plus the blocks' labels; a bank labelled otherwise in labels (from any file) is refused."""
     if "label" not in header:
         raise SchemaError("panel has no 'label' column")
     bank_at, label_at = header.index("bank"), header.index("label")
     width = max(bank_at, label_at) + 1
     known: dict[str, GroupLabel | None] = {}  # each distinct label cell, resolved once
-
-    def by_block(block: list[list[str]]) -> None:
-        """Adds the block's labels by C-level passes, which raise ValueError or
-        IndexError at an unknown label, a conflict or a short row."""
-        cells = list(map(itemgetter(label_at), block))
-        for cell in set(cells).difference(known):
-            known[cell] = _group(cell)
-        found = list(map(known.__getitem__, cells))
-        given = list(map(is_not, found, repeat(None)))
-        found = list(compress(found, given))
-        banks = compress(map(str.strip, map(itemgetter(bank_at), block)), given)
-        if any(map(is_not, map(labels.setdefault, banks, found), found)):
-            raise ValueError("conflicting labels")
-
-    def by_rows(lineno: int, block: list[list[str]]) -> None:
-        for lineno, row in enumerate(block, lineno):
+    for first, block in blocks:
+        for lineno, row in enumerate(block, first):
             row = row + [""] * (width - len(row))  # a short row's missing cells are empty
             cell = row[label_at]
             if cell not in known:
+                text = cell.strip()
                 try:
-                    known[cell] = _group(cell)
+                    known[cell] = GroupLabel.from_string(text) if text else None
                 except ValueError:
-                    raise ParseError(f"row {lineno}: column 'label': unknown label {cell.strip()!r}") from None
+                    raise ParseError(f"row {lineno}: column 'label': unknown label {text!r}") from None
             label = known[cell]
-            if label is not None and labels.setdefault(row[bank_at].strip(), label) is not label:
-                raise ParseError(f"row {lineno}: bank {row[bank_at].strip()!r} has conflicting labels")
-
-    for lineno, block in blocks:
-        try:
-            by_block(block)
-        except (ValueError, IndexError):
-            by_rows(lineno, block)
+            if label is None:
+                continue
+            bank = row[bank_at].strip()
+            if labels.setdefault(bank, label) is not label:
+                raise ParseError(f"row {lineno}: bank {bank!r} has conflicting labels")
     return labels
 
 

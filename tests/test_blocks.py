@@ -7,7 +7,8 @@
   injected faults: blank and short rows, whitespace cells (\\x1c among them),
   non-ASCII digits, 1_0, nan and inf, rows of empty ratio cells and rows
   that mix empty and numeric ones, duplicates within a block, across blocks
-  and across files, and labels that conflict across blocks.
+  and across files, and labels that conflict across blocks. Rows of empty
+  ratio cells and empty lines do not send a block to the row rules.
 - The column-wise row dots and column sums of the fit carry the bits of the
   per-row kernels, over 1-9 columns, with signed zeros, subnormals and
   values outside the range where Dekker's product is exact.
@@ -162,6 +163,22 @@ def test_cell_that_only_strip_reads(block):
         records = dataset.parse_panel(text)
     assert [r.ratios.eaa for r in records] == [0.25, 0.5, 0.75]
     assert outcome(dataset.parse_panel, text) == outcome(parse_panel_reference, text)
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+def test_block_pass_reads_no_data_rows_and_empty_lines(block):
+    """A row of empty ratio cells (a no-data marker) and an empty line are read
+    by the block pass itself: the row rules, which build each record with its
+    checks, never run, and the marker rows share the one blank ratio vector."""
+    text = "bank,year,eaa,roae,roaa,nii,laaa,bdtla,label\n" + "".join(
+        f"B{i},2015,{cells},bankrupt\n" + "\n" * (i % 3 == 0)
+        for i, cells in enumerate(["0.5,1,1,1,1,1", ",,,,,", "0,0,0,0,0,0", ",,,,,", "-1,2,3,4,5,6"])
+    )
+    with mock.patch.object(dataset, "_BLOCK", block), \
+            mock.patch.object(dataset.BankYearRecord, "_validate", side_effect=AssertionError("row rules ran")):
+        records = dataset.parse_panel(text)
+    assert [r.ratios is dataset._BLANK for r in records] == [False, True, False, True, False]
+    assert outcome(lambda: records) == outcome(parse_panel_reference, text)
 
 
 # Signed zeros, subnormals, values past 2**±480 (where _fma leaves Dekker's
