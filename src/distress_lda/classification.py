@@ -7,12 +7,14 @@ empty. Override zones are loaded from a file and carry whatever cut-off and
 interval the caller trusts; they are tagged with their source so reports can
 say which rule produced them, and the source fixes the score scale.
 
-Yearly evaluation scores every available bank-year, assigns a zone, and
-counts hits the way early-warning tables are usually read: a distressed bank
-is only *expected* to look distressed in its warning year (the last year it
-reports before dropping out); in every other year a distress signal for it
-counts against the healthy expectation like any other alarm. Grey cases are
-reported separately and excluded from hits and errors.
+The zone rule yields the zone's text. Yearly evaluation scores every
+available bank-year and builds its entry once, as the JSON object the report
+prints: {"bank": ..., "score": ..., "zone": "bankrupt" | "grey" |
+"nonbankrupt"}. It counts hits the way early-warning tables are usually read:
+a distressed bank is only *expected* to look distressed in its warning year
+(the last year it reports before dropping out); in every other year a
+distress signal for it counts against the healthy expectation like any other
+alarm. Grey cases are reported separately and excluded from hits and errors.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import math
 from bisect import bisect_left, bisect_right
 from functools import partial
 from itertools import compress, repeat
-from operator import add, is_not, itemgetter, le, lt, mul
+from operator import add, itemgetter, le, lt, mul
 from typing import Mapping, Sequence
 
 from .dataset import VARIABLES, BankYearRecord, GroupLabel, TrainingSet, rows_by_bank
@@ -42,9 +44,6 @@ class ZoneLabel(enum.Enum):
     NONBANKRUPT = "nonbankrupt"
 
 
-# Members the per-bank loops use, bound once: on Python 3.11 reading a member
-# off its enum class costs ~130-220 ns, a module global ~10-20 ns.
-_BANKRUPT_ZONE, _GREY_ZONE, _HEALTHY_ZONE = ZoneLabel.BANKRUPT, ZoneLabel.GREY, ZoneLabel.NONBANKRUPT
 _BANKRUPT = GroupLabel.BANKRUPT
 
 
@@ -93,11 +92,11 @@ def derive_zones(model: DiscriminantModel) -> ClassificationZones:
     )
 
 
-_ZONE_BY_RANK = (_BANKRUPT_ZONE, _GREY_ZONE, _HEALTHY_ZONE)
+_ZONE_BY_RANK = tuple(zone.value for zone in ZoneLabel)
 
 
-def _zones_of(scores: Sequence[float], zones: ClassificationZones) -> list[ZoneLabel]:
-    """The zone of each score, the one home of the zone rule. With a grey
+def _zones_of(scores: Sequence[float], zones: ClassificationZones) -> list[str]:
+    """The zone's text of each score, the one home of the zone rule. With a grey
     interval: below it bankrupt, inside it (boundaries included) grey, above it
     non-bankrupt. Without one, the cut-off alone splits the axis and a score
     exactly at the cut-off counts as healthy. So the zone's rank in (bankrupt,
@@ -113,7 +112,7 @@ def classify_zone(score_value: float, zones: ClassificationZones) -> ZoneLabel:
     """Map a finite score to its zone by the rule of the zones (see _zones_of)."""
     if not math.isfinite(score_value):
         raise DomainError(f"score must be finite, got {score_value!r}")
-    return _zones_of((score_value,), zones)[0]
+    return ZoneLabel(_zones_of((score_value,), zones)[0])
 
 
 _IDENTITY_SCALE = NormalizationStats(mean=dict.fromkeys(VARIABLES, 0.0), sd=dict.fromkeys(VARIABLES, 1.0))
@@ -191,12 +190,6 @@ def confusion_matrix(model: DiscriminantModel, tsZ: TrainingSet) -> ConfusionMat
     return ConfusionMatrix(counts=counts)
 
 
-class BankScore(Record):
-    bank: str
-    score: float
-    zone: ZoneLabel
-
-
 class YearRow(Record):
     year: int
     bankrupt_count: int
@@ -209,7 +202,11 @@ class YearRow(Record):
     type1_rate: float
     type2_rate: float
     accuracy: float
-    banks: tuple[BankScore, ...]
+    # One {"bank", "score", "zone"} entry per zoned bank-year, in bank order. An
+    # entry is shared with the cut-off-only row wherever both rules give it the
+    # same zone, and with report_to_dict's output, so entries are read-only, as
+    # the dict fields of NormalizationStats and FisherFunctions are.
+    banks: tuple[dict, ...]
 
 
 class EvaluationReport(Record):
@@ -241,17 +238,17 @@ def infer_warning_years(
     return warning
 
 
-def _tally(year: int, banks: list[BankScore], expected: set[str]) -> YearRow:
+def _tally(year: int, banks: list[dict], expected: set[str]) -> YearRow:
     """The year's row: zone counts, hits and error rates of its zoned banks.
 
     expected holds the distressed banks whose warning year this is, each with
     an available record that year: only they are expected to look distressed.
     """
-    called = list(map(itemgetter(2), banks))
-    warned = list(compress(called, map(expected.__contains__, map(itemgetter(0), banks)))) if expected else []
-    n_b, n_g = called.count(_BANKRUPT_ZONE), called.count(_GREY_ZONE)
-    type1 = warned.count(_HEALTHY_ZONE)  # missed warnings
-    type2 = n_b - warned.count(_BANKRUPT_ZONE)  # alarms for banks not expected to look distressed
+    called = list(map(itemgetter("zone"), banks))
+    warned = list(compress(called, map(expected.__contains__, map(itemgetter("bank"), banks)))) if expected else []
+    n_b, n_g = called.count("bankrupt"), called.count("grey")
+    type1 = warned.count("nonbankrupt")  # missed warnings
+    type2 = n_b - warned.count("bankrupt")  # alarms for banks not expected to look distressed
     total = len(banks)
     # Hit arithmetic: false alarms and grey calls are subtracted from the
     # total; a missed warning shows up in the type-I rate, not in the hits.
@@ -319,15 +316,11 @@ def evaluate_panel(
     ordered = sorted(sorted(records, key=itemgetter(0)), key=itemgetter(1))  # by year, then bank: two stable sorts
     available = list(compress(ordered, map(itemgetter(3), ordered)))
     scores = _scores(model, stats, zones.scale, available)
-    bank_ids = list(map(itemgetter(0), available))
     years = list(map(itemgetter(1), available))
-    # A cut-off-only entry shares the entry under the zones where its zone is the same.
     zoned = _zones_of(scores, zones)
     cut = _zones_of(scores, ClassificationZones(zones.cutoff, None, zones.source))
-    entries = BankScore._from_checked(zip(bank_ids, scores, zoned))
-    differs = list(map(is_not, cut, zoned))
-    fresh = iter(BankScore._from_checked(compress(zip(bank_ids, scores, cut), differs)))
-    cutoff_entries = [next(fresh) if other else entry for entry, other in zip(entries, differs)]
+    entries = [{"bank": b, "score": s, "zone": z} for b, s, z in zip(map(itemgetter(0), available), scores, zoned)]
+    cutoff_entries = [e if c == z else {**e, "zone": c} for e, z, c in zip(entries, zoned, cut)]
 
     rows: list[tuple[YearRow, YearRow]] = []
     for year in dict.fromkeys(map(itemgetter(1), ordered)):
@@ -369,8 +362,7 @@ def report_to_dict(report: EvaluationReport) -> dict:
             "type1": row.type1_rate,
             "type2": row.type2_rate,
             "accuracy": row.accuracy,
-            # _value_ is the member's text, read without a call to Enum's value descriptor per bank.
-            "banks": [{"bank": bank, "score": s, "zone": zone._value_} for bank, s, zone in row.banks],
+            "banks": list(row.banks),
         }
 
     return {

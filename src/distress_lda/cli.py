@@ -259,7 +259,7 @@ def cmd_classify(config: RunConfig) -> tuple[dict, list[tuple[str, int]]]:
     model, stats, records, _labels, zones = _panel_inputs(config, "classify", None)
     ordered = sorted(records, key=itemgetter(0, 1))  # by bank, then year
     scored = [
-        {"bank": r.bank_id, "year": r.year, "score": s, "zone": classify_zone(s, zones)._value_}
+        {"bank": r.bank_id, "year": r.year, "score": s, "zone": classify_zone(s, zones).value}
         for r, s in score_panel(model, stats, ordered, zones)
     ]
     # Text prints the unavailable bank-years as n.a; JSON leaves them out.

@@ -73,17 +73,6 @@ class RatioVector(Record):
             if not math.isfinite(value):
                 raise ValueError(f"ratio {name!r} must be finite, got {value!r}")
 
-    def as_tuple(self) -> tuple[float, ...]:
-        """The six ratios in VARIABLES order, as a plain tuple."""
-        return tuple(self)
-
-    @classmethod
-    def from_array(cls, values) -> "RatioVector":
-        values = list(values)
-        if len(values) != len(VARIABLES):
-            raise ValueError(f"expected {len(VARIABLES)} values, got {len(values)}")
-        return cls(*map(float, values))
-
 
 # Canonical predictor order; every matrix and serialized mapping follows it.
 VARIABLES = RatioVector.__match_args__

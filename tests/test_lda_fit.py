@@ -194,7 +194,7 @@ class TestGroupStats:
 
     def test_bundled_panel_counts(self, normalized_set):
         X0, X1 = (
-            [s.ratios.as_tuple() for s in normalized_set.samples if s.label is label]
+            [tuple(s.ratios) for s in normalized_set.samples if s.label is label]
             for label in (GroupLabel.BANKRUPT, GroupLabel.NONBANKRUPT)
         )
         model = fit_from_matrices(X0, X1, VARIABLES)
@@ -381,7 +381,7 @@ class TestScoreBinding:
     def test_mapping_and_attribute_access(self, fitted_model, normalized_set):
         sample = normalized_set.samples[0]
         via_attrs = score(fitted_model, sample.ratios)
-        via_dict = score(fitted_model, dict(zip(VARIABLES, sample.ratios.as_tuple())))
+        via_dict = score(fitted_model, dict(zip(VARIABLES, sample.ratios)))
         assert via_dict == via_attrs
 
     def test_missing_variable_raises_binding_error(self, fitted_model):

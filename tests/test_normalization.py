@@ -19,7 +19,7 @@ def _training_set(matrix, n0=2):
     samples = [
         LabeledSample(
             f"bank{i}",
-            RatioVector.from_array(row),
+            RatioVector(*row.tolist()),
             GroupLabel.BANKRUPT if i < n0 else GroupLabel.NONBANKRUPT,
         )
         for i, row in enumerate(matrix)
@@ -44,7 +44,7 @@ def test_bundled_panel_z_scores(norm_stats, training_set):
 
 
 def test_normalized_set_has_unit_moments(normalized_set):
-    matrix = np.array([s.ratios.as_tuple() for s in normalized_set.samples])
+    matrix = np.array([tuple(s.ratios) for s in normalized_set.samples])
     assert matrix.mean(axis=0) == pytest.approx(np.zeros(6), abs=1e-12)
     assert matrix.std(axis=0, ddof=1) == pytest.approx(np.ones(6), abs=1e-12)
 
@@ -93,7 +93,7 @@ def test_affine_invariance_of_z_scores():
     matrix = rng.normal(size=(9, 6))
     stats = fit_normalizer(_training_set(matrix))
     z_before = np.array(
-        [apply(stats, s.ratios).as_tuple() for s in _training_set(matrix).samples]
+        [tuple(apply(stats, s.ratios)) for s in _training_set(matrix).samples]
     )
 
     scaled = matrix.copy()
@@ -101,7 +101,7 @@ def test_affine_invariance_of_z_scores():
     scaled[:, 5] = 0.004 * scaled[:, 5] + 19.0
     stats2 = fit_normalizer(_training_set(scaled))
     z_after = np.array(
-        [apply(stats2, s.ratios).as_tuple() for s in _training_set(scaled).samples]
+        [tuple(apply(stats2, s.ratios)) for s in _training_set(scaled).samples]
     )
     np.testing.assert_allclose(z_after, z_before, atol=1e-9)
 
@@ -128,6 +128,6 @@ def test_normalize_then_fit_is_stable(normalized_set):
     # Normalizing an already-normalized set is the identity map.
     stats = fit_normalizer(normalized_set)
     again = normalize_training_set(stats, normalized_set)
-    before = np.array([s.ratios.as_tuple() for s in normalized_set.samples])
-    after = np.array([s.ratios.as_tuple() for s in again.samples])
+    before = np.array([tuple(s.ratios) for s in normalized_set.samples])
+    after = np.array([tuple(s.ratios) for s in again.samples])
     np.testing.assert_allclose(after, before, atol=1e-12)

@@ -16,6 +16,7 @@ from distress_lda import (
     GroupLabel,
     RatioVector,
     YearRow,
+    ZoneLabel,
     average_ratios,
     evaluate_panel,
     infer_warning_years,
@@ -25,12 +26,12 @@ from distress_lda import (
 
 WINDOW = (2012, 2015)
 YEARS = tuple(range(2010, 2019))
-ZERO = RatioVector.from_array([0.0] * 6)
+ZERO = RatioVector(*[0.0] * 6)
 # No deadline: per-example times vary with machine load more than the default allows.
 SETTINGS = settings(deadline=None, max_examples=50)
 
 ratio_vectors = st.lists(st.integers(-1000, 1000), min_size=6, max_size=6).map(
-    lambda ks: RatioVector.from_array([k / 1000 for k in ks])
+    lambda ks: RatioVector(*[k / 1000 for k in ks])
 )
 
 
@@ -124,9 +125,10 @@ def test_evaluation_invariant_under_row_permutation(
 
 
 def _as_dicts(rows):
-    """Year rows in the form of year_rows_reference: dicts by field, banks as plain tuples."""
+    """Year rows in the form of year_rows_reference: dicts by field, banks as
+    (bank, score, zone) tuples."""
     return [
-        {name: [tuple(b) for b in value] if name == "banks" else value
+        {name: [(b["bank"], b["score"], ZoneLabel(b["zone"])) for b in value] if name == "banks" else value
          for name, value in zip(fields(YearRow), row)}
         for row in rows
     ]

@@ -77,7 +77,7 @@ def labelled_panels(draw):
         for year in draw(st.lists(st.integers(1990, 2030), min_size=1, max_size=4, unique=True)):
             values = draw(ratio_values)
             available = any(v != 0.0 for v in values)
-            records.append(BankYearRecord(bank, year, RatioVector.from_array(values), available))
+            records.append(BankYearRecord(bank, year, RatioVector(*values), available))
     records = draw(st.permutations(records))
     labelled = draw(st.lists(st.sampled_from(banks), unique=True))
     labels = {bank: draw(st.sampled_from(GroupLabel)) for bank in labelled}
@@ -136,7 +136,7 @@ def test_split_panel_breaks_rules_as_one(case, data):
     year = max(r.year for r in records if r.bank_id == bank) + 1
     flipped = GroupLabel(1 - labels[bank])
     repeated = serialize_panel([data.draw(st.sampled_from(records))], labels)
-    new_year = BankYearRecord(bank, year, RatioVector.from_array([1.0] * 6), True)
+    new_year = BankYearRecord(bank, year, RatioVector(*[1.0] * 6), True)
     relabelled = serialize_panel([new_year], {bank: flipped})
     whole = serialize_panel(records, labels)
     for extra, error, read in (
@@ -263,7 +263,7 @@ def bank_windows(draw):
     n = draw(st.integers(1, 40))
     rows = draw(st.lists(st.one_of(st.just([0.0] * 6), ratio_rows), min_size=n, max_size=n))
     records = [
-        BankYearRecord("Alpha", 2000 + k, RatioVector.from_array(row), any(v != 0.0 for v in row))
+        BankYearRecord("Alpha", 2000 + k, RatioVector(*row), any(v != 0.0 for v in row))
         for k, row in enumerate(rows)
     ]
     if draw(st.booleans()):
@@ -276,13 +276,13 @@ def bank_windows(draw):
 @given(bank_windows())
 def test_window_mean_carries_numpys_bits(case):
     records, (first, last) = case
-    rows = [r.ratios.as_tuple() for r in records if r.available and first <= r.year <= last]
+    rows = [tuple(r.ratios) for r in records if r.available and first <= r.year <= last]
     if not rows:
         with pytest.raises(EmptyWindowError):
             average_ratios(records, "Alpha", (first, last))
         return
     mean = average_ratios(records, "Alpha", (first, last))
-    assert bits(mean.as_tuple()) == bits(window_mean_reference(rows))
+    assert bits(tuple(mean)) == bits(window_mean_reference(rows))
 
 
 @SETTINGS
@@ -290,7 +290,7 @@ def test_window_mean_carries_numpys_bits(case):
 def test_normalizer_carries_numpys_bits(rows):
     labels = [GroupLabel(k % 2) for k in range(len(rows))]
     ts = build_training_set(
-        [LabeledSample(f"B{k}", RatioVector.from_array(row), label)
+        [LabeledSample(f"B{k}", RatioVector(*row), label)
          for k, (row, label) in enumerate(zip(rows, labels))]
     )
     means, sds = normalizer_reference(rows)
@@ -321,7 +321,7 @@ def scoring_cases(draw):
     sds = draw(st.lists(st.floats(1e-3, 1e6), min_size=6, max_size=6))
     stats = NormalizationStats(mean=dict(zip(VARIABLES, means)), sd=dict(zip(VARIABLES, sds)))
     rows = draw(st.lists(ratio_rows, min_size=1, max_size=8))
-    return model, stats, [RatioVector.from_array(row) for row in rows]
+    return model, stats, [RatioVector(*row) for row in rows]
 
 
 # Discriminant scores of 2-40 banks per group, to four decimals in [-100, 100]:
@@ -371,5 +371,5 @@ def test_panel_scores_carry_the_bits_of_score(case, source):
         return
     assert bits(s for _, s in score_panel(model, stats, records, zones)) == bits(expected)
     report = evaluate_panel(model, stats, records, labels, zones)
-    by_bank = {b.bank: b.score for b in report.years[0].banks}
+    by_bank = {b["bank"]: b["score"] for b in report.years[0].banks}
     assert bits(by_bank[r.bank_id] for r in records) == bits(expected)

@@ -14,7 +14,6 @@ import pytest
 from records import astuple, fields, replace
 
 from distress_lda import (
-    BankScore,
     BankYearRecord,
     BoxMResult,
     ClassificationZones,
@@ -30,7 +29,6 @@ from distress_lda import (
     TrainingSet,
     WilksResult,
     YearRow,
-    ZoneLabel,
 )
 from distress_lda.cli import RunConfig, build_config, build_parser
 from distress_lda.fixtures import load_reference_model
@@ -40,8 +38,7 @@ MODEL, STATS = load_reference_model()
 RATIOS = RatioVector(0.1, -0.2, 0.03, 0.4, 0.5, 0.06)
 SAMPLE = LabeledSample("Alpha", RATIOS, GroupLabel.BANKRUPT)
 ZONES = ClassificationZones(-0.5, (-1.0, 1.0), "explicit-override")
-SCORE = BankScore("Alpha", 1.5, ZoneLabel.NONBANKRUPT)
-ROW = YearRow(2015, 0, 0, 1, 1, 1, 0, 0, 0.0, 0.0, 1.0, (SCORE,))
+ROW = YearRow(2015, 0, 0, 1, 1, 1, 0, 0, 0.0, 0.0, 1.0, ({"bank": "Alpha", "score": 1.5, "zone": "nonbankrupt"},))
 
 # Per record type: one record's field values, and one field with another valid value.
 CASES = [
@@ -54,7 +51,6 @@ CASES = [
     (NormalizationStats, astuple(STATS), "mean", dict.fromkeys(STATS.mean, 0.0)),
     (ClassificationZones, astuple(ZONES), "grey", None),
     (ConfusionMatrix, ({(GroupLabel.BANKRUPT, GroupLabel.BANKRUPT): 2},), "counts", {}),
-    (BankScore, astuple(SCORE), "zone", ZoneLabel.GREY),
     (YearRow, astuple(ROW), "hits", 0),
     (EvaluationReport, ((ROW,), (ROW,), ZONES, ("a notice",)), "notices", ()),
     (WilksResult, (0.3, 12.5, 6, 0.04), "df", 5),
@@ -86,7 +82,7 @@ def test_every_record_type_is_covered():
         value for value in vars(distress_lda).values() if isinstance(value, type) and issubclass(value, Record)
     }
     assert exported | {RunConfig} == {case[0] for case in CASES}
-    assert len(CASES) == 16
+    assert len(CASES) == 15
 
 
 @cases

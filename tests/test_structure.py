@@ -135,13 +135,21 @@ def test_all_lists_what_init_imports():
 
 def test_bench_reaches_what_it_calls(monkeypatch):
     """The bench's tracer resolves every name it times, and one panel-800 op
-    passes its own check: a renamed function fails here, not at bench time."""
+    passes its own check, untraced and traced, with the traced op's counts
+    read off the report: a renamed function or a reshaped report fails here,
+    not at bench time."""
     monkeypatch.syspath_prepend(str(BENCH))
     spans = importlib.import_module("spans")
     workloads = importlib.import_module("workloads")
-    spans.Tracer()
+    tracer = spans.Tracer()
     panel = workloads.Panel800(0, False)
     try:
         assert panel.check(0, panel.op(0)) == []
+        with tracer.installed(0):
+            output = panel.op(0)
+        assert panel.check(0, output) == []
     finally:
         panel.close()
+    years = output[-1]["years"]
+    assert tracer.counts[0]["classification.scored"] == sum(y["total"] for y in years)
+    assert tracer.counts[0]["classification.grey"] == sum(y["counts"]["grey"] for y in years)
