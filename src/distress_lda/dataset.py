@@ -19,15 +19,22 @@ bare carriage return, a field over the csv size limit) still wins over any
 other fault, as if the whole text had been split first: a panel error met
 before the end drains the rest of the reader, and a csv error found there
 is raised in its place.
+
+The csv reader reads the lines that io.StringIO(text) would yield, cut from
+the text with str.split, which holds no copy of the text at four bytes a
+character. A parse makes each repeated value once: the records of one bank
+share one str for its name, and equal ratio cells of one block share one
+float. Floats are shared per block, not per parse, so at most one block's
+distinct cells are held at a time, however many distinct cells the panel
+has.
 """
 from __future__ import annotations
 
 import csv
 import enum
-import io
 import math
-from itertools import chain, compress, groupby, islice
-from operator import itemgetter
+from itertools import chain, compress, groupby, islice, repeat
+from operator import add, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -140,13 +147,23 @@ def _split_rows(reader: Iterator[list[str]]) -> tuple[list[str], Iterator[tuple[
     return header, ((lineno + 1 + k * _BLOCK, block) for k, block in enumerate(blocks))
 
 
+def _lines(text: str) -> Iterator[str]:
+    """The lines io.StringIO(text) yields: cut at each "\\n" and at no other
+    line break, each keeping its "\\n", the last only when not empty. Not
+    splitlines(), which also cuts at "\\r", "\\x1c" and "\\u2028" among others,
+    and so changes the csv errors."""
+    lines = text.split("\n")
+    last = lines.pop()
+    return chain(map(add, lines, repeat("\n")), [last] if last else [])
+
+
 def _read_panel(text: str, read: Callable[[list[str], _Rows], _Read]) -> _Read:
     """read(header, rows) over the text's header and its stream of data rows.
 
     A csv error anywhere in the text wins: a panel error raised before the
     reader is spent is raised only once the rest of the text splits cleanly.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(_lines(text))
     try:
         try:
             return read(*_split_rows(reader))
@@ -216,12 +233,14 @@ def _records(header: list[str], blocks: _Rows, seen: set[tuple[int, str]]) -> li
     ratio_at = [header.index(name) for name in VARIABLES]
     width = max(bank_at, year_at, *ratio_at) + 1
     years: dict[str, int] = {}  # each distinct year cell, parsed once
+    names: dict[str, str] = {}  # each distinct bank, so that its records share one str
 
     def by_block(block: list[list[str]]) -> list[BankYearRecord]:
         """The block's records from C-level passes, which raise ValueError or
         IndexError at a row they may not read as the row rules do."""
         block = list(filter(None, block))  # an empty line holds no record
         banks = list(map(str.strip, map(itemgetter(bank_at), block)))
+        banks = list(map(names.setdefault, banks, banks))
         cells = list(map(itemgetter(year_at), block))
         for cell in set(cells).difference(years):
             years[cell] = parse_year(cell)
@@ -230,7 +249,11 @@ def _records(header: list[str], blocks: _Rows, seen: set[tuple[int, str]]) -> li
         rows = list(map(itemgetter(*ratio_at), block))
         filled = list(map(any, rows))  # False for a row whose ratio cells are all empty
         cells = list(chain.from_iterable(compress(rows, filled)))  # six a row
-        values = list(map(float, cells))  # unstripped: float() reads a plain cell as strip() would, or refuses it
+        # Each distinct cell parsed once, so equal cells share one float; keyed by
+        # the cell, not the value, so "-0.0" and "0.0" keep their own bits.
+        # Unstripped: float() reads a plain cell as strip() would, or refuses it.
+        parsed = {cell: float(cell) for cell in set(cells)}
+        values = list(map(parsed.__getitem__, cells))
         if not (all(banks) and len(keys) == len(block) and keys.isdisjoint(seen) and _plain("".join(cells))
                 and all(map(math.isfinite, values))):
             raise ValueError("a blank bank, a duplicate, or a ratio cell that is not plain or not finite")
@@ -250,6 +273,7 @@ def _records(header: list[str], blocks: _Rows, seen: set[tuple[int, str]]) -> li
             bank = row[bank_at].strip()
             if not bank:
                 raise ParseError(f"row {lineno}: column 'bank' is empty")
+            bank = names.setdefault(bank, bank)
             cell = row[year_at]
             if cell not in years:
                 try:

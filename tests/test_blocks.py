@@ -14,21 +14,30 @@
   values outside the range where Dekker's product is exact.
 - A model binds a Mapping observation by key and anything else by
   attribute, so a variable named like a dict method reads the value.
+- The line source gives the csv reader the lines io.StringIO gives it: the
+  same rows, csv errors and line numbers, over texts of commas, quotes, LF,
+  CR and NUL, at the default field size limit and at a tiny one. It holds
+  less than half the memory io.StringIO holds for a bench panel.
+- What a parse shares: the records of one bank share one str for its name,
+  whichever pass reads their block, and equal ratio cells of one block share
+  one float, while "-0.0" and "0.0" keep their own bits.
 
 The block pass iterates sets of cells, whose order follows the hash seed, so
 CI runs this file under two values of PYTHONHASHSEED.
 """
 from __future__ import annotations
 
+import collections
 import csv
 import io
 import tempfile
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     column_sums_reference,
@@ -232,3 +241,81 @@ def test_variable_named_like_a_mapping_method(name):
         with pytest.raises(BindingError, match=f"observation has no variable '{name}'"):
             fisher_classify(model, missing)
 
+
+def csv_outcome(lines, limit):
+    """The rows the csv reader gives for the lines, with the message of its error
+    (None if it read to the end) and its line number, at this field size limit."""
+    previous = csv.field_size_limit(limit)
+    reader, rows = csv.reader(lines), []
+    try:
+        rows.extend(reader)
+    except csv.Error as exc:
+        return rows, str(exc), reader.line_num
+    finally:
+        csv.field_size_limit(previous)
+    return rows, None, reader.line_num
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.text(st.sampled_from([",", '"', "\n", "\r", "\x00", "a", "1"]), max_size=30),
+       st.booleans(), st.sampled_from([csv.field_size_limit(), 3]))
+@example("", False, csv.field_size_limit())
+@example("a\rb", True, csv.field_size_limit())  # a bare carriage return, not a line break to io.StringIO
+@example('"a', False, csv.field_size_limit())  # a quote still open at the end of the text
+@example("ab,cdef", True, 3)  # a field over the size limit
+def test_line_source_reads_as_stringio(text, newline, limit):
+    text += "\n" * newline
+    assert csv_outcome(dataset._lines(text), limit) == csv_outcome(io.StringIO(text), limit)
+
+
+def test_line_source_holds_less_than_half_of_stringio(monkeypatch):
+    """io.StringIO copies the text at four bytes a character; the line source
+    holds the lines once, each a str of one byte a character plus its header."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from synth import generate_panel
+
+    text, _ = generate_panel(1, 800)
+
+    def peak(lines) -> int:
+        tracemalloc.start()
+        try:
+            collections.deque(csv.reader(lines(text)), maxlen=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(dataset._lines) < peak(io.StringIO) / 2
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+def test_records_of_a_bank_share_one_name(block, tmp_path):
+    """Also when the row rules read one of the bank's blocks: \\x1c0.5, which
+    float() refuses, sends its block there. (Names of one character would
+    prove nothing: CPython keeps one str per such character.)"""
+    rows = [("Bank A", 2012, "0.5"), (" Bank A", 2013, "0.5"), ("Bank A ", 2014, "\x1c0.5"), ("Bank B", 2012, "1"),
+            (" Bank B ", 2013, "1"), ("Bank A", 2015, "0.25"), ("Bank B", 2014, "\x1c1"), ("Bank A", 2016, "2")]
+    text = "bank,year,eaa,roae,roaa,nii,laaa,bdtla,label\n" + "".join(
+        f"{bank},{year},{cell},1,1,1,1,1,bankrupt\n" for bank, year, cell in rows
+    )
+    path = tmp_path / "panel.csv"
+    path.write_text(text, encoding="utf-8")
+    with mock.patch.object(dataset, "_BLOCK", block):
+        parsed = dataset.parse_panel(text)
+        loaded, _ = dataset.load_panels([path], "panel", None)
+    for records in (parsed, loaded):
+        assert [r.bank_id for r in records] == [bank.strip() for bank, _, _ in rows]
+        first: dict[str, str] = {}
+        assert all(first.setdefault(r.bank_id, r.bank_id) is r.bank_id for r in records)
+
+
+def test_equal_cells_of_a_block_share_one_float():
+    cells = ["0.5", "0.25", "0.5", "-0.0", "0.0", "0.25", "0.5", "0.50", "-0.0", "0.0", "1e-3", "0.001"]
+    rows = [cells[i:i + 6] for i in range(0, len(cells), 6)]
+    text = "bank,year,eaa,roae,roaa,nii,laaa,bdtla\n" + "".join(
+        f"B{i},2015,{','.join(row)}\n" for i, row in enumerate(rows)
+    )
+    values = [value for record in dataset.parse_panel(text) for value in record.ratios]
+    first: dict[str, float] = {}
+    assert all(first.setdefault(cell, value) is value for cell, value in zip(cells, values))
+    # Keyed by the cell, not the value: the equal -0.0 and 0.0 keep their own bits.
+    assert [value.hex() for value in values] == [float(cell).hex() for cell in cells]
