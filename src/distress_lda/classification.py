@@ -7,10 +7,12 @@ empty. Override zones are loaded from a file and carry whatever cut-off and
 interval the caller trusts; they are tagged with their source so reports can
 say which rule produced them, and the source fixes the score scale.
 
-The zone rule yields the zone's text. Yearly evaluation scores every
-available bank-year and builds its entry once, as the JSON object the report
-prints: {"bank": ..., "score": ..., "zone": "bankrupt" | "grey" |
-"nonbankrupt"}. It counts hits the way early-warning tables are usually read:
+A zone is its text, "bankrupt", "grey" or "nonbankrupt", and one private
+rule gives it. score_panel is the library's way to score and zone a panel:
+it returns each available bank-year as the object classify prints, {"bank",
+"year", "score", "zone"}. Yearly evaluation builds each bank-year's entry
+once, as the object the report prints, {"bank", "score", "zone"}, and counts
+hits the way early-warning tables are usually read:
 a distressed bank is only *expected* to look distressed in its warning year
 (the last year it reports before dropping out); in every other year a
 distress signal for it counts against the healthy expectation like any other
@@ -18,7 +20,6 @@ alarm. Grey cases are reported separately and excluded from hits and errors.
 """
 from __future__ import annotations
 
-import enum
 import math
 from bisect import bisect_left, bisect_right
 from functools import partial
@@ -36,12 +37,6 @@ from .record import Record
 # which are z-scored; explicit overrides are the published zones, on raw ratios.
 ZONE_SCALES = {"derived-from-model": "normalized", "explicit-override": "raw"}
 ZONE_SOURCES = tuple(ZONE_SCALES)
-
-
-class ZoneLabel(enum.Enum):
-    BANKRUPT = "bankrupt"
-    GREY = "grey"
-    NONBANKRUPT = "nonbankrupt"
 
 
 _BANKRUPT = GroupLabel.BANKRUPT
@@ -92,7 +87,7 @@ def derive_zones(model: DiscriminantModel) -> ClassificationZones:
     )
 
 
-_ZONE_BY_RANK = tuple(zone.value for zone in ZoneLabel)
+_ZONE_BY_RANK = ("bankrupt", "grey", "nonbankrupt")
 
 
 def _zones_of(scores: Sequence[float], zones: ClassificationZones) -> list[str]:
@@ -106,13 +101,6 @@ def _zones_of(scores: Sequence[float], zones: ClassificationZones) -> list[str]:
     else:
         low, high = partial(le, zones.grey[0]), partial(lt, zones.grey[1])
     return list(map(_ZONE_BY_RANK.__getitem__, map(add, map(low, scores), map(high, scores))))
-
-
-def classify_zone(score_value: float, zones: ClassificationZones) -> ZoneLabel:
-    """Map a finite score to its zone by the rule of the zones (see _zones_of)."""
-    if not math.isfinite(score_value):
-        raise DomainError(f"score must be finite, got {score_value!r}")
-    return ZoneLabel(_zones_of((score_value,), zones)[0])
 
 
 _IDENTITY_SCALE = NormalizationStats(mean=dict.fromkeys(VARIABLES, 0.0), sd=dict.fromkeys(VARIABLES, 1.0))
@@ -152,15 +140,20 @@ def score_panel(
     stats: NormalizationStats | None,
     records: Sequence[BankYearRecord],
     zones: ClassificationZones,
-) -> list[tuple[BankYearRecord, float]]:
-    """The available records, in the order given, each with its score on the
+) -> list[dict]:
+    """The zoned bank-year of each available record, in the order given, as the
+    object classify prints: {"bank", "year", "score", "zone"}, the score on the
     scale of the zones; unavailable records are skipped.
 
     A score that is not finite (a huge ratio can overflow its z-score) is
     refused with the bank-year it belongs to.
     """
     available = [record for record in records if record.available]
-    return list(zip(available, _scores(model, stats, zones.scale, available)))
+    scores = _scores(model, stats, zones.scale, available)
+    return [
+        {"bank": r.bank_id, "year": r.year, "score": s, "zone": z}
+        for r, s, z in zip(available, scores, _zones_of(scores, zones))
+    ]
 
 
 class ConfusionMatrix(Record):

@@ -19,7 +19,6 @@ from functools import partial
 from operator import itemgetter
 
 from .classification import (
-    _zones_of,
     confusion_matrix,
     derive_zones,
     evaluate_panel,
@@ -258,9 +257,7 @@ def cmd_diagnose(config: RunConfig) -> tuple[dict, tuple[str, ...]]:
 def cmd_classify(config: RunConfig) -> tuple[dict, list[tuple[str, int]]]:
     model, stats, records, _labels, zones = _panel_inputs(config, "classify", None)
     ordered = sorted(records, key=itemgetter(0, 1))  # by bank, then year
-    pairs = score_panel(model, stats, ordered, zones)  # refuses a score that is not finite
-    zoned = _zones_of(list(map(itemgetter(1), pairs)), zones)
-    scored = [{"bank": r.bank_id, "year": r.year, "score": s, "zone": z} for (r, s), z in zip(pairs, zoned)]
+    scored = score_panel(model, stats, ordered, zones)  # refuses a score that is not finite
     # Text prints the unavailable bank-years as n.a; JSON leaves them out.
     unavailable = [(r.bank_id, r.year) for r in ordered if not r.available]
     doc = {"mode": zones.scale, "zones": zones_to_dict(zones), "records": scored}

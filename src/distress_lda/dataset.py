@@ -203,16 +203,6 @@ def parse_number(text: str) -> float:
     return value
 
 
-def _ratio_error(lineno: int, cells: list[str]) -> ParseError:
-    """The error for a row's first ratio cell, in VARIABLES order, that parse_number refuses."""
-    for name, cell in zip(VARIABLES, cells):
-        try:
-            parse_number(cell)
-        except ValueError as exc:
-            return ParseError(f"row {lineno}: column {name!r}: {exc}")
-    raise AssertionError(f"row {lineno}: every ratio cell is a finite number")
-
-
 def parse_year(text: str) -> int:
     """A year written as ASCII digits, surrounding whitespace aside: the one year
     rule of panels and settings. Unlike int(), refuses 2_015, -5, +5 and
@@ -286,18 +276,16 @@ def _records(header: list[str], blocks: _Rows, seen: set[tuple[int, str]]) -> li
             seen.add((year, bank))
 
             cells = [row[idx].strip() for idx in ratio_at]
-            joined = "".join(cells)
-            if not joined:
+            if not any(cells):
                 records.append(BankYearRecord(bank, year, _BLANK, False))
                 continue
-            if not _plain(joined):
-                raise _ratio_error(lineno, cells)
-            try:
-                values = list(map(float, cells))
-                ratios = RatioVector(*values)
-            except ValueError:  # a cell that is not a number, or not finite
-                raise _ratio_error(lineno, cells) from None
-            records.append(BankYearRecord(bank, year, ratios, any(values)))
+            values = []
+            for name, cell in zip(VARIABLES, cells):
+                try:
+                    values.append(parse_number(cell))
+                except ValueError as exc:
+                    raise ParseError(f"row {lineno}: column {name!r}: {exc}") from None
+            records.append(BankYearRecord(bank, year, RatioVector(*values), any(values)))
         return records
 
     records: list[BankYearRecord] = []

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 from .classification import ClassificationZones
@@ -27,7 +28,9 @@ _IDENTITY_TOLERANCE = 1e-5
 
 
 def _is_finite_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """An int or float, not a bool, that float() reads as finite. The comparison is
+    exact: an int past float's range is refused, where math.isfinite would overflow."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 def _number(doc: dict, key: str, context: str) -> float:

@@ -8,9 +8,7 @@ discriminant fit written in numpy arrays on top of it, and the window-mean and
 normalizer oracles are numpy's own reductions, which the package's pure-Python
 sums must match to the bit. The score-table oracles are the eigenvalue and
 Box's M written with numpy's pairwise-summed mean and variance. Agreement
-between the package and these routines is evidence, not circularity. The
-one exception is the year-row oracle: it zones each score with the package's
-classify_zone, the one home of the zone rule, and tallies on its own.
+between the package and these routines is evidence, not circularity.
 
 The panel-reader and fit-kernel oracles at the end are the package's earlier
 row-at-a-time code, kept as it was: one csv row, one Python step, one
@@ -219,22 +217,28 @@ def year_rows_reference(scored, zones, warning):
     zoned healthy, type II the other banks zoned bankrupt, and the hits are the
     total less the type II errors and the grey calls.
     """
-    from distress_lda import ZoneLabel, classify_zone
+    def zone(s):
+        """With a grey interval: below it bankrupt, inside it (bounds included)
+        grey, above it healthy. Without one, a score at the cut-off is healthy."""
+        if zones.grey is None:
+            return "nonbankrupt" if s >= zones.cutoff else "bankrupt"
+        lo, hi = zones.grey
+        return "bankrupt" if s < lo else "grey" if s <= hi else "nonbankrupt"
 
     rows = []
     for year in sorted({year for _, year, _ in scored}):
-        banks = [(bank, s, classify_zone(s, zones)) for bank, y, s in sorted(scored) if y == year]
-        expected = [zone for bank, _, zone in banks if warning.get(bank) == year]
-        others = [zone for bank, _, zone in banks if warning.get(bank) != year]
-        counts = {label: sum(1 for _, _, zone in banks if zone is label) for label in ZoneLabel}
-        type1 = sum(1 for zone in expected if zone is ZoneLabel.NONBANKRUPT)
-        type2 = sum(1 for zone in others if zone is ZoneLabel.BANKRUPT)
-        hits = len(banks) - type2 - counts[ZoneLabel.GREY]
+        banks = [(bank, s, zone(s)) for bank, y, s in sorted(scored) if y == year]
+        called = [z for _, _, z in banks]
+        expected = [z for bank, _, z in banks if warning.get(bank) == year]
+        others = [z for bank, _, z in banks if warning.get(bank) != year]
+        type1 = expected.count("nonbankrupt")
+        type2 = others.count("bankrupt")
+        hits = len(banks) - type2 - called.count("grey")
         rows.append({
             "year": year,
-            "bankrupt_count": counts[ZoneLabel.BANKRUPT],
-            "grey_count": counts[ZoneLabel.GREY],
-            "nonbankrupt_count": counts[ZoneLabel.NONBANKRUPT],
+            "bankrupt_count": called.count("bankrupt"),
+            "grey_count": called.count("grey"),
+            "nonbankrupt_count": called.count("nonbankrupt"),
             "hits": hits,
             "total": len(banks),
             "type1_count": type1,

@@ -14,8 +14,6 @@ from distress_lda import (
     GroupLabel,
     MissingLabelError,
     RatioVector,
-    ZoneLabel,
-    classify_zone,
     confusion_matrix,
     cutoff_from_centroids,
     derive_zones,
@@ -27,6 +25,7 @@ from distress_lda import (
     score,
     score_panel,
 )
+from distress_lda.classification import _zones_of
 from distress_lda.normalization import apply
 
 # Frozen yearly evaluation of the bundled panel under the override zones:
@@ -127,30 +126,30 @@ class TestGreyZone:
             ClassificationZones(cutoff=cutoff, grey=grey, source="explicit-override")
 
 
+def zone_of(score_value, zones):
+    """The zone's text of one score by the zone rule."""
+    [zone] = _zones_of([score_value], zones)
+    return zone
+
+
 class TestClassifyZone:
     def test_three_zone_boundaries_are_grey(self, published_zones):
         lo, hi = published_zones.grey
-        assert classify_zone(lo - 1e-12, published_zones) is ZoneLabel.BANKRUPT
-        assert classify_zone(lo, published_zones) is ZoneLabel.GREY
-        assert classify_zone(hi, published_zones) is ZoneLabel.GREY
-        assert classify_zone(hi + 1e-12, published_zones) is ZoneLabel.NONBANKRUPT
+        assert zone_of(lo - 1e-12, published_zones) == "bankrupt"
+        assert zone_of(lo, published_zones) == "grey"
+        assert zone_of(hi, published_zones) == "grey"
+        assert zone_of(hi + 1e-12, published_zones) == "nonbankrupt"
 
     def test_cutoff_only_equality_counts_healthy(self):
         zones = ClassificationZones(cutoff=0.25, grey=None, source="explicit-override")
-        assert classify_zone(0.25, zones) is ZoneLabel.NONBANKRUPT
-        assert classify_zone(0.2499999, zones) is ZoneLabel.BANKRUPT
-
-    def test_non_finite_score_rejected(self, published_zones):
-        with pytest.raises(DomainError):
-            classify_zone(float("nan"), published_zones)
-        with pytest.raises(DomainError):
-            classify_zone(float("inf"), published_zones)
+        assert zone_of(0.25, zones) == "nonbankrupt"
+        assert zone_of(0.2499999, zones) == "bankrupt"
 
     def test_partition_and_monotonicity(self, published_zones):
         rng = np.random.default_rng(23)
-        order = {ZoneLabel.BANKRUPT: 0, ZoneLabel.GREY: 1, ZoneLabel.NONBANKRUPT: 2}
+        order = {"bankrupt": 0, "grey": 1, "nonbankrupt": 2}
         values = np.sort(rng.uniform(-0.2, 0.2, size=500))
-        ranks = [order[classify_zone(float(v), published_zones)] for v in values]
+        ranks = [order[zone] for zone in _zones_of(list(map(float, values)), published_zones)]
         assert ranks == sorted(ranks)
 
 
@@ -160,8 +159,8 @@ RAW_ZONES = ClassificationZones(cutoff=0.0, grey=None, source="explicit-override
 def score_one(model, stats, ratios, zones):
     """score_panel's score of one available bank-year with these ratios."""
     record = BankYearRecord("Alpha", 2015, ratios, True)
-    [(_record, value)] = score_panel(model, stats, [record], zones)
-    return value
+    [entry] = score_panel(model, stats, [record], zones)
+    return entry["score"]
 
 
 class TestScoreObservation:
@@ -173,9 +172,9 @@ class TestScoreObservation:
         """Last pre-failure year of the failed bank scores about -0.09."""
         records, _ = evaluation_panel
         rec = next(r for r in records if r.bank_id == "Moza Banco, S.A" and r.year == 2015)
-        [(scored, value)] = score_panel(reference_model, None, [rec], published_zones)
-        assert scored is rec
-        assert value == pytest.approx(-0.0896, abs=2e-3)
+        [entry] = score_panel(reference_model, None, [rec], published_zones)
+        assert (entry["bank"], entry["year"]) == (rec.bank_id, rec.year)
+        assert entry["score"] == pytest.approx(-0.0896, abs=2e-3)
 
     def test_unavailable_record_skipped(self, reference_model, evaluation_panel, published_zones):
         """Unavailable records are left out; the others keep the order given."""
@@ -184,7 +183,9 @@ class TestScoreObservation:
         assert not moza[2016].available
         given = [moza[2015], moza[2016], moza[2012]]
         scored = score_panel(reference_model, None, given, published_zones)
-        assert [record for record, _ in scored] == [moza[2015], moza[2012]]
+        assert [(entry["bank"], entry["year"]) for entry in scored] == [
+            (moza[2015].bank_id, 2015), (moza[2012].bank_id, 2012)
+        ]
 
     def test_normalized_mode_composes_z_scoring(self, fitted_model, norm_stats):
         v = RatioVector(0.2, 0.1, 0.02, 0.05, 0.5, 0.08)

@@ -965,6 +965,28 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: zones") and err.count("\n") == 1
 
+    def test_zones_cutoff_past_float_range(self, tmp_path, capsys):
+        """A JSON integer past float's range is not a finite number, as 1e400 is not."""
+        huge = 10**400
+        zones = tmp_path / "zones.json"
+        zones.write_text(
+            json.dumps({"cutoff": huge, "grey": None, "source": "explicit-override"}), encoding="utf-8"
+        )
+        code, out, err = run_cli(
+            capsys, "classify", "--panel", PANEL_A, "--model", REFERENCE, "--zones", str(zones)
+        )
+        assert (code, out) == (3, "")
+        assert err == f"error: zones: 'cutoff' must be a finite number, got {huge}\n"
+
+    def test_model_constant_past_float_range(self, tmp_path, capsys):
+        huge = 10**400
+        doc = json.loads(Path(REFERENCE).read_text(encoding="utf-8"))
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({**doc, "constant": huge}), encoding="utf-8")
+        code, out, err = run_cli(capsys, "diagnose", "--model", str(model))
+        assert (code, out) == (3, "")
+        assert err == f"error: model: 'constant' must be a finite number, got {huge}\n"
+
     @pytest.mark.parametrize("source", [["x"], {}], ids=["list", "object"])
     def test_unhashable_zones_source(self, tmp_path, capsys, source):
         zones = tmp_path / "zones.json"

@@ -16,7 +16,6 @@ from distress_lda import (
     GroupLabel,
     RatioVector,
     YearRow,
-    ZoneLabel,
     average_ratios,
     evaluate_panel,
     infer_warning_years,
@@ -128,7 +127,7 @@ def _as_dicts(rows):
     """Year rows in the form of year_rows_reference: dicts by field, banks as
     (bank, score, zone) tuples."""
     return [
-        {name: [(b["bank"], b["score"], ZoneLabel(b["zone"])) for b in value] if name == "banks" else value
+        {name: [(b["bank"], b["score"], b["zone"]) for b in value] if name == "banks" else value
          for name, value in zip(fields(YearRow), row)}
         for row in rows
     ]
@@ -152,7 +151,7 @@ def test_year_rows_match_per_rule_reference(reference_model, case, data):
     record as omitted."""
     _, labels, records = case
     raw = ClassificationZones(0.0, None, "explicit-override")
-    scored = [(r.bank_id, r.year, s) for r, s in score_panel(reference_model, None, records, raw)]
+    scored = [(e["bank"], e["year"], e["score"]) for e in score_panel(reference_model, None, records, raw)]
     scores = st.sampled_from(sorted({s for _, _, s in scored}))
     grey = data.draw(st.none() | st.tuples(scores, scores).map(lambda pair: tuple(sorted(pair))))
     zones = ClassificationZones(data.draw(scores), grey, "explicit-override")

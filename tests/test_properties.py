@@ -7,7 +7,8 @@
 - The fit agrees with the numpy oracle to 1e-12 relative, over 1-9 variables.
 - Window means and normalizer statistics carry numpy's bits exactly.
 - The eigenvalue and Box's M of a score table agree with numpy's to 1e-12.
-- Panel scoring carries the bits of score() on the (z-scored) ratio vector.
+- Panel scoring carries the bits of score() on the (z-scored) ratio vector, and
+  score_panel zones each bank-year as evaluate_panel does.
 """
 from __future__ import annotations
 
@@ -40,11 +41,9 @@ from distress_lda import (
     ParseError,
     RatioVector,
     ZeroVarianceError,
-    ZoneLabel,
     average_ratios,
     box_m_test,
     build_training_set,
-    classify_zone,
     eigenvalue_from_scores,
     evaluate_panel,
     fit_from_matrices,
@@ -55,6 +54,7 @@ from distress_lda import (
     score,
     score_panel,
 )
+from distress_lda.classification import _zones_of
 from distress_lda.dataset import load_panels
 from distress_lda.fixtures import data_path
 from distress_lda.lda_fit import GROUP_KEYS, PRIORS
@@ -150,7 +150,7 @@ def test_split_panel_breaks_rules_as_one(case, data):
             load_texts(texts)
 
 
-ZONE_ORDER = {ZoneLabel.BANKRUPT: 0, ZoneLabel.GREY: 1, ZoneLabel.NONBANKRUPT: 2}
+ZONE_ORDER = {"bankrupt": 0, "grey": 1, "nonbankrupt": 2}
 
 
 @st.composite
@@ -165,10 +165,10 @@ def zones(draw):
 @SETTINGS
 @given(zones(), st.lists(finite, min_size=2, max_size=20))
 def test_zones_are_monotone_in_the_score(zone_set, scores):
-    ranks = [ZONE_ORDER[classify_zone(s, zone_set)] for s in sorted(scores)]
+    ranks = [ZONE_ORDER[zone] for zone in _zones_of(sorted(scores), zone_set)]
     assert ranks == sorted(ranks)
     if zone_set.grey is None:
-        assert ZoneLabel.GREY not in {classify_zone(s, zone_set) for s in scores}
+        assert "grey" not in _zones_of(scores, zone_set)
 
 
 @st.composite
@@ -352,9 +352,11 @@ def test_score_box_m_matches_numpy(table):
 
 
 @SETTINGS
-@given(scoring_cases(), st.sampled_from(["derived-from-model", "explicit-override"]))
-def test_panel_scores_carry_the_bits_of_score(case, source):
-    """Derived zones score z-scored ratios, explicit overrides raw ones."""
+@given(scoring_cases(), st.sampled_from(["derived-from-model", "explicit-override"]), st.data())
+def test_panel_scores_carry_the_bits_of_score(case, source, data):
+    """Derived zones score z-scored ratios, explicit overrides raw ones. Under a
+    cut-off and a grey interval drawn from the scores, so some sit on a bound,
+    score_panel gives each bank-year the zone evaluate_panel gives it."""
     model, stats, vectors = case
     records = [BankYearRecord(f"B{k}", 2015, v, True) for k, v in enumerate(vectors)]
     labels = {record.bank_id: GroupLabel.NONBANKRUPT for record in records}
@@ -369,7 +371,12 @@ def test_panel_scores_carry_the_bits_of_score(case, source):
             evaluate_panel(model, stats, records, labels, zones)
         assert str(from_scorer.value) == str(from_report.value) == str(exc)
         return
-    assert bits(s for _, s in score_panel(model, stats, records, zones)) == bits(expected)
+    drawn = st.sampled_from(expected)
+    grey = data.draw(st.none() | st.tuples(drawn, drawn).map(lambda pair: tuple(sorted(pair))))
+    zones = ClassificationZones(data.draw(drawn), grey, source)
+    entries = score_panel(model, stats, records, zones)
+    assert bits(e["score"] for e in entries) == bits(expected)
     report = evaluate_panel(model, stats, records, labels, zones)
-    by_bank = {b["bank"]: b["score"] for b in report.years[0].banks}
-    assert bits(by_bank[r.bank_id] for r in records) == bits(expected)
+    by_bank = {b["bank"]: b for b in report.years[0].banks}
+    assert bits(by_bank[r.bank_id]["score"] for r in records) == bits(expected)
+    assert [e["zone"] for e in entries] == [by_bank[r.bank_id]["zone"] for r in records]

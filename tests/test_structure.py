@@ -1,6 +1,7 @@
 """Source structure: file I/O, the JSON format and the two-group design rule
 each live in one function, the package imports only the standard library and
-itself, and nothing imports numpy or dataclasses.
+itself, nothing imports numpy or dataclasses, and no package module imports
+another's underscore name.
 The package exports what __init__ imports, and the bench finds every name it calls."""
 import ast
 import importlib
@@ -83,6 +84,20 @@ def test_package_imports_only_the_standard_library():
             outside |= {(path.name, name) for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names | {"distress_lda"}}
     assert outside == set()
+
+
+def test_no_module_imports_another_modules_private_name():
+    """A name with a leading underscore is private to its module: no module under
+    src/ imports one from another, as `from .module import _name` or from distress_lda.module."""
+    private = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level > 0 or node.module.split(".")[0] == "distress_lda":
+                private |= {(path.name, node.module, alias.name)
+                            for alias in node.names if alias.name.startswith("_")}
+    assert private == set()
 
 
 # Prints, as JSON, what the numerics outside the fit give on a score table and
