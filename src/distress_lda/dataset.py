@@ -22,11 +22,7 @@ is raised in its place.
 
 The csv reader reads the lines that io.StringIO(text) would yield, cut from
 the text with str.split, which holds no copy of the text at four bytes a
-character. A parse makes each repeated value once: the records of one bank
-share one str for its name, and equal ratio cells of one block share one
-float. Floats are shared per block, not per parse, so at most one block's
-distinct cells are held at a time, however many distinct cells the panel
-has.
+character. The records of one bank share one str for its name.
 """
 from __future__ import annotations
 
@@ -239,11 +235,8 @@ def _records(header: list[str], blocks: _Rows, seen: set[tuple[int, str]]) -> li
         rows = list(map(itemgetter(*ratio_at), block))
         filled = list(map(any, rows))  # False for a row whose ratio cells are all empty
         cells = list(chain.from_iterable(compress(rows, filled)))  # six a row
-        # Each distinct cell parsed once, so equal cells share one float; keyed by
-        # the cell, not the value, so "-0.0" and "0.0" keep their own bits.
         # Unstripped: float() reads a plain cell as strip() would, or refuses it.
-        parsed = {cell: float(cell) for cell in set(cells)}
-        values = list(map(parsed.__getitem__, cells))
+        values = list(map(float, cells))
         if not (all(banks) and len(keys) == len(block) and keys.isdisjoint(seen) and _plain("".join(cells))
                 and all(map(math.isfinite, values))):
             raise ValueError("a blank bank, a duplicate, or a ratio cell that is not plain or not finite")

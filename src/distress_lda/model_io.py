@@ -25,6 +25,7 @@ from .lda_fit import GROUP_KEYS, DiscriminantModel, FisherFunctions, separation
 from .normalization import NormalizationStats
 
 _IDENTITY_TOLERANCE = 1e-5
+_ZONES_KEYS = ("cutoff", "grey", "source")
 
 
 def _is_finite_number(value) -> bool:
@@ -241,8 +242,12 @@ def load_model(path: str | Path) -> tuple[DiscriminantModel, NormalizationStats]
 def zones_from_dict(doc: dict) -> ClassificationZones:
     if not isinstance(doc, dict):
         raise ModelFileError("zones document must be a JSON object")
+    odd = [key for key in doc if key not in _ZONES_KEYS] or [key for key in _ZONES_KEYS if key not in doc]
+    if odd:  # a misspelled "gray" would otherwise load as no grey zone
+        raise ModelFileError(f"zones: {'unknown' if odd[0] in doc else 'missing'} key {odd[0]!r}; "
+                             "a zones document holds exactly 'cutoff', 'grey' and 'source'")
     cutoff = _number(doc, "cutoff", "zones")
-    grey_doc = doc.get("grey")
+    grey_doc = doc["grey"]
     grey: tuple[float, float] | None
     if grey_doc is None:
         grey = None
@@ -251,7 +256,7 @@ def zones_from_dict(doc: dict) -> ClassificationZones:
     else:
         raise ModelFileError("zones: 'grey' must be null or a [lo, hi] pair of finite numbers")
     try:
-        return ClassificationZones(cutoff=cutoff, grey=grey, source=doc.get("source"))
+        return ClassificationZones(cutoff=cutoff, grey=grey, source=doc["source"])
     except ValueError as exc:
         raise ModelFileError(f"zones: {exc}") from None
 

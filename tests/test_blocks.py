@@ -19,8 +19,9 @@
   CR and NUL, at the default field size limit and at a tiny one. It holds
   less than half the memory io.StringIO holds for a bench panel.
 - What a parse shares: the records of one bank share one str for its name,
-  whichever pass reads their block, and equal ratio cells of one block share
-  one float, while "-0.0" and "0.0" keep their own bits.
+  whichever pass reads their block.
+- Each ratio is float() of its cell, bit for bit, "-0.0" with its sign,
+  whichever pass reads its block.
 
 The block pass iterates sets of cells, whose order follows the hash seed, so
 CI runs this file under two values of PYTHONHASHSEED.
@@ -308,14 +309,19 @@ def test_records_of_a_bank_share_one_name(block, tmp_path):
         assert all(first.setdefault(r.bank_id, r.bank_id) is r.bank_id for r in records)
 
 
-def test_equal_cells_of_a_block_share_one_float():
-    cells = ["0.5", "0.25", "0.5", "-0.0", "0.0", "0.25", "0.5", "0.50", "-0.0", "0.0", "1e-3", "0.001"]
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("row_rules", [False, True])
+def test_ratios_are_float_of_each_cell(block, row_rules):
+    """Each ratio carries the bits of float() of its cell, -0.0 its sign, in
+    blocks the C-level passes read and, after a \\x1c cell, which float()
+    refuses, in blocks they send to the row rules."""
+    cells = ["0.5", "0.25", "0.5", "-0.0", "0.0", " 0.1 ", "0.30000000000000004", "-0.0", "1e-3", "0.001",
+             "5e-324", "-2.2250738585072014e-308", "0.50", "12345678.9", "-7e-06", "0", "-0", "0.0"]
+    cells += ["\x1c0.5", "1", "1", "1", "1", "1"] if row_rules else []
     rows = [cells[i:i + 6] for i in range(0, len(cells), 6)]
     text = "bank,year,eaa,roae,roaa,nii,laaa,bdtla\n" + "".join(
         f"B{i},2015,{','.join(row)}\n" for i, row in enumerate(rows)
     )
-    values = [value for record in dataset.parse_panel(text) for value in record.ratios]
-    first: dict[str, float] = {}
-    assert all(first.setdefault(cell, value) is value for cell, value in zip(cells, values))
-    # Keyed by the cell, not the value: the equal -0.0 and 0.0 keep their own bits.
-    assert [value.hex() for value in values] == [float(cell).hex() for cell in cells]
+    with mock.patch.object(dataset, "_BLOCK", block):
+        values = [value for record in dataset.parse_panel(text) for value in record.ratios]
+    assert [value.hex() for value in values] == [float(cell.strip()).hex() for cell in cells]

@@ -965,6 +965,20 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: zones") and err.count("\n") == 1
 
+    def test_misspelled_zones_key(self, tmp_path, capsys):
+        """The bundled zones with "grey" spelled "gray" would turn each grey call into a bankrupt one."""
+        doc = json.loads(Path(PAPER_ZONES).read_text(encoding="utf-8"))
+        zones = tmp_path / "zones.json"
+        zones.write_text(json.dumps({"gray" if key == "grey" else key: value for key, value in doc.items()}),
+                         encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "evaluate", "--panel", PANEL_A, "--model", REFERENCE, "--zones", str(zones)
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: zones: unknown key 'gray'; a zones document holds exactly 'cutoff', 'grey' and 'source'\n"
+        )
+
     def test_zones_cutoff_past_float_range(self, tmp_path, capsys):
         """A JSON integer past float's range is not a finite number, as 1e400 is not."""
         huge = 10**400
@@ -1250,7 +1264,7 @@ def _loaded_after(modules: set[str], *calls: list[str]) -> set[str]:
     env["PYTHONPATH"] = str(Path(distress_lda.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", script, json.dumps(calls), json.dumps(sorted(modules))],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, encoding="utf-8", env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout))

@@ -42,7 +42,7 @@ class TestModelRoundTrip:
         save_model(a, fitted_model, norm_stats)
         save_model(b, fitted_model, norm_stats)
         assert a.read_bytes() == b.read_bytes()
-        text = a.read_text()
+        text = a.read_text(encoding="utf-8")
         assert text.endswith("\n")
         assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
 
@@ -212,21 +212,21 @@ class TestLoadErrors:
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
+        path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ModelFileError, match="not valid JSON"):
             load_model(path)
 
     def test_non_finite_literal_rejected(self, tmp_path, model_doc):
         model_doc["constant"] = float("nan")
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(model_doc))  # json.dumps writes the NaN literal
+        path.write_text(json.dumps(model_doc), encoding="utf-8")  # json.dumps writes the NaN literal
         with pytest.raises(ModelFileError, match="not valid JSON: NaN is not a finite number"):
             load_model(path)
 
 
     def test_nesting_too_deep_to_decode(self, tmp_path):
         path = tmp_path / "deep.json"
-        path.write_text("[" * 100_000)
+        path.write_text("[" * 100_000, encoding="utf-8")
         with pytest.raises(ModelFileError, match="not valid JSON: maximum recursion depth"):
             load_model(path)
 
@@ -248,6 +248,23 @@ class TestZonesIO:
         assert published_zones.cutoff == -0.000007
         assert published_zones.grey == (-0.040, -0.003)
         assert published_zones.source == "explicit-override"
+
+    @pytest.mark.parametrize(
+        "doc, problem",
+        [
+            ({"cutoff": 0.0, "gray": [-0.04, -0.003], "source": "explicit-override"}, "unknown key 'gray'"),
+            ({"cutoff": 0.0, "grey": None, "source": "explicit-override", "note": "x"}, "unknown key 'note'"),
+            ({"cutoff": 0.0, "source": "explicit-override"}, "missing key 'grey'"),
+        ],
+        ids=["misspelled", "extra", "missing"],
+    )
+    def test_keys_are_exact(self, doc, problem):
+        """A zones document that spells grey otherwise is refused, not read as having no grey zone."""
+        with pytest.raises(ModelFileError) as caught:
+            zones_from_dict(doc)
+        assert str(caught.value) == (
+            f"zones: {problem}; a zones document holds exactly 'cutoff', 'grey' and 'source'"
+        )
 
     def test_grey_must_be_pair_or_null(self):
         with pytest.raises(ModelFileError, match="lo, hi"):

@@ -127,7 +127,7 @@ def test_numerics_outside_the_fit_run_without_numpy(score_table):
     outputs = [
         subprocess.run(
             [sys.executable, "-c", _NUMERICS, json.dumps(score_table), numpy],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, encoding="utf-8", env=env, timeout=60,
         )
         for numpy in ("blocked", "allowed")
     ]
