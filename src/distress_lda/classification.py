@@ -10,20 +10,20 @@ say which rule produced them, and the source fixes the score scale.
 A zone is its text, "bankrupt", "grey" or "nonbankrupt", and one private
 rule gives it. score_panel is the library's way to score and zone a panel:
 it returns each available bank-year as the object classify prints, {"bank",
-"year", "score", "zone"}. Yearly evaluation builds each bank-year's entry
-once, as the object the report prints, {"bank", "score", "zone"}, and counts
-hits the way early-warning tables are usually read:
-a distressed bank is only *expected* to look distressed in its warning year
-(the last year it reports before dropping out); in every other year a
-distress signal for it counts against the healthy expectation like any other
-alarm. Grey cases are reported separately and excluded from hits and errors.
+"year", "score", "zone"}. Yearly evaluation builds and tallies one year at a
+time: it scores and zones a year's bank-years, builds each one's entry once,
+as the object the report prints, {"bank", "score", "zone"}, and counts hits
+the way early-warning tables are usually read: a distressed bank is only
+*expected* to look distressed in its warning year (the last year it reports
+before dropping out); in every other year a distress signal for it counts
+against the healthy expectation like any other alarm. Grey cases are
+reported separately and excluded from hits and errors.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from functools import partial
-from itertools import compress, repeat
+from itertools import compress, groupby, repeat
 from operator import add, itemgetter, le, lt, mul
 from typing import Mapping, Sequence
 
@@ -106,29 +106,32 @@ def _zones_of(scores: Sequence[float], zones: ClassificationZones) -> list[str]:
 _IDENTITY_SCALE = NormalizationStats(mean=dict.fromkeys(VARIABLES, 0.0), sd=dict.fromkeys(VARIABLES, 1.0))
 
 
-def _scores(
-    model: DiscriminantModel, stats: NormalizationStats | None, scale: str, records: Sequence[BankYearRecord]
-) -> list[float]:
-    """The model's score of each record's ratios on either score scale, in the order given.
-
-    The scores are summed column by column: each starts at the constant and
-    adds one term per coefficient, in model.coefficients order. The arithmetic
-    is that of score(model, v) on the raw scale and of
-    score(model, apply(stats, v)) on the normalized one, so the scores carry
-    the same bits. A score that is not finite (a huge ratio can overflow its
-    z-score) is refused with the bank-year it belongs to.
-    """
+def _moments(model: DiscriminantModel, stats: NormalizationStats | None, scale: str) -> NormalizationStats:
+    """The moments that z-score ratios onto the score scale, once the model's
+    variables and the scale's stats are checked. The raw scale is z-scoring
+    against mean 0.0 and sd 1.0, which leaves every finite ratio's bits."""
     if scale == "normalized" and stats is None:
         raise ValueError("the normalized scale requires normalization stats")
     for name in model.coefficients:
         if name not in VARIABLES:
             raise BindingError(f"observation has no variable {name!r}")
-    # The raw scale is z-scoring against mean 0.0 and sd 1.0, which leaves every finite ratio's bits.
-    moments = stats if scale == "normalized" else _IDENTITY_SCALE
+    return stats if scale == "normalized" else _IDENTITY_SCALE
+
+
+def _scores(model: DiscriminantModel, moments: NormalizationStats, records: Sequence[BankYearRecord]) -> list[float]:
+    """The model's score of each record's ratios, z-scored by the moments, in the order given.
+
+    Each score starts at the constant and adds one term per coefficient, in
+    model.coefficients order, as the z-scores stream in: the arithmetic, and so
+    the bits, of score(model, v) on the raw scale and of score(model,
+    apply(stats, v)) on the normalized one. A score that is not finite (a huge
+    ratio can overflow its z-score) is refused with its bank-year.
+    """
     columns = z_columns(moments, list(map(itemgetter(2), records)))
-    scores = [model.constant] * len(records)
+    sums = repeat(model.constant, len(records))
     for name, coef in model.coefficients.items():
-        scores = list(map(add, scores, map(mul, repeat(coef), columns[VARIABLES.index(name)])))
+        sums = map(add, sums, map(mul, repeat(coef), columns[VARIABLES.index(name)]))
+    scores = list(sums)
     if not all(map(math.isfinite, scores)):
         s, record = next((s, r) for s, r in zip(scores, records) if not math.isfinite(s))
         raise DomainError(f"bank {record.bank_id!r} year {record.year}: score must be finite, got {s!r}")
@@ -149,7 +152,7 @@ def score_panel(
     refused with the bank-year it belongs to.
     """
     available = [record for record in records if record.available]
-    scores = _scores(model, stats, zones.scale, available)
+    scores = _scores(model, _moments(model, stats, zones.scale), available)
     return [
         {"bank": r.bank_id, "year": r.year, "score": s, "zone": z}
         for r, s, z in zip(available, scores, _zones_of(scores, zones))
@@ -302,28 +305,22 @@ def evaluate_panel(
             )
         else:
             warning[bank] = year
-    expected_by_year: dict[int, set[str]] = {}
-    for bank, year in warning.items():
-        expected_by_year.setdefault(year, set()).add(bank)
-
-    ordered = sorted(sorted(records, key=itemgetter(0)), key=itemgetter(1))  # by year, then bank: two stable sorts
-    available = list(compress(ordered, map(itemgetter(3), ordered)))
-    scores = _scores(model, stats, zones.scale, available)
-    years = list(map(itemgetter(1), available))
-    zoned = _zones_of(scores, zones)
-    cut = _zones_of(scores, ClassificationZones(zones.cutoff, None, zones.source))
-    entries = [{"bank": b, "score": s, "zone": z} for b, s, z in zip(map(itemgetter(0), available), scores, zoned)]
-    cutoff_entries = [e if c == z else {**e, "zone": c} for e, z, c in zip(entries, zoned, cut)]
-
+    moments = _moments(model, stats, zones.scale)
+    cut = ClassificationZones(zones.cutoff, None, zones.source)
+    ordered = sorted(records, key=itemgetter(0))
+    ordered.sort(key=itemgetter(1))  # by year, then bank: two stable sorts
     rows: list[tuple[YearRow, YearRow]] = []
-    for year in dict.fromkeys(map(itemgetter(1), ordered)):
-        lo = bisect_left(years, year)
-        hi = bisect_right(years, year, lo)  # years[lo:hi] is this year's contiguous slice
-        if lo == hi:
+    for year, run in groupby(ordered, itemgetter(1)):  # scored, zoned and tallied one year at a time
+        available = list(filter(itemgetter(3), run))
+        if not available:
             notices.append(f"year {year}: no available records, omitted")
             continue
-        expected = expected_by_year.get(year, set())
-        rows.append((_tally(year, entries[lo:hi], expected), _tally(year, cutoff_entries[lo:hi], expected)))
+        scores = _scores(model, moments, available)
+        zoned = _zones_of(scores, zones)
+        entries = [{"bank": b, "score": s, "zone": z} for b, s, z in zip(map(itemgetter(0), available), scores, zoned)]
+        cutoff_entries = [e if c == z else {**e, "zone": c} for e, z, c in zip(entries, zoned, _zones_of(scores, cut))]
+        expected = {bank for bank, warns in warning.items() if warns == year}
+        rows.append((_tally(year, entries, expected), _tally(year, cutoff_entries, expected)))
     return EvaluationReport(
         years=tuple(row for row, _ in rows),
         cutoff_only=tuple(row for _, row in rows),

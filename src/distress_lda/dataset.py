@@ -337,8 +337,9 @@ def load_panels(
     their banks: each panel's label column, overridden by overrides.
 
     Each file is read and split once, and the files are checked as one panel.
-    Also refused: an override for a bank in no panel, and a panel without a
-    label column when no override is given. An error in a file names the file.
+    Also refused: a file with a header but no data rows, an override for a bank
+    in no panel, and a panel without a label column when no override is given.
+    An error in a file names the file.
     """
     records: list[BankYearRecord] = []
     labels: dict[str, GroupLabel] = {}
@@ -347,7 +348,9 @@ def load_panels(
         text = read_text(path, what, PanelError)
         try:
             header, rows = _read_panel(text, lambda header, rows: (header, list(rows)))
-            records += _records(header, rows, seen)
+            if not (found := _records(header, rows, seen)):
+                raise SchemaError("panel has a header but no data rows")
+            records += found
             if overrides is None or (overrides and "label" not in header):
                 continue
             _labels(header, rows, labels)

@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 from itertools import chain, repeat
 from operator import itemgetter, sub, truediv
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .dataset import VARIABLES, LabeledSample, RatioVector, TrainingSet, column_moments
 from .errors import ZeroVarianceError
@@ -44,11 +44,11 @@ def fit_normalizer(ts: TrainingSet) -> NormalizationStats:
     return NormalizationStats(mean=dict(zip(VARIABLES, means)), sd=dict(zip(VARIABLES, sds)))
 
 
-def z_columns(stats: NormalizationStats, vectors: Sequence[Sequence[float]]) -> list[list[float]]:
-    """The z-scores (x - mean) / sd of the vectors, one list per variable in VARIABLES order:
-    the one z-score rule."""
+def z_columns(stats: NormalizationStats, vectors: Sequence[Sequence[float]]) -> list[Iterator[float]]:
+    """The z-scores (x - mean) / sd of the vectors, one lazy column per variable in
+    VARIABLES order, each read once: the one z-score rule."""
     return [
-        list(map(truediv, map(sub, map(itemgetter(at), vectors), repeat(stats.mean[name])), repeat(stats.sd[name])))
+        map(truediv, map(sub, map(itemgetter(at), vectors), repeat(stats.mean[name])), repeat(stats.sd[name]))
         for at, name in enumerate(VARIABLES)
     ]
 

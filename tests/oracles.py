@@ -381,16 +381,20 @@ def panel_labels_reference(text):
 
 
 def load_panels_reference(paths, what):
-    """load_panels(paths, what, {}): the records and labels of every file, checked as one panel."""
+    """load_panels(paths, what, {}): the records and labels of every file, checked as one
+    panel; a file with a header but no data rows is refused."""
     from distress_lda.dataset import read_text
-    from distress_lda.errors import PanelError
+    from distress_lda.errors import PanelError, SchemaError
 
     records, labels, seen = [], {}, {}
     for path in paths:
         text = read_text(path, what, PanelError)
         try:
             header, rows = _read_panel(text, lambda header, rows: (header, list(rows)))
-            records += _records(header, rows, seen)
+            found = _records(header, rows, seen)
+            if not found:
+                raise SchemaError("panel has a header but no data rows")
+            records += found
             _labels(header, rows, labels)
         except PanelError as exc:
             raise type(exc)(f"{what} file {path}: {exc}") from None

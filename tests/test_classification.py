@@ -1,5 +1,6 @@
 """Zones and their score scales, scoring, confusion counts, and the yearly evaluation."""
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from records import replace
 
 from distress_lda import (
     BankYearRecord,
+    BindingError,
     ClassificationZones,
     ConfusionMatrix,
     DomainError,
@@ -18,12 +20,18 @@ from distress_lda import (
     cutoff_from_centroids,
     derive_zones,
     evaluate_panel,
+    fit,
+    fit_from_matrices,
+    fit_normalizer,
     grey_zone,
     infer_warning_years,
+    normalize_training_set,
+    panel_labels,
     parse_panel,
     report_to_dict,
     score,
     score_panel,
+    training_set_from_panel,
 )
 from distress_lda.classification import _zones_of
 from distress_lda.normalization import apply
@@ -446,24 +454,51 @@ class TestEvaluatePanel:
         assert report.years == base.years
         assert report.cutoff_only == base.cutoff_only
 
+    @pytest.mark.parametrize(
+        "rows, scoring, expected",
+        [
+            pytest.param(["Alpha,2012,0.2,0.1,0.02,0.05,0.5,0.08", "Alpha,2013,0,0,0,0,0,0", "Beta,2013,0,0,0,0,0,0"],
+                         "paper", ([2012], ("year 2013: no available records, omitted",)), id="last-year-empty"),
+            pytest.param(["Beta,2014,0.2,0.1,0.02,0.05,0.5,0.08", "Alpha,2013,0,0,0,0,0,0",
+                          "Alpha,2012,0.2,0.1,0.02,0.05,0.5,0.08", "Beta,2011,0,0,0,0,0,0"],
+                         "paper", ([2012, 2014], ("year 2011: no available records, omitted",
+                                                  "year 2013: no available records, omitted")), id="years-in-order"),
+            pytest.param(["Alpha,2012,0,0,0,0,0,0", "Beta,2013,0,0,0,0,0,0"], "paper",
+                         ([], ("year 2012: no available records, omitted", "year 2013: no available records, omitted")),
+                         id="none-available"),
+            pytest.param(["Alpha,2012,0,0,0,0,0,0"], "foreign variable",
+                         (BindingError, "observation has no variable 'u'"), id="none-available-foreign-variable"),
+            pytest.param(["Alpha,2012,0,0,0,0,0,0"], "derived without stats",
+                         (ValueError, "the normalized scale requires normalization stats"),
+                         id="none-available-no-stats"),
+            pytest.param(["Alpha,2014,1e308,0.1,0.02,0.05,0.5,0.08", "Gamma,2013,1e308,0.1,0.02,0.05,0.5,0.08",
+                          "Beta,2013,1e308,0.1,0.02,0.05,0.5,0.08", "Alpha,2012,0.2,0.1,0.02,0.05,0.5,0.08"],
+                         "derived", (DomainError, r"^bank 'Beta' year 2013: score must be finite, got -inf$"),
+                         id="non-finite-in-two-years"),
+        ],
+    )
     def test_empty_year_noticed_and_omitted(
-        self, reference_model, reference_stats, published_zones
+        self, reference_model, reference_stats, published_zones, rows, scoring, expected
     ):
-        header = "bank,year,eaa,roae,roaa,nii,laaa,bdtla"
-        records = parse_panel(
-            "\n".join(
-                [
-                    header,
-                    "Alpha,2012,0.2,0.1,0.02,0.05,0.5,0.08",
-                    "Alpha,2013,0,0,0,0,0,0",
-                    "Beta,2013,0,0,0,0,0,0",
-                ]
-            )
-        )
-        labels = {"Alpha": GroupLabel.BANKRUPT, "Beta": GroupLabel.NONBANKRUPT}
-        report = evaluate_panel(reference_model, reference_stats, records, labels, published_zones)
-        assert [row.year for row in report.years] == [2012]
-        assert report.notices == ("year 2013: no available records, omitted",)
+        """Evaluation works a year at a time, and still: a year without an
+        available record is noticed in its place among the years; the model and
+        the scale are checked when no year is scored; a score that is not finite
+        is refused at the first one in (year, bank) order."""
+        model, stats, zones = {
+            "paper": (reference_model, reference_stats, published_zones),
+            "derived": (reference_model, reference_stats, derive_zones(reference_model)),
+            "derived without stats": (reference_model, None, derive_zones(reference_model)),
+            "foreign variable": (fit_from_matrices([[0.0], [1.0], [0.5]], [[3.0], [4.0], [3.5]], ("u",)),
+                                 None, RAW_ZONES),
+        }[scoring]
+        records = parse_panel("\n".join(["bank,year,eaa,roae,roaa,nii,laaa,bdtla", *rows]))
+        labels = {r.bank_id: GroupLabel.BANKRUPT if r.bank_id == "Alpha" else GroupLabel.NONBANKRUPT for r in records}
+        if isinstance(expected[0], list):
+            report = evaluate_panel(model, stats, records, labels, zones)
+            assert ([row.year for row in report.years], report.notices) == expected
+        else:
+            with pytest.raises(expected[0], match=expected[1]):
+                evaluate_panel(model, stats, records, labels, zones)
 
     def test_derived_zones_score_the_normalized_scale(
         self, reference_model, reference_stats, evaluation_panel
@@ -524,3 +559,27 @@ def test_readme_library_example_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     years = [line.split()[0] for line in lines if re.fullmatch(r"\d{4} \d+%", line)]
     assert years == [str(year) for year in range(2012, 2021)]
+
+
+def test_evaluation_holds_no_whole_panel_temporaries(monkeypatch):
+    """evaluate_panel scores, zones and tallies one year at a time. On an
+    800-bank panel over nine years, its peak memory above the report it
+    returns stays under a sixth of that report; whole-panel lists of scores,
+    zones and entries took 0.29 of it."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from synth import generate_panel
+
+    text, _ = generate_panel(1, 800)
+    records, labels = parse_panel(text), panel_labels(text)
+    ts = training_set_from_panel(records, labels, window=(2012, 2015))
+    stats = fit_normalizer(ts)
+    model = fit(normalize_training_set(stats, ts))
+    zones = derive_zones(model)
+    tracemalloc.start()
+    try:
+        report = evaluate_panel(model, stats, records, labels, zones)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.years) == 9
+    assert peak - retained < retained / 6

@@ -979,6 +979,21 @@ class TestExitCodes:
             "error: zones: unknown key 'gray'; a zones document holds exactly 'cutoff', 'grey' and 'source'\n"
         )
 
+    @pytest.mark.parametrize("argv", [
+        ("evaluate", "--panel", "{}", "--model", REFERENCE, "--zones", "paper"),
+        ("classify", "--panel", PANEL_A, "--panel", "{}", "--model", REFERENCE),
+        ("fit", "--train", "{}"),
+    ], ids=["evaluate", "classify-second-panel", "fit"])
+    def test_header_only_panel(self, tmp_path, capsys, argv):
+        """A panel file of the header alone holds no bank-year: evaluate would print
+        empty tables, and classify its zones line alone, and exit 0."""
+        panel = tmp_path / "header.csv"
+        panel.write_text(RATIO_HEADER + ",label\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, *(arg.format(panel) for arg in argv))
+        assert (code, out) == (3, "")
+        what = "training" if argv[0] == "fit" else "panel"
+        assert err == f"error: {what} file {panel}: panel has a header but no data rows\n"
+
     def test_zones_cutoff_past_float_range(self, tmp_path, capsys):
         """A JSON integer past float's range is not a finite number, as 1e400 is not."""
         huge = 10**400

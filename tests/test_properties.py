@@ -40,6 +40,7 @@ from distress_lda import (
     LabeledSample,
     ParseError,
     RatioVector,
+    SchemaError,
     ZeroVarianceError,
     average_ratios,
     box_m_test,
@@ -104,8 +105,8 @@ def load_texts(texts: list[str]):
 
 
 def split_panel(data, records, labels) -> list[str]:
-    """The panel's rows split into 1-3 files, in order, each with the header."""
-    cuts = sorted(data.draw(st.lists(st.integers(0, len(records)), max_size=2)))
+    """The panel's rows split into 1-3 files, in order, each with the header and at least one row."""
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(records)), max_size=2)) - {len(records)})
     bounds = [0, *cuts, len(records)]
     return [serialize_panel(records[a:b], labels) for a, b in zip(bounds, bounds[1:])]
 
@@ -119,10 +120,17 @@ def data_rows(text: str) -> str:
 @given(labelled_panels(), st.data())
 def test_split_panel_reads_as_one(case, data):
     records, labels = case
-    loaded, loaded_labels = load_texts(split_panel(data, records, labels))
+    texts = split_panel(data, records, labels)
+    loaded, loaded_labels = load_texts(texts)
     text = serialize_panel(records, labels)
     assert loaded == parse_panel(text) == records
     assert loaded_labels == panel_labels(text) == labels
+    # A file of the header alone is refused wherever it sits, though parse_panel reads it as [].
+    at = data.draw(st.integers(0, len(texts)))
+    texts.insert(at, serialize_panel([], labels))
+    assert parse_panel(texts[at]) == []
+    with pytest.raises(SchemaError, match=rf"^panel file \S*panel{at}\.csv: panel has a header but no data rows$"):
+        load_texts(texts)
 
 
 @SETTINGS
