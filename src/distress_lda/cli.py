@@ -13,6 +13,7 @@ group means), 5 evaluation problems such as unlabeled banks.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from functools import partial
@@ -241,7 +242,7 @@ def cmd_diagnose(config: RunConfig) -> tuple[dict, tuple[str, ...]]:
         },
         "box_m": {
             "m": box.m,
-            "f": box.f_approx,
+            "f": box.f_approx if math.isfinite(box.f_approx) else None,  # null past the approximation's range
             "df1": box.df1,
             "df2": box.df2,
             "p_value": box.p_value,
@@ -355,8 +356,9 @@ def render_diagnose(doc: dict, variables: tuple[str, ...]) -> str:
         f"df {wilks['df']}   sig {wilks['p_value']:.3f}"
     )
     lines.append(f"  -> {wilks['verdict']} (alpha = {doc['alpha']:g})")
+    f_text = "inf" if box["f"] is None else f"{box['f']:.3f}"  # JSON null: an F past the approximation's range
     lines.append(
-        f"box's m {box['m']:.3f}   f {box['f']:.3f}   df1 {box['df1']:g}   "
+        f"box's m {box['m']:.3f}   f {f_text}   df1 {box['df1']:g}   "
         f"df2 {box['df2']:.3f}   sig {box['p_value']:.3f}"
     )
     lines.append(f"  -> {box['verdict']} (alpha = {doc['alpha']:g})")

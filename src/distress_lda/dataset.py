@@ -22,7 +22,13 @@ is raised in its place.
 
 The csv reader reads the lines that io.StringIO(text) would yield, cut from
 the text with str.split, which holds no copy of the text at four bytes a
-character. The records of one bank share one str for its name.
+character. A text may start with one byte-order mark, which is not data.
+
+The records of one read (one text, or every file of load_panels) share one
+str for each bank's name and one float for each distinct ratio-cell text,
+parsed once: ratios published to four decimals repeat. Each value keeps the
+bits of float() of its cell, so only `is` can tell; the table is keyed by
+text, so -0.0000 and 0.0000 keep their signs, and it ends with the read.
 """
 from __future__ import annotations
 
@@ -159,7 +165,7 @@ def _read_panel(text: str, read: Callable[[list[str], _Rows], _Read]) -> _Read:
     A csv error anywhere in the text wins: a panel error raised before the
     reader is spent is raised only once the rest of the text splits cleanly.
     """
-    reader = csv.reader(_lines(text))
+    reader = csv.reader(_lines(text.removeprefix("\ufeff")))  # a byte-order mark, as read_text drops it
     try:
         try:
             return read(*_split_rows(reader))
@@ -177,18 +183,13 @@ def parse_panel(text: str) -> list[BankYearRecord]:
     Rows whose six ratio cells are all zero or all empty become records with
     available=False (the ratios are kept as zeros but mean nothing).
     """
-    return _read_panel(text, lambda header, rows: _records(header, rows, set()))
-
-
-def _plain(text: str) -> bool:
-    """No underscore and only ASCII: float() also reads 0_5 as 5.0, and non-ASCII digits."""
-    return text.isascii() and "_" not in text
+    return _read_panel(text, lambda header, rows: _records(header, rows, set(), _Floats()))
 
 
 def parse_number(text: str) -> float:
     """A finite number in plain ASCII: the one number rule of ratio cells and settings.
     Unlike float(), refuses 0_5, non-ASCII digits, nan and inf with ValueError."""
-    if not _plain(text):
+    if not text.isascii() or "_" in text:
         raise ValueError(f"not a plain ASCII number: {text!r}")
     try:
         value = float(text)
@@ -212,9 +213,22 @@ def parse_year(text: str) -> int:
 _BLANK = RatioVector(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # shared by every row with empty ratio cells
 
 
-def _records(header: list[str], blocks: _Rows, seen: set[tuple[int, str]]) -> list[BankYearRecord]:
+class _Floats(dict):
+    """Each ratio cell of one read, to its value: parse_number reads a cell on
+    its first lookup (a cell it refuses raises its ValueError and is not
+    added), and each later lookup of an equal cell returns the same float."""
+
+    def __missing__(self, cell: str) -> float:
+        self[cell] = value = parse_number(cell)
+        return value
+
+
+def _records(
+    header: list[str], blocks: _Rows, seen: set[tuple[int, str]], floats: _Floats
+) -> list[BankYearRecord]:
     """The blocks' records; a (year, bank) already in seen (from any file) is
-    refused, a new one added."""
+    refused, a new one added. floats holds the ratio cells read so far (from
+    any file), so that equal cells share one float."""
     bank_at, year_at = header.index("bank"), header.index("year")
     ratio_at = [header.index(name) for name in VARIABLES]
     width = max(bank_at, year_at, *ratio_at) + 1
@@ -235,11 +249,10 @@ def _records(header: list[str], blocks: _Rows, seen: set[tuple[int, str]]) -> li
         rows = list(map(itemgetter(*ratio_at), block))
         filled = list(map(any, rows))  # False for a row whose ratio cells are all empty
         cells = list(chain.from_iterable(compress(rows, filled)))  # six a row
-        # Unstripped: float() reads a plain cell as strip() would, or refuses it.
-        values = list(map(float, cells))
-        if not (all(banks) and len(keys) == len(block) and keys.isdisjoint(seen) and _plain("".join(cells))
-                and all(map(math.isfinite, values))):
-            raise ValueError("a blank bank, a duplicate, or a ratio cell that is not plain or not finite")
+        # Unstripped: parse_number reads a cell as it reads the stripped cell, or refuses it.
+        values = list(map(floats.__getitem__, cells))
+        if not (all(banks) and len(keys) == len(block) and keys.isdisjoint(seen)):
+            raise ValueError("a blank bank or a duplicate")
         seen.update(keys)
         ratios = RatioVector._from_checked(zip(*[iter(values)] * len(VARIABLES)))
         if len(ratios) < len(block):  # each no-data row takes the shared _BLANK
@@ -275,7 +288,7 @@ def _records(header: list[str], blocks: _Rows, seen: set[tuple[int, str]]) -> li
             values = []
             for name, cell in zip(VARIABLES, cells):
                 try:
-                    values.append(parse_number(cell))
+                    values.append(floats[cell])
                 except ValueError as exc:
                     raise ParseError(f"row {lineno}: column {name!r}: {exc}") from None
             records.append(BankYearRecord(bank, year, RatioVector(*values), any(values)))
@@ -344,11 +357,12 @@ def load_panels(
     records: list[BankYearRecord] = []
     labels: dict[str, GroupLabel] = {}
     seen: set[tuple[int, str]] = set()  # each (year, bank), over every file
+    floats = _Floats()  # each ratio cell's value, over every file
     for path in paths:
         text = read_text(path, what, PanelError)
         try:
             header, rows = _read_panel(text, lambda header, rows: (header, list(rows)))
-            if not (found := _records(header, rows, seen)):
+            if not (found := _records(header, rows, seen, floats)):
                 raise SchemaError("panel has a header but no data rows")
             records += found
             if overrides is None or (overrides and "label" not in header):

@@ -119,6 +119,14 @@ def wilks_test(model: DiscriminantModel) -> WilksResult:
     return wilks_from_eigenvalue(model.eigenvalue, model.n0 + model.n1, len(model.variables))
 
 
+def _measurable(variance: float, what: str) -> None:
+    """Refuse a variance whose logarithm Box's M cannot take: zero, or past float range."""
+    if variance == 0.0:
+        raise ZeroVarianceError(f"{what} has zero score variance")
+    if variance == math.inf:
+        raise ZeroVarianceError(f"{what} has a score variance past float range")
+
+
 def _box_m_two_groups(v0: float, n0: int, v1: float, n1: int) -> BoxMResult:
     # Box's F approximation at p = 1 function and g = 2 groups: c1's factor
     # (2p^2 + 3p - 1) / (6(p + 1)(g - 1)) is 4/12.0, df1 = p(p + 1)(g - 1)/2 = 1,
@@ -126,6 +134,7 @@ def _box_m_two_groups(v0: float, n0: int, v1: float, n1: int) -> BoxMResult:
     d0, d1 = n0 - 1, n1 - 1
     dof = n0 + n1 - 2
     pooled = (d0 * v0 + d1 * v1) / dof
+    _measurable(pooled, "the pooled group")
     m = dof * math.log(pooled) - (d0 * math.log(v0) + d1 * math.log(v1))
     m = max(m, 0.0)  # exact-zero case can round to -1e-16
     c1 = (1.0 / d0 + 1.0 / d1 - 1.0 / dof) * 4 / 12.0
@@ -149,8 +158,7 @@ def box_m_test(scores_by_group: Mapping[str, Sequence[float]]) -> BoxMResult:
         if len(rows) < 2:
             raise InsufficientGroupError(f"group {key!r} needs at least 2 scores")
         var = column_moments(rows)[1][0] / (len(rows) - 1)
-        if var == 0.0:
-            raise ZeroVarianceError(f"group {key!r} has zero score variance")
+        _measurable(var, f"group {key!r}")
         groups.append((var, len(rows)))
     (v0, n0), (v1, n1) = groups
     return _box_m_two_groups(v0, n0, v1, n1)
@@ -158,10 +166,13 @@ def box_m_test(scores_by_group: Mapping[str, Sequence[float]]) -> BoxMResult:
 
 def box_m_from_model(model: DiscriminantModel) -> BoxMResult:
     """Box's M from the model's stored per-group score dispersions."""
+    variances = []
     for key, sd in (("bankrupt", model.s0), ("nonbankrupt", model.s1)):
-        if sd <= 0.0:
-            raise ZeroVarianceError(f"group {key!r} has zero score variance")
-    return _box_m_two_groups(model.s0**2, model.n0, model.s1**2, model.n1)
+        var = sd * sd if sd > 0.0 else 0.0  # sd * sd: sd**2 raises OverflowError past float range
+        _measurable(var, f"group {key!r}")
+        variances.append(var)
+    v0, v1 = variances
+    return _box_m_two_groups(v0, model.n0, v1, model.n1)
 
 
 def canonical_summary(eigenvalue: float) -> dict[str, float]:

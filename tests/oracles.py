@@ -275,7 +275,7 @@ def _split_rows(reader):
 def _read_panel(text, read):
     from distress_lda.errors import PanelError, ParseError
 
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     try:
         try:
             return read(*_split_rows(reader))

@@ -1,14 +1,15 @@
 """The block-at-a-time passes against the row-at-a-time rules they replaced.
 
-- parse_panel, panel_labels and load_panels (two files) return what the
-  row-at-a-time reader of tests/oracles.py returns, records compared by
-  float.hex, or raise the same error type with the same message. Each runs
-  with blocks of 1, 2 and 3 rows and of the default size, over panels with
-  injected faults: blank and short rows, whitespace cells (\\x1c among them),
-  non-ASCII digits, 1_0, nan and inf, rows of empty ratio cells and rows
-  that mix empty and numeric ones, duplicates within a block, across blocks
-  and across files, and labels that conflict across blocks. Rows of empty
-  ratio cells and empty lines do not send a block to the row rules.
+- parse_panel, panel_labels (on texts with and without a byte-order mark)
+  and load_panels (two files) return what the row-at-a-time reader of
+  tests/oracles.py returns, records compared by float.hex, or raise the
+  same error type with the same message. Each runs with blocks of 1, 2
+  and 3 rows and of the default size, over panels with injected faults:
+  blank and short rows, whitespace cells (\\x1c among them), non-ASCII
+  digits, 1_0, nan and inf, rows of empty ratio cells and rows that mix
+  empty and numeric ones, duplicates within a block, across blocks and
+  across files, and labels that conflict across blocks. Rows of empty ratio
+  cells and empty lines do not send a block to the row rules.
 - The column-wise row dots and column sums of the fit carry the bits of the
   per-row kernels, over 1-9 columns, with signed zeros, subnormals and
   values outside the range where Dekker's product is exact.
@@ -19,7 +20,9 @@
   CR and NUL, at the default field size limit and at a tiny one. It holds
   less than half the memory io.StringIO holds for a bench panel.
 - What a parse shares: the records of one bank share one str for its name,
-  whichever pass reads their block.
+  and equal ratio cells one float, whichever pass reads their block, also
+  across the files of load_panels. The parsed records of a bench panel hold
+  under 2.0 MB.
 - Each ratio is float() of its cell, bit for bit, "-0.0" with its sign,
   whichever pass reads its block.
 
@@ -141,9 +144,9 @@ def outcome(read, *args):
 
 @pytest.mark.parametrize("block", BLOCK_SIZES)
 @SETTINGS
-@given(faulty_rows())
-def test_text_readers_match_the_row_rules(block, case):
-    text = csv_text(*case)
+@given(faulty_rows(), st.sampled_from(["", "\ufeff"]))
+def test_text_readers_match_the_row_rules(block, case, mark):
+    text = mark + csv_text(*case)
     with mock.patch.object(dataset, "_BLOCK", block):
         assert outcome(dataset.parse_panel, text) == outcome(parse_panel_reference, text)
         assert outcome(dataset.panel_labels, text) == outcome(panel_labels_reference, text)
@@ -325,3 +328,67 @@ def test_ratios_are_float_of_each_cell(block, row_rules):
     with mock.patch.object(dataset, "_BLOCK", block):
         values = [value for record in dataset.parse_panel(text) for value in record.ratios]
     assert [value.hex() for value in values] == [float(cell.strip()).hex() for cell in cells]
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+def test_equal_cells_share_one_float(block, tmp_path):
+    """Equal ratio cells of one read share one float: in blocks the C-level
+    passes read, in the blocks a \x1c cell sends to the row rules (which read
+    the stripped cell, so \x1c0.5 shares the float of 0.5), and across the two
+    files of load_panels."""
+    distinct = ["0.5", "0.25", "-0.0000", "0.0000", "1e-3", "0.1234", "-7.5"]
+    rows = [[distinct[(i + j) % len(distinct)] for j in range(6)] for i in range(12)]
+    rows[3][0] = "\x1c" + rows[3][0]
+    rows[9][2] = "\x1c" + rows[9][2]
+    header = "bank,year,eaa,roae,roaa,nii,laaa,bdtla\n"
+    lines = [f"B{i},2015,{','.join(row)}\n" for i, row in enumerate(rows)]
+    paths = [tmp_path / "first.csv", tmp_path / "second.csv"]
+    for path, part in zip(paths, (lines[:6], lines[6:])):
+        path.write_text(header + "".join(part), encoding="utf-8")
+    with mock.patch.object(dataset, "_BLOCK", block):
+        parsed = dataset.parse_panel(header + "".join(lines))
+        loaded, _ = dataset.load_panels(paths, "panel", None)
+    for records in (parsed, loaded):
+        first: dict[str, float] = {}
+        assert all(
+            first.setdefault(cell.strip(), value) is value
+            for record, row in zip(records, rows, strict=True) for value, cell in zip(record.ratios, row)
+        )
+        assert len(first) == len(distinct)
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("row_rules", [False, True])
+def test_signed_zero_cells_keep_their_sign(block, row_rules):
+    """-0.0000 and 0.0000 are equal floats but not equal cells: each keeps its
+    own sign, whichever of them the read meets first and whichever pass reads it."""
+    zeros = ["0.0000", "-0.0000", "-0.0000", "0.0000", "0.0000", "-0.0000"]
+    rows = [zeros[i:] + zeros[:i] for i in range(6)]
+    if row_rules:
+        rows[2][1] = "\x1c" + rows[2][1]
+    text = "bank,year,eaa,roae,roaa,nii,laaa,bdtla\n" + "".join(
+        f"B{i},2015,{','.join(row)}\n" for i, row in enumerate(rows)
+    )
+    with mock.patch.object(dataset, "_BLOCK", block):
+        records = dataset.parse_panel(text)
+    assert [[value.hex() for value in record.ratios] for record in records] == [
+        [float(cell.strip()).hex() for cell in row] for row in rows
+    ]
+
+
+def test_parsed_bench_panel_is_small(monkeypatch):
+    """The records of seed 1's 800-bank panel, whose 43,200 ratio cells hold
+    about 7,400 distinct texts, hold under 2.0 MB (1.72 MB with one float per
+    distinct cell; 2.58 MB with one float per cell)."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from synth import generate_panel
+
+    text, _ = generate_panel(1, 800)
+    tracemalloc.start()
+    try:
+        records = dataset.parse_panel(text)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 7200
+    assert held < 2.0e6

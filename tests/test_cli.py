@@ -20,7 +20,7 @@ import distress_lda
 from distress_lda.cli import _SETTINGS, main, parse_window
 from distress_lda.errors import ConfigError
 from distress_lda.fixtures import data_path
-from distress_lda.model_io import load_model
+from distress_lda.model_io import load_model, parse_json
 
 TABLE = str(data_path("table2.csv"))
 PANEL_A = str(data_path("appendix_a.csv"))
@@ -32,6 +32,19 @@ GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "cli"
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 RATIO_HEADER = "bank,year,eaa,roae,roaa,nii,laaa,bdtla"
+
+
+def near_tie_training_file(directory: Path) -> str:
+    """table2.csv with Nosso Banco's ratios those of Moza Banco, eaa 1e-8 above:
+    the two bankrupt scores nearly tie (sd 5.75e-9), so Box's M passes the
+    range of its F approximation."""
+    text = Path(TABLE).read_text(encoding="utf-8").replace(
+        '"Nosso Banco, S.A",2015,0.01869,0.12351,-0.01210,0.03388,0.68139,0.03105',
+        '"Nosso Banco, S.A",2015,0.13386001,0.03166,0.00044,0.04560,0.74644,0.02260',
+    )
+    path = directory / "near_tie.csv"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
 
 
 @pytest.fixture(autouse=True)
@@ -1016,6 +1029,34 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err == f"error: model: 'constant' must be a finite number, got {huge}\n"
 
+    def test_box_m_f_past_its_range_is_json_null(self, tmp_path, capsys):
+        """A near tie of the bankrupt scores puts M past the F approximation's
+        range: JSON writes the F as null, not the Infinity strict readers refuse."""
+        model = str(tmp_path / "model.json")
+        assert run_cli(capsys, "fit", "--train", near_tie_training_file(tmp_path), "--model", model)[0] == 0
+        code, out, err = run_cli(capsys, "diagnose", "--model", model, "--format", "json")
+        assert (code, err) == (0, "")
+        box = parse_json(out, "diagnose", "stdout", ConfigError)["box_m"]
+        assert (box["f"], box["p_value"]) == (None, 0.0)
+        code, out, err = run_cli(capsys, "diagnose", "--model", model)
+        assert (code, err) == (0, "")
+        assert re.search(r"^box's m \d+\.\d{3}   f inf   df1 1 .*   sig 0\.000$", out, re.M)
+
+    @pytest.mark.parametrize("sd, what", [
+        (1e-320, "has zero score variance"), (1e300, "has a score variance past float range"),
+    ], ids=["squares-to-zero", "squares-past-float-range"])
+    def test_model_score_sd_outside_box_m_range(self, tmp_path, capsys, sd, what):
+        """A stored score sd whose square is zero or past float range leaves Box's M
+        no logarithm to take: one error line, as a score sd of 0 gets."""
+        doc = json.loads(Path(REFERENCE).read_text(encoding="utf-8"))
+        doc["score_sd"]["bankrupt"] = sd
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        for fmt in ("text", "json"):
+            assert run_cli(capsys, "diagnose", "--model", str(model), "--format", fmt) == (
+                3, "", f"error: group 'bankrupt' {what}\n"
+            )
+
     @pytest.mark.parametrize("source", [["x"], {}], ids=["list", "object"])
     def test_unhashable_zones_source(self, tmp_path, capsys, source):
         zones = tmp_path / "zones.json"
@@ -1263,6 +1304,23 @@ def test_case_study_outputs_match_goldens(tmp_path, capsys, monkeypatch):
             code, out, err = run_cli(capsys, cmd, *args, "--format", fmt)
             assert (code, err) == (0, "")
             assert out.encode("utf-8") == (GOLDEN / f"{cmd}.{fmt}").read_bytes(), f"{cmd}.{fmt}"
+
+
+@pytest.mark.parametrize("training", ["case-study", "near-tie"])
+def test_every_json_output_is_strict_json(tmp_path, capsys, monkeypatch, training):
+    """Each command's --format json stdout reads under parse_json, which refuses
+    NaN and Infinity: on the case study, and with a model fitted to the near-tie
+    training file, whose Box's M F is past its approximation's range."""
+    monkeypatch.chdir(tmp_path)
+    args = dict(CASE_STUDY_ARGS)
+    if training == "near-tie":  # every command reads the near-tie model, with the zones it derives
+        args["fit"] = ["--train", near_tie_training_file(tmp_path), "--model", "model.json"]
+        for cmd in ("classify", "evaluate"):
+            args[cmd] = ["--panel", PANEL_A, "--panel", PANEL_B, "--model", "model.json"]
+    for cmd, argv in args.items():  # fit first: diagnose reads its model.json
+        code, out, err = run_cli(capsys, cmd, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        assert isinstance(parse_json(out, cmd, "stdout", ConfigError), dict)
 
 
 def _loaded_after(modules: set[str], *calls: list[str]) -> set[str]:

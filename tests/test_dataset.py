@@ -167,6 +167,17 @@ class TestParsePanel:
         assert panel_labels(text) == labels
 
 
+def test_text_readers_drop_one_byte_order_mark():
+    """Both text readers read a text that starts with the byte-order mark as
+    load_panels reads a file that does: without the one mark."""
+    text = HEADER + ",label\nAlpha,2014,1,1,1,1,1,1,bankrupt\n"
+    assert parse_panel("\ufeff" + text) == parse_panel(text)
+    assert panel_labels("\ufeff" + text) == panel_labels(text) == {"Alpha": GroupLabel.BANKRUPT}
+    for read in (parse_panel, panel_labels):
+        with pytest.raises(SchemaError, match="missing required column 'bank'"):
+            read("\ufeff\ufeff" + text)
+
+
 class TestPanelLabels:
     def test_reads_labels_per_bank(self):
         text = HEADER + ",label\nAlpha,2014,1,1,1,1,1,1,bankrupt\nBeta,2014,2,2,2,2,2,2,nonbankrupt\n"

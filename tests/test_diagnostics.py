@@ -229,6 +229,13 @@ class TestBoxM:
         with pytest.raises(ZeroVarianceError, match="'a'"):
             box_m_test({"a": [2.0, 2.0], "b": [1.0, 3.0]})
 
+    def test_variance_past_float_range_rejected(self):
+        """Box's M takes the log of each group's variance and of the pooled one."""
+        with pytest.raises(ZeroVarianceError, match="^group 'b' has a score variance past float range$"):
+            box_m_test({"a": [1.0, 3.0], "b": [-1e200, 1e200]})
+        with pytest.raises(ZeroVarianceError, match="^the pooled group has a score variance past float range$"):
+            box_m_test({"a": [-7e153, 7e153], "b": [-7e153, 7e153]})
+
     def test_verdict_depends_on_alpha(self, reference_model):
         result = box_m_from_model(reference_model)
         assert box_verdict(result) == "group score variance is homogenous"
