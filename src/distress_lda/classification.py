@@ -1,5 +1,15 @@
 """Classification zones, scoring, confusion matrix, and yearly evaluation.
 
+This module is the one home of a fitted model's linear forms: the
+discriminant score of a bank-year and the two Fisher classification
+functions of a training sample. Each is one column pass, _linear: it starts
+every observation at the form's constant and adds weight * value per
+variable, in the weights' order, reading each variable's column once. The
+columns are bound by VARIABLES; a weight on any other variable raises
+BindingError. A training sample goes to the group whose Fisher function is
+larger, and an exact tie goes to nonbankrupt: inventing a bankruptcy call
+from a coin-flip boundary is the costly mistake.
+
 Zones come in two flavors. Derived zones follow the stated construction: the
 cut-off is the size-weighted centroid mean and the grey interval is
 [y0 + s0, y1 - s1], collapsing to cut-off-only when the candidate interval is
@@ -22,14 +32,15 @@ reported separately and excluded from hits and errors.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import partial
 from itertools import compress, groupby, repeat
-from operator import add, itemgetter, le, lt, mul
-from typing import Mapping, Sequence
+from operator import add, gt, itemgetter, le, lt, mul
+from typing import Iterable, Mapping, Sequence
 
 from .dataset import VARIABLES, BankYearRecord, GroupLabel, TrainingSet, rows_by_bank
 from .errors import BindingError, DomainError, MissingLabelError
-from .lda_fit import DiscriminantModel, fisher_classify
+from .lda_fit import GROUP_KEYS, DiscriminantModel
 from .normalization import NormalizationStats, z_columns
 from .record import Record
 
@@ -39,7 +50,7 @@ ZONE_SCALES = {"derived-from-model": "normalized", "explicit-override": "raw"}
 ZONE_SOURCES = tuple(ZONE_SCALES)
 
 
-_BANKRUPT = GroupLabel.BANKRUPT
+_BANKRUPT, _NONBANKRUPT = GroupLabel.BANKRUPT, GroupLabel.NONBANKRUPT
 
 
 class ClassificationZones(Record):
@@ -106,32 +117,44 @@ def _zones_of(scores: Sequence[float], zones: ClassificationZones) -> list[str]:
 _IDENTITY_SCALE = NormalizationStats(mean=dict.fromkeys(VARIABLES, 0.0), sd=dict.fromkeys(VARIABLES, 1.0))
 
 
+def _positions(weights: Mapping[str, float]) -> list[int]:
+    """The place in VARIABLES of each weight's variable, in the weights' order:
+    how a linear form binds its columns. A variable outside VARIABLES raises BindingError."""
+    for name in weights:
+        if name not in VARIABLES:
+            raise BindingError(f"observation has no variable {name!r}")
+    return list(map(VARIABLES.index, weights))
+
+
+def _linear(constant: float, weights: Mapping[str, float], columns: Sequence[Iterable[float]], n: int) -> list[float]:
+    """constant + sum of weight * value at each of n observations, given as one
+    column per variable in VARIABLES order: the one rule of every linear form of
+    a fitted model. The terms are added in the weights' order, and each weighted
+    column is read once."""
+    sums = repeat(constant, n)
+    for at, w in zip(_positions(weights), weights.values()):
+        sums = map(add, sums, map(mul, repeat(w), columns[at]))
+    return list(sums)
+
+
 def _moments(model: DiscriminantModel, stats: NormalizationStats | None, scale: str) -> NormalizationStats:
     """The moments that z-score ratios onto the score scale, once the model's
     variables and the scale's stats are checked. The raw scale is z-scoring
     against mean 0.0 and sd 1.0, which leaves every finite ratio's bits."""
     if scale == "normalized" and stats is None:
         raise ValueError("the normalized scale requires normalization stats")
-    for name in model.coefficients:
-        if name not in VARIABLES:
-            raise BindingError(f"observation has no variable {name!r}")
+    _positions(model.coefficients)  # refuses a variable the ratios lack before any is read
     return stats if scale == "normalized" else _IDENTITY_SCALE
 
 
 def _scores(model: DiscriminantModel, moments: NormalizationStats, records: Sequence[BankYearRecord]) -> list[float]:
-    """The model's score of each record's ratios, z-scored by the moments, in the order given.
-
-    Each score starts at the constant and adds one term per coefficient, in
-    model.coefficients order, as the z-scores stream in: the arithmetic, and so
-    the bits, of score(model, v) on the raw scale and of score(model,
-    apply(stats, v)) on the normalized one. A score that is not finite (a huge
-    ratio can overflow its z-score) is refused with its bank-year.
+    """The model's score of each record's ratios, z-scored by the moments, in the
+    order given: the column pass over the z-scores as they stream in. A score
+    that is not finite (a huge ratio can overflow its z-score) is refused with
+    its bank-year.
     """
     columns = z_columns(moments, list(map(itemgetter(2), records)))
-    sums = repeat(model.constant, len(records))
-    for name, coef in model.coefficients.items():
-        sums = map(add, sums, map(mul, repeat(coef), columns[VARIABLES.index(name)]))
-    scores = list(sums)
+    scores = _linear(model.constant, model.coefficients, columns, len(records))
     if not all(map(math.isfinite, scores)):
         s, record = next((s, r) for s, r in zip(scores, records) if not math.isfinite(s))
         raise DomainError(f"bank {record.bank_id!r} year {record.year}: score must be finite, got {s!r}")
@@ -178,12 +201,13 @@ class ConfusionMatrix(Record):
 
 
 def confusion_matrix(model: DiscriminantModel, tsZ: TrainingSet) -> ConfusionMatrix:
-    """Fisher-classify every training sample against its actual label."""
-    counts: dict[tuple[GroupLabel, GroupLabel], int] = {}
-    for sample in tsZ.samples:
-        key = (sample.label, fisher_classify(model, sample.ratios))
-        counts[key] = counts.get(key, 0) + 1
-    return ConfusionMatrix(counts=counts)
+    """Fisher-classify every training sample against its actual label: both Fisher
+    functions over the training set's z-score columns, an exact tie to nonbankrupt."""
+    samples, fisher = tsZ.samples, model.fisher
+    columns = list(zip(*map(itemgetter(1), samples))) or [()] * len(VARIABLES)
+    bankrupt, healthy = (_linear(fisher.constants[k], fisher.weights[k], columns, len(samples)) for k in GROUP_KEYS)
+    called = map((_NONBANKRUPT, _BANKRUPT).__getitem__, map(gt, bankrupt, healthy))
+    return ConfusionMatrix(counts=dict(Counter(zip(map(itemgetter(2), samples), called))))
 
 
 class YearRow(Record):

@@ -81,19 +81,40 @@ def collinearity_check(
     return CollinearityReport(flagged_pairs=tuple(pairs))
 
 
+def _score_rows(scores_by_group: Mapping[str, Sequence[float]]) -> dict[str, list[tuple[float]]]:
+    """Each group's scores as one-column rows, once every score is checked finite."""
+    groups = {}
+    for key, values in scores_by_group.items():
+        rows = [(float(v),) for v in values]
+        for (v,) in rows:
+            if not math.isfinite(v):
+                raise DomainError(f"group {key!r}: score must be finite, got {v!r}")
+        groups[key] = rows
+    return groups
+
+
 def eigenvalue_from_scores(scores_by_group: Mapping[str, Sequence[float]]) -> float:
-    """Between- over within-group sum of squares of discriminant scores."""
-    groups = [[(float(v),) for v in vals] for vals in scores_by_group.values()]
-    if any(len(rows) == 0 for rows in groups):
+    """Between- over within-group sum of squares of discriminant scores.
+
+    Refused: fewer than two groups, an empty group, a score that is not finite,
+    zero within-group scatter, and a scatter past float range."""
+    if len(scores_by_group) < 2:
+        raise InsufficientGroupError(f"the eigenvalue needs at least two groups, got {len(scores_by_group)}")
+    groups = _score_rows(scores_by_group)
+    if any(len(rows) == 0 for rows in groups.values()):
         raise InsufficientGroupError("every group needs at least one score")
-    (grand,), _ = column_moments([row for rows in groups for row in rows])
+    (grand,), _ = column_moments([row for rows in groups.values() for row in rows])
     ss_between = ss_within = 0.0
-    for rows in groups:
+    for key, rows in groups.items():
         (mean,), (scatter,) = column_moments(rows)
-        ss_between += len(rows) * (mean - grand) ** 2
+        if scatter == math.inf:  # finite scores whose mean or squared deviations overflow
+            raise ZeroVarianceError(f"group {key!r} has a score variance past float range")
+        ss_between += len(rows) * ((mean - grand) * (mean - grand))
         ss_within += scatter
     if ss_within == 0.0:
         raise ZeroVarianceError("within-group score scatter is zero")
+    if ss_between == math.inf or ss_within == math.inf:
+        raise ZeroVarianceError("the score scatter is past float range")
     return ss_between / ss_within
 
 
@@ -153,8 +174,7 @@ def box_m_test(scores_by_group: Mapping[str, Sequence[float]]) -> BoxMResult:
     if len(scores_by_group) != 2:
         raise InsufficientGroupError(f"Box's M needs exactly two groups, got {len(scores_by_group)}")
     groups = []
-    for key, values in scores_by_group.items():
-        rows = [(float(v),) for v in values]
+    for key, rows in _score_rows(scores_by_group).items():
         if len(rows) < 2:
             raise InsufficientGroupError(f"group {key!r} needs at least 2 scores")
         var = column_moments(rows)[1][0] / (len(rows) - 1)

@@ -7,10 +7,11 @@ positive side. That scaling makes the eigenvalue a plain ratio of between- to
 within-group score scatter and pins the constant at minus the grand-mean
 score, so a z-scored training set gets a constant of (numerically) zero.
 
-The core works on plain per-group matrices with any number of columns; the
-TrainingSet entry points bind it to the six-ratio panel layout. Everything
-downstream addresses coefficients by variable name, never by column
-position.
+This module holds the fit only. The core works on plain per-group matrices
+with any number of columns; fit binds it to the six-ratio panel layout. The
+model addresses its coefficients and Fisher weights by variable name, never
+by column position; classification evaluates them, the score of a bank-year
+and the two Fisher functions of a training sample alike.
 
 Each reduction follows one fixed order, so a fit has the same bits on every
 host rather than those of whichever BLAS kernel the host picks:
@@ -35,15 +36,13 @@ rounded product x * y, save that an exact zero product gives +0.0.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
-from functools import partial
 from itertools import repeat
 from math import fsum
 from operator import add, mul, not_
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .dataset import VARIABLES, GroupLabel, TrainingSet, check_design, column_sums, ordered_sum
-from .errors import BindingError, DegenerateSeparationError, DomainError, SingularMatrixError
+from .errors import DegenerateSeparationError, DomainError, SingularMatrixError
 from .record import Record
 
 GROUP_KEYS = ("bankrupt", "nonbankrupt")
@@ -355,38 +354,3 @@ def fit(tsZ: TrainingSet, priors: str = PRIORS[0]) -> DiscriminantModel:
     X0 = [s.ratios for s in tsZ.samples if s.label is _BANKRUPT]
     X1 = [s.ratios for s in tsZ.samples if s.label is _NONBANKRUPT]
     return fit_from_matrices(X0, X1, VARIABLES, priors=priors)
-
-
-def _reader(z) -> Callable[[str], float]:
-    """How an observation binds by name: a Mapping by key, anything else by attribute."""
-    return z.__getitem__ if isinstance(z, Mapping) else partial(getattr, z)
-
-
-def _linear(constant: float, weights: dict[str, float], read: Callable[[str], float]) -> float:
-    """constant + sum of weight * component, in the weights' order, each component read with one lookup."""
-    total = constant
-    for name, w in weights.items():
-        try:
-            value = read(name)
-        except (KeyError, AttributeError):
-            raise BindingError(f"observation has no variable {name!r}") from None
-        total += w * value
-    return total
-
-
-def score(model: DiscriminantModel, z) -> float:
-    """Discriminant score a + b'z, coefficients matched to z by name."""
-    return _linear(model.constant, model.coefficients, _reader(z))
-
-
-def fisher_classify(model: DiscriminantModel, z) -> GroupLabel:
-    """Group whose Fisher function is largest at z.
-
-    An exact tie resolves to NonBankrupt: silently inventing a bankruptcy
-    call from a coin-flip boundary is the costly mistake.
-    """
-    fisher, read = model.fisher, _reader(z)
-    bankrupt, healthy = (_linear(fisher.constants[k], fisher.weights[k], read) for k in GROUP_KEYS)
-    if bankrupt > healthy:
-        return _BANKRUPT
-    return _NONBANKRUPT

@@ -53,20 +53,13 @@ def z_columns(stats: NormalizationStats, vectors: Sequence[Sequence[float]]) -> 
     ]
 
 
-def _z_vectors(stats: NormalizationStats, vectors: Sequence[RatioVector]) -> list[RatioVector]:
-    rows = list(zip(*z_columns(stats, vectors)))
-    if all(map(math.isfinite, chain.from_iterable(rows))):
-        return RatioVector._from_checked(rows)
-    return [RatioVector(*row) for row in rows]  # raises for the first z-score that is not finite
-
-
-def apply(stats: NormalizationStats, v: RatioVector) -> RatioVector:
-    """Standardize one ratio vector; returns z-values in the same six slots."""
-    return _z_vectors(stats, [v])[0]
-
-
 def normalize_training_set(stats: NormalizationStats, ts: TrainingSet) -> TrainingSet:
     """Replace every sample's ratios by their z-scores; labels and order kept."""
     banks, ratios, labels = (list(map(itemgetter(at), ts.samples)) for at in range(3))
-    samples = LabeledSample._from_checked(zip(banks, _z_vectors(stats, ratios), labels))
+    rows = list(zip(*z_columns(stats, ratios)))
+    if all(map(math.isfinite, chain.from_iterable(rows))):
+        vectors = RatioVector._from_checked(rows)
+    else:
+        vectors = [RatioVector(*row) for row in rows]  # raises for the first z-score that is not finite
+    samples = LabeledSample._from_checked(zip(banks, vectors, labels))
     return TrainingSet(samples=tuple(samples), n0=ts.n0, n1=ts.n1)

@@ -10,10 +10,10 @@ sums must match to the bit. The score-table oracles are the eigenvalue and
 Box's M written with numpy's pairwise-summed mean and variance. Agreement
 between the package and these routines is evidence, not circularity.
 
-The panel-reader and fit-kernel oracles at the end are the package's earlier
-row-at-a-time code, kept as it was: one csv row, one Python step, one
-record. They pin the block-at-a-time passes that replaced it to the same
-records, labels, errors and bits. They build the package's own record and
+The panel-reader, fit-kernel and linear-form oracles at the end are the
+package's earlier row-at-a-time code, kept as it was: one csv row, one
+Python step, one record; one observation, one score. They pin the block-at-a-time and column passes that replaced it to
+the same records, labels, errors, calls and bits. They build the package's own record and
 error types and use its number and year rules, which they do not test.
 """
 import csv
@@ -462,3 +462,33 @@ def column_sums_reference(rows):
             total += value
         totals.append(total)
     return totals
+
+
+# ---- the per-observation linear forms ---------------------------------------
+
+
+def z_score_reference(stats, ratios):
+    """The z-score (x - mean) / sd of each ratio, keyed by variable."""
+    from distress_lda.dataset import VARIABLES
+
+    return {name: (x - stats.mean[name]) / stats.sd[name] for name, x in zip(VARIABLES, ratios)}
+
+
+def linear_form_reference(constant, weights, z):
+    """constant + weight * z[name] of one observation z, a mapping by variable,
+    one term at a time in the weights' order."""
+    total = constant
+    for name, w in weights.items():
+        total += w * z[name]
+    return total
+
+
+def fisher_call_reference(model, z):
+    """The group whose Fisher function is larger at z; an exact tie goes to nonbankrupt."""
+    from distress_lda.dataset import GroupLabel
+
+    fisher = model.fisher
+    bankrupt, healthy = (
+        linear_form_reference(fisher.constants[k], fisher.weights[k], z) for k in ("bankrupt", "nonbankrupt")
+    )
+    return GroupLabel.BANKRUPT if bankrupt > healthy else GroupLabel.NONBANKRUPT

@@ -29,11 +29,9 @@ from distress_lda.diagnostics import (
     wilks_from_eigenvalue,
 )
 from distress_lda.lda_fit import (
-    fisher_classify,
     fit_from_matrices,
     solve_spd,
 )
-from distress_lda.normalization import apply
 from distress_lda.special_functions import (
     chi_square_sf,
     f_sf,
@@ -41,6 +39,7 @@ from distress_lda.special_functions import (
     reg_inc_gamma_p,
 )
 
+from observations import labelled
 from oracles import (
     chi_square_sf_reference,
     discriminant_direction_reference,
@@ -149,15 +148,13 @@ def test_reported_centroids_and_cutoff(score_table):
     c.finish()
 
 
-def test_refit_from_bundled_averages_matches_reported_model(
-    training_set, norm_stats, normalized_set, fitted_model
-):
+def test_refit_from_bundled_averages_matches_reported_model(normalized_set, fitted_model):
     """Fitting the bundled 2012-2015 averages recovers the reported model."""
     c = Checklist()
 
     deviations = {
-        s.bank_id: abs(apply(norm_stats, s.ratios).eaa - REPORTED_EAA_Z[s.bank_id])
-        for s in training_set.samples
+        s.bank_id: abs(s.ratios.eaa - REPORTED_EAA_Z[s.bank_id])
+        for s in normalized_set.samples
     }
     worst = max(deviations, key=deviations.get)
     c.check(
@@ -297,7 +294,7 @@ def _random_instance(rng):
     shift = rng.normal(0.0, 2.0, p)
     X0 = rng.normal(0.0, 1.0, (n0, p))
     X1 = rng.normal(0.0, 1.0, (n1, p)) + shift
-    names = tuple(f"v{j}" for j in range(p))
+    names = VARIABLES[:p]
     return X0, X1, names
 
 
@@ -355,19 +352,15 @@ def test_fitted_model_invariants_under_sampling():
     X0, X1, names = _random_instance(rng)
     model = fit_from_matrices(X0, X1, names, priors="equal")
     midpoint = 0.5 * (model.y0 + model.y1)
-    agree = True
-    for _ in range(1000):
-        z = rng.normal(0.0, 3.0, len(names))
-        by_fisher = fisher_classify(model, dict(zip(names, z)))
-        by_midpoint = (
-            GroupLabel.BANKRUPT
-            if float(z @ np.array([model.coefficients[v] for v in names]) + model.constant)
-            < midpoint
-            else GroupLabel.NONBANKRUPT
-        )
-        if by_fisher is not by_midpoint:
-            agree = False
-            break
+    points = [rng.normal(0.0, 3.0, len(names)) for _ in range(1000)]
+    by_midpoint = [
+        GroupLabel.BANKRUPT
+        if float(z @ np.array([model.coefficients[v] for v in names]) + model.constant)
+        < midpoint
+        else GroupLabel.NONBANKRUPT
+        for z in points
+    ]
+    agree = confusion_matrix(model, labelled(points, by_midpoint)).correct_fraction() == 1.0
     c.check("equal-prior fisher rule equals midpoint rule on 1000 points", agree)
 
     worst_solve = 0.0
@@ -401,7 +394,7 @@ def test_small_instances_match_brute_force():
     """Two-variable problems solved independently by direct elimination."""
     c = Checklist()
     rng = np.random.default_rng(5)
-    names = ("x", "y")
+    names = VARIABLES[:2]
     for idx, (X0, X1) in enumerate(SMALL_INSTANCES):
         X0, X1 = np.asarray(X0), np.asarray(X1)
         model = fit_from_matrices(X0, X1, names)
@@ -422,14 +415,9 @@ def test_small_instances_match_brute_force():
         c1 = -0.5 * mu1 @ w1 + math.log(n1 / (n0 + n1))
         low = np.minimum(X0.min(axis=0), X1.min(axis=0)) - 1.0
         high = np.maximum(X0.max(axis=0), X1.max(axis=0)) + 1.0
-        agree = True
-        for _ in range(20):
-            z = rng.uniform(low, high)
-            want = GroupLabel.BANKRUPT if z @ w0 + c0 > z @ w1 + c1 else GroupLabel.NONBANKRUPT
-            got = fisher_classify(model, dict(zip(names, z)))
-            if got is not want:
-                agree = False
-                break
+        points = [rng.uniform(low, high) for _ in range(20)]
+        want = [GroupLabel.BANKRUPT if z @ w0 + c0 > z @ w1 + c1 else GroupLabel.NONBANKRUPT for z in points]
+        agree = confusion_matrix(model, labelled(points, want)).correct_fraction() == 1.0
         c.check(
             f"instance {idx}: classifications agree with brute-force rule",
             agree,

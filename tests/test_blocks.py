@@ -13,8 +13,6 @@
 - The column-wise row dots and column sums of the fit carry the bits of the
   per-row kernels, over 1-9 columns, with signed zeros, subnormals and
   values outside the range where Dekker's product is exact.
-- A model binds a Mapping observation by key and anything else by
-  attribute, so a variable named like a dict method reads the value.
 - The line source gives the csv reader the lines io.StringIO gives it: the
   same rows, csv errors and line numbers, over texts of commas, quotes, LF,
   CR and NUL, at the default field size limit and at a tiny one. It holds
@@ -37,7 +35,6 @@ import io
 import tempfile
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -52,7 +49,7 @@ from oracles import (
     split_reference,
 )
 
-from distress_lda import BindingError, DistressLdaError, GroupLabel, fisher_classify, fit_from_matrices, score
+from distress_lda import DistressLdaError
 from distress_lda import dataset
 from distress_lda.lda_fit import _row_dots
 
@@ -227,23 +224,6 @@ def test_row_dots_carry_the_bits_of_the_row_kernel(case):
 def test_column_sums_carry_the_bits_of_the_row_kernel(case):
     rows, _ = case
     assert bits(dataset.column_sums(rows)) == bits(column_sums_reference(rows))
-
-
-@pytest.mark.parametrize("name", ["values", "items", "keys", "get"])
-def test_variable_named_like_a_mapping_method(name):
-    """A mapping is read by key, though a method of its own has the variable's name."""
-    X0 = [[0.0, 0.0], [1.0, 0.5], [0.5, 1.5]]
-    X1 = [[3.0, 2.5], [4.0, 3.0], [3.5, 4.5]]
-    model = fit_from_matrices(X0, X1, (name, "b"))
-    by_key, by_attribute = {name: 1.0, "b": 2.0}, SimpleNamespace(**{name: 1.0, "b": 2.0})
-    expected = model.constant + model.coefficients[name] * 1.0 + model.coefficients["b"] * 2.0
-    assert score(model, by_key) == score(model, by_attribute) == expected
-    assert fisher_classify(model, by_key) is fisher_classify(model, by_attribute) is GroupLabel.BANKRUPT
-    for missing in ({"b": 2.0}, SimpleNamespace(b=2.0)):
-        with pytest.raises(BindingError, match=f"observation has no variable '{name}'"):
-            score(model, missing)
-        with pytest.raises(BindingError, match=f"observation has no variable '{name}'"):
-            fisher_classify(model, missing)
 
 
 def csv_outcome(lines, limit):

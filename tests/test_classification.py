@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from observations import RAW_ZONES, raw_scores
+from oracles import linear_form_reference, z_score_reference
 from records import replace
 
 from distress_lda import (
@@ -29,12 +31,10 @@ from distress_lda import (
     panel_labels,
     parse_panel,
     report_to_dict,
-    score,
     score_panel,
     training_set_from_panel,
 )
 from distress_lda.classification import _zones_of
-from distress_lda.normalization import apply
 
 # Frozen yearly evaluation of the bundled panel under the override zones:
 # (bankrupt, grey, nonbankrupt, hits, total, type1_count, type2_count).
@@ -81,7 +81,7 @@ class TestCutoff:
         assert cutoff_from_centroids(1.0, 3, -3.0, 1) == 0.0
 
     def test_cutoff_equals_grand_score_mean(self, fitted_model, normalized_set):
-        scores = [score(fitted_model, s.ratios) for s in normalized_set.samples]
+        scores = raw_scores(fitted_model, [s.ratios for s in normalized_set.samples])
         cutoff = cutoff_from_centroids(
             fitted_model.y0, fitted_model.n0, fitted_model.y1, fitted_model.n1
         )
@@ -161,9 +161,6 @@ class TestClassifyZone:
         assert ranks == sorted(ranks)
 
 
-RAW_ZONES = ClassificationZones(cutoff=0.0, grey=None, source="explicit-override")
-
-
 def score_one(model, stats, ratios, zones):
     """score_panel's score of one available bank-year with these ratios."""
     record = BankYearRecord("Alpha", 2015, ratios, True)
@@ -197,7 +194,7 @@ class TestScoreObservation:
 
     def test_normalized_mode_composes_z_scoring(self, fitted_model, norm_stats):
         v = RatioVector(0.2, 0.1, 0.02, 0.05, 0.5, 0.08)
-        direct = score(fitted_model, apply(norm_stats, v))
+        direct = linear_form_reference(fitted_model.constant, fitted_model.coefficients, z_score_reference(norm_stats, v))
         assert score_one(fitted_model, norm_stats, v, derive_zones(fitted_model)) == direct
 
     def test_normalized_mode_requires_stats(self, fitted_model):

@@ -117,6 +117,24 @@ class TestEigenvalueFromScores:
         with pytest.raises(ZeroVarianceError):
             eigenvalue_from_scores({"a": [1.0, 1.0], "b": [2.0, 2.0]})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_rejected(self, bad):
+        with pytest.raises(DomainError, match=f"^group 'a': score must be finite, got {bad!r}$"):
+            eigenvalue_from_scores({"a": [bad, 1.0], "b": [1.0, 2.0]})
+
+    def test_scatter_past_float_range_rejected(self):
+        """Finite scores whose squared deviations overflow, within a group or between
+        the groups, would give an eigenvalue of 0.0 or an OverflowError."""
+        with pytest.raises(ZeroVarianceError, match="^group 'a' has a score variance past float range$"):
+            eigenvalue_from_scores({"a": [1e308, -1e308], "b": [1.0, 2.0]})
+        with pytest.raises(ZeroVarianceError, match="^the score scatter is past float range$"):
+            eigenvalue_from_scores({"a": [1e160, 1.0000001e160], "b": [-1e160, -1.0000001e160]})
+
+    @pytest.mark.parametrize("groups", [{}, {"a": [1.0, 2.0]}], ids=["none", "one"])
+    def test_fewer_than_two_groups_rejected(self, groups):
+        with pytest.raises(InsufficientGroupError, match=f"^the eigenvalue needs at least two groups, got {len(groups)}$"):
+            eigenvalue_from_scores(groups)
+
 
 class TestWilks:
     def test_hand_case(self):
@@ -228,6 +246,12 @@ class TestBoxM:
     def test_zero_variance_rejected(self):
         with pytest.raises(ZeroVarianceError, match="'a'"):
             box_m_test({"a": [2.0, 2.0], "b": [1.0, 3.0]})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_rejected(self, bad):
+        """A nan score made M nan and the verdict "not homogenous"."""
+        with pytest.raises(DomainError, match=f"^group 'b': score must be finite, got {bad!r}$"):
+            box_m_test({"a": [1.0, 3.0], "b": [2.0, bad, 5.0]})
 
     def test_variance_past_float_range_rejected(self):
         """Box's M takes the log of each group's variance and of the pooled one."""

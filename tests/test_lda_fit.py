@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from distress_lda import (
     VARIABLES,
+    BankYearRecord,
     BindingError,
     DegenerateSeparationError,
     GroupLabel,
@@ -17,15 +18,14 @@ from distress_lda import (
     SingularMatrixError,
     VariableCountError,
     confusion_matrix,
-    fisher_classify,
     fit,
     fit_from_matrices,
-    score,
+    score_panel,
     solve_spd,
 )
 from distress_lda.lda_fit import _fma
-from oracles import eliminate
-from records import replace
+from observations import RAW_ZONES, labelled, raw_scores, vector
+from oracles import eliminate, linear_form_reference
 
 
 def _random_spd(rng, n):
@@ -204,7 +204,7 @@ class TestGroupStats:
 
 @pytest.fixture(scope="module")
 def hand_model():
-    return fit_from_matrices([[0.0], [2.0]], [[4.0], [6.0]], ("x",))
+    return fit_from_matrices([[0.0], [2.0]], [[4.0], [6.0]], ("eaa",))
 
 
 class TestFitHandCase:
@@ -216,7 +216,7 @@ class TestFitHandCase:
     """
 
     def test_direction_and_constant(self, hand_model):
-        assert hand_model.coefficients["x"] == pytest.approx(1 / math.sqrt(2), rel=1e-12)
+        assert hand_model.coefficients["eaa"] == pytest.approx(1 / math.sqrt(2), rel=1e-12)
         assert hand_model.constant == pytest.approx(-3 / math.sqrt(2), rel=1e-12)
 
     def test_centroids_and_spread(self, hand_model):
@@ -231,27 +231,24 @@ class TestFitHandCase:
         assert hand_model.wilks_lambda == pytest.approx(0.2, rel=1e-12)
 
     def test_standardized_matches_unit_scale(self, hand_model):
-        # sd of x within groups is sqrt(2), so standardized = b * sqrt(2) = 1.
-        assert hand_model.standardized["x"] == pytest.approx(1.0, rel=1e-12)
+        # sd of eaa within groups is sqrt(2), so standardized = b * sqrt(2) = 1.
+        assert hand_model.standardized["eaa"] == pytest.approx(1.0, rel=1e-12)
 
     def test_midpoint_classification(self, hand_model):
-        assert fisher_classify(hand_model, {"x": 1.0}) is GroupLabel.BANKRUPT
-        assert fisher_classify(hand_model, {"x": 5.0}) is GroupLabel.NONBANKRUPT
-        assert fisher_classify(hand_model, {"x": 2.9}) is GroupLabel.BANKRUPT
-        assert fisher_classify(hand_model, {"x": 3.1}) is GroupLabel.NONBANKRUPT
+        calls = [GroupLabel.BANKRUPT, GroupLabel.NONBANKRUPT, GroupLabel.BANKRUPT, GroupLabel.NONBANKRUPT]
+        cm = confusion_matrix(hand_model, labelled([[1.0], [5.0], [2.9], [3.1]], calls))
+        assert cm.correct_fraction() == 1.0
 
-    def test_exact_tie_goes_healthy(self, hand_model):
-        # Solver rounding keeps real fits off exact ties, so force one by
-        # giving both groups the same linear function.
-        from distress_lda import FisherFunctions
-
-        flat = FisherFunctions(
-            priors={"bankrupt": 0.5, "nonbankrupt": 0.5},
-            weights={"bankrupt": {"x": 1.0}, "nonbankrupt": {"x": 1.0}},
-            constants={"bankrupt": 0.0, "nonbankrupt": 0.0},
-        )
-        tied = replace(hand_model, fisher=flat)
-        assert fisher_classify(tied, {"x": 3.0}) is GroupLabel.NONBANKRUPT
+    def test_exact_tie_goes_healthy(self):
+        # Solver rounding keeps most fits off exact ties; groups {-3, -1} and
+        # {1, 3} mirror each other, so both Fisher functions are -1 + log(1/2)
+        # at 0 to the bit, and a training sample there sits on the boundary.
+        model = fit_from_matrices([[-3.0], [-1.0]], [[1.0], [3.0]], ("eaa",))
+        fisher = model.fisher
+        at_zero = [linear_form_reference(fisher.constants[k], fisher.weights[k], {"eaa": 0.0}) for k in fisher.weights]
+        assert at_zero[0] == at_zero[1]
+        cm = confusion_matrix(model, labelled([[0.0]], [GroupLabel.BANKRUPT]))
+        assert cm.counts == {(GroupLabel.BANKRUPT, GroupLabel.NONBANKRUPT): 1}
 
 
 class TestFitBundledPanel:
@@ -282,7 +279,7 @@ class TestFitBundledPanel:
         assert pooled == pytest.approx(1.0, abs=1e-9)
 
     def test_scores_decompose_total_scatter(self, fitted_model, normalized_set):
-        scores = np.array([score(fitted_model, s.ratios) for s in normalized_set.samples])
+        scores = np.array(raw_scores(fitted_model, [s.ratios for s in normalized_set.samples]))
         labels = np.array([int(s.label) for s in normalized_set.samples])
         grand = scores.mean()
         ss_total = ((scores - grand) ** 2).sum()
@@ -332,7 +329,7 @@ class TestFitProperties:
     def test_column_rescaling_leaves_scores_alone(self):
         rng = np.random.default_rng(41)
         X0, X1 = _random_instance(rng, 4, 9, 3)
-        names = ("u", "v", "w")
+        names = VARIABLES[:3]
         base = fit_from_matrices(X0, X1, names)
 
         scale = np.array([3.0, 0.04, 1.0])
@@ -340,9 +337,7 @@ class TestFitProperties:
         rescaled = fit_from_matrices(X0 * scale + shift, X1 * scale + shift, names)
 
         probe = rng.normal(size=(20, 3))
-        for row in probe:
-            before = score(base, dict(zip(names, row)))
-            after = score(rescaled, dict(zip(names, row * scale + shift)))
+        for before, after in zip(raw_scores(base, probe), raw_scores(rescaled, probe * scale + shift)):
             assert after == pytest.approx(before, abs=1e-9)
         for name, s in zip(names, scale):
             assert rescaled.standardized[name] == pytest.approx(
@@ -377,25 +372,36 @@ class TestFitProperties:
             fit_from_matrices([[0.0]], [[4.0], [6.0]], ("x",))
 
 
+@pytest.fixture(scope="module")
+def tuple_method_model(normalized_set):
+    """The bundled fit with its columns named count, index, eaa, roae, roaa and nii,
+    the first two of them methods of a ratio vector, which is a tuple."""
+    X0 = [s.ratios for s in normalized_set.samples if s.label is GroupLabel.BANKRUPT]
+    X1 = [s.ratios for s in normalized_set.samples if s.label is GroupLabel.NONBANKRUPT]
+    return fit_from_matrices(X0, X1, ("count", "index", "eaa", "roae", "roaa", "nii"))
+
+
 class TestScoreBinding:
     def test_mapping_and_attribute_access(self, fitted_model, normalized_set):
+        """The column pass scores a sample as the per-observation form read by name does."""
         sample = normalized_set.samples[0]
-        via_attrs = score(fitted_model, sample.ratios)
-        via_dict = score(fitted_model, dict(zip(VARIABLES, sample.ratios)))
-        assert via_dict == via_attrs
+        [via_columns] = raw_scores(fitted_model, [sample.ratios])
+        via_dict = linear_form_reference(fitted_model.constant, fitted_model.coefficients, dict(zip(VARIABLES, sample.ratios)))
+        assert via_dict == via_columns
 
-    def test_missing_variable_raises_binding_error(self, fitted_model):
-        with pytest.raises(BindingError, match="'eaa'"):
-            score(fitted_model, {"roae": 1.0})
+    def test_missing_variable_raises_binding_error(self, tuple_method_model):
+        record = BankYearRecord("Alpha", 2015, vector([1.0]), True)
+        with pytest.raises(BindingError, match="^observation has no variable 'count'$"):
+            score_panel(tuple_method_model, None, [record], RAW_ZONES)
 
-    def test_fisher_checks_binding_too(self, fitted_model):
-        with pytest.raises(BindingError):
-            fisher_classify(fitted_model, object())
+    def test_fisher_checks_binding_too(self, tuple_method_model, normalized_set):
+        """A variable named like a tuple method is not read off the ratio vector
+        as an attribute: the Fisher functions' columns bind by VARIABLES."""
+        with pytest.raises(BindingError, match="^observation has no variable 'count'$"):
+            confusion_matrix(tuple_method_model, normalized_set)
 
     def test_centroid_scores_reproduced(self, fitted_model, normalized_set):
-        scores0 = [
-            score(fitted_model, s.ratios)
-            for s in normalized_set.samples
-            if s.label is GroupLabel.BANKRUPT
-        ]
+        scores0 = raw_scores(
+            fitted_model, [s.ratios for s in normalized_set.samples if s.label is GroupLabel.BANKRUPT]
+        )
         assert np.mean(scores0) == pytest.approx(fitted_model.y0, abs=1e-12)

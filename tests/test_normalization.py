@@ -7,12 +7,12 @@ from distress_lda import (
     LabeledSample,
     NormalizationStats,
     RatioVector,
+    TrainingSet,
     ZeroVarianceError,
     build_training_set,
     fit_normalizer,
     normalize_training_set,
 )
-from distress_lda.normalization import apply
 
 
 def _training_set(matrix, n0=2):
@@ -35,10 +35,10 @@ def test_bundled_panel_moments(norm_stats):
     assert norm_stats.sd["bdtla"] == pytest.approx(0.08464, abs=5e-5)
 
 
-def test_bundled_panel_z_scores(norm_stats, training_set):
+def test_bundled_panel_z_scores(normalized_set):
     """Spot values of the standardized panel: the failed bank's EAA z-score
     is -0.42518 and the largest capital-adequacy z-score is 2.96608."""
-    by_bank = {s.bank_id: apply(norm_stats, s.ratios) for s in training_set.samples}
+    by_bank = {s.bank_id: s.ratios for s in normalized_set.samples}
     assert by_bank["Moza Banco, S.A"].eaa == pytest.approx(-0.42518, abs=5e-3)
     assert by_bank["Banco Nacional e de Invest."].eaa == pytest.approx(2.96608, abs=1e-2)
 
@@ -93,7 +93,7 @@ def test_affine_invariance_of_z_scores():
     matrix = rng.normal(size=(9, 6))
     stats = fit_normalizer(_training_set(matrix))
     z_before = np.array(
-        [tuple(apply(stats, s.ratios)) for s in _training_set(matrix).samples]
+        [tuple(s.ratios) for s in normalize_training_set(stats, _training_set(matrix)).samples]
     )
 
     scaled = matrix.copy()
@@ -101,7 +101,7 @@ def test_affine_invariance_of_z_scores():
     scaled[:, 5] = 0.004 * scaled[:, 5] + 19.0
     stats2 = fit_normalizer(_training_set(scaled))
     z_after = np.array(
-        [tuple(apply(stats2, s.ratios)) for s in _training_set(scaled).samples]
+        [tuple(s.ratios) for s in normalize_training_set(stats2, _training_set(scaled)).samples]
     )
     np.testing.assert_allclose(z_after, z_before, atol=1e-9)
 
@@ -111,7 +111,8 @@ def test_apply_uses_frozen_moments():
         mean={k: 1.0 for k in ("eaa", "roae", "roaa", "nii", "laaa", "bdtla")},
         sd={k: 2.0 for k in ("eaa", "roae", "roaa", "nii", "laaa", "bdtla")},
     )
-    z = apply(stats, RatioVector(1.0, 3.0, 5.0, 0.0, -1.0, 2.0))
+    sample = LabeledSample("bank0", RatioVector(1.0, 3.0, 5.0, 0.0, -1.0, 2.0), GroupLabel.BANKRUPT)
+    [(_, z, _)] = normalize_training_set(stats, TrainingSet(samples=(sample,), n0=1, n1=0)).samples
     assert z == RatioVector(0.0, 1.0, 2.0, -0.5, -1.0, 0.5)
 
 

@@ -7,8 +7,11 @@
 - The fit agrees with the numpy oracle to 1e-12 relative, over 1-9 variables.
 - Window means and normalizer statistics carry numpy's bits exactly.
 - The eigenvalue and Box's M of a score table agree with numpy's to 1e-12.
-- Panel scoring carries the bits of score() on the (z-scored) ratio vector, and
-  score_panel zones each bank-year as evaluate_panel does.
+- Panel scoring carries the bits of the per-observation linear form on the
+  (z-scored) ratio vector, and score_panel zones each bank-year as
+  evaluate_panel does.
+- confusion_matrix makes the per-observation Fisher call of every sample,
+  an exact tie going to nonbankrupt.
 """
 from __future__ import annotations
 
@@ -20,11 +23,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    fisher_call_reference,
     fit_reference,
+    linear_form_reference,
     normalizer_reference,
     score_box_m_reference,
     score_eigenvalue_reference,
     window_mean_reference,
+    z_score_reference,
 )
 from panel_csv import serialize_panel
 from records import replace
@@ -36,15 +42,18 @@ from distress_lda import (
     ClassificationZones,
     DuplicateRecordError,
     EmptyWindowError,
+    FisherFunctions,
     GroupLabel,
     LabeledSample,
     ParseError,
     RatioVector,
     SchemaError,
+    TrainingSet,
     ZeroVarianceError,
     average_ratios,
     box_m_test,
     build_training_set,
+    confusion_matrix,
     eigenvalue_from_scores,
     evaluate_panel,
     fit_from_matrices,
@@ -52,14 +61,13 @@ from distress_lda import (
     panel_labels,
     load_model,
     parse_panel,
-    score,
     score_panel,
 )
 from distress_lda.classification import _zones_of
 from distress_lda.dataset import load_panels
 from distress_lda.fixtures import data_path
 from distress_lda.lda_fit import GROUP_KEYS, PRIORS
-from distress_lda.normalization import NormalizationStats, apply
+from distress_lda.normalization import NormalizationStats
 
 # No deadline: per-example times vary with machine load more than the default allows.
 SETTINGS = settings(deadline=None, max_examples=50)
@@ -370,15 +378,16 @@ def test_panel_scores_carry_the_bits_of_score(case, source, data):
     labels = {record.bank_id: GroupLabel.NONBANKRUPT for record in records}
     zones = ClassificationZones(cutoff=0.0, grey=None, source=source)
     normalized = source == "derived-from-model"
-    try:
-        expected = [score(model, apply(stats, v) if normalized else v) for v in vectors]
-    except BindingError as exc:
+    foreign = [name for name in model.coefficients if name not in VARIABLES]
+    if foreign:
         with pytest.raises(BindingError) as from_scorer:
             score_panel(model, stats, records, zones)
         with pytest.raises(BindingError) as from_report:
             evaluate_panel(model, stats, records, labels, zones)
-        assert str(from_scorer.value) == str(from_report.value) == str(exc)
+        assert str(from_scorer.value) == str(from_report.value) == f"observation has no variable {foreign[0]!r}"
         return
+    z = [z_score_reference(stats, v) if normalized else dict(zip(VARIABLES, v)) for v in vectors]
+    expected = [linear_form_reference(model.constant, model.coefficients, row) for row in z]
     drawn = st.sampled_from(expected)
     grey = data.draw(st.none() | st.tuples(drawn, drawn).map(lambda pair: tuple(sorted(pair))))
     zones = ClassificationZones(data.draw(drawn), grey, source)
@@ -388,3 +397,37 @@ def test_panel_scores_carry_the_bits_of_score(case, source, data):
     by_bank = {b["bank"]: b for b in report.years[0].banks}
     assert bits(by_bank[r.bank_id]["score"] for r in records) == bits(expected)
     assert [e["zone"] for e in entries] == [by_bank[r.bank_id]["zone"] for r in records]
+
+
+@st.composite
+def fisher_cases(draw):
+    """A model with drawn Fisher functions over a permutation of the variables,
+    the nonbankrupt one sometimes a copy of the bankrupt one so that every
+    sample ties, and 1-8 labelled z-score rows."""
+    names = draw(st.permutations(VARIABLES))
+    functions = [
+        (dict(zip(names, draw(st.lists(coef_values, min_size=6, max_size=6)))), draw(coef_values))
+        for _ in GROUP_KEYS
+    ]
+    if draw(st.booleans()):
+        functions[1] = functions[0]
+    fisher = FisherFunctions(
+        priors=dict.fromkeys(GROUP_KEYS, 0.5),
+        weights={key: weights for key, (weights, _) in zip(GROUP_KEYS, functions)},
+        constants={key: constant for key, (_, constant) in zip(GROUP_KEYS, functions)},
+    )
+    rows = draw(st.lists(st.tuples(ratio_rows, st.sampled_from(GroupLabel)), min_size=1, max_size=8))
+    samples = tuple(LabeledSample(f"B{k}", RatioVector(*row), label) for k, (row, label) in enumerate(rows))
+    n0 = sum(label is GroupLabel.BANKRUPT for _, label in rows)
+    return replace(REFERENCE_MODEL, fisher=fisher), TrainingSet(samples=samples, n0=n0, n1=len(samples) - n0)
+
+
+@SETTINGS
+@given(fisher_cases())
+def test_confusion_counts_follow_the_per_observation_fisher_call(case):
+    model, ts = case
+    expected: dict = {}
+    for sample in ts.samples:
+        key = (sample.label, fisher_call_reference(model, dict(zip(VARIABLES, sample.ratios))))
+        expected[key] = expected.get(key, 0) + 1
+    assert confusion_matrix(model, ts).counts == expected

@@ -2,11 +2,13 @@
 each live in one function, the package imports only the standard library and
 itself, nothing imports numpy or dataclasses, and no package module imports
 another's underscore name.
-The package exports what __init__ imports, and the bench finds every name it calls."""
+The package exports what __init__ imports, the bench finds every name it calls,
+and the README's python examples run."""
 import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -15,6 +17,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "distress_lda"
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TESTS = Path(__file__).resolve().parent
+README = PACKAGE.parents[1] / "README.md"
 
 # Each call that reads, writes or formats a file, each raise of the design
 # rule's error and each import of a module in IMPORTS, with the one function
@@ -168,3 +171,20 @@ def test_bench_reaches_what_it_calls(monkeypatch):
     years = output[-1]["years"]
     assert tracer.counts[0]["classification.scored"] == sum(y["total"] for y in years)
     assert tracer.counts[0]["classification.grey"] == sum(y["counts"]["grey"] for y in years)
+
+
+def test_readme_python_blocks_run(tmp_path):
+    """Each python block of the README runs on the package alone, and the library
+    example prints one line per evaluated year of the bundled panels."""
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert blocks
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    years = []
+    for block in blocks:
+        proc = subprocess.run(
+            [sys.executable, "-c", block],
+            capture_output=True, text=True, encoding="utf-8", env=env, cwd=tmp_path, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        years += re.findall(r"^(\d{4}) \d+%$", proc.stdout, re.M)
+    assert years == [str(year) for year in range(2012, 2021)]
