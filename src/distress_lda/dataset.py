@@ -183,7 +183,7 @@ def parse_panel(text: str) -> list[BankYearRecord]:
     Rows whose six ratio cells are all zero or all empty become records with
     available=False (the ratios are kept as zeros but mean nothing).
     """
-    return _read_panel(text, lambda header, rows: _records(header, rows, set(), _Floats()))
+    return _read_panel(text, lambda header, rows: _records(header, rows, set(), _Floats(), {}))
 
 
 def parse_number(text: str) -> float:
@@ -224,16 +224,16 @@ class _Floats(dict):
 
 
 def _records(
-    header: list[str], blocks: _Rows, seen: set[tuple[int, str]], floats: _Floats
+    header: list[str], blocks: _Rows, seen: set[tuple[int, str]], floats: _Floats, names: dict[str, str]
 ) -> list[BankYearRecord]:
     """The blocks' records; a (year, bank) already in seen (from any file) is
-    refused, a new one added. floats holds the ratio cells read so far (from
-    any file), so that equal cells share one float."""
+    refused, a new one added. floats holds the ratio cells and names the bank
+    names read so far (from any file), so that equal cells share one float and
+    each bank's records one str."""
     bank_at, year_at = header.index("bank"), header.index("year")
     ratio_at = [header.index(name) for name in VARIABLES]
     width = max(bank_at, year_at, *ratio_at) + 1
     years: dict[str, int] = {}  # each distinct year cell, parsed once
-    names: dict[str, str] = {}  # each distinct bank, so that its records share one str
 
     def by_block(block: list[list[str]]) -> list[BankYearRecord]:
         """The block's records from C-level passes, which raise ValueError or
@@ -358,11 +358,12 @@ def load_panels(
     labels: dict[str, GroupLabel] = {}
     seen: set[tuple[int, str]] = set()  # each (year, bank), over every file
     floats = _Floats()  # each ratio cell's value, over every file
+    names: dict[str, str] = {}  # each bank's name, over every file
     for path in paths:
         text = read_text(path, what, PanelError)
         try:
             header, rows = _read_panel(text, lambda header, rows: (header, list(rows)))
-            if not (found := _records(header, rows, seen, floats)):
+            if not (found := _records(header, rows, seen, floats, names)):
                 raise SchemaError("panel has a header but no data rows")
             records += found
             if overrides is None or (overrides and "label" not in header):

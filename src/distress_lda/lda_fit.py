@@ -28,10 +28,10 @@ host rather than those of whichever BLAS kernel the host picks:
 These are the orders of numpy 2 on OpenBLAS's Haswell-class kernels, with
 which the package's recorded fits were made, so those records keep every
 bit. For p = 1 and p >= 8 OpenBLAS takes other orders in places, so the two
-can differ in the last bits there. A fused multiply-add rounds once;
-Python 3.11 has no math.fma, so _fma_chain makes it exactly. The first step
-of a chain from 0.0 needs no such care: x * y + 0.0 rounded once is the
-rounded product x * y, save that an exact zero product gives +0.0.
+can differ in the last bits there. A fused multiply-add rounds once, and
+math.fma is 3.13+: _fma_chain adds the four exact products of Veltkamp's
+halves and the total in one math.fsum (Shewchuk's exact sum), rounded once.
+From 0.0 a chain's first step is x * y rounded, save that an exact 0 gives +0.0.
 """
 from __future__ import annotations
 
@@ -119,8 +119,8 @@ def solve_spd(S, d) -> list[float]:
     return v
 
 
-# Dekker's product is exact for |a| and |b| in this range: Veltkamp's split of
-# either cannot overflow, and no partial product of the two underflows.
+# For |a| and |b| in this range each product of a half of a with a half of b is
+# exact: halves have at most 26 bits, neither split overflows, none underflows.
 _EXACT_LOW, _EXACT_HIGH = 2.0**-480, 2.0**480
 _SPLITTER = 134217729.0  # 2**27 + 1
 
@@ -137,15 +137,14 @@ def _split(x: float) -> tuple[float, float | None, float | None]:
 
 def _fma_chain(xs, ys, total: float = 0.0) -> float:
     """total + x0 * y0 + x1 * y1 + ... over split operands, one fused
-    multiply-add per term. In the exact range Dekker's product makes x * y
-    exactly p + e, and math.fsum rounds p + e + total once; outside it the
-    term is made exactly in Fraction."""
+    multiply-add per term. In the exact range x * y is exactly the sum of the
+    four half-products, and math.fsum rounds that sum plus total once; outside
+    it the term is made exactly in Fraction."""
     for (u, uh, ul), (v, vh, vl) in zip(xs, ys):
         if uh is None or vh is None:
             total = _fraction_fma(u, v, total)
         else:
-            p = u * v
-            total = fsum((p, ((uh * vh - p) + uh * vl + ul * vh) + ul * vl, total))
+            total = fsum((uh * vh, uh * vl, ul * vh, ul * vl, total))
     return total
 
 

@@ -4,7 +4,8 @@ Nothing here shares code with the package: the incomplete-gamma oracle is a
 plain power series and the incomplete-beta oracle is numerical quadrature,
 both evaluated at 50-digit precision with mpmath, the linear-system oracle
 is Gaussian elimination with partial pivoting, the fit oracle is the
-discriminant fit written in numpy arrays on top of it, and the window-mean and
+discriminant fit written in numpy arrays on top of it, the exact-fit oracle
+is the same formulas at 60 digits in mpmath, and the window-mean and
 normalizer oracles are numpy's own reductions, which the package's pure-Python
 sums must match to the bit. The score-table oracles are the eigenvalue and
 Box's M written with numpy's pairwise-summed mean and variance. Agreement
@@ -14,7 +15,9 @@ The panel-reader, fit-kernel and linear-form oracles at the end are the
 package's earlier row-at-a-time code, kept as it was: one csv row, one
 Python step, one record; one observation, one score. They pin the block-at-a-time and column passes that replaced it to
 the same records, labels, errors, calls and bits. They build the package's own record and
-error types and use its number and year rules, which they do not test.
+error types and use its number and year rules, which they do not test. The
+fit kernels keep Dekker's product in each fused multiply-add, so they also pin
+the package's four half-products in one fsum to the bits of that older form.
 """
 import csv
 import io
@@ -187,6 +190,69 @@ def fit_reference(X0, X1, priors="proportional"):
         "pooled_correlation": s_w / np.outer(sd, sd),
         "fisher": fisher,
     }
+
+
+def exact_fit_reference(X0, X1, priors="proportional"):
+    """The fit's formulas at 60 digits on the same float rows, as mpf values in a
+    dict keyed by DiscriminantModel's fields: the direction S_w^{-1}(mu1 - mu0)
+    scaled to b'S_w b = 1, the constant at minus the grand-mean score, the score
+    centroids, sds (n - 1) and eigenvalue (between- over within-group sum of
+    squares), and the Fisher functions as (weights, constant) pairs, bankrupt
+    first. "largest_vif" is the largest diagonal entry of the inverse of S_w
+    scaled to unit diagonal: the largest pooled variance inflation factor."""
+    with mp.workdps(60):
+        groups = [[[mp.mpf(x) for x in row] for row in rows] for rows in (X0, X1)]
+        (n0, n1), p = map(len, groups), len(groups[0][0])
+        N = n0 + n1
+
+        def mean(rows):
+            return [mp.fsum(column) / len(rows) for column in zip(*rows)]
+
+        def dot(x, y):
+            return mp.fsum(u * v for u, v in zip(x, y))
+
+        mu0, mu1 = means = [mean(rows) for rows in groups]
+        W = mp.zeros(p, p)
+        for rows, mu in zip(groups, means):
+            for row in rows:
+                dev = [x - m for x, m in zip(row, mu)]
+                for i in range(p):
+                    for j in range(p):
+                        W[i, j] += dev[i] * dev[j]
+        s_w = W / (N - 2)
+        diff = [m1 - m0 for m0, m1 in zip(mu0, mu1)]
+        b_raw = list(mp.lu_solve(s_w, diff))
+        b = [v / mp.sqrt(dot(diff, b_raw)) for v in b_raw]
+        a = -dot(b, mean(groups[0] + groups[1]))
+        scores0, scores1 = ([dot(b, row) + a for row in rows] for rows in groups)
+        y0, y1 = dot(b, mu0) + a, dot(b, mu1) + a
+
+        def sd(values):
+            m = mp.fsum(values) / len(values)
+            return mp.sqrt(mp.fsum((v - m) ** 2 for v in values) / (len(values) - 1))
+
+        grand = mp.fsum(scores0 + scores1) / N
+        ss_between = n0 * (y0 - grand) ** 2 + n1 * (y1 - grand) ** 2
+        ss_within = mp.fsum((s - y0) ** 2 for s in scores0) + mp.fsum((s - y1) ** 2 for s in scores1)
+        pi = (mp.mpf(n0) / N, mp.mpf(n1) / N) if priors == "proportional" else (mp.mpf(0.5),) * 2
+        fisher = []
+        for mu, prior in zip(means, pi):
+            w = list(mp.lu_solve(s_w, mu))
+            fisher.append((w, -dot(mu, w) / 2 + mp.log(prior)))
+        scale = [1 / mp.sqrt(s_w[i, i]) for i in range(p)]
+        R = mp.matrix([[s_w[i, j] * scale[i] * scale[j] for j in range(p)] for i in range(p)])
+        R_inv = mp.inverse(R)
+        return {
+            "coefficients": b,
+            "constant": a,
+            "y0": y0,
+            "y1": y1,
+            "s0": sd(scores0),
+            "s1": sd(scores1),
+            "eigenvalue": ss_between / ss_within,
+            "fisher": fisher,
+            "largest_vif": max(R_inv[i, i] for i in range(p)),
+        }
 
 
 def score_eigenvalue_reference(scores_by_group):

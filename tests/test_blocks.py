@@ -11,8 +11,9 @@
   across files, and labels that conflict across blocks. Rows of empty ratio
   cells and empty lines do not send a block to the row rules.
 - The column-wise row dots and column sums of the fit carry the bits of the
-  per-row kernels, over 1-9 columns, with signed zeros, subnormals and
-  values outside the range where Dekker's product is exact.
+  per-row kernels, which make each fused multiply-add with Dekker's product,
+  over 1-9 columns, with signed zeros, subnormals and values outside the
+  range where the package's half-products are exact.
 - The line source gives the csv reader the lines io.StringIO gives it: the
   same rows, csv errors and line numbers, over texts of commas, quotes, LF,
   CR and NUL, at the default field size limit and at a tiny one. It holds
@@ -191,8 +192,8 @@ def test_block_pass_reads_no_data_rows_and_empty_lines(block):
     assert outcome(lambda: records) == outcome(parse_panel_reference, text)
 
 
-# Signed zeros, subnormals, values past 2**±480 (where _fma leaves Dekker's
-# product for exact fractions) and ordinary ones.
+# Signed zeros, subnormals, values past 2**±480 (where _fma leaves its
+# half-products for exact fractions) and ordinary ones.
 kernel_values = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1000, -(2.0**-1030), 2.0**500, -(2.0**600), 1e300, 2.0**-481]),
     st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
@@ -273,19 +274,20 @@ def test_line_source_holds_less_than_half_of_stringio(monkeypatch):
 
 @pytest.mark.parametrize("block", BLOCK_SIZES)
 def test_records_of_a_bank_share_one_name(block, tmp_path):
-    """Also when the row rules read one of the bank's blocks: \\x1c0.5, which
-    float() refuses, sends its block there. (Names of one character would
-    prove nothing: CPython keeps one str per such character.)"""
+    """Also when the row rules read one of the bank's blocks (\\x1c0.5, which
+    float() refuses, sends its block there), and across the two files of
+    load_panels, each of which holds both banks. (Names of one character
+    would prove nothing: CPython keeps one str per such character.)"""
     rows = [("Bank A", 2012, "0.5"), (" Bank A", 2013, "0.5"), ("Bank A ", 2014, "\x1c0.5"), ("Bank B", 2012, "1"),
             (" Bank B ", 2013, "1"), ("Bank A", 2015, "0.25"), ("Bank B", 2014, "\x1c1"), ("Bank A", 2016, "2")]
-    text = "bank,year,eaa,roae,roaa,nii,laaa,bdtla,label\n" + "".join(
-        f"{bank},{year},{cell},1,1,1,1,1,bankrupt\n" for bank, year, cell in rows
-    )
-    path = tmp_path / "panel.csv"
-    path.write_text(text, encoding="utf-8")
+    header = "bank,year,eaa,roae,roaa,nii,laaa,bdtla,label\n"
+    lines = [f"{bank},{year},{cell},1,1,1,1,1,bankrupt\n" for bank, year, cell in rows]
+    paths = [tmp_path / "first.csv", tmp_path / "second.csv"]
+    for path, part in zip(paths, (lines[:4], lines[4:])):
+        path.write_text(header + "".join(part), encoding="utf-8")
     with mock.patch.object(dataset, "_BLOCK", block):
-        parsed = dataset.parse_panel(text)
-        loaded, _ = dataset.load_panels([path], "panel", None)
+        parsed = dataset.parse_panel(header + "".join(lines))
+        loaded, _ = dataset.load_panels(paths, "panel", None)
     for records in (parsed, loaded):
         assert [r.bank_id for r in records] == [bank.strip() for bank, _, _ in rows]
         first: dict[str, str] = {}

@@ -1,11 +1,12 @@
 """Discriminant fit: the SPD solver, the fused multiply-add, the input
-contract, the canonical scaling, and Fisher rules."""
+contract, the canonical scaling, Fisher rules and the fit's accuracy."""
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from distress_lda import (
@@ -20,12 +21,17 @@ from distress_lda import (
     confusion_matrix,
     fit,
     fit_from_matrices,
+    fit_normalizer,
+    normalize_training_set,
+    panel_labels,
+    parse_panel,
     score_panel,
     solve_spd,
+    training_set_from_panel,
 )
-from distress_lda.lda_fit import _fma
+from distress_lda.lda_fit import GROUP_KEYS, PRIORS, _fma
 from observations import RAW_ZONES, labelled, raw_scores, vector
-from oracles import eliminate, linear_form_reference
+from oracles import eliminate, exact_fit_reference, linear_form_reference
 
 
 def _random_spd(rng, n):
@@ -70,7 +76,7 @@ class TestSolveSpd:
             solve_spd([[-1.0]], [1.0])
 
 
-# Operands where Dekker's product stops being exact, or Veltkamp's split of an
+# Operands where the half-products stop being exact, or Veltkamp's split of an
 # operand would overflow (|x| * (2**27 + 1) > max), and the ends of the range.
 _FMA_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.0**-480, 2.0**-481,
               2.0**480, 2.0**481, 2.0**996, -(2.0**997), 1.7976931348623157e308, -1.7976931348623157e308]
@@ -99,6 +105,17 @@ class TestFma:
         else:
             assert result.hex() == _rounded(exact).hex()
 
+    @pytest.mark.skipif(not hasattr(math, "fma"), reason="math.fma is Python 3.13+")
+    @settings(deadline=None, max_examples=2000)
+    @given(fma_operands, fma_operands, fma_operands)
+    def test_matches_the_platform_fma(self, a, b, c):
+        """The platform's own fused multiply-add, signed zeros included, wherever its result is finite."""
+        try:
+            expected = math.fma(a, b, c)
+        except OverflowError:
+            reject()
+        assert _fma(a, b, c).hex() == expected.hex()
+
     def test_differs_from_the_twice_rounded_sum(self):
         """(1 + 2**-30)**2 - 1 keeps the 2**-60 that a * b rounds away."""
         a = 1.0 + 2.0**-30
@@ -121,6 +138,57 @@ class TestFma:
     def test_non_finite_results(self, a, b, c, expected):
         result = _fma(a, b, c)
         assert result == expected or (math.isnan(expected) and math.isnan(result))
+
+
+@pytest.fixture(scope="module", params=["table2", "panel-800 seed 1"])
+def z_scored(request):
+    """The z-scored training set of the case study, or of the benchmark's 800-bank panel of seed 1."""
+    if request.param == "table2":
+        return request.getfixturevalue("normalized_set")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        from synth import generate_panel
+
+        text, _ = generate_panel(1, 800)
+    ts = training_set_from_panel(parse_panel(text), panel_labels(text))
+    return normalize_training_set(fit_normalizer(ts), ts)
+
+
+class TestAccuracy:
+    """The fit stays close to its formulas evaluated at 60 digits on the same float rows.
+
+    The bound, with u = 2**-53: to first order, every field's error comes from
+    the solves with the pooled covariance S_w and from the sums that form S_w
+    and the means. Cholesky is backward stable (Higham 2002, Thm 10.4): with
+    those sums, the computed solution solves a system whose correlation-scaled
+    matrix R is off by a few u. That scaling leaves Cholesky's errors as they
+    are, and in it a perturbation grows by at most ||R^-1||_2 <= trace(R^-1),
+    the sum of the pooled VIFs, <= p times the largest VIF. So the coefficients
+    and Fisher weights keep within tol = 8 p u VIF_max of their largest entry,
+    8 counting those few u. Every other field is a short dot product or sum
+    over them, held to tol on the scale max(1, |value|); 1 is the scores' own
+    scale, since b'S_w b = 1. Measured: every field within 11 u, against a
+    tol of 1143 u on table2 (VIF_max 23.8) and 49 u on panel-800 seed 1
+    (VIF_max 1.02). Float32 rounding of one input, or a dropped term, breaks it.
+    """
+
+    @pytest.mark.parametrize("priors", PRIORS)
+    def test_within_the_bound_of_the_exact_fit(self, z_scored, priors):
+        X0 = [s.ratios for s in z_scored.samples if s.label is GroupLabel.BANKRUPT]
+        X1 = [s.ratios for s in z_scored.samples if s.label is GroupLabel.NONBANKRUPT]
+        model, exact = fit(z_scored, priors), exact_fit_reference(X0, X1, priors)
+        tol = 8 * len(VARIABLES) * 2.0**-53 * exact["largest_vif"]
+
+        def vector_error(got, want):
+            return max(abs(g - w) for g, w in zip(got, want, strict=True)) / max(map(abs, want))
+
+        errors = {"coefficients": vector_error(model.coefficients.values(), exact["coefficients"])}
+        for field in ("constant", "y0", "y1", "s0", "s1", "eigenvalue"):
+            errors[field] = abs(getattr(model, field) - exact[field]) / max(1, abs(exact[field]))
+        for key, (weights, constant) in zip(GROUP_KEYS, exact["fisher"]):
+            errors[f"{key} weights"] = vector_error(model.fisher.weights[key].values(), weights)
+            errors[f"{key} constant"] = abs(model.fisher.constants[key] - constant) / max(1, abs(constant))
+        assert {field: float(error / tol) for field, error in errors.items() if error > tol} == {}
 
 
 class TestInputContract:
