@@ -22,19 +22,23 @@ is raised in its place.
 
 The csv reader reads the lines that io.StringIO(text) would yield, cut from
 the text with str.split, which holds no copy of the text at four bytes a
-character. A text may start with one byte-order mark, which is not data.
+character. A text, like a panel file, may start with one byte-order mark,
+which is not data.
 
 The records of one read (one text, or every file of load_panels) share one
 str for each bank's name and one float for each distinct ratio-cell text,
 parsed once: ratios published to four decimals repeat. Each value keeps the
-bits of float() of its cell, so only `is` can tell; the table is keyed by
-text, so -0.0000 and 0.0000 keep their signs, and it ends with the read.
+bits of float() of its cell, so only `is` can tell. The read's
+functools.cache of parse_number is keyed by the cell's text, so -0.0000 and
+0.0000 keep their signs; it keeps no call that raised, so a refused cell
+raises on every read; and it ends with the read.
 """
 from __future__ import annotations
 
 import csv
 import enum
 import math
+from functools import cache
 from itertools import chain, compress, groupby, islice, repeat
 from operator import add, itemgetter
 from pathlib import Path
@@ -165,7 +169,7 @@ def _read_panel(text: str, read: Callable[[list[str], _Rows], _Read]) -> _Read:
     A csv error anywhere in the text wins: a panel error raised before the
     reader is spent is raised only once the rest of the text splits cleanly.
     """
-    reader = csv.reader(_lines(text.removeprefix("\ufeff")))  # a byte-order mark, as read_text drops it
+    reader = csv.reader(_lines(text))
     try:
         try:
             return read(*_split_rows(reader))
@@ -183,7 +187,8 @@ def parse_panel(text: str) -> list[BankYearRecord]:
     Rows whose six ratio cells are all zero or all empty become records with
     available=False (the ratios are kept as zeros but mean nothing).
     """
-    return _read_panel(text, lambda header, rows: _records(header, rows, set(), _Floats(), {}))
+    text = text.removeprefix("\ufeff")  # a byte-order mark, as read_text drops it
+    return _read_panel(text, lambda header, rows: _records(header, rows, set(), cache(parse_number), {}))
 
 
 def parse_number(text: str) -> float:
@@ -213,27 +218,17 @@ def parse_year(text: str) -> int:
 _BLANK = RatioVector(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # shared by every row with empty ratio cells
 
 
-class _Floats(dict):
-    """Each ratio cell of one read, to its value: parse_number reads a cell on
-    its first lookup (a cell it refuses raises its ValueError and is not
-    added), and each later lookup of an equal cell returns the same float."""
-
-    def __missing__(self, cell: str) -> float:
-        self[cell] = value = parse_number(cell)
-        return value
-
-
 def _records(
-    header: list[str], blocks: _Rows, seen: set[tuple[int, str]], floats: _Floats, names: dict[str, str]
+    header: list[str], blocks: _Rows, seen: set[tuple[int, str]], floats: Callable[[str], float], names: dict[str, str]
 ) -> list[BankYearRecord]:
     """The blocks' records; a (year, bank) already in seen (from any file) is
-    refused, a new one added. floats holds the ratio cells and names the bank
-    names read so far (from any file), so that equal cells share one float and
-    each bank's records one str."""
+    refused, a new one added. floats is the read's cached parse_number and
+    names holds the bank names read so far (from any file), so that equal
+    cells share one float and each bank's records one str."""
     bank_at, year_at = header.index("bank"), header.index("year")
     ratio_at = [header.index(name) for name in VARIABLES]
     width = max(bank_at, year_at, *ratio_at) + 1
-    years: dict[str, int] = {}  # each distinct year cell, parsed once
+    years = cache(parse_year)  # each distinct year cell, parsed once
 
     def by_block(block: list[list[str]]) -> list[BankYearRecord]:
         """The block's records from C-level passes, which raise ValueError or
@@ -241,16 +236,13 @@ def _records(
         block = list(filter(None, block))  # an empty line holds no record
         banks = list(map(str.strip, map(itemgetter(bank_at), block)))
         banks = list(map(names.setdefault, banks, banks))
-        cells = list(map(itemgetter(year_at), block))
-        for cell in set(cells).difference(years):
-            years[cell] = parse_year(cell)
-        row_years = list(map(years.__getitem__, cells))
+        row_years = list(map(years, map(itemgetter(year_at), block)))
         keys = set(zip(row_years, banks))
         rows = list(map(itemgetter(*ratio_at), block))
         filled = list(map(any, rows))  # False for a row whose ratio cells are all empty
         cells = list(chain.from_iterable(compress(rows, filled)))  # six a row
         # Unstripped: parse_number reads a cell as it reads the stripped cell, or refuses it.
-        values = list(map(floats.__getitem__, cells))
+        values = list(map(floats, cells))
         if not (all(banks) and len(keys) == len(block) and keys.isdisjoint(seen)):
             raise ValueError("a blank bank or a duplicate")
         seen.update(keys)
@@ -270,13 +262,10 @@ def _records(
             if not bank:
                 raise ParseError(f"row {lineno}: column 'bank' is empty")
             bank = names.setdefault(bank, bank)
-            cell = row[year_at]
-            if cell not in years:
-                try:
-                    years[cell] = parse_year(cell)
-                except ValueError as exc:
-                    raise ParseError(f"row {lineno}: column 'year': {exc}") from None
-            year = years[cell]
+            try:
+                year = years(row[year_at])
+            except ValueError as exc:
+                raise ParseError(f"row {lineno}: column 'year': {exc}") from None
             if (year, bank) in seen:
                 raise DuplicateRecordError(f"row {lineno}: duplicate record for bank {bank!r}, year {year}")
             seen.add((year, bank))
@@ -288,7 +277,7 @@ def _records(
             values = []
             for name, cell in zip(VARIABLES, cells):
                 try:
-                    values.append(floats[cell])
+                    values.append(floats(cell))
                 except ValueError as exc:
                     raise ParseError(f"row {lineno}: column {name!r}: {exc}") from None
             records.append(BankYearRecord(bank, year, RatioVector(*values), any(values)))
@@ -305,6 +294,7 @@ def _records(
 
 def panel_labels(text: str) -> dict[str, GroupLabel]:
     """Extract the bank -> group mapping from a panel's label column."""
+    text = text.removeprefix("\ufeff")  # a byte-order mark, as read_text drops it
     return _read_panel(text, lambda header, rows: _labels(header, rows, {}))
 
 
@@ -357,7 +347,7 @@ def load_panels(
     records: list[BankYearRecord] = []
     labels: dict[str, GroupLabel] = {}
     seen: set[tuple[int, str]] = set()  # each (year, bank), over every file
-    floats = _Floats()  # each ratio cell's value, over every file
+    floats = cache(parse_number)  # each ratio cell's value, over every file
     names: dict[str, str] = {}  # each bank's name, over every file
     for path in paths:
         text = read_text(path, what, PanelError)

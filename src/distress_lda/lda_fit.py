@@ -276,6 +276,8 @@ def fit_from_matrices(
     p = widths.pop() if widths else len(variables)  # no rows at all: check_design refuses the groups
     if p != len(variables):
         raise ValueError(f"{len(variables)} variables named for rows of {p} columns")
+    if len(set(variables)) < p:  # a repeated name would keep one column's weights under it
+        raise ValueError(f"each variable must be named once, got {variables!r}")
     n0, n1 = len(X0), len(X1)
     check_design(n0, n1, p)
     N = n0 + n1

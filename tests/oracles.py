@@ -341,7 +341,7 @@ def _split_rows(reader):
 def _read_panel(text, read):
     from distress_lda.errors import PanelError, ParseError
 
-    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
+    reader = csv.reader(io.StringIO(text))
     try:
         try:
             return read(*_split_rows(reader))
@@ -439,11 +439,11 @@ def _labels(header, rows, labels):
 
 
 def parse_panel_reference(text):
-    return _read_panel(text, lambda header, rows: _records(header, rows, {}))
+    return _read_panel(text.removeprefix("\ufeff"), lambda header, rows: _records(header, rows, {}))
 
 
 def panel_labels_reference(text):
-    return _read_panel(text, lambda header, rows: _labels(header, rows, {}))
+    return _read_panel(text.removeprefix("\ufeff"), lambda header, rows: _labels(header, rows, {}))
 
 
 def load_panels_reference(paths, what):

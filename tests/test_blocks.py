@@ -10,6 +10,9 @@
   empty and numeric ones, duplicates within a block, across blocks and
   across files, and labels that conflict across blocks. Rows of empty ratio
   cells and empty lines do not send a block to the row rules.
+- load_panels reads a file as parse_panel and panel_labels read its text,
+  with no, one or two byte-order marks, or raises the text's error type
+  with the text's message after the file's path.
 - The column-wise row dots and column sums of the fit carry the bits of the
   per-row kernels, which make each fused multiply-add with Dekker's product,
   over 1-9 columns, with signed zeros, subnormals and values outside the
@@ -25,8 +28,8 @@
 - Each ratio is float() of its cell, bit for bit, "-0.0" with its sign,
   whichever pass reads its block.
 
-The block pass iterates sets of cells, whose order follows the hash seed, so
-CI runs this file under two values of PYTHONHASHSEED.
+No result of the block pass may depend on hash order, so CI runs this
+file under two values of PYTHONHASHSEED.
 """
 from __future__ import annotations
 
@@ -39,7 +42,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     column_sums_reference,
@@ -161,6 +164,26 @@ def test_two_files_match_the_row_rules(block, case, data):
         for path, part in zip(paths, (rows[:cut], rows[cut:])):
             path.write_bytes(csv_text(header, part).encode("utf-8"))
         assert outcome(dataset.load_panels, paths, "panel", {}) == outcome(load_panels_reference, paths, "panel")
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@SETTINGS
+@given(faulty_rows(), st.integers(0, 2))
+def test_a_file_reads_as_its_text(block, case, marks):
+    """load_panels reads a panel file as parse_panel and panel_labels read its
+    text, each dropping one byte-order mark; a file's error is its text's, the
+    message prefixed with the file's path. A text with a header and no data
+    rows, which load_panels alone refuses, is left out."""
+    text = "\ufeff" * marks + csv_text(*case)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(dataset, "_BLOCK", block):
+        path = Path(tmp) / "panel.csv"
+        path.write_bytes(text.encode("utf-8"))
+        loaded = outcome(dataset.load_panels, [path], "panel", {})
+        assume(outcome(dataset.parse_panel, text)[0] != [])
+        expected = outcome(lambda: (dataset.parse_panel(text), dataset.panel_labels(text)))
+    if isinstance(expected[0], type):
+        expected = (expected[0], f"panel file {path}: {expected[1]}")
+    assert loaded == expected
 
 
 @pytest.mark.parametrize("block", BLOCK_SIZES)

@@ -1255,6 +1255,15 @@ def test_byte_order_mark_is_not_data(tmp_path, capsys, case):
     assert outputs[1] == outputs[0]
 
 
+def test_panel_file_drops_only_one_byte_order_mark(tmp_path, capsys):
+    """As parse_panel drops one mark from a text: the second is read as part of the header."""
+    path = tmp_path / "p.csv"
+    path.write_bytes(b"\xef\xbb\xbf" * 2 + Path(PANEL_A).read_bytes())
+    code, out, err = run_cli(capsys, "classify", "--model", REFERENCE, "--panel", str(path))
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [f"error: panel file {path}: panel is missing required column 'bank'"]
+
+
 def _classify_into_closed_pipe(tmp_path, unbuffered: bool) -> None:
     """Run `classify --format json` on a large panel, close the pipe after
     one line, and check for exit 1 with nothing on stderr."""

@@ -225,6 +225,11 @@ class TestInputContract:
         with pytest.raises(ValueError, match=f"{len(variables)} variables named for rows of 2 columns"):
             fit_from_matrices(self.X0, self.X1, variables)
 
+    def test_each_variable_named_once(self):
+        """A repeated name would map one weight to it and drop the other column's."""
+        with pytest.raises(ValueError, match=r"each variable must be named once, got \('u', 'u'\)"):
+            fit_from_matrices(self.X0, self.X1, ("u", "u"))
+
     def test_lists_tuples_and_arrays_fit_alike(self):
         forms = [
             (self.X0, self.X1),
