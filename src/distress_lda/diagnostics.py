@@ -165,7 +165,7 @@ def _box_m_two_groups(v0: float, n0: int, v1: float, n1: int) -> BoxMResult:
     # The transformation is derived for M < b; beyond that the tail
     # probability has already collapsed to zero.
     f = df2 * m / (df1 * (b - m)) if m < b else math.inf
-    p_value = 0.0 if math.isinf(f) else f_sf(f, df1, df2)
+    p_value = f_sf(f, df1, df2)  # 0.0 at f = inf
     return BoxMResult(m=m, f_approx=f, df1=df1, df2=df2, p_value=p_value, branch="c2<=c1^2")
 
 

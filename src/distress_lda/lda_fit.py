@@ -13,8 +13,7 @@ model addresses its coefficients and Fisher weights by variable name, never
 by column position; classification evaluates them, the score of a bank-year
 and the two Fisher functions of a training sample alike.
 
-Each reduction follows one fixed order, so a fit has the same bits on every
-host rather than those of whichever BLAS kernel the host picks:
+Each reduction follows one fixed order, not the host's BLAS kernel:
 - means: dataset.column_sums, row by row;
 - S_w: per group, entry (i, j) with i <= j is one fused multiply-add chain
   over the centred rows from 0.0, mirrored to (j, i); the groups' matrices
@@ -25,13 +24,14 @@ host rather than those of whichever BLAS kernel the host picks:
   tail (_row_dots, over all rows a column at a time);
 - the score sums (the sds with n - 1 degrees of freedom, the grand mean and
   ss_within): numpy's pairwise summation.
-These are the orders of numpy 2 on OpenBLAS's Haswell-class kernels, with
-which the package's recorded fits were made, so those records keep every
-bit. For p = 1 and p >= 8 OpenBLAS takes other orders in places, so the two
-can differ in the last bits there. A fused multiply-add rounds once, and
-math.fma is 3.13+: _fma_chain adds the four exact products of Veltkamp's
-halves and the total in one math.fsum (Shewchuk's exact sum), rounded once.
-From 0.0 a chain's first step is x * y rounded, save that an exact 0 gives +0.0.
+These are the orders of numpy 2 on OpenBLAS's Haswell-class kernels, so the
+package's recorded fits keep every bit; for p = 1 and p >= 8 OpenBLAS takes
+other orders in places. A fused multiply-add rounds once, and math.fma is
+3.13+: _fma_chain adds the four exact half-products of Veltkamp's split and
+the total in one math.fsum (Shewchuk's exact sum); from 0.0 its first step is
+x * y rounded, save that an exact 0 gives +0.0. Every bit of a fit comes from
+IEEE + - * /, math.sqrt, math.fsum and the exact Fraction step; a square is
+x * x, never pow. math.log, in the Fisher constants' prior, is the one libm call.
 """
 from __future__ import annotations
 
@@ -102,8 +102,7 @@ def solve_spd(S, d) -> list[float]:
     n = len(d)
     L = [[0.0] * n for _ in range(n)]
     for j in range(n):
-        # ** 2 is C pow; x * x can round differently in the last bit, and the recorded fits use pow.
-        pivot = S[j][j] - ordered_sum(L[j][k] ** 2 for k in range(j))
+        pivot = S[j][j] - ordered_sum(L[j][k] * L[j][k] for k in range(j))
         if pivot <= 0.0:
             raise SingularMatrixError(f"matrix is not positive definite (pivot {j})")
         L[j][j] = math.sqrt(pivot)
@@ -307,7 +306,8 @@ def fit_from_matrices(
     s0, s1 = (_sd(scores) for scores in (scores0, scores1))
 
     grand = _pairwise_sum(scores0 + scores1) / N
-    ss_between = n0 * (y0 - grand) ** 2 + n1 * (y1 - grand) ** 2
+    d0, d1 = y0 - grand, y1 - grand
+    ss_between = n0 * (d0 * d0) + n1 * (d1 * d1)
     ss_within = _pairwise_sum([(s - y0) * (s - y0) for s in scores0]) + _pairwise_sum(
         [(s - y1) * (s - y1) for s in scores1]
     )

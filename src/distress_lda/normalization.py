@@ -25,8 +25,10 @@ class NormalizationStats(Record):
         for name in VARIABLES:
             if name not in self.mean or name not in self.sd:
                 raise ValueError(f"normalization stats missing variable {name!r}")
-            if not self.sd[name] > 0:
-                raise ValueError(f"sd for {name!r} must be positive, got {self.sd[name]!r}")
+            if not -math.inf < self.mean[name] < math.inf:  # nan fails it too
+                raise ValueError(f"mean for {name!r} must be finite, got {self.mean[name]!r}")
+            if not 0 < self.sd[name] < math.inf:  # an infinite sd would zero every z-score
+                raise ValueError(f"sd for {name!r} must be positive and finite, got {self.sd[name]!r}")
 
 
 def fit_normalizer(ts: TrainingSet) -> NormalizationStats:

@@ -63,13 +63,15 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
 
 def _gamma_tails(name: str, a: float, x: float) -> tuple[float, float]:
     # (P, Q): the series below x = a + 1, the fraction above it, and the
-    # other tail as one minus the computed one.
-    if not a > 0:
-        raise DomainError(f"{name} requires a > 0, got {a}")
-    if x < 0:
+    # other tail as one minus the computed one. Each check fails on nan.
+    if not 0 < a < math.inf:
+        raise DomainError(f"{name} requires 0 < a < inf, got {a}")
+    if not x >= 0:
         raise DomainError(f"{name} requires x >= 0, got {x}")
     if x == 0.0:
         return 0.0, 1.0
+    if x == math.inf:
+        return 1.0, 0.0
     lower = x < a + 1.0
     tail = (_gamma_p_series if lower else _gamma_q_contfrac)(a, x)
     tail *= math.exp(-x + a * math.log(x) - math.lgamma(a))
@@ -110,9 +112,9 @@ def _beta_contfrac(a: float, b: float, x: float) -> float:
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta I_x(a, b)."""
-    if not (a > 0 and b > 0):
-        raise DomainError(f"reg_inc_beta requires a, b > 0, got a={a}, b={b}")
-    if x < 0 or x > 1:
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise DomainError(f"reg_inc_beta requires 0 < a, b < inf, got a={a}, b={b}")
+    if not 0 <= x <= 1:
         raise DomainError(f"reg_inc_beta requires 0 <= x <= 1, got {x}")
     if x == 0.0:
         return 0.0
@@ -131,9 +133,9 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
 
 def chi_square_sf(x: float, df: float) -> float:
     """Chi-square survival function P[X > x] with df degrees of freedom."""
-    if not df > 0:
-        raise DomainError(f"chi_square_sf requires df > 0, got {df}")
-    if x < 0:
+    if not 0 < df < math.inf:
+        raise DomainError(f"chi_square_sf requires 0 < df < inf, got {df}")
+    if not x >= 0:
         raise DomainError(f"chi_square_sf requires x >= 0, got {x}")
     return reg_inc_gamma_q(df / 2.0, x / 2.0)
 
@@ -143,9 +145,9 @@ def f_sf(x: float, d1: float, d2: float) -> float:
 
     Both df values may be non-integer.
     """
-    if not (d1 > 0 and d2 > 0):
-        raise DomainError(f"f_sf requires d1, d2 > 0, got d1={d1}, d2={d2}")
-    if x < 0:
+    if not (0 < d1 < math.inf and 0 < d2 < math.inf):
+        raise DomainError(f"f_sf requires 0 < d1, d2 < inf, got d1={d1}, d2={d2}")
+    if not x >= 0:
         raise DomainError(f"f_sf requires x >= 0, got {x}")
     if x == 0.0:
         return 1.0

@@ -74,6 +74,9 @@ class TestSolveSpd:
     def test_indefinite_matrix_rejected(self):
         with pytest.raises(SingularMatrixError, match=r"pivot 0"):
             solve_spd([[-1.0]], [1.0])
+        # L[1][0] = 1e155, whose square overflows to inf: a product, where pow would raise OverflowError.
+        with pytest.raises(SingularMatrixError, match=r"pivot 1"):
+            solve_spd([[1e-300, 1e5], [1e5, 1.0]], [1.0, 1.0])
 
 
 # Operands where the half-products stop being exact, or Veltkamp's split of an

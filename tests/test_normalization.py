@@ -1,4 +1,6 @@
 """Pooled z-score normalization."""
+import math
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,12 @@ def test_stats_validation():
     sds = dict(means)
     with pytest.raises(ValueError, match="must be positive"):
         NormalizationStats(mean=means, sd=sds)
+    # An infinite sd would make every z-score of its ratio 0 and move a bank's zone.
+    with pytest.raises(ValueError, match="sd for 'bdtla' must be positive"):
+        NormalizationStats(mean=means, sd={**dict.fromkeys(means, 1.0), "bdtla": math.inf})
+    for mean in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="mean for 'roae' must be finite"):
+            NormalizationStats(mean={**means, "roae": mean}, sd=dict.fromkeys(means, 1.0))
     with pytest.raises(ValueError, match="missing variable"):
         NormalizationStats(mean={"eaa": 0.0}, sd={"eaa": 1.0})
 

@@ -27,8 +27,8 @@ BETA_X_GRID = (1e-4, 0.1, 0.37, 0.5, 0.82, 0.999)
 
 class TestRegIncGamma:
     def test_exponential_special_case(self):
-        """P(1, x) = 1 - e^{-x} exactly."""
-        for x in GAMMA_X_GRID:
+        """P(1, x) = 1 - e^{-x} exactly, and 1 in the limit x = inf."""
+        for x in (*GAMMA_X_GRID, math.inf):
             assert reg_inc_gamma_p(1.0, x) == pytest.approx(-math.expm1(-x), rel=1e-12)
         assert reg_inc_gamma_p(1.0, 1.0) == pytest.approx(0.6321205588285577, rel=1e-12)
 
@@ -67,6 +67,13 @@ class TestRegIncGamma:
             reg_inc_gamma_p(-2.0, 1.0)
         with pytest.raises(DomainError):
             reg_inc_gamma_q(1.0, -0.1)
+        # Each check fails on nan; an infinite a would run the series to its iteration ceiling.
+        with pytest.raises(DomainError, match=r"^reg_inc_gamma_p requires 0 < a < inf, got inf$"):
+            reg_inc_gamma_p(math.inf, 1.0)
+        with pytest.raises(DomainError, match=r"^reg_inc_gamma_q requires 0 < a < inf, got nan$"):
+            reg_inc_gamma_q(math.nan, 1.0)
+        with pytest.raises(DomainError, match=r"^reg_inc_gamma_q requires x >= 0, got nan$"):
+            reg_inc_gamma_q(1.0, math.nan)
 
 
 class TestRegIncBeta:
@@ -112,6 +119,11 @@ class TestRegIncBeta:
             reg_inc_beta(0.5, 0.0, 2.0)
         with pytest.raises(DomainError):
             reg_inc_beta(0.5, 2.0, -1.0)
+        with pytest.raises(DomainError, match=r"^reg_inc_beta requires 0 <= x <= 1, got nan$"):
+            reg_inc_beta(math.nan, 2.0, 2.0)
+        for a, b in ((math.inf, 2.0), (2.0, math.nan)):
+            with pytest.raises(DomainError, match=r"^reg_inc_beta requires 0 < a, b < inf"):
+                reg_inc_beta(0.5, a, b)
 
 
 class TestChiSquareSf:
@@ -120,8 +132,8 @@ class TestChiSquareSf:
             assert chi_square_sf(0.0, df) == 1.0
 
     def test_two_df_closed_form(self):
-        """With df = 2 the survival function is exactly e^{-x/2}."""
-        for x in (0.1, 1.0, 4.2, 12.0, 40.0):
+        """With df = 2 the survival function is exactly e^{-x/2}, and 0 in the limit x = inf."""
+        for x in (0.1, 1.0, 4.2, 12.0, 40.0, math.inf):
             assert chi_square_sf(x, 2) == pytest.approx(math.exp(-x / 2), rel=1e-12)
 
     def test_textbook_critical_value(self):
@@ -148,6 +160,11 @@ class TestChiSquareSf:
             chi_square_sf(-1.0, 2)
         with pytest.raises(DomainError):
             chi_square_sf(1.0, 0)
+        with pytest.raises(DomainError, match=r"^chi_square_sf requires x >= 0, got nan$"):
+            chi_square_sf(math.nan, 6)
+        for df in (math.inf, math.nan):
+            with pytest.raises(DomainError, match=r"^chi_square_sf requires 0 < df < inf"):
+                chi_square_sf(1.0, df)
 
 
 class TestFSf:
@@ -185,3 +202,8 @@ class TestFSf:
             f_sf(1.0, 0, 10)
         with pytest.raises(DomainError):
             f_sf(1.0, 2, -3)
+        with pytest.raises(DomainError, match=r"^f_sf requires x >= 0, got nan$"):
+            f_sf(math.nan, 1, 10)
+        for d1, d2 in ((math.inf, 10), (2, math.nan)):
+            with pytest.raises(DomainError, match=r"^f_sf requires 0 < d1, d2 < inf"):
+                f_sf(1.0, d1, d2)

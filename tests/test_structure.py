@@ -1,7 +1,7 @@
 """Source structure: file I/O, the JSON format and the two-group design rule
 each live in one function, the package imports only the standard library and
-itself, nothing imports numpy or dataclasses, and no package module imports
-another's underscore name.
+itself, nothing imports numpy or dataclasses, no package module imports
+another's underscore name, and every square is a product, never pow.
 The package exports what __init__ imports, the bench finds every name it calls,
 and the README's python examples run."""
 import ast
@@ -70,6 +70,27 @@ def test_file_io_and_json_have_one_home_each():
     numpy and dataclasses are imported nowhere."""
     calls = sorted(call for path in sorted(PACKAGE.glob("*.py")) for call in _calls(path))
     assert calls == sorted(HOMES.items())
+
+
+def _powers(path: Path):
+    """(line, source) of each ** 2 and each call of pow or math.pow in a source file."""
+    source = path.read_text(encoding="utf-8")
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+            exponent = node.right if isinstance(node, ast.BinOp) else node.value
+            if isinstance(exponent, ast.Constant) and exponent.value == 2:
+                yield node.lineno, ast.get_source_segment(source, node)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "pow":
+            yield node.lineno, ast.get_source_segment(source, node)
+
+
+def test_every_square_is_a_product():
+    """A square has one form, x * x. No module under src/ writes ** 2 or calls
+    pow or math.pow: both go to the C library's pow, which can round x ** 2
+    differently from the IEEE product x * x in the last bit, so a fit's bits
+    would follow the host. Exact constant folds such as 2.0**480 stay."""
+    powers = {(path.name, *power) for path in sorted(PACKAGE.rglob("*.py")) for power in _powers(path)}
+    assert powers == set()
 
 
 def test_package_imports_only_the_standard_library():
