@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 from .dataset import VARIABLES, column_moments
 from .errors import DomainError, InsufficientGroupError, ZeroVarianceError
-from .lda_fit import DiscriminantModel, separation
+from .lda_fit import DiscriminantModel, check_correlation_matrix, separation
 from .record import Record
 from .special_functions import chi_square_sf, f_sf
 
@@ -44,21 +44,6 @@ class BoxMResult(Record):
 
 class CollinearityReport(Record):
     flagged_pairs: tuple[tuple[str, str, float], ...]
-
-
-def check_correlation_matrix(corr, p: int) -> tuple[tuple[float, ...], ...]:
-    """corr as a tuple of p rows of p floats; raises DomainError unless it is symmetric,
-    has a unit diagonal and entries in [-1, 1], each within 1e-8. NaN fails every check."""
-    matrix = tuple(tuple(float(v) for v in row) for row in corr)
-    if len(matrix) != p or any(len(row) != p for row in matrix):
-        raise DomainError(f"correlation matrix must be {p}x{p}, got rows of {list(map(len, matrix))}")
-    if not all(abs(matrix[i][j] - matrix[j][i]) <= 1e-8 for i in range(p) for j in range(i)):
-        raise DomainError("correlation matrix must be symmetric")
-    if not all(abs(matrix[i][i] - 1.0) <= 1e-8 for i in range(p)):
-        raise DomainError("correlation matrix must have unit diagonal")
-    if not all(abs(x) <= 1.0 + 1e-8 for row in matrix for x in row):
-        raise DomainError("correlation entries must lie in [-1, 1]")
-    return matrix
 
 
 def collinearity_check(
@@ -188,7 +173,7 @@ def box_m_from_model(model: DiscriminantModel) -> BoxMResult:
     """Box's M from the model's stored per-group score dispersions."""
     variances = []
     for key, sd in (("bankrupt", model.s0), ("nonbankrupt", model.s1)):
-        var = sd * sd if sd > 0.0 else 0.0  # sd * sd: sd**2 raises OverflowError past float range
+        var = sd * sd
         _measurable(var, f"group {key!r}")
         variances.append(var)
     v0, v1 = variances

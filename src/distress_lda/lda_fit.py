@@ -13,6 +13,14 @@ model addresses its coefficients and Fisher weights by variable name, never
 by column position; classification evaluates them, the score of a bank-year
 and the two Fisher functions of a training sample alike.
 
+A DiscriminantModel checks itself when built, by the fit or from a file:
+ordered centroids, score sds >= 0, a design check_design accepts, a pooled
+correlation matrix, and separation statistics tied to the eigenvalue by
+wilks = 1/(1 + eigenvalue) and canonical correlation = sqrt(eigenvalue/(1 +
+eigenvalue)). Stored models round their statistics, so the identities are
+checked within 1e-5, which the bundled reference model (off by 2.3e-7 on
+both) passes. A fit whose model breaks a rule raises DegenerateSeparationError.
+
 Each reduction follows one fixed order, not the host's BLAS kernel:
 - means: dataset.column_sums, row by row;
 - S_w: per group, entry (i, j) with i <= j is one fused multiply-add chain
@@ -42,10 +50,11 @@ from operator import add, mul, not_
 from typing import Sequence
 
 from .dataset import VARIABLES, GroupLabel, TrainingSet, check_design, column_sums, ordered_sum
-from .errors import DegenerateSeparationError, DomainError, SingularMatrixError
+from .errors import DegenerateSeparationError, DomainError, PanelError, SingularMatrixError
 from .record import Record
 
 GROUP_KEYS = ("bankrupt", "nonbankrupt")
+_IDENTITY_TOLERANCE = 1e-5
 _BANKRUPT, _NONBANKRUPT = GroupLabel.BANKRUPT, GroupLabel.NONBANKRUPT  # bound once: a global reads faster
 PRIORS = ("proportional", "equal")  # the Fisher-function prior rules; the first is the default
 
@@ -56,6 +65,10 @@ class FisherFunctions(Record):
     priors: dict[str, float]
     weights: dict[str, dict[str, float]]
     constants: dict[str, float]
+
+    def _validate(self) -> None:
+        if not all(pi > 0 for pi in self.priors.values()) or abs(sum(self.priors.values()) - 1.0) > 1e-6:
+            raise ValueError("fisher priors must be positive and sum to 1")
 
 
 class DiscriminantModel(Record):
@@ -81,21 +94,66 @@ class DiscriminantModel(Record):
     fisher: FisherFunctions
     pooled_correlation: tuple[tuple[float, ...], ...]
 
+    def _validate(self) -> None:
+        if not self.y0 < self.y1:
+            raise ValueError("non-bankrupt centroid must exceed the bankrupt one")
+        for group, sd in zip(GROUP_KEYS, (self.s0, self.s1)):
+            if not sd >= 0.0:
+                raise ValueError(f"score_sd.{group} must be non-negative")
+        p = len(self.variables)
+        try:
+            check_design(self.n0, self.n1, p)
+        except PanelError as exc:  # a design the fit could never have produced
+            raise ValueError(f"group_sizes: {exc}") from None
+        try:
+            check_correlation_matrix(self.pooled_correlation, p)
+        except DomainError as exc:
+            raise ValueError(f"pooled_correlation: {exc}") from None
+        try:
+            r_squared, wilks = separation(self.eigenvalue)
+        except DomainError as exc:
+            raise ValueError(str(exc)) from None
+        if not 0.0 <= self.canonical_correlation < 1.0:
+            raise ValueError("canonical_correlation must lie in [0, 1)")
+        if not 0.0 < self.wilks_lambda <= 1.0:
+            raise ValueError("wilks_lambda must lie in (0, 1]")
+        if not abs(self.wilks_lambda - wilks) <= _IDENTITY_TOLERANCE:
+            raise ValueError("wilks_lambda disagrees with 1/(1 + eigenvalue)")
+        if not abs(self.canonical_correlation - math.sqrt(r_squared)) <= _IDENTITY_TOLERANCE:
+            raise ValueError("canonical_correlation disagrees with sqrt(eigenvalue/(1 + eigenvalue))")
+
 
 def separation(eigenvalue: float) -> tuple[float, float]:
     """(r_squared, wilks_lambda) of one discriminant function: eigenvalue/(1 + eigenvalue)
     and 1/(1 + eigenvalue). The canonical correlation is sqrt(r_squared)."""
     if eigenvalue < 0:
         raise DomainError(f"eigenvalue must be non-negative, got {eigenvalue}")
+    if not eigenvalue < math.inf:  # nan fails it too
+        raise DomainError(f"eigenvalue must be finite, got {eigenvalue}")
     return eigenvalue / (1.0 + eigenvalue), 1.0 / (1.0 + eigenvalue)
+
+
+def check_correlation_matrix(corr, p: int) -> tuple[tuple[float, ...], ...]:
+    """corr as a tuple of p rows of p floats; raises DomainError unless it is symmetric,
+    has a unit diagonal and entries in [-1, 1], each within 1e-8. NaN fails every check."""
+    matrix = tuple(tuple(float(v) for v in row) for row in corr)
+    if len(matrix) != p or any(len(row) != p for row in matrix):
+        raise DomainError(f"correlation matrix must be {p}x{p}, got rows of {list(map(len, matrix))}")
+    if not all(abs(matrix[i][j] - matrix[j][i]) <= 1e-8 for i in range(p) for j in range(i)):
+        raise DomainError("correlation matrix must be symmetric")
+    if not all(abs(matrix[i][i] - 1.0) <= 1e-8 for i in range(p)):
+        raise DomainError("correlation matrix must have unit diagonal")
+    if not all(abs(x) <= 1.0 + 1e-8 for row in matrix for x in row):
+        raise DomainError("correlation entries must lie in [-1, 1]")
+    return matrix
 
 
 def solve_spd(S, d) -> list[float]:
     """Solve S v = d for symmetric positive-definite S by Cholesky.
 
-    S is rows of numbers and d a sequence; v comes back as a list. A non-positive
-    pivot means S is singular or indefinite and raises with the failing pivot
-    index, which in this pipeline names the offending variable directly.
+    S is rows of numbers and d a sequence; v comes back as a list. A pivot that is
+    not positive, NaN included, means S is singular, indefinite or not finite and
+    raises with its index, which in this pipeline names the offending variable.
     """
     S = [list(map(float, row)) for row in S]
     d = list(map(float, d))
@@ -103,7 +161,7 @@ def solve_spd(S, d) -> list[float]:
     L = [[0.0] * n for _ in range(n)]
     for j in range(n):
         pivot = S[j][j] - ordered_sum(L[j][k] * L[j][k] for k in range(j))
-        if pivot <= 0.0:
+        if not pivot > 0.0:
             raise SingularMatrixError(f"matrix is not positive definite (pivot {j})")
         L[j][j] = math.sqrt(pivot)
         for i in range(j + 1, n):
@@ -311,8 +369,7 @@ def fit_from_matrices(
     ss_within = _pairwise_sum([(s - y0) * (s - y0) for s in scores0]) + _pairwise_sum(
         [(s - y1) * (s - y1) for s in scores1]
     )
-    eigenvalue = ss_between / ss_within
-    r_squared, wilks_lambda = separation(eigenvalue)
+    eigenvalue = ss_between / ss_within if ss_within else math.inf  # tied scores: refused below
 
     if priors == "proportional":
         pi = {"bankrupt": n0 / N, "nonbankrupt": n1 / N}
@@ -325,23 +382,27 @@ def fit_from_matrices(
         weights[key] = dict(zip(variables, w))
         constants[key] = -0.5 * _dot(mu, w) + math.log(pi[key])
 
-    return DiscriminantModel(
-        variables=variables,
-        coefficients=dict(zip(variables, b)),
-        constant=a,
-        standardized=dict(zip(variables, (v * d for v, d in zip(b, dd)))),
-        y0=y0,
-        y1=y1,
-        s0=s0,
-        s1=s1,
-        n0=n0,
-        n1=n1,
-        eigenvalue=eigenvalue,
-        canonical_correlation=math.sqrt(r_squared),
-        wilks_lambda=wilks_lambda,
-        fisher=FisherFunctions(priors=pi, weights=weights, constants=constants),
-        pooled_correlation=correlation,
-    )
+    try:  # a model the rules refuse, such as one whose canonical correlation rounds to 1
+        r_squared, wilks_lambda = separation(eigenvalue)
+        return DiscriminantModel(
+            variables=variables,
+            coefficients=dict(zip(variables, b)),
+            constant=a,
+            standardized=dict(zip(variables, (v * d for v, d in zip(b, dd)))),
+            y0=y0,
+            y1=y1,
+            s0=s0,
+            s1=s1,
+            n0=n0,
+            n1=n1,
+            eigenvalue=eigenvalue,
+            canonical_correlation=math.sqrt(r_squared),
+            wilks_lambda=wilks_lambda,
+            fisher=FisherFunctions(priors=pi, weights=weights, constants=constants),
+            pooled_correlation=correlation,
+        )
+    except (DomainError, ValueError) as exc:
+        raise DegenerateSeparationError(f"fitted model is degenerate: {exc}") from None
 
 
 def fit(tsZ: TrainingSet, priors: str = PRIORS[0]) -> DiscriminantModel:

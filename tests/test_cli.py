@@ -47,6 +47,23 @@ def near_tie_training_file(directory: Path) -> str:
     return str(path)
 
 
+def tight_training_file(directory: Path) -> str:
+    """table2.csv with eaa 0.1 + k * 1e-10 for the k-th bankrupt bank and
+    0.5 + k * 1e-10 for the k-th nonbankrupt one, to 11 decimals: eaa alone
+    all but separates the groups, so the fit's eigenvalue is near 1e18 and its
+    canonical correlation rounds to 1."""
+    rows = list(csv.reader(Path(TABLE).read_text(encoding="utf-8").splitlines()))
+    eaa, label = rows[0].index("eaa"), rows[0].index("label")
+    counts = {"bankrupt": 0, "nonbankrupt": 0}
+    for row in rows[1:]:
+        counts[row[label]] += 1
+        row[eaa] = f"{(0.1 if row[label] == 'bankrupt' else 0.5) + counts[row[label]] * 1e-10:.11f}"
+    path = directory / "tight.csv"
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle).writerows(rows)
+    return str(path)
+
+
 @pytest.fixture(autouse=True)
 def _isolate_env(monkeypatch):
     monkeypatch.delenv("DISTRESS_LDA_CONFIG", raising=False)
@@ -931,6 +948,18 @@ class TestExitCodes:
         )
         assert code == 4
         assert "group means coincide" in err
+
+    def test_fit_refuses_a_model_its_loader_would(self, tmp_path, capsys):
+        """A canonical correlation that rounds to 1 breaks the model's rules, so
+        fit refuses it (exit 4) before writing, rather than writing a model file
+        that diagnose, classify and evaluate each refuse."""
+        model = tmp_path / "m.json"
+        code, out, err = run_cli(capsys, "fit", "--train", tight_training_file(tmp_path), "--model", str(model))
+        assert (code, out) == (4, "")
+        assert err == "error: fitted model is degenerate: canonical_correlation must lie in [0, 1)\n"
+        assert not model.exists()
+        assert run_cli(capsys, "fit", "--train", TABLE, "--model", str(model))[0] == 0
+        assert run_cli(capsys, "diagnose", "--model", str(model))[0] == 0
 
     def test_window_mean_overflow(self, tmp_path, capsys):
         """Moza Banco's 2012 and 2013 EAA of 1e308 are finite, their sum is not."""

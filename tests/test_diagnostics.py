@@ -308,3 +308,12 @@ class TestOneEigenvalueRule:
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(DomainError, match=r"^eigenvalue must be non-negative, got -0\.001$"):
             separation(-1e-3)
+
+    @pytest.mark.parametrize("eigenvalue", [math.inf, math.nan])
+    def test_non_finite_eigenvalue_rejected(self, eigenvalue):
+        """separation refuses it for each caller: no bare math domain error from
+        Bartlett's log, no chi-square message, no summary of NaNs."""
+        calls = (separation, canonical_summary, lambda value: wilks_from_eigenvalue(value, 14, 6))
+        for call in calls:
+            with pytest.raises(DomainError, match=rf"^eigenvalue must be finite, got {eigenvalue}$"):
+                call(eigenvalue)

@@ -77,6 +77,8 @@ class TestSolveSpd:
         # L[1][0] = 1e155, whose square overflows to inf: a product, where pow would raise OverflowError.
         with pytest.raises(SingularMatrixError, match=r"pivot 1"):
             solve_spd([[1e-300, 1e5], [1e5, 1.0]], [1.0, 1.0])
+        with pytest.raises(SingularMatrixError, match=r"pivot 0"):  # a NaN pivot is not positive
+            solve_spd([[math.nan]], [1.0])
 
 
 # Operands where the half-products stop being exact, or Veltkamp's split of an
@@ -442,6 +444,15 @@ class TestFitProperties:
         X = [[0.0, 1.0], [2.0, -1.0]]
         with pytest.raises(DegenerateSeparationError):
             fit_from_matrices(X, X, ("u", "v"))
+
+    def test_scores_tied_within_each_group_rejected(self):
+        """x differs by one ulp within each group, so every score of a group
+        rounds to one value: the within-group score scatter is 0, and the
+        eigenvalue's division by it is refused as degenerate, not a ZeroDivisionError."""
+        X0 = [(1.0, 0.0), (1.0 + math.ulp(1.0), 0.25)]
+        X1 = [(6.0, 0.5), (6.0 + math.ulp(6.0), 1.0)]
+        with pytest.raises(DegenerateSeparationError, match=r"^fitted model is degenerate: eigenvalue must be finite, got inf$"):
+            fit_from_matrices(X0, X1, ("x", "y"))
 
     def test_single_row_group_rejected(self):
         with pytest.raises(InsufficientGroupError):

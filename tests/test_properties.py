@@ -5,6 +5,8 @@
 - Zones are ordered along the score axis: bankrupt below grey below healthy.
 - The fitted coefficients do not depend on the order of rows within a group.
 - The fit agrees with the numpy oracle to 1e-12 relative, over 1-9 variables.
+- The fit refuses, or makes a model that its file loads back field for field,
+  also where one ratio all but separates the groups.
 - Window means and normalizer statistics carry numpy's bits exactly.
 - The eigenvalue and Box's M of a score table agree with numpy's to 1e-12.
 - Panel scoring carries the bits of the per-observation linear form on the
@@ -33,13 +35,14 @@ from oracles import (
     z_score_reference,
 )
 from panel_csv import serialize_panel
-from records import replace
+from records import astuple, replace
 
 from distress_lda import (
     VARIABLES,
     BankYearRecord,
     BindingError,
     ClassificationZones,
+    DegenerateSeparationError,
     DuplicateRecordError,
     EmptyWindowError,
     FisherFunctions,
@@ -48,6 +51,7 @@ from distress_lda import (
     ParseError,
     RatioVector,
     SchemaError,
+    SingularMatrixError,
     TrainingSet,
     ZeroVarianceError,
     average_ratios,
@@ -67,6 +71,7 @@ from distress_lda.classification import _zones_of
 from distress_lda.dataset import load_panels
 from distress_lda.fixtures import data_path
 from distress_lda.lda_fit import GROUP_KEYS, PRIORS
+from distress_lda.model_io import model_from_dict, model_to_dict
 from distress_lda.normalization import NormalizationStats
 
 # No deadline: per-example times vary with machine load more than the default allows.
@@ -259,6 +264,40 @@ def test_fit_agrees_with_numpy_oracle(case):
         assert_close([model.fisher.weights[key][n] for n in names], w, np.max(np.abs(w)))
         prior = model.fisher.priors[key]
         assert_close(model.fisher.constants[key], constant, np.abs(mu) @ np.abs(w) / 2 + abs(np.log(prior)))
+
+
+UNIT_STATS = NormalizationStats(mean=dict.fromkeys(VARIABLES, 0.0), sd=dict.fromkeys(VARIABLES, 1.0))
+
+
+@st.composite
+def separable_groups(draw):
+    """Two groups of seeded normal rows over the six ratios, the second shifted,
+    and a prior rule. In half the draws one ratio sits at a centre in each group
+    with a spread of 1e-10 of the gap between the centres, so that it all but
+    separates the groups and the eigenvalue passes 1/epsilon."""
+    n0 = draw(st.integers(2, 8))
+    n1 = draw(st.integers(max(2, 8 - n0), 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X0, X1 = rng.normal(size=(n0, 6)), rng.normal(size=(n1, 6)) + rng.normal(scale=2.0, size=6)
+    if draw(st.booleans()):
+        column, centre, gap = draw(st.integers(0, 5)), draw(st.floats(-1, 1)), draw(st.floats(0.01, 10))
+        X0[:, column] = centre + rng.uniform(-1, 1, n0) * 1e-10 * gap
+        X1[:, column] = centre + gap + rng.uniform(-1, 1, n1) * 1e-10 * gap
+    return X0, X1, draw(st.sampled_from(PRIORS))
+
+
+@SETTINGS
+@given(separable_groups())
+def test_a_fitted_model_survives_its_file(case):
+    """A fit refuses (exit 4), or its model comes back from model_from_dict with
+    every field equal: the loader refuses no model the fit makes."""
+    X0, X1, priors = case
+    try:
+        model = fit_from_matrices(X0, X1, VARIABLES, priors=priors)
+    except (DegenerateSeparationError, SingularMatrixError):
+        return
+    loaded, stats = model_from_dict(model_to_dict(model, UNIT_STATS))
+    assert (astuple(loaded), stats) == (astuple(model), UNIT_STATS)
 
 
 # Bounded so that no sum or square overflows. Signed zeros are drawn often, as
