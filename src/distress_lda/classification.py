@@ -39,7 +39,7 @@ from operator import add, gt, itemgetter, le, lt, mul
 from typing import Iterable, Mapping, Sequence
 
 from .dataset import VARIABLES, BankYearRecord, GroupLabel, TrainingSet, rows_by_bank
-from .errors import BindingError, DomainError, MissingLabelError
+from .errors import BindingError, DomainError, MissingLabelError, ModelFileError
 from .lda_fit import GROUP_KEYS, DiscriminantModel
 from .normalization import NormalizationStats, z_columns
 from .record import Record
@@ -91,11 +91,16 @@ def grey_zone(model: DiscriminantModel) -> tuple[float, float] | None:
 
 
 def derive_zones(model: DiscriminantModel) -> ClassificationZones:
-    return ClassificationZones(
-        cutoff=cutoff_from_centroids(model.y0, model.n0, model.y1, model.n1),
-        grey=grey_zone(model),
-        source="derived-from-model",
-    )
+    """The zones of the model's centroids and score sds. A bound past float range,
+    which only a model file's centroids can give, raises ModelFileError."""
+    try:
+        return ClassificationZones(
+            cutoff=cutoff_from_centroids(model.y0, model.n0, model.y1, model.n1),
+            grey=grey_zone(model),
+            source="derived-from-model",
+        )
+    except ValueError as exc:
+        raise ModelFileError(f"model: derived {exc}") from None
 
 
 _ZONE_BY_RANK = ("bankrupt", "grey", "nonbankrupt")

@@ -118,11 +118,8 @@ def _bank_map(parse_entry, what: str, key: str, value) -> dict:
 def _read_config_file(path: str) -> list[tuple[str, object]]:
     """The (key, value) pairs of a config file, in file order, repeats kept."""
     text = read_text(path, "config", ConfigError)
-    if text.lstrip().startswith("{"):
-        doc = parse_json(text, "config", path, ConfigError)
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
-        return list(doc.items())
+    if text.lstrip().startswith("{"):  # JSON that starts with { is an object or no JSON at all
+        return list(parse_json(text, "config", path, ConfigError).items())
     pairs = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()

@@ -6,6 +6,8 @@ the scores is exactly 1 and oriented so the healthy centroid sits on the
 positive side. That scaling makes the eigenvalue a plain ratio of between- to
 within-group score scatter and pins the constant at minus the grand-mean
 score, so a z-scored training set gets a constant of (numerically) zero.
+The fit refuses group means that coincide, each |mu1_j - mu0_j| at most
+_COINCIDENT = 64 epsilon times the pooled sd sqrt(S_w[j][j]): a rule with no unit.
 
 This module holds the fit only. The core works on plain per-group matrices
 with any number of columns; fit binds it to the six-ratio panel layout. The
@@ -15,11 +17,9 @@ and the two Fisher functions of a training sample alike.
 
 A DiscriminantModel checks itself when built, by the fit or from a file:
 ordered centroids, score sds >= 0, a design check_design accepts, a pooled
-correlation matrix, and separation statistics tied to the eigenvalue by
-wilks = 1/(1 + eigenvalue) and canonical correlation = sqrt(eigenvalue/(1 +
-eigenvalue)). Stored models round their statistics, so the identities are
-checked within 1e-5, which the bundled reference model (off by 2.3e-7 on
-both) passes. A fit whose model breaks a rule raises DegenerateSeparationError.
+correlation matrix, and wilks = 1/(1 + eigenvalue) and canonical correlation =
+sqrt(eigenvalue/(1 + eigenvalue)) within 1e-5, as files round them (the bundled
+model by 2.3e-7). A fit whose model breaks a rule raises DegenerateSeparationError.
 
 Each reduction follows one fixed order, not the host's BLAS kernel:
 - means: dataset.column_sums, row by row;
@@ -55,6 +55,7 @@ from .record import Record
 
 GROUP_KEYS = ("bankrupt", "nonbankrupt")
 _IDENTITY_TOLERANCE = 1e-5
+_COINCIDENT = 64 * math.ulp(1.0)  # 64 epsilon, 128 unit roundoffs: see the module docstring
 _BANKRUPT, _NONBANKRUPT = GroupLabel.BANKRUPT, GroupLabel.NONBANKRUPT  # bound once: a global reads faster
 PRIORS = ("proportional", "equal")  # the Fisher-function prior rules; the first is the default
 
@@ -341,17 +342,16 @@ def fit_from_matrices(
     mu0 = [total / n0 for total in column_sums(X0)]
     mu1 = [total / n1 for total in column_sums(X1)]
     diff = [m1 - m0 for m0, m1 in zip(mu0, mu1)]
-    if max(map(abs, diff)) < 1e-12:
-        raise DegenerateSeparationError("group means coincide; no discriminant direction")
-
     W0, W1 = _scatter(X0, mu0), _scatter(X1, mu1)
     s_w = [[(u + v) / (N - 2) for u, v in zip(r0, r1)] for r0, r1 in zip(W0, W1)]  # pooled covariance
+    dd = [math.sqrt(s_w[i][i]) for i in range(p)]  # each column's pooled within-group sd
+    if all(abs(d) <= _COINCIDENT * sd for d, sd in zip(diff, dd)):
+        raise DegenerateSeparationError("group means coincide; no discriminant direction")
+
     b_raw = solve_spd(s_w, diff)
     # b_raw' S_w b_raw = diff' b_raw, positive whenever the solve succeeded.
     root = math.sqrt(_dot(diff, b_raw))
     b = [v / root for v in b_raw]
-    # The solve proved S_w positive definite, so its diagonal is positive.
-    dd = [math.sqrt(s_w[i][i]) for i in range(len(b))]
     correlation = tuple(tuple(v / (di * dj) for v, dj in zip(row, dd)) for row, di in zip(s_w, dd))
 
     grand_mean = [total / N for total in column_sums(X0 + X1)]

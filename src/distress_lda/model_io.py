@@ -97,8 +97,8 @@ def model_from_dict(doc: dict) -> tuple[DiscriminantModel, NormalizationStats]:
     score_sd = _group_numbers(doc, "score_sd", context)
     group_sizes = _group_numbers(doc, "group_sizes", context)
     for group, size in group_sizes.items():
-        if size != int(size) or size < 2:
-            raise ModelFileError(f"{context}: group_sizes.{group} must be an integer >= 2")
+        if size != int(size) or not 2 <= size <= 2**53:  # past 2**53 a float holds no count exactly
+            raise ModelFileError(f"{context}: group_sizes.{group} must be an integer >= 2 and at most 2**53")
     eigenvalue = _number(doc, "eigenvalue", context)
     canonical = _number(doc, "canonical_correlation", context)
     wilks = _number(doc, "wilks_lambda", context)

@@ -1,5 +1,6 @@
 """Shared fixtures: bundled panels, fitted and reference models, zones."""
 import pytest
+from hypothesis import settings
 
 import distress_lda
 from distress_lda import (
@@ -14,6 +15,11 @@ from distress_lda.fixtures import (
     load_reference_model,
     load_training_panel,
 )
+
+
+# A larger budget for the CLI boundary test, run in CI as its own step:
+# pytest tests/test_cli_boundary.py --hypothesis-profile=boundary
+settings.register_profile("boundary", max_examples=3000)
 
 
 def pytest_report_header(config):

@@ -2,9 +2,10 @@
 
 Each test covers one headline claim: the reported score-table statistics,
 the variance-homogeneity check, centroids and cut-off, the end-to-end refit
-from the bundled averages, the yearly evaluation tables, tail probabilities
-against an independent oracle, fitted-model invariants under random
-sampling, and small two-variable instances against brute force.
+from the bundled averages, the yearly evaluation tables, which ratio carries
+which published coefficient, tail probabilities against an independent
+oracle, fitted-model invariants under random sampling, and small
+two-variable instances against brute force.
 
 Every checked figure prints one PASS/FAIL line; run with -s to read the
 battery as a checklist. A test collects all its lines before failing so a
@@ -40,6 +41,7 @@ from distress_lda.special_functions import (
 )
 
 from observations import labelled
+from records import replace
 from oracles import (
     chi_square_sf_reference,
     discriminant_direction_reference,
@@ -233,6 +235,78 @@ def test_yearly_evaluation_matches_reported_tables(
         rows[2015].type1_rate == 0.5,
         f"type I rate {rows[2015].type1_rate}",
     )
+    c.finish()
+
+
+def _swap_roae_roaa(weights: dict) -> dict:
+    return {**weights, "roae": weights["roaa"], "roaa": weights["roae"]}
+
+
+def _matching_years(model, stats, evaluation_panel, zones) -> list[int]:
+    """The REPORTED_YEARS rows the raw-ratio replay gives exactly: zone counts and whole-percent accuracy."""
+    records, labels = evaluation_panel
+    report = evaluate_panel(model, stats, records, labels, zones, "raw")
+    got = {
+        row.year: (row.bankrupt_count, row.grey_count, row.nonbankrupt_count, round(100.0 * row.accuracy))
+        for row in report.years
+    }
+    return [year for year, reported in sorted(REPORTED_YEARS.items()) if got.get(year) == reported]
+
+
+def test_published_model_swaps_the_roae_and_roaa_coefficients(
+    fitted_model, reference_model, reference_stats, evaluation_panel, published_zones
+):
+    """Data facts of the two transcriptions of the published model, pinned so that
+    neither is "fixed" silently. The refit gives roae and roaa the coefficients that
+    REPORTED_COEFFICIENTS gives them; reference_model.json gives each the other's, in
+    its coefficients, standardized coefficients and Fisher weights alike. Only the
+    bundled labelling replays all nine published years; with the pair swapped back,
+    2016, 2017, 2018 and 2020 move. The README's case study says what this shows."""
+    c = Checklist()
+    for name in ("roae", "roaa"):
+        c.within(
+            f"refit {name} against the reported coefficient",
+            fitted_model.coefficients[name],
+            REPORTED_COEFFICIENTS[name],
+            0.03,
+        )
+    pair = (reference_model.coefficients["roae"], reference_model.coefficients["roaa"])
+    c.check(
+        "bundled roae and roaa are the reported roaa and roae",
+        pair == (REPORTED_COEFFICIENTS["roaa"], REPORTED_COEFFICIENTS["roae"]),
+        f"got {pair}",
+    )
+    blocks = {
+        "coefficients": (fitted_model.coefficients, reference_model.coefficients),
+        "standardized": (fitted_model.standardized, reference_model.standardized),
+        **{
+            f"{group} fisher weights": (fitted_model.fisher.weights[group], reference_model.fisher.weights[group])
+            for group in ("bankrupt", "nonbankrupt")
+        },
+    }
+    for block, (refit, bundled) in blocks.items():
+        crossed = max(abs(bundled[a] / refit[b] - 1) for a, b in (("roae", "roaa"), ("roaa", "roae")))
+        straight = min(abs(bundled[a] / refit[a] - 1) for a in ("roae", "roaa"))
+        c.check(
+            f"bundled {block}: roae and roaa within 3% of the refit's roaa and roae, 10% off straight",
+            crossed <= 0.03 and straight > 0.10,
+            f"crossed {crossed:.1%}, straight {straight:.1%}",
+        )
+    swapped = replace(
+        reference_model,
+        coefficients=_swap_roae_roaa(reference_model.coefficients),
+        standardized=_swap_roae_roaa(reference_model.standardized),
+        fisher=replace(
+            reference_model.fisher,
+            weights={group: _swap_roae_roaa(w) for group, w in reference_model.fisher.weights.items()},
+        ),
+    )
+    for label, model, want in (
+        ("bundled", reference_model, sorted(REPORTED_YEARS)),
+        ("swapped back", swapped, [2012, 2013, 2014, 2015, 2019]),
+    ):
+        got = _matching_years(model, reference_stats, evaluation_panel, published_zones)
+        c.check(f"{label} labelling replays {len(want)} of 9 reported years", got == want, f"matches {got}")
     c.finish()
 
 

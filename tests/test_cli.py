@@ -219,6 +219,12 @@ class TestDiagnoseCommand:
         assert "collinear pairs (|r| > 0.7):" in out
         assert "roae/bdtla r=-0.799" in out
 
+    def test_no_pair_past_the_threshold(self, capsys):
+        """The largest |r| of the reference model is 0.859 (roaa/bdtla)."""
+        code, out, err = run_cli(capsys, "diagnose", "--model", REFERENCE, "--collinearity-threshold", "0.86")
+        assert (code, err) == (0, "")
+        assert "\nno pair exceeds |r| = 0.86\n" in out
+
     def test_alpha_changes_verdicts(self, capsys):
         """At alpha 0.01 the Wilks p-value of 0.047 is no longer significant."""
         code, out, _ = run_cli(
@@ -720,6 +726,19 @@ class TestConfigPrecedence:
         assert code == 2
         assert "cannot read config file" in err
 
+    @pytest.mark.parametrize(
+        "name, text, line",
+        [("run.cfg", "# a run\nformat json\n", 2), ("run.json", '["format", "json"]', 1)],
+        ids=["no-equals-sign", "json-array"],
+    )
+    def test_config_line_without_equals_sign(self, tmp_path, capsys, name, text, line):
+        """Only a file that starts with { is JSON, so a JSON array reads as key=value lines."""
+        config = tmp_path / name
+        config.write_text(text, encoding="utf-8")
+        assert run_cli(capsys, "diagnose", "--model", REFERENCE, "--config", str(config)) == (
+            2, "", f"error: config file {config} line {line}: expected key=value\n"
+        )
+
 
 COMMAND_FLAGS = {
     "fit": {"--train", "--model", "--window", "--priors", "--format"},
@@ -1048,6 +1067,18 @@ class TestExitCodes:
         )
         assert (code, out) == (3, "")
         assert err == f"error: zones: 'cutoff' must be a finite number, got {huge}\n"
+
+    @pytest.mark.parametrize("command", ["classify", "evaluate"])
+    def test_derived_cutoff_past_float_range(self, tmp_path, capsys, command):
+        """12 banks at a centroid of 1e308 overflow the size-weighted cut-off: the
+        model file is refused (exit 3), where a bare ValueError once escaped."""
+        doc = json.loads(Path(REFERENCE).read_text(encoding="utf-8"))
+        doc["centroids"]["nonbankrupt"] = 1e308
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli(capsys, command, "--panel", PANEL_A, "--model", str(model)) == (
+            3, "", "error: model: derived zone bounds must be finite, got cutoff inf, grey (-3.9478139999999997, 1e+308)\n"
+        )
 
     def test_model_constant_past_float_range(self, tmp_path, capsys):
         huge = 10**400

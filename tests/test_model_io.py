@@ -127,6 +127,14 @@ class TestModelValidation:
         model_doc["group_sizes"]["bankrupt"] = 2.5
         self._reject(model_doc, ">= 2")
 
+    def test_group_sizes_past_float_precision(self, model_doc):
+        """1e308 is a whole number to float(), and diagnose once printed NaN for its Box's M."""
+        model_doc["group_sizes"]["bankrupt"] = 1e308
+        self._reject(model_doc, r"^model: group_sizes.bankrupt must be an integer >= 2 and at most 2\*\*53$")
+        model_doc["group_sizes"]["bankrupt"] = 2**53
+        model, _stats = model_from_dict(model_doc)
+        assert model.n0 == 2**53
+
     def test_group_sizes_must_fit_the_design(self, model_doc):
         """Six ratios need N >= 8 banks; the fit could never write 2 and 3."""
         model_doc["group_sizes"] = {"bankrupt": 2, "nonbankrupt": 3}
@@ -163,6 +171,18 @@ class TestModelValidation:
     def test_canonical_correlation_must_match_eigenvalue(self, model_doc):
         model_doc["canonical_correlation"] += 2e-5
         self._reject(model_doc, "canonical_correlation disagrees")
+
+    @pytest.mark.parametrize(
+        "block, what",
+        [(("centroids",), "'centroids'"), (("fisher", "weights"), "fisher weights")],
+        ids=["centroids", "fisher-weights"],
+    )
+    def test_group_blocks_map_exactly_the_two_groups(self, model_doc, block, what):
+        node = model_doc
+        for key in block:
+            node = node[key]
+        node["healthy"] = node["nonbankrupt"]
+        self._reject(model_doc, rf"^model: {what} must map exactly \('bankrupt', 'nonbankrupt'\)$")
 
     def test_fisher_block_required(self, model_doc):
         del model_doc["fisher"]
@@ -284,6 +304,10 @@ class TestZonesIO:
         """A JSON list or object as source is an unknown source, not a TypeError."""
         with pytest.raises(ModelFileError, match="source"):
             zones_from_dict({"cutoff": 0.0, "grey": None, "source": source})
+
+    def test_top_level_type(self):
+        with pytest.raises(ModelFileError, match="^zones document must be a JSON object$"):
+            zones_from_dict([-7e-06, [-0.04, -0.003], "explicit-override"])
 
     def test_cutoff_must_be_number(self):
         with pytest.raises(ModelFileError, match="finite number"):

@@ -10,6 +10,7 @@ from distress_lda import (
     NormalizationStats,
     RatioVector,
     TrainingSet,
+    VARIABLES,
     ZeroVarianceError,
     build_training_set,
     fit_normalizer,
@@ -116,6 +117,14 @@ def test_apply_uses_frozen_moments():
     sample = LabeledSample("bank0", RatioVector(1.0, 3.0, 5.0, 0.0, -1.0, 2.0), GroupLabel.BANKRUPT)
     [(_, z, _)] = normalize_training_set(stats, TrainingSet(samples=(sample,), n0=1, n1=0)).samples
     assert z == RatioVector(0.0, 1.0, 2.0, -0.5, -1.0, 0.5)
+
+
+def test_z_score_past_float_range_rejected():
+    """Frozen moments can put a finite ratio's z-score past float range: 1e300 / 1e-10."""
+    stats = NormalizationStats(mean=dict.fromkeys(VARIABLES, 0.0), sd={**dict.fromkeys(VARIABLES, 1.0), "nii": 1e-10})
+    sample = LabeledSample("bank0", RatioVector(0.1, 0.2, 0.3, 1e300, 0.5, 0.6), GroupLabel.BANKRUPT)
+    with pytest.raises(ValueError, match="^ratio 'nii' must be finite, got inf$"):
+        normalize_training_set(stats, TrainingSet(samples=(sample,), n0=1, n1=0))
 
 
 def test_stats_validation():

@@ -5,6 +5,8 @@
 - Zones are ordered along the score axis: bankrupt below grey below healthy.
 - The fitted coefficients do not depend on the order of rows within a group.
 - The fit agrees with the numpy oracle to 1e-12 relative, over 1-9 variables.
+- The fit has no unit: a column scaled by a power of two scales its
+  coefficient and Fisher weights by the inverse power and leaves every other bit.
 - The fit refuses, or makes a model that its file loads back field for field,
   also where one ratio all but separates the groups.
 - Window means and normalizer statistics carry numpy's bits exactly.
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     fisher_call_reference,
@@ -264,6 +266,52 @@ def test_fit_agrees_with_numpy_oracle(case):
         assert_close([model.fisher.weights[key][n] for n in names], w, np.max(np.abs(w)))
         prior = model.fisher.priors[key]
         assert_close(model.fisher.constants[key], constant, np.abs(mu) @ np.abs(w) / 2 + abs(np.log(prior)))
+
+
+def assert_unit_free(X0, X1, names, priors, ks) -> None:
+    """Each column times 2**k gives the model of the unscaled fit bit for bit, save
+    the column's coefficient and Fisher weights, each exactly 2**-k times its own,
+    and scores each scaled row as that fit scores the row: no rule has a unit."""
+    scales = [2.0**k for k in ks]
+    scaled = [[[x * s for x, s in zip(row, scales)] for row in X] for X in (X0, X1)]
+    base = fit_from_matrices(X0, X1, names, priors=priors)
+    model = fit_from_matrices(*scaled, names, priors=priors)
+    fields = ("constant", "y0", "y1", "s0", "s1", "eigenvalue", "canonical_correlation", "wilks_lambda")
+    assert bits(getattr(model, f) for f in fields) == bits(getattr(base, f) for f in fields)
+    assert bits(model.standardized.values()) == bits(base.standardized.values())
+    assert [bits(row) for row in model.pooled_correlation] == [bits(row) for row in base.pooled_correlation]
+    assert bits(model.fisher.constants.values()) == bits(base.fisher.constants.values())
+    for name, s in zip(names, scales):
+        assert (model.coefficients[name] * s).hex() == base.coefficients[name].hex()
+        for key in GROUP_KEYS:
+            assert (model.fisher.weights[key][name] * s).hex() == base.fisher.weights[key][name].hex()
+
+    def scores(fit, rows) -> list[str]:
+        return bits(linear_form_reference(fit.constant, fit.coefficients, dict(zip(names, row))) for row in rows)
+
+    assert scores(model, scaled[0] + scaled[1]) == scores(base, X0 + X1)
+
+
+powers = st.integers(-60, 60)
+
+
+@SETTINGS
+@given(ks=st.lists(powers, min_size=6, max_size=6), priors=st.sampled_from(PRIORS))
+# Every column times 2**-40 puts the largest group-mean gap at 9.9e-13: an
+# absolute bound of 1e-12 on it refused the case study in these units.
+@example(ks=[-40] * 6, priors=PRIORS[0])
+def test_the_case_study_fit_is_unit_free(normalized_set, ks, priors):
+    X0, X1 = ([list(s.ratios) for s in normalized_set.samples if s.label is label] for label in GroupLabel)
+    assert_unit_free(X0, X1, VARIABLES, priors, ks)
+
+
+@SETTINGS
+@given(fit_cases(), st.data())
+def test_a_drawn_fit_is_unit_free(case, data):
+    X0, X1, priors = case
+    p = X0.shape[1]
+    ks = data.draw(st.lists(powers, min_size=p, max_size=p))
+    assert_unit_free(X0.tolist(), X1.tolist(), [f"x{i}" for i in range(p)], priors, ks)
 
 
 UNIT_STATS = NormalizationStats(mean=dict.fromkeys(VARIABLES, 0.0), sd=dict.fromkeys(VARIABLES, 1.0))
