@@ -5,20 +5,14 @@ cells are all zero (or all empty) are markers for "no data available" and are
 carried with available=False so that averaging windows can skip them without
 losing track of the bank.
 
-A panel is read as a stream of blocks of rows: parse_panel and panel_labels
-consume each block as the csv reader splits it, and hold no split copy of
-the text. The records of each block are first read with C-level passes over
-whole columns (map, zip, itemgetter, compress), which read empty lines and
-rows of empty ratio cells as the row rules do. Those passes refuse a block
-that holds anything else they may not read the way the row rules do: a row
-of blank cells, a short row, a cell that is not plain, a duplicate. The row
-rules then read that block from the state at its start, and their result
-stands, records or the first row's error: a refusal is never itself an
-error. Labels are read a row at a time. A csv error anywhere in the text (a
-bare carriage return, a field over the csv size limit) still wins over any
-other fault, as if the whole text had been split first: a panel error met
-before the end drains the rest of the reader, and a csv error found there
-is raised in its place.
+A panel is read a row at a time by one loop, which holds no split copy of
+the text. Its ratio cells are read unstripped through the read's cached
+parse_number, which reads a cell as it reads the stripped cell or refuses
+it; only a row it refuses is stripped, to tell a no-data row from a faulty
+cell. A csv error anywhere in the text (a bare carriage return, a field over
+the csv size limit) still wins over any other fault, as if the whole text
+had been split first: a panel error met before the end drains the rest of
+the reader, and a csv error found there is raised in its place.
 
 The csv reader reads the lines that io.StringIO(text) would yield, cut from
 the text with str.split, which holds no copy of the text at four bytes a
@@ -39,7 +33,7 @@ import csv
 import enum
 import math
 from functools import cache
-from itertools import chain, compress, groupby, islice, repeat
+from itertools import chain, groupby, repeat
 from operator import add, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
@@ -60,8 +54,7 @@ from .record import Record
 
 WINDOW_DEFAULT = (2012, 2015)  # the case study's averaging window
 
-_Rows = Iterable[tuple[int, list[list[str]]]]  # (record number of its first row, rows) of each block
-_BLOCK = 512  # data rows per block
+_Rows = Iterable[tuple[int, list[str]]]  # (record number, cells) of each data row
 _Read = TypeVar("_Read")
 
 
@@ -132,11 +125,10 @@ class TrainingSet(Record):
     n1: int  # non-bankrupt count
 
 
-def _split_rows(reader: Iterator[list[str]]) -> tuple[list[str], Iterator[tuple[int, list[list[str]]]]]:
-    """The header and a stream of blocks of the data rows that follow it, each
-    with the record number of its first row; the first row with a cell that
-    is not blank is the header. A csv error propagates from the stream as
-    csv.Error."""
+def _split_rows(reader: Iterator[list[str]]) -> tuple[list[str], _Rows]:
+    """The header and a stream of the data rows that follow it, each with its
+    record number; the first row with a cell that is not blank is the header.
+    A csv error propagates from the stream as csv.Error."""
     lineno, first = next(((n, row) for n, row in enumerate(reader, start=1) if "".join(row).strip()), (0, None))
     if first is None:
         raise SchemaError("panel is empty: header row required")
@@ -149,8 +141,7 @@ def _split_rows(reader: Iterator[list[str]]) -> tuple[list[str], Iterator[tuple[
     for column in _REQUIRED_COLUMNS + ("label",):
         if header.count(column) > 1:
             raise SchemaError(f"panel names column {column!r} more than once")
-    blocks = iter(lambda: list(islice(reader, _BLOCK)), [])  # until the reader is spent
-    return header, ((lineno + 1 + k * _BLOCK, block) for k, block in enumerate(blocks))
+    return header, enumerate(reader, lineno + 1)
 
 
 def _lines(text: str) -> Iterator[str]:
@@ -219,76 +210,51 @@ _BLANK = RatioVector(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # shared by every row with e
 
 
 def _records(
-    header: list[str], blocks: _Rows, seen: set[tuple[int, str]], floats: Callable[[str], float], names: dict[str, str]
+    header: list[str], rows: _Rows, seen: set[tuple[int, str]], floats: Callable[[str], float], names: dict[str, str]
 ) -> list[BankYearRecord]:
-    """The blocks' records; a (year, bank) already in seen (from any file) is
+    """The rows' records; a (year, bank) already in seen (from any file) is
     refused, a new one added. floats is the read's cached parse_number and
     names holds the bank names read so far (from any file), so that equal
     cells share one float and each bank's records one str."""
     bank_at, year_at = header.index("bank"), header.index("year")
     ratio_at = [header.index(name) for name in VARIABLES]
+    ratio_cells = itemgetter(*ratio_at)
     width = max(bank_at, year_at, *ratio_at) + 1
     years = cache(parse_year)  # each distinct year cell, parsed once
-
-    def by_block(block: list[list[str]]) -> list[BankYearRecord]:
-        """The block's records from C-level passes, which raise ValueError or
-        IndexError at a row they may not read as the row rules do."""
-        block = list(filter(None, block))  # an empty line holds no record
-        banks = list(map(str.strip, map(itemgetter(bank_at), block)))
-        banks = list(map(names.setdefault, banks, banks))
-        row_years = list(map(years, map(itemgetter(year_at), block)))
-        keys = set(zip(row_years, banks))
-        rows = list(map(itemgetter(*ratio_at), block))
-        filled = list(map(any, rows))  # False for a row whose ratio cells are all empty
-        cells = list(chain.from_iterable(compress(rows, filled)))  # six a row
-        # Unstripped: parse_number reads a cell as it reads the stripped cell, or refuses it.
-        values = list(map(floats, cells))
-        if not (all(banks) and len(keys) == len(block) and keys.isdisjoint(seen)):
-            raise ValueError("a blank bank or a duplicate")
-        seen.update(keys)
-        ratios = RatioVector._from_checked(zip(*[iter(values)] * len(VARIABLES)))
-        if len(ratios) < len(block):  # each no-data row takes the shared _BLANK
-            read = iter(ratios)
-            ratios = [next(read) if given else _BLANK for given in filled]
-        return BankYearRecord._from_checked(zip(banks, row_years, ratios, map(any, ratios)))
-
-    def by_rows(lineno: int, block: list[list[str]]) -> list[BankYearRecord]:
-        records = []
-        for lineno, row in enumerate(block, lineno):
-            if not "".join(row).strip():
-                continue
+    records = []
+    append, new = records.append, tuple.__new__  # bound once, not looked up each row
+    for lineno, row in rows:
+        if len(row) < width:
             row = row + [""] * (width - len(row))  # a short row's missing cells are empty
-            bank = row[bank_at].strip()
-            if not bank:
-                raise ParseError(f"row {lineno}: column 'bank' is empty")
-            bank = names.setdefault(bank, bank)
-            try:
-                year = years(row[year_at])
-            except ValueError as exc:
-                raise ParseError(f"row {lineno}: column 'year': {exc}") from None
-            if (year, bank) in seen:
-                raise DuplicateRecordError(f"row {lineno}: duplicate record for bank {bank!r}, year {year}")
-            seen.add((year, bank))
-
-            cells = [row[idx].strip() for idx in ratio_at]
-            if not any(cells):
-                records.append(BankYearRecord(bank, year, _BLANK, False))
+        bank = row[bank_at].strip()
+        if not bank:
+            if not "".join(row).strip():  # a blank line holds no record
                 continue
-            values = []
-            for name, cell in zip(VARIABLES, cells):
-                try:
-                    values.append(floats(cell))
-                except ValueError as exc:
-                    raise ParseError(f"row {lineno}: column {name!r}: {exc}") from None
-            records.append(BankYearRecord(bank, year, RatioVector(*values), any(values)))
-        return records
-
-    records: list[BankYearRecord] = []
-    for lineno, block in blocks:
+            raise ParseError(f"row {lineno}: column 'bank' is empty")
+        bank = names.setdefault(bank, bank)
         try:
-            records += by_block(block)
-        except (ValueError, IndexError):  # a short, blank or faulty row, or a cell float() alone would misread
-            records += by_rows(lineno, block)
+            year = years(row[year_at])
+        except ValueError as exc:
+            raise ParseError(f"row {lineno}: column 'year': {exc}") from None
+        key = (year, bank)
+        if key in seen:
+            raise DuplicateRecordError(f"row {lineno}: duplicate record for bank {bank!r}, year {year}")
+        seen.add(key)
+        cells = ratio_cells(row)
+        try:  # parse_number checks values as RatioVector._validate would; a list, unlike a map, leaves no spare tuple
+            ratios = new(RatioVector, list(map(floats, cells)))
+        except ValueError:  # empty cells, or a cell only its stripped text reads
+            cells = [cell.strip() for cell in cells]
+            ratios = _BLANK  # all zeros, so the record is not available
+            if any(cells):
+                values = []
+                for name, cell in zip(VARIABLES, cells):
+                    try:
+                        values.append(floats(cell))
+                    except ValueError as exc:
+                        raise ParseError(f"row {lineno}: column {name!r}: {exc}") from None
+                ratios = new(RatioVector, values)
+        append(new(BankYearRecord, (bank, year, ratios, any(ratios))))
     return records
 
 
@@ -298,29 +264,29 @@ def panel_labels(text: str) -> dict[str, GroupLabel]:
     return _read_panel(text, lambda header, rows: _labels(header, rows, {}))
 
 
-def _labels(header: list[str], blocks: _Rows, labels: dict[str, GroupLabel]) -> dict[str, GroupLabel]:
-    """labels plus the blocks' labels; a bank labelled otherwise in labels (from any file) is refused."""
+def _labels(header: list[str], rows: _Rows, labels: dict[str, GroupLabel]) -> dict[str, GroupLabel]:
+    """labels plus the rows' labels; a bank labelled otherwise in labels (from any file) is refused."""
     if "label" not in header:
         raise SchemaError("panel has no 'label' column")
     bank_at, label_at = header.index("bank"), header.index("label")
     width = max(bank_at, label_at) + 1
     known: dict[str, GroupLabel | None] = {}  # each distinct label cell, resolved once
-    for first, block in blocks:
-        for lineno, row in enumerate(block, first):
+    for lineno, row in rows:
+        if len(row) < width:
             row = row + [""] * (width - len(row))  # a short row's missing cells are empty
-            cell = row[label_at]
-            if cell not in known:
-                text = cell.strip()
-                try:
-                    known[cell] = GroupLabel.from_string(text) if text else None
-                except ValueError:
-                    raise ParseError(f"row {lineno}: column 'label': unknown label {text!r}") from None
-            label = known[cell]
-            if label is None:
-                continue
-            bank = row[bank_at].strip()
-            if labels.setdefault(bank, label) is not label:
-                raise ParseError(f"row {lineno}: bank {bank!r} has conflicting labels")
+        cell = row[label_at]
+        if cell not in known:
+            text = cell.strip()
+            try:
+                known[cell] = GroupLabel.from_string(text) if text else None
+            except ValueError:
+                raise ParseError(f"row {lineno}: column 'label': unknown label {text!r}") from None
+        label = known[cell]
+        if label is None:
+            continue
+        bank = row[bank_at].strip()
+        if labels.setdefault(bank, label) is not label:
+            raise ParseError(f"row {lineno}: bank {bank!r} has conflicting labels")
     return labels
 
 
@@ -417,15 +383,19 @@ def average_ratios(records: list[BankYearRecord], bank_id: str, years: tuple[int
 
 def check_design(n0: int, n1: int, p: int) -> None:
     """The two-group design rule: each group needs two members for its score
-    dispersion, and p variables need N >= p + 2 samples, since the pooled
-    within-group scatter of N samples has rank at most N - 2."""
+    dispersion, a discriminant needs at least one variable, and p variables
+    need N >= p + 2 samples, since the pooled within-group scatter of N
+    samples has rank at most N - 2."""
     if n0 < 2 or n1 < 2:
         raise InsufficientGroupError(
             f"each group needs at least 2 samples, got bankrupt={n0}, nonbankrupt={n1}"
         )
     n = n0 + n1
-    if p > n - 2:
-        raise VariableCountError(f"{p} variables exceed the limit of {n - 2} for {n} samples")
+    if not 1 <= p <= n - 2:
+        raise VariableCountError(
+            f"a discriminant needs at least 1 variable, got {p}" if p < 1
+            else f"{p} variables exceed the limit of {n - 2} for {n} samples"
+        )
 
 
 def build_training_set(samples: list[LabeledSample]) -> TrainingSet:

@@ -310,6 +310,30 @@ def test_published_model_swaps_the_roae_and_roaa_coefficients(
     c.finish()
 
 
+def test_implied_pooled_sds_match_roae_and_roaa_crosswise(fitted_model, reference_model):
+    """Each model implies each ratio's pooled within-group sd as its standardized
+    coefficient over its coefficient. The bundled file's roae and roaa sds are
+    the refit's roaa and roae sds, 1.0339 and 1.0239 against 1.0336 and 1.0243,
+    while nii, laaa and bdtla match straight: what the bundled file gives roae
+    belongs to the roaa column, and the other way round. The gaps of the
+    unrounded sds are 3.2e-4 and 4.0e-4 crosswise, and at most 1.53e-3 straight.
+    (eaa reads 1.0 against 0.988: the published -0.04 has two digits.)"""
+    c = Checklist()
+    sds = {
+        label: {name: model.standardized[name] / model.coefficients[name] for name in VARIABLES}
+        for label, model in (("bundled", reference_model), ("refit", fitted_model))
+    }
+    for label, name, want in (
+        ("bundled", "roae", 1.0339), ("bundled", "roaa", 1.0239), ("refit", "roaa", 1.0336), ("refit", "roae", 1.0243),
+    ):
+        c.within(f"{label} {name} implied pooled sd", sds[label][name], want, 5e-5)
+    for bundled, refit in (("roae", "roaa"), ("roaa", "roae")):
+        c.within(f"bundled {bundled} sd against the refit's {refit} sd", sds["bundled"][bundled], sds["refit"][refit], 5e-4)
+    for name in ("nii", "laaa", "bdtla"):
+        c.within(f"bundled {name} sd against the refit's", sds["bundled"][name], sds["refit"][name], 2e-3)
+    c.finish()
+
+
 def test_tail_probabilities_match_independent_oracle():
     """Survival functions against a 50-digit series oracle, plus identities."""
     c = Checklist()

@@ -1,15 +1,14 @@
-"""The block-at-a-time passes against the row-at-a-time rules they replaced.
+"""The panel reader against the row-at-a-time oracle, and the kernels it shares.
 
 - parse_panel, panel_labels (on texts with and without a byte-order mark)
   and load_panels (two files) return what the row-at-a-time reader of
   tests/oracles.py returns, records compared by float.hex, or raise the
-  same error type with the same message. Each runs with blocks of 1, 2
-  and 3 rows and of the default size, over panels with injected faults:
+  same error type with the same message, over panels with injected faults:
   blank and short rows, whitespace cells (\\x1c among them), non-ASCII
   digits, 1_0, nan and inf, rows of empty ratio cells and rows that mix
-  empty and numeric ones, duplicates within a block, across blocks and
-  across files, and labels that conflict across blocks. Rows of empty ratio
-  cells and empty lines do not send a block to the row rules.
+  empty and numeric ones, duplicates within a file and across files, and
+  labels that conflict. Rows of empty ratio cells share one blank ratio
+  vector, and empty lines hold no record.
 - load_panels reads a file as parse_panel and panel_labels read its text,
   with no, one or two byte-order marks, or raises the text's error type
   with the text's message after the file's path.
@@ -22,14 +21,15 @@
   CR and NUL, at the default field size limit and at a tiny one. It holds
   less than half the memory io.StringIO holds for a bench panel.
 - What a parse shares: the records of one bank share one str for its name,
-  and equal ratio cells one float, whichever pass reads their block, also
-  across the files of load_panels. The parsed records of a bench panel hold
-  under 2.0 MB.
+  and equal ratio cells one float, whether a cell is read as it stands or
+  stripped, also across the files of load_panels. The parsed records of a
+  bench panel hold under 2.0 MB.
 - Each ratio is float() of its cell, bit for bit, "-0.0" with its sign,
-  whichever pass reads its block.
+  whether its row is read as it stands or stripped.
 
-No result of the block pass may depend on hash order, so CI runs this
-file under two values of PYTHONHASHSEED.
+The duplicate rule's set and the read's caches hash bank names and cell
+texts, and no result may depend on hash order, so CI runs this file under
+two values of PYTHONHASHSEED.
 """
 from __future__ import annotations
 
@@ -39,7 +39,6 @@ import io
 import tempfile
 import tracemalloc
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -57,7 +56,6 @@ from distress_lda import DistressLdaError
 from distress_lda import dataset
 from distress_lda.lda_fit import _row_dots
 
-BLOCK_SIZES = [1, 2, 3, dataset._BLOCK]
 SETTINGS = settings(deadline=None, max_examples=150)
 
 COLUMNS = ["bank", "year", "eaa", "roae", "roaa", "nii", "laaa", "bdtla", "label"]
@@ -143,39 +141,35 @@ def outcome(read, *args):
     )
 
 
-@pytest.mark.parametrize("block", BLOCK_SIZES)
 @SETTINGS
 @given(faulty_rows(), st.sampled_from(["", "\ufeff"]))
-def test_text_readers_match_the_row_rules(block, case, mark):
+def test_text_readers_match_the_row_rules(case, mark):
     text = mark + csv_text(*case)
-    with mock.patch.object(dataset, "_BLOCK", block):
-        assert outcome(dataset.parse_panel, text) == outcome(parse_panel_reference, text)
-        assert outcome(dataset.panel_labels, text) == outcome(panel_labels_reference, text)
+    assert outcome(dataset.parse_panel, text) == outcome(parse_panel_reference, text)
+    assert outcome(dataset.panel_labels, text) == outcome(panel_labels_reference, text)
 
 
-@pytest.mark.parametrize("block", BLOCK_SIZES)
 @SETTINGS
 @given(faulty_rows(), st.data())
-def test_two_files_match_the_row_rules(block, case, data):
+def test_two_files_match_the_row_rules(case, data):
     header, rows = case
     cut = data.draw(st.integers(0, len(rows)))
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(dataset, "_BLOCK", block):
+    with tempfile.TemporaryDirectory() as tmp:
         paths = [Path(tmp) / "first.csv", Path(tmp) / "second.csv"]
         for path, part in zip(paths, (rows[:cut], rows[cut:])):
             path.write_bytes(csv_text(header, part).encode("utf-8"))
         assert outcome(dataset.load_panels, paths, "panel", {}) == outcome(load_panels_reference, paths, "panel")
 
 
-@pytest.mark.parametrize("block", BLOCK_SIZES)
 @SETTINGS
 @given(faulty_rows(), st.integers(0, 2))
-def test_a_file_reads_as_its_text(block, case, marks):
+def test_a_file_reads_as_its_text(case, marks):
     """load_panels reads a panel file as parse_panel and panel_labels read its
     text, each dropping one byte-order mark; a file's error is its text's, the
     message prefixed with the file's path. A text with a header and no data
     rows, which load_panels alone refuses, is left out."""
     text = "\ufeff" * marks + csv_text(*case)
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(dataset, "_BLOCK", block):
+    with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "panel.csv"
         path.write_bytes(text.encode("utf-8"))
         loaded = outcome(dataset.load_panels, [path], "panel", {})
@@ -186,31 +180,25 @@ def test_a_file_reads_as_its_text(block, case, marks):
     assert loaded == expected
 
 
-@pytest.mark.parametrize("block", BLOCK_SIZES)
-def test_cell_that_only_strip_reads(block):
-    """float() refuses \\x1c0.5, which strip() reads as 0.5: the block pass hands
-    the block to the row rules, whose reading stands."""
+def test_cell_that_only_strip_reads():
+    """float() refuses \\x1c0.5, which strip() reads as 0.5: the row is read
+    again stripped, and that reading stands."""
     text = "bank,year,eaa,roae,roaa,nii,laaa,bdtla,label\n" + "".join(
         f"B{i},2015,{cell},1,1,1,1,1,bankrupt\n" for i, cell in enumerate(["0.25", "\x1c0.5", "0.75"])
     )
-    with mock.patch.object(dataset, "_BLOCK", block):
-        records = dataset.parse_panel(text)
+    records = dataset.parse_panel(text)
     assert [r.ratios.eaa for r in records] == [0.25, 0.5, 0.75]
     assert outcome(dataset.parse_panel, text) == outcome(parse_panel_reference, text)
 
 
-@pytest.mark.parametrize("block", BLOCK_SIZES)
-def test_block_pass_reads_no_data_rows_and_empty_lines(block):
-    """A row of empty ratio cells (a no-data marker) and an empty line are read
-    by the block pass itself: the row rules, which build each record with its
-    checks, never run, and the marker rows share the one blank ratio vector."""
+def test_no_data_rows_share_the_blank_ratios():
+    """A row of empty ratio cells (a no-data marker) takes the one shared blank
+    ratio vector, a row of zeros its own, and an empty line holds no record."""
     text = "bank,year,eaa,roae,roaa,nii,laaa,bdtla,label\n" + "".join(
         f"B{i},2015,{cells},bankrupt\n" + "\n" * (i % 3 == 0)
         for i, cells in enumerate(["0.5,1,1,1,1,1", ",,,,,", "0,0,0,0,0,0", ",,,,,", "-1,2,3,4,5,6"])
     )
-    with mock.patch.object(dataset, "_BLOCK", block), \
-            mock.patch.object(dataset.BankYearRecord, "_validate", side_effect=AssertionError("row rules ran")):
-        records = dataset.parse_panel(text)
+    records = dataset.parse_panel(text)
     assert [r.ratios is dataset._BLANK for r in records] == [False, True, False, True, False]
     assert outcome(lambda: records) == outcome(parse_panel_reference, text)
 
@@ -295,10 +283,9 @@ def test_line_source_holds_less_than_half_of_stringio(monkeypatch):
     assert peak(dataset._lines) < peak(io.StringIO) / 2
 
 
-@pytest.mark.parametrize("block", BLOCK_SIZES)
-def test_records_of_a_bank_share_one_name(block, tmp_path):
-    """Also when the row rules read one of the bank's blocks (\\x1c0.5, which
-    float() refuses, sends its block there), and across the two files of
+def test_records_of_a_bank_share_one_name(tmp_path):
+    """Also when one of the bank's rows is read stripped (\\x1c0.5, which
+    float() refuses, sends it there), and across the two files of
     load_panels, each of which holds both banks. (Names of one character
     would prove nothing: CPython keeps one str per such character.)"""
     rows = [("Bank A", 2012, "0.5"), (" Bank A", 2013, "0.5"), ("Bank A ", 2014, "\x1c0.5"), ("Bank B", 2012, "1"),
@@ -308,39 +295,34 @@ def test_records_of_a_bank_share_one_name(block, tmp_path):
     paths = [tmp_path / "first.csv", tmp_path / "second.csv"]
     for path, part in zip(paths, (lines[:4], lines[4:])):
         path.write_text(header + "".join(part), encoding="utf-8")
-    with mock.patch.object(dataset, "_BLOCK", block):
-        parsed = dataset.parse_panel(header + "".join(lines))
-        loaded, _ = dataset.load_panels(paths, "panel", None)
+    parsed = dataset.parse_panel(header + "".join(lines))
+    loaded, _ = dataset.load_panels(paths, "panel", None)
     for records in (parsed, loaded):
         assert [r.bank_id for r in records] == [bank.strip() for bank, _, _ in rows]
         first: dict[str, str] = {}
         assert all(first.setdefault(r.bank_id, r.bank_id) is r.bank_id for r in records)
 
 
-@pytest.mark.parametrize("block", BLOCK_SIZES)
-@pytest.mark.parametrize("row_rules", [False, True])
-def test_ratios_are_float_of_each_cell(block, row_rules):
+@pytest.mark.parametrize("stripped", [False, True])
+def test_ratios_are_float_of_each_cell(stripped):
     """Each ratio carries the bits of float() of its cell, -0.0 its sign, in
-    blocks the C-level passes read and, after a \\x1c cell, which float()
-    refuses, in blocks they send to the row rules."""
+    rows read as they stand and in a row read stripped after a \\x1c cell,
+    which float() refuses."""
     cells = ["0.5", "0.25", "0.5", "-0.0", "0.0", " 0.1 ", "0.30000000000000004", "-0.0", "1e-3", "0.001",
              "5e-324", "-2.2250738585072014e-308", "0.50", "12345678.9", "-7e-06", "0", "-0", "0.0"]
-    cells += ["\x1c0.5", "1", "1", "1", "1", "1"] if row_rules else []
+    cells += ["\x1c0.5", "1", "1", "1", "1", "1"] if stripped else []
     rows = [cells[i:i + 6] for i in range(0, len(cells), 6)]
     text = "bank,year,eaa,roae,roaa,nii,laaa,bdtla\n" + "".join(
         f"B{i},2015,{','.join(row)}\n" for i, row in enumerate(rows)
     )
-    with mock.patch.object(dataset, "_BLOCK", block):
-        values = [value for record in dataset.parse_panel(text) for value in record.ratios]
+    values = [value for record in dataset.parse_panel(text) for value in record.ratios]
     assert [value.hex() for value in values] == [float(cell.strip()).hex() for cell in cells]
 
 
-@pytest.mark.parametrize("block", BLOCK_SIZES)
-def test_equal_cells_share_one_float(block, tmp_path):
-    """Equal ratio cells of one read share one float: in blocks the C-level
-    passes read, in the blocks a \x1c cell sends to the row rules (which read
-    the stripped cell, so \x1c0.5 shares the float of 0.5), and across the two
-    files of load_panels."""
+def test_equal_cells_share_one_float(tmp_path):
+    """Equal ratio cells of one read share one float: in rows read as they
+    stand, in the rows a \x1c cell sends to be read stripped (so \x1c0.5
+    shares the float of 0.5), and across the two files of load_panels."""
     distinct = ["0.5", "0.25", "-0.0000", "0.0000", "1e-3", "0.1234", "-7.5"]
     rows = [[distinct[(i + j) % len(distinct)] for j in range(6)] for i in range(12)]
     rows[3][0] = "\x1c" + rows[3][0]
@@ -350,9 +332,8 @@ def test_equal_cells_share_one_float(block, tmp_path):
     paths = [tmp_path / "first.csv", tmp_path / "second.csv"]
     for path, part in zip(paths, (lines[:6], lines[6:])):
         path.write_text(header + "".join(part), encoding="utf-8")
-    with mock.patch.object(dataset, "_BLOCK", block):
-        parsed = dataset.parse_panel(header + "".join(lines))
-        loaded, _ = dataset.load_panels(paths, "panel", None)
+    parsed = dataset.parse_panel(header + "".join(lines))
+    loaded, _ = dataset.load_panels(paths, "panel", None)
     for records in (parsed, loaded):
         first: dict[str, float] = {}
         assert all(
@@ -362,20 +343,18 @@ def test_equal_cells_share_one_float(block, tmp_path):
         assert len(first) == len(distinct)
 
 
-@pytest.mark.parametrize("block", BLOCK_SIZES)
-@pytest.mark.parametrize("row_rules", [False, True])
-def test_signed_zero_cells_keep_their_sign(block, row_rules):
+@pytest.mark.parametrize("stripped", [False, True])
+def test_signed_zero_cells_keep_their_sign(stripped):
     """-0.0000 and 0.0000 are equal floats but not equal cells: each keeps its
-    own sign, whichever of them the read meets first and whichever pass reads it."""
+    own sign, whichever of them the read meets first, read as it stands or stripped."""
     zeros = ["0.0000", "-0.0000", "-0.0000", "0.0000", "0.0000", "-0.0000"]
     rows = [zeros[i:] + zeros[:i] for i in range(6)]
-    if row_rules:
+    if stripped:
         rows[2][1] = "\x1c" + rows[2][1]
     text = "bank,year,eaa,roae,roaa,nii,laaa,bdtla\n" + "".join(
         f"B{i},2015,{','.join(row)}\n" for i, row in enumerate(rows)
     )
-    with mock.patch.object(dataset, "_BLOCK", block):
-        records = dataset.parse_panel(text)
+    records = dataset.parse_panel(text)
     assert [[value.hex() for value in record.ratios] for record in records] == [
         [float(cell.strip()).hex() for cell in row] for row in rows
     ]

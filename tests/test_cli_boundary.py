@@ -1,19 +1,25 @@
-"""The CLI's exit-code contract over broken model and zones files.
+"""The CLI's exit-code contract over broken model, zones and panel files.
 
-Each example replaces one to three leaves of the bundled reference_model.json
-and paper_zones.json with boundary values from a fixed list, then runs
-diagnose on the model and classify and evaluate on the model with derived, the
-published and the mutated zones, in text and in JSON. Every call keeps the
-contract: its exit code is a documented one; a non-zero code prints nothing on
-stdout and exactly one stderr line, starting `error: `; code 0 prints no error
-and, under --format json, what parse_json reads.
+Each model example replaces one to three leaves of the bundled
+reference_model.json and paper_zones.json with boundary values from a fixed
+list, then runs diagnose on the model and classify and evaluate on the model
+with derived, the published and the mutated zones, in text and in JSON. Each
+panel example sets one to three cells of appendix_a.csv and of table2.csv to
+boundary texts from a fixed list, written raw, so a quote or a bare carriage
+return reaches the csv reader, or cuts a row short, blanks it or repeats it;
+then it runs classify and evaluate on the appendix panel and fit on the
+training panel, in text and in JSON. Every call keeps the contract: its exit
+code is a documented one; a non-zero code prints nothing on stdout and
+exactly one stderr line, starting `error: `; code 0 prints no error and,
+under --format json, what parse_json reads.
 
 The seed is fixed and the budget is the loaded hypothesis profile's: the
-default's 100 examples take a few seconds. `--hypothesis-profile=boundary`
+default's 100 examples of each take a few seconds. `--hypothesis-profile=boundary`
 (conftest.py) runs 3000.
 """
 from __future__ import annotations
 
+import csv
 import io
 import json
 import tempfile
@@ -29,6 +35,7 @@ from distress_lda.fixtures import data_path
 from distress_lda.model_io import parse_json
 
 PANEL = str(data_path("appendix_a.csv"))
+MODEL = str(data_path("reference_model.json"))
 DOCUMENTS = {
     name: json.loads(data_path(f"{stem}.json").read_text(encoding="utf-8"))
     for name, stem in (("model", "reference_model"), ("zones", "paper_zones"))
@@ -102,6 +109,66 @@ def test_broken_model_and_zones_files_keep_the_exit_code_contract(mutations):
             for command in ("classify", "evaluate")
             for zones in ("derived", "paper", paths["zones"])
         ]
+        for argv in calls:
+            for fmt in ("text", "json"):
+                assert_contract([*argv, "--format", fmt])
+
+
+def csv_rows(name: str) -> list[list[str]]:
+    with data_path(name).open(encoding="utf-8", newline="") as handle:
+        return list(csv.reader(handle))
+
+
+PANEL_ROWS = {"appendix": csv_rows("appendix_a.csv"), "training": csv_rows("table2.csv")}
+PANEL_CELLS = ("", " ", "\x1c0.5", "-0", "0_5", "nan", "1e308", str(10**400), '"', "\r", "\u0663")
+# Each edit names its row and column by an index taken modulo the file's data rows and that row's cells.
+edits = st.one_of(
+    st.tuples(st.just("cell"), st.integers(0, 99), st.integers(0, 99), st.sampled_from(PANEL_CELLS)),
+    st.tuples(st.sampled_from(["short", "blank", "repeat"]), st.integers(0, 99), st.integers(0, 99), st.none()),
+)
+
+
+def quoted(cell: str) -> str:
+    """The cell as the csv writer writes it."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="").writerow([cell])
+    return out.getvalue()
+
+
+def edited(rows: list[list[str]], edits) -> str:
+    """The panel's text after each edit in turn; an edited cell is written as it
+    stands, every other cell as the csv writer writes it."""
+    header, rows = rows[0], [[(cell, False) for cell in row] for row in rows[1:]]
+    for kind, at, column, value in edits:
+        at %= len(rows)
+        row = rows[at]
+        if kind == "cell" and row:  # a blank row stays blank
+            row[column % len(row)] = (value, True)
+        elif kind == "short":
+            rows[at] = row[: column % (len(row) or 1)]
+        elif kind == "blank":
+            rows[at] = []
+        elif kind == "repeat":
+            rows.insert(at, list(row))
+    lines = [map(quoted, header)] + [(cell if raw else quoted(cell) for cell, raw in row) for row in rows]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
+@seed(0)
+@settings(deadline=None)
+@given(st.lists(edits, min_size=1, max_size=3))
+# A finite ratio whose score overflows is exit 1, "any other toolkit error".
+@example([("cell", 0, 2, "1e308")])
+# A bare carriage return is a csv error, exit 3.
+@example([("cell", 0, 3, "\r")])
+def test_broken_panel_cells_keep_the_exit_code_contract(edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, rows in PANEL_ROWS.items():
+            paths[name] = str(Path(tmp, f"{name}.csv"))
+            Path(paths[name]).write_bytes(edited(rows, edits).encode("utf-8"))
+        calls = [[command, "--panel", paths["appendix"], "--model", MODEL] for command in ("classify", "evaluate")]
+        calls.append(["fit", "--train", paths["training"], "--model", str(Path(tmp, "model.json"))])
         for argv in calls:
             for fmt in ("text", "json"):
                 assert_contract([*argv, "--format", fmt])

@@ -270,6 +270,12 @@ class TestGroupStats:
         with pytest.raises(VariableCountError, match="3 variables exceed the limit of 2 for 4 samples"):
             fit_from_matrices(X0, X1, ("u", "v", "w"))
 
+    def test_no_variables_rejected(self):
+        """Rows of no columns leave no discriminant to fit: the design rule refuses
+        them, before the coincident-means rule could hold vacuously."""
+        with pytest.raises(VariableCountError, match="needs at least 1 variable, got 0"):
+            fit_from_matrices([[], []], [[], []], ())
+
     def test_bundled_panel_counts(self, normalized_set):
         X0, X1 = (
             [tuple(s.ratios) for s in normalized_set.samples if s.label is label]
