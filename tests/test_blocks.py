@@ -8,7 +8,8 @@
   digits, 1_0, nan and inf, rows of empty ratio cells and rows that mix
   empty and numeric ones, duplicates within a file and across files, and
   labels that conflict. Rows of empty ratio cells share one blank ratio
-  vector, and empty lines hold no record.
+  vector, empty lines hold no record, and no record runs its checks again.
+  Each case starts at data row 1, 2, 3 or 512, after rows of other banks.
 - load_panels reads a file as parse_panel and panel_labels read its text,
   with no, one or two byte-order marks, or raises the text's error type
   with the text's message after the file's path.
@@ -39,6 +40,7 @@ import io
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -57,6 +59,10 @@ from distress_lda import dataset
 from distress_lda.lda_fit import _row_dots
 
 SETTINGS = settings(deadline=None, max_examples=150)
+# The data row at which a case's rows start: after 0, 1, 2 or 511 rows of
+# other banks, so that they meet the read's caches, bank names, duplicate set
+# and line count both fresh and after a long history.
+STARTS = [1, 2, 3, 512]
 
 COLUMNS = ["bank", "year", "eaa", "roae", "roaa", "nii", "laaa", "bdtla", "label"]
 # Cells the row rules read: plain numbers, and whitespace that strip() removes
@@ -123,6 +129,23 @@ def csv_text(header, rows) -> str:
     return out.getvalue()
 
 
+def lead_rows(header, start) -> list[list[str]]:
+    """The start - 1 good rows, in the header's columns, of banks no case uses."""
+    cells = ["0.5", "1", "-0.0000", "0.25", "1e-3", "0.0000"]
+    rows = []
+    for i in range(start - 1):
+        row = {"bank": f"Lead {i}", "year": "2010", "label": ("bankrupt", "nonbankrupt")[i % 2], "note": "n"}
+        row.update(zip(COLUMNS[2:8], cells[i % 6:] + cells[:i % 6]))
+        rows.append([row.get(column, "") for column in header])
+    return rows
+
+
+def led(text, start) -> str:
+    """A panel text with the lead rows of start put after its header line."""
+    header, _, body = text.partition("\n")
+    return csv_text(header.split(","), lead_rows(header.split(","), start)) + body
+
+
 def outcome(read, *args):
     """What a reader returns, records as (bank, year, hex ratios, available), or its error."""
     try:
@@ -141,19 +164,23 @@ def outcome(read, *args):
     )
 
 
+@pytest.mark.parametrize("start", STARTS)
 @SETTINGS
 @given(faulty_rows(), st.sampled_from(["", "\ufeff"]))
-def test_text_readers_match_the_row_rules(case, mark):
-    text = mark + csv_text(*case)
+def test_text_readers_match_the_row_rules(start, case, mark):
+    header, rows = case
+    text = mark + csv_text(header, lead_rows(header, start) + rows)
     assert outcome(dataset.parse_panel, text) == outcome(parse_panel_reference, text)
     assert outcome(dataset.panel_labels, text) == outcome(panel_labels_reference, text)
 
 
+@pytest.mark.parametrize("start", STARTS)
 @SETTINGS
 @given(faulty_rows(), st.data())
-def test_two_files_match_the_row_rules(case, data):
+def test_two_files_match_the_row_rules(start, case, data):
     header, rows = case
-    cut = data.draw(st.integers(0, len(rows)))
+    rows = lead_rows(header, start) + rows
+    cut = data.draw(st.integers(start - 1, len(rows)))
     with tempfile.TemporaryDirectory() as tmp:
         paths = [Path(tmp) / "first.csv", Path(tmp) / "second.csv"]
         for path, part in zip(paths, (rows[:cut], rows[cut:])):
@@ -161,14 +188,16 @@ def test_two_files_match_the_row_rules(case, data):
         assert outcome(dataset.load_panels, paths, "panel", {}) == outcome(load_panels_reference, paths, "panel")
 
 
+@pytest.mark.parametrize("start", STARTS)
 @SETTINGS
 @given(faulty_rows(), st.integers(0, 2))
-def test_a_file_reads_as_its_text(case, marks):
+def test_a_file_reads_as_its_text(start, case, marks):
     """load_panels reads a panel file as parse_panel and panel_labels read its
     text, each dropping one byte-order mark; a file's error is its text's, the
     message prefixed with the file's path. A text with a header and no data
     rows, which load_panels alone refuses, is left out."""
-    text = "\ufeff" * marks + csv_text(*case)
+    header, rows = case
+    text = "\ufeff" * marks + csv_text(header, lead_rows(header, start) + rows)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "panel.csv"
         path.write_bytes(text.encode("utf-8"))
@@ -180,26 +209,33 @@ def test_a_file_reads_as_its_text(case, marks):
     assert loaded == expected
 
 
-def test_cell_that_only_strip_reads():
+@pytest.mark.parametrize("start", STARTS)
+def test_cell_that_only_strip_reads(start):
     """float() refuses \\x1c0.5, which strip() reads as 0.5: the row is read
     again stripped, and that reading stands."""
-    text = "bank,year,eaa,roae,roaa,nii,laaa,bdtla,label\n" + "".join(
+    text = led("bank,year,eaa,roae,roaa,nii,laaa,bdtla,label\n" + "".join(
         f"B{i},2015,{cell},1,1,1,1,1,bankrupt\n" for i, cell in enumerate(["0.25", "\x1c0.5", "0.75"])
-    )
-    records = dataset.parse_panel(text)
+    ), start)
+    records = dataset.parse_panel(text)[start - 1:]
     assert [r.ratios.eaa for r in records] == [0.25, 0.5, 0.75]
     assert outcome(dataset.parse_panel, text) == outcome(parse_panel_reference, text)
 
 
-def test_no_data_rows_share_the_blank_ratios():
+@pytest.mark.parametrize("start", STARTS)
+def test_block_pass_reads_no_data_rows_and_empty_lines(start):
     """A row of empty ratio cells (a no-data marker) takes the one shared blank
-    ratio vector, a row of zeros its own, and an empty line holds no record."""
-    text = "bank,year,eaa,roae,roaa,nii,laaa,bdtla,label\n" + "".join(
+    ratio vector, a row of zeros its own, and an empty line holds no record.
+    The read builds each record without re-running its checks (parse_number
+    has made them), so the records' _validate never runs. (The name is that
+    of the block pass that read these rows before the one row loop.)"""
+    text = led("bank,year,eaa,roae,roaa,nii,laaa,bdtla,label\n" + "".join(
         f"B{i},2015,{cells},bankrupt\n" + "\n" * (i % 3 == 0)
         for i, cells in enumerate(["0.5,1,1,1,1,1", ",,,,,", "0,0,0,0,0,0", ",,,,,", "-1,2,3,4,5,6"])
-    )
-    records = dataset.parse_panel(text)
-    assert [r.ratios is dataset._BLANK for r in records] == [False, True, False, True, False]
+    ), start)
+    with mock.patch.object(dataset.BankYearRecord, "_validate", side_effect=AssertionError("record checks ran")), \
+            mock.patch.object(dataset.RatioVector, "_validate", side_effect=AssertionError("ratio checks ran")):
+        records = dataset.parse_panel(text)
+    assert [r.ratios is dataset._BLANK for r in records[start - 1:]] == [False, True, False, True, False]
     assert outcome(lambda: records) == outcome(parse_panel_reference, text)
 
 
@@ -283,7 +319,8 @@ def test_line_source_holds_less_than_half_of_stringio(monkeypatch):
     assert peak(dataset._lines) < peak(io.StringIO) / 2
 
 
-def test_records_of_a_bank_share_one_name(tmp_path):
+@pytest.mark.parametrize("start", STARTS)
+def test_records_of_a_bank_share_one_name(start, tmp_path):
     """Also when one of the bank's rows is read stripped (\\x1c0.5, which
     float() refuses, sends it there), and across the two files of
     load_panels, each of which holds both banks. (Names of one character
@@ -293,18 +330,19 @@ def test_records_of_a_bank_share_one_name(tmp_path):
     header = "bank,year,eaa,roae,roaa,nii,laaa,bdtla,label\n"
     lines = [f"{bank},{year},{cell},1,1,1,1,1,bankrupt\n" for bank, year, cell in rows]
     paths = [tmp_path / "first.csv", tmp_path / "second.csv"]
-    for path, part in zip(paths, (lines[:4], lines[4:])):
-        path.write_text(header + "".join(part), encoding="utf-8")
-    parsed = dataset.parse_panel(header + "".join(lines))
+    for path, part, lead in zip(paths, (lines[:4], lines[4:]), (start, 1)):
+        path.write_text(led(header + "".join(part), lead), encoding="utf-8")
+    parsed = dataset.parse_panel(led(header + "".join(lines), start))
     loaded, _ = dataset.load_panels(paths, "panel", None)
-    for records in (parsed, loaded):
+    for records in (parsed[start - 1:], loaded[start - 1:]):
         assert [r.bank_id for r in records] == [bank.strip() for bank, _, _ in rows]
         first: dict[str, str] = {}
         assert all(first.setdefault(r.bank_id, r.bank_id) is r.bank_id for r in records)
 
 
+@pytest.mark.parametrize("start", STARTS)
 @pytest.mark.parametrize("stripped", [False, True])
-def test_ratios_are_float_of_each_cell(stripped):
+def test_ratios_are_float_of_each_cell(start, stripped):
     """Each ratio carries the bits of float() of its cell, -0.0 its sign, in
     rows read as they stand and in a row read stripped after a \\x1c cell,
     which float() refuses."""
@@ -312,14 +350,15 @@ def test_ratios_are_float_of_each_cell(stripped):
              "5e-324", "-2.2250738585072014e-308", "0.50", "12345678.9", "-7e-06", "0", "-0", "0.0"]
     cells += ["\x1c0.5", "1", "1", "1", "1", "1"] if stripped else []
     rows = [cells[i:i + 6] for i in range(0, len(cells), 6)]
-    text = "bank,year,eaa,roae,roaa,nii,laaa,bdtla\n" + "".join(
+    text = led("bank,year,eaa,roae,roaa,nii,laaa,bdtla\n" + "".join(
         f"B{i},2015,{','.join(row)}\n" for i, row in enumerate(rows)
-    )
-    values = [value for record in dataset.parse_panel(text) for value in record.ratios]
+    ), start)
+    values = [value for record in dataset.parse_panel(text)[start - 1:] for value in record.ratios]
     assert [value.hex() for value in values] == [float(cell.strip()).hex() for cell in cells]
 
 
-def test_equal_cells_share_one_float(tmp_path):
+@pytest.mark.parametrize("start", STARTS)
+def test_equal_cells_share_one_float(start, tmp_path):
     """Equal ratio cells of one read share one float: in rows read as they
     stand, in the rows a \x1c cell sends to be read stripped (so \x1c0.5
     shares the float of 0.5), and across the two files of load_panels."""
@@ -330,11 +369,11 @@ def test_equal_cells_share_one_float(tmp_path):
     header = "bank,year,eaa,roae,roaa,nii,laaa,bdtla\n"
     lines = [f"B{i},2015,{','.join(row)}\n" for i, row in enumerate(rows)]
     paths = [tmp_path / "first.csv", tmp_path / "second.csv"]
-    for path, part in zip(paths, (lines[:6], lines[6:])):
-        path.write_text(header + "".join(part), encoding="utf-8")
-    parsed = dataset.parse_panel(header + "".join(lines))
+    for path, part, lead in zip(paths, (lines[:6], lines[6:]), (start, 1)):
+        path.write_text(led(header + "".join(part), lead), encoding="utf-8")
+    parsed = dataset.parse_panel(led(header + "".join(lines), start))
     loaded, _ = dataset.load_panels(paths, "panel", None)
-    for records in (parsed, loaded):
+    for records in (parsed[start - 1:], loaded[start - 1:]):
         first: dict[str, float] = {}
         assert all(
             first.setdefault(cell.strip(), value) is value
@@ -343,18 +382,19 @@ def test_equal_cells_share_one_float(tmp_path):
         assert len(first) == len(distinct)
 
 
+@pytest.mark.parametrize("start", STARTS)
 @pytest.mark.parametrize("stripped", [False, True])
-def test_signed_zero_cells_keep_their_sign(stripped):
+def test_signed_zero_cells_keep_their_sign(start, stripped):
     """-0.0000 and 0.0000 are equal floats but not equal cells: each keeps its
     own sign, whichever of them the read meets first, read as it stands or stripped."""
     zeros = ["0.0000", "-0.0000", "-0.0000", "0.0000", "0.0000", "-0.0000"]
     rows = [zeros[i:] + zeros[:i] for i in range(6)]
     if stripped:
         rows[2][1] = "\x1c" + rows[2][1]
-    text = "bank,year,eaa,roae,roaa,nii,laaa,bdtla\n" + "".join(
+    text = led("bank,year,eaa,roae,roaa,nii,laaa,bdtla\n" + "".join(
         f"B{i},2015,{','.join(row)}\n" for i, row in enumerate(rows)
-    )
-    records = dataset.parse_panel(text)
+    ), start)
+    records = dataset.parse_panel(text)[start - 1:]
     assert [[value.hex() for value in record.ratios] for record in records] == [
         [float(cell.strip()).hex() for cell in row] for row in rows
     ]
