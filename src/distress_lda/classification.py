@@ -50,9 +50,6 @@ ZONE_SCALES = {"derived-from-model": "normalized", "explicit-override": "raw"}
 ZONE_SOURCES = tuple(ZONE_SCALES)
 
 
-_BANKRUPT, _NONBANKRUPT = GroupLabel.BANKRUPT, GroupLabel.NONBANKRUPT
-
-
 class ClassificationZones(Record):
     """Cut-off plus optional grey interval [lo, hi] on the score axis."""
 
@@ -211,7 +208,7 @@ def confusion_matrix(model: DiscriminantModel, tsZ: TrainingSet) -> ConfusionMat
     samples, fisher = tsZ.samples, model.fisher
     columns = list(zip(*map(itemgetter(1), samples))) or [()] * len(VARIABLES)
     bankrupt, healthy = (_linear(fisher.constants[k], fisher.weights[k], columns, len(samples)) for k in GROUP_KEYS)
-    called = map((_NONBANKRUPT, _BANKRUPT).__getitem__, map(gt, bankrupt, healthy))
+    called = map((GroupLabel.NONBANKRUPT, GroupLabel.BANKRUPT).__getitem__, map(gt, bankrupt, healthy))
     return ConfusionMatrix(counts=dict(Counter(zip(map(itemgetter(2), samples), called))))
 
 
@@ -253,7 +250,7 @@ def infer_warning_years(
     """
     warning: dict[str, int] = {}
     for bank, recs in rows_by_bank(records).items():
-        if actual.get(bank) is not _BANKRUPT:
+        if actual.get(bank) is not GroupLabel.BANKRUPT:
             continue
         available = sorted(r.year for r in recs if r.available)
         if not available:
@@ -325,7 +322,7 @@ def evaluate_panel(
     for bank, year in sorted((warning_years or {}).items()):
         if bank not in banks:
             notices.append(f"warning year for bank {bank!r} ignored: bank not in panel")
-        elif actual[bank] is not _BANKRUPT:
+        elif actual[bank] is not GroupLabel.BANKRUPT:
             notices.append(f"warning year for bank {bank!r} ignored: bank is not labelled bankrupt")
         elif (bank, year) not in reported:
             notices.append(

@@ -19,13 +19,14 @@ the text with str.split, which holds no copy of the text at four bytes a
 character. A text, like a panel file, may start with one byte-order mark,
 which is not data.
 
-The records of one read (one text, or every file of load_panels) share one
-str for each bank's name and one float for each distinct ratio-cell text,
-parsed once: ratios published to four decimals repeat. Each value keeps the
-bits of float() of its cell, so only `is` can tell. The read's
-functools.cache of parse_number is keyed by the cell's text, so -0.0000 and
-0.0000 keep their signs; it keeps no call that raised, so a refused cell
-raises on every read; and it ends with the read.
+The records of one panel text or file share one str for each bank's name and
+one float for each distinct ratio-cell text, parsed once: ratios published to
+four decimals repeat. Each value keeps the bits of float() of its cell, so
+only `is` can tell. The functools.cache of parse_number is keyed by the
+cell's text, so -0.0000 and 0.0000 keep their signs; it keeps no call that
+raised, so a refused cell raises on every read; and it ends with the file.
+Across the files of load_panels only two rules carry state: no bank-year
+twice, and no bank labelled two ways.
 """
 from __future__ import annotations
 
@@ -101,9 +102,6 @@ class GroupLabel(enum.IntEnum):
         raise ValueError(f"unknown group label {text!r}")
 
 
-_BANKRUPT = GroupLabel.BANKRUPT  # bound once: a global reads faster than a member of its enum
-
-
 class BankYearRecord(Record):
     bank_id: str
     year: int
@@ -117,6 +115,10 @@ class LabeledSample(Record):
     bank_id: str
     ratios: RatioVector
     label: GroupLabel
+
+    def _validate(self) -> None:
+        if not isinstance(self.label, GroupLabel):  # fit and the group counts tell the groups apart by member
+            raise ValueError(f"bank {self.bank_id!r}: label must be a GroupLabel, got {self.label!r}")
 
 
 class TrainingSet(Record):
@@ -179,7 +181,7 @@ def parse_panel(text: str) -> list[BankYearRecord]:
     available=False (the ratios are kept as zeros but mean nothing).
     """
     text = text.removeprefix("\ufeff")  # a byte-order mark, as read_text drops it
-    return _read_panel(text, lambda header, rows: _records(header, rows, set(), cache(parse_number), {}))
+    return _read_panel(text, lambda header, rows: _records(header, rows, set()))
 
 
 def parse_number(text: str) -> float:
@@ -209,20 +211,18 @@ def parse_year(text: str) -> int:
 _BLANK = RatioVector(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # shared by every row with empty ratio cells
 
 
-def _records(
-    header: list[str], rows: _Rows, seen: set[tuple[int, str]], floats: Callable[[str], float], names: dict[str, str]
-) -> list[BankYearRecord]:
+def _records(header: list[str], rows: _Rows, seen: set[tuple[int, str]]) -> list[BankYearRecord]:
     """The rows' records; a (year, bank) already in seen (from any file) is
-    refused, a new one added. floats is the read's cached parse_number and
-    names holds the bank names read so far (from any file), so that equal
-    cells share one float and each bank's records one str."""
+    refused, a new one added. Equal ratio cells share one float and each
+    bank's records one str."""
     bank_at, year_at = header.index("bank"), header.index("year")
     ratio_at = [header.index(name) for name in VARIABLES]
     ratio_cells = itemgetter(*ratio_at)
     width = max(bank_at, year_at, *ratio_at) + 1
     years = cache(parse_year)  # each distinct year cell, parsed once
+    floats = cache(parse_number)  # each distinct ratio cell, parsed once
+    names: dict[str, str] = {}  # each bank's name
     records = []
-    append, new = records.append, tuple.__new__  # bound once, not looked up each row
     for lineno, row in rows:
         if len(row) < width:
             row = row + [""] * (width - len(row))  # a short row's missing cells are empty
@@ -242,7 +242,7 @@ def _records(
         seen.add(key)
         cells = ratio_cells(row)
         try:  # parse_number checks values as RatioVector._validate would; a list, unlike a map, leaves no spare tuple
-            ratios = new(RatioVector, list(map(floats, cells)))
+            ratios = tuple.__new__(RatioVector, list(map(floats, cells)))
         except ValueError:  # empty cells, or a cell only its stripped text reads
             cells = [cell.strip() for cell in cells]
             ratios = _BLANK  # all zeros, so the record is not available
@@ -253,8 +253,8 @@ def _records(
                         values.append(floats(cell))
                     except ValueError as exc:
                         raise ParseError(f"row {lineno}: column {name!r}: {exc}") from None
-                ratios = new(RatioVector, values)
-        append(new(BankYearRecord, (bank, year, ratios, any(ratios))))
+                ratios = tuple.__new__(RatioVector, values)
+        records.append(tuple.__new__(BankYearRecord, (bank, year, ratios, any(ratios))))
     return records
 
 
@@ -313,13 +313,11 @@ def load_panels(
     records: list[BankYearRecord] = []
     labels: dict[str, GroupLabel] = {}
     seen: set[tuple[int, str]] = set()  # each (year, bank), over every file
-    floats = cache(parse_number)  # each ratio cell's value, over every file
-    names: dict[str, str] = {}  # each bank's name, over every file
     for path in paths:
         text = read_text(path, what, PanelError)
         try:
             header, rows = _read_panel(text, lambda header, rows: (header, list(rows)))
-            if not (found := _records(header, rows, seen, floats, names)):
+            if not (found := _records(header, rows, seen)):
                 raise SchemaError("panel has a header but no data rows")
             records += found
             if overrides is None or (overrides and "label" not in header):
@@ -400,7 +398,7 @@ def check_design(n0: int, n1: int, p: int) -> None:
 
 def build_training_set(samples: list[LabeledSample]) -> TrainingSet:
     """Assemble and validate a training set, preserving sample order."""
-    n0 = sum(1 for s in samples if s.label is _BANKRUPT)
+    n0 = sum(1 for s in samples if s.label is GroupLabel.BANKRUPT)
     n1 = len(samples) - n0
     check_design(n0, n1, len(VARIABLES))
     return TrainingSet(samples=tuple(samples), n0=n0, n1=n1)
@@ -421,6 +419,6 @@ def training_set_from_panel(
     for bank_id, rows in rows_by_bank(records).items():
         if bank_id not in labels:
             raise MissingLabelError(f"bank {bank_id!r} has no group label")
-        samples.append((bank_id, average_ratios(rows, bank_id, window), labels[bank_id]))
-    return build_training_set(LabeledSample._from_checked(samples))
+        samples.append(LabeledSample(bank_id, average_ratios(rows, bank_id, window), labels[bank_id]))
+    return build_training_set(samples)
 

@@ -50,13 +50,12 @@ from operator import add, mul, not_
 from typing import Sequence
 
 from .dataset import VARIABLES, GroupLabel, TrainingSet, check_design, column_sums, ordered_sum
-from .errors import DegenerateSeparationError, DomainError, PanelError, SingularMatrixError
+from .errors import DegenerateSeparationError, DomainError, PanelError, SingularMatrixError, VariableCountError
 from .record import Record
 
 GROUP_KEYS = ("bankrupt", "nonbankrupt")
 _IDENTITY_TOLERANCE = 1e-5
 _COINCIDENT = 64 * math.ulp(1.0)  # 64 epsilon, 128 unit roundoffs: see the module docstring
-_BANKRUPT, _NONBANKRUPT = GroupLabel.BANKRUPT, GroupLabel.NONBANKRUPT  # bound once: a global reads faster
 PRIORS = ("proportional", "equal")  # the Fisher-function prior rules; the first is the default
 
 
@@ -105,7 +104,8 @@ class DiscriminantModel(Record):
         try:
             check_design(self.n0, self.n1, p)
         except PanelError as exc:  # a design the fit could never have produced
-            raise ValueError(f"group_sizes: {exc}") from None
+            field = "variables" if p < 1 and isinstance(exc, VariableCountError) else "group_sizes"
+            raise ValueError(f"{field}: {exc}") from None
         try:
             check_correlation_matrix(self.pooled_correlation, p)
         except DomainError as exc:
@@ -413,6 +413,6 @@ def fit(tsZ: TrainingSet, priors: str = PRIORS[0]) -> DiscriminantModel:
     for unbalanced panels), "equal" uses 1/2 per group, under which Fisher
     classification collapses to the centroid-midpoint rule.
     """
-    X0 = [s.ratios for s in tsZ.samples if s.label is _BANKRUPT]
-    X1 = [s.ratios for s in tsZ.samples if s.label is _NONBANKRUPT]
+    X0 = [s.ratios for s in tsZ.samples if s.label is GroupLabel.BANKRUPT]
+    X1 = [s.ratios for s in tsZ.samples if s.label is GroupLabel.NONBANKRUPT]
     return fit_from_matrices(X0, X1, VARIABLES, priors=priors)

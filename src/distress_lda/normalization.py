@@ -2,12 +2,12 @@
 from __future__ import annotations
 
 import math
-from itertools import chain, repeat
+from itertools import repeat
 from operator import itemgetter, sub, truediv
 from typing import Iterator, Sequence
 
 from .dataset import VARIABLES, LabeledSample, RatioVector, TrainingSet, column_moments
-from .errors import ZeroVarianceError
+from .errors import InsufficientGroupError, ZeroVarianceError
 from .record import Record
 
 
@@ -34,6 +34,8 @@ class NormalizationStats(Record):
 def fit_normalizer(ts: TrainingSet) -> NormalizationStats:
     """Compute pooled means and n-1 standard deviations per variable."""
     rows = [s.ratios for s in ts.samples]
+    if len(rows) < 2:  # the sample sd divides by n - 1
+        raise InsufficientGroupError(f"normalization needs at least 2 samples, got {len(rows)}")
     means, scatter = column_moments(rows)
     sds = [math.sqrt(total / (len(rows) - 1)) for total in scatter]
     for column, (name, mean, sd) in enumerate(zip(VARIABLES, means, sds)):
@@ -57,11 +59,6 @@ def z_columns(stats: NormalizationStats, vectors: Sequence[Sequence[float]]) -> 
 
 def normalize_training_set(stats: NormalizationStats, ts: TrainingSet) -> TrainingSet:
     """Replace every sample's ratios by their z-scores; labels and order kept."""
-    banks, ratios, labels = (list(map(itemgetter(at), ts.samples)) for at in range(3))
-    rows = list(zip(*z_columns(stats, ratios)))
-    if all(map(math.isfinite, chain.from_iterable(rows))):
-        vectors = RatioVector._from_checked(rows)
-    else:
-        vectors = [RatioVector(*row) for row in rows]  # raises for the first z-score that is not finite
-    samples = LabeledSample._from_checked(zip(banks, vectors, labels))
+    rows = zip(*z_columns(stats, [s.ratios for s in ts.samples]))
+    samples = [LabeledSample(bank, RatioVector(*row), label) for (bank, _, label), row in zip(ts.samples, rows)]
     return TrainingSet(samples=tuple(samples), n0=ts.n0, n1=ts.n1)

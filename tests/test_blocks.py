@@ -23,8 +23,8 @@
   less than half the memory io.StringIO holds for a bench panel.
 - What a parse shares: the records of one bank share one str for its name,
   and equal ratio cells one float, whether a cell is read as it stands or
-  stripped, also across the files of load_panels. The parsed records of a
-  bench panel hold under 2.0 MB.
+  stripped, within one text and within each file of load_panels. The parsed
+  records of a bench panel hold under 2.0 MB.
 - Each ratio is float() of its cell, bit for bit, "-0.0" with its sign,
   whether its row is read as it stands or stripped.
 
@@ -322,7 +322,7 @@ def test_line_source_holds_less_than_half_of_stringio(monkeypatch):
 @pytest.mark.parametrize("start", STARTS)
 def test_records_of_a_bank_share_one_name(start, tmp_path):
     """Also when one of the bank's rows is read stripped (\\x1c0.5, which
-    float() refuses, sends it there), and across the two files of
+    float() refuses, sends it there), and within each of the two files of
     load_panels, each of which holds both banks. (Names of one character
     would prove nothing: CPython keeps one str per such character.)"""
     rows = [("Bank A", 2012, "0.5"), (" Bank A", 2013, "0.5"), ("Bank A ", 2014, "\x1c0.5"), ("Bank B", 2012, "1"),
@@ -334,8 +334,8 @@ def test_records_of_a_bank_share_one_name(start, tmp_path):
         path.write_text(led(header + "".join(part), lead), encoding="utf-8")
     parsed = dataset.parse_panel(led(header + "".join(lines), start))
     loaded, _ = dataset.load_panels(paths, "panel", None)
-    for records in (parsed[start - 1:], loaded[start - 1:]):
-        assert [r.bank_id for r in records] == [bank.strip() for bank, _, _ in rows]
+    assert [r.bank_id for r in loaded[start - 1:]] == [bank.strip() for bank, _, _ in rows]
+    for records in (parsed[start - 1:], loaded[start - 1:start + 3], loaded[start + 3:]):
         first: dict[str, str] = {}
         assert all(first.setdefault(r.bank_id, r.bank_id) is r.bank_id for r in records)
 
@@ -359,9 +359,9 @@ def test_ratios_are_float_of_each_cell(start, stripped):
 
 @pytest.mark.parametrize("start", STARTS)
 def test_equal_cells_share_one_float(start, tmp_path):
-    """Equal ratio cells of one read share one float: in rows read as they
-    stand, in the rows a \x1c cell sends to be read stripped (so \x1c0.5
-    shares the float of 0.5), and across the two files of load_panels."""
+    """Equal ratio cells of one text or file share one float: in rows read as
+    they stand, in the rows a \x1c cell sends to be read stripped (so \x1c0.5
+    shares the float of 0.5), and within each of the two files of load_panels."""
     distinct = ["0.5", "0.25", "-0.0000", "0.0000", "1e-3", "0.1234", "-7.5"]
     rows = [[distinct[(i + j) % len(distinct)] for j in range(6)] for i in range(12)]
     rows[3][0] = "\x1c" + rows[3][0]
@@ -373,11 +373,12 @@ def test_equal_cells_share_one_float(start, tmp_path):
         path.write_text(led(header + "".join(part), lead), encoding="utf-8")
     parsed = dataset.parse_panel(led(header + "".join(lines), start))
     loaded, _ = dataset.load_panels(paths, "panel", None)
-    for records in (parsed[start - 1:], loaded[start - 1:]):
+    parts = [(parsed[start - 1:], rows), (loaded[start - 1:start + 5], rows[:6]), (loaded[start + 5:], rows[6:])]
+    for records, cells in parts:
         first: dict[str, float] = {}
         assert all(
             first.setdefault(cell.strip(), value) is value
-            for record, row in zip(records, rows, strict=True) for value, cell in zip(record.ratios, row)
+            for record, row in zip(records, cells, strict=True) for value, cell in zip(record.ratios, row)
         )
         assert len(first) == len(distinct)
 

@@ -8,10 +8,14 @@ panel example sets one to three cells of appendix_a.csv and of table2.csv to
 boundary texts from a fixed list, written raw, so a quote or a bare carriage
 return reaches the csv reader, or cuts a row short, blanks it or repeats it;
 then it runs classify and evaluate on the appendix panel and fit on the
-training panel, in text and in JSON. Every call keeps the contract: its exit
-code is a documented one; a non-zero code prints nothing on stdout and
-exactly one stderr line, starting `error: `; code 0 prints no error and,
-under --format json, what parse_json reads.
+training panel, in text and in JSON. Each config example replaces one to
+three values of a JSON config and of a `key = value` config, each valid for
+every command before its edits, and passes each through --config and
+through DISTRESS_LDA_CONFIG to fit, diagnose, classify and evaluate, in text
+or in JSON. Every call keeps the contract: its exit code is a documented
+one; a non-zero code prints nothing on stdout and exactly one stderr line,
+starting `error: `; code 0 prints no error and, under --format json, what
+parse_json reads.
 
 The seed is fixed and the budget is the loaded hypothesis profile's: the
 default's 100 examples of each take a few seconds. `--hypothesis-profile=boundary`
@@ -22,9 +26,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
@@ -60,9 +66,9 @@ LEAVES = [(name, *path) for name, doc in DOCUMENTS.items() for path in leaves(do
 mutations = st.lists(st.tuples(st.sampled_from(LEAVES), st.sampled_from(BOUNDARY_VALUES)), min_size=1, max_size=3)
 
 
-def mutated(mutations) -> dict:
-    """Copies of the documents with each (path, value) set in turn."""
-    docs = json.loads(json.dumps(DOCUMENTS))
+def mutated(docs: dict, mutations) -> dict:
+    """A copy of docs with each (path, value) set in turn."""
+    docs = json.loads(json.dumps(docs))
     for (*path, last), value in mutations:
         node = docs
         for key in path:
@@ -100,7 +106,7 @@ def assert_contract(argv: list[str]) -> None:
 def test_broken_model_and_zones_files_keep_the_exit_code_contract(mutations):
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
-        for name, doc in mutated(mutations).items():
+        for name, doc in mutated(DOCUMENTS, mutations).items():
             paths[name] = str(Path(tmp, f"{name}.json"))
             Path(paths[name]).write_text(json.dumps(doc), encoding="utf-8")
         calls = [["diagnose", "--model", paths["model"]]]
@@ -172,3 +178,72 @@ def test_broken_panel_cells_keep_the_exit_code_contract(edits):
         for argv in calls:
             for fmt in ("text", "json"):
                 assert_contract([*argv, "--format", fmt])
+
+
+# A config every command accepts: the bundled panels and model, and a valid
+# value of every other key. Its labels name the one bank of both panel sets.
+CONFIG = {
+    "train": str(data_path("table2.csv")),
+    "panel": [PANEL, str(data_path("appendix_b.csv"))],
+    "model": MODEL,
+    "zones": "paper",
+    "format": "text",
+    "alpha": 0.05,
+    "collinearity_threshold": 0.8,
+    "window": "2012:2015",
+    "priors": "proportional",
+    "labels": {"Moza Banco, S.A": "bankrupt"},
+    "warning_years": {"Moza Banco, S.A": 2015},
+}
+# The same settings as `key = value` lines, which cannot hold the two bank maps.
+LINES = {key: ",".join(value) if key == "panel" else value for key, value in CONFIG.items() if not isinstance(value, dict)}
+
+
+def config_texts(json_edits, line_edits) -> dict[str, str]:
+    """The JSON config and the `key = value` config after their edits; a line
+    holds a string as it stands and any other value as JSON."""
+    lines = [f"{key} = {value if isinstance(value, str) else json.dumps(value)}\n"
+             for key, value in mutated(LINES, line_edits).items()]
+    return {"config.json": json.dumps(mutated(CONFIG, json_edits)), "config.txt": "".join(lines)}
+
+
+def config_calls(tmp: str, fmt: str):
+    """argv and DISTRESS_LDA_CONFIG of each call on each config file in tmp:
+    every command, the config named by --config (the variable None, which the
+    callers set empty: no file) or by the variable. fit writes its model into
+    tmp, as its --model flag overrides the configs' model."""
+    commands = [["fit", "--model", str(Path(tmp, "model.json"))], ["diagnose"], ["classify"], ["evaluate"]]
+    for name in ("config.json", "config.txt"):
+        path = str(Path(tmp, name))
+        for argv in commands:
+            yield [*argv, "--config", path, "--format", fmt], None
+            yield [*argv, "--format", fmt], path
+
+
+def test_unbroken_configs_run_every_command():
+    """The configs the examples break pass every command, so the examples reach past the config stage."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in config_texts([], []).items():
+            Path(tmp, name).write_text(text, encoding="utf-8")
+        for argv, variable in config_calls(tmp, "json"):
+            with mock.patch.dict(os.environ, {"DISTRESS_LDA_CONFIG": variable or ""}):
+                code, _out, err = run(argv)
+            assert code == 0, (argv, variable, err)
+
+
+config_edits, line_edits = (
+    st.lists(st.tuples(st.sampled_from(leaves(doc)), st.sampled_from(BOUNDARY_VALUES)), min_size=1, max_size=3)
+    for doc in (CONFIG, LINES)
+)
+
+
+@seed(0)
+@settings(deadline=None)
+@given(config_edits, line_edits, st.sampled_from(["text", "json"]))
+def test_broken_config_values_keep_the_exit_code_contract(json_edits, line_edits, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in config_texts(json_edits, line_edits).items():
+            Path(tmp, name).write_text(text, encoding="utf-8")
+        for argv, variable in config_calls(tmp, fmt):
+            with mock.patch.dict(os.environ, {"DISTRESS_LDA_CONFIG": variable or ""}):
+                assert_contract(argv)

@@ -456,3 +456,17 @@ class TestTrainingSetAssembly:
 
     def test_bundled_panel_shape(self, training_set):
         assert (training_set.n0, training_set.n1) == (2, 12)
+
+    @pytest.mark.parametrize("label", [1, 0, True, "bankrupt", None])
+    def test_a_sample_label_must_be_a_group_label(self, training_panel, label):
+        """fit tells the groups apart by member and the group counts by BANKRUPT
+        alone, so a label that is no member, such as an int 1 equal to
+        NONBANKRUPT, would count as healthy in one and be dropped by the other:
+        the sample refuses it."""
+        records, labels = training_panel
+        healthy = next(bank for bank, group in labels.items() if group is GroupLabel.NONBANKRUPT)
+        message = "^" + re.escape(f"bank {healthy!r}: label must be a GroupLabel, got {label!r}") + "$"
+        with pytest.raises(ValueError, match=message):
+            training_set_from_panel(records, {**labels, healthy: label})
+        with pytest.raises(ValueError, match=message):
+            LabeledSample(healthy, _vec(0.1), label)

@@ -13,6 +13,7 @@ from distress_lda import (
     zones_to_dict,
 )
 from distress_lda.model_io import model_from_dict, write_json, zones_from_dict
+from records import replace
 
 
 @pytest.fixture()
@@ -142,6 +143,13 @@ class TestModelValidation:
         model_doc["group_sizes"]["nonbankrupt"] = 6
         model, _stats = model_from_dict(model_doc)  # 8 banks carry 6 ratios
         assert (model.n0, model.n1) == (2, 6)
+
+    def test_a_model_of_no_variables_names_the_variables_field(self, model_doc):
+        """Only a record can hold no variables, as a file must name the six ratios;
+        the design rule then faults the variables, not the group sizes."""
+        model, _stats = model_from_dict(model_doc)
+        with pytest.raises(ValueError, match="^variables: a discriminant needs at least 1 variable, got 0$"):
+            replace(model, variables=(), coefficients={}, standardized={})
 
     def test_booleans_are_not_numbers(self, model_doc):
         model_doc["constant"] = True

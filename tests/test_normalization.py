@@ -6,6 +6,7 @@ import pytest
 
 from distress_lda import (
     GroupLabel,
+    InsufficientGroupError,
     LabeledSample,
     NormalizationStats,
     RatioVector,
@@ -66,6 +67,15 @@ def test_constant_variable_rejected():
     matrix[:, 3] = 0.25
     with pytest.raises(ZeroVarianceError, match="'nii' is constant"):
         fit_normalizer(_training_set(matrix))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_fewer_than_two_samples_rejected(n):
+    """The sample sd divides by n - 1, so fewer than two samples have none:
+    one would divide by zero, and none leaves no mean."""
+    samples = (LabeledSample("bank0", RatioVector(0.1, 0.2, 0.3, 0.4, 0.5, 0.6), GroupLabel.BANKRUPT),)[:n]
+    with pytest.raises(InsufficientGroupError, match=f"^normalization needs at least 2 samples, got {n}$"):
+        fit_normalizer(TrainingSet(samples=samples, n0=n, n1=0))
 
 
 def test_tiny_spread_is_not_called_constant():

@@ -1,7 +1,8 @@
 """Source structure: file I/O, the JSON format and the two-group design rule
-each live in one function, the package imports only the standard library and
-itself, nothing imports numpy or dataclasses, no package module imports
-another's underscore name, and every square is a product, never pow.
+each live in one function, a record skips its checks only in its constructor
+and the panel reader's row loop, the package imports only the standard
+library and itself, nothing imports numpy or dataclasses, no package module
+imports another's underscore name, and every square is a product, never pow.
 The package exports what __init__ imports, the bench finds every name it calls,
 and the README's python examples run."""
 import ast
@@ -29,6 +30,10 @@ HOMES = {
     ".read_bytes": "dataset.read_text",
     "raise VariableCountError": "dataset.check_design",
 }
+# The qualified functions allowed to build a record with tuple.__new__, which
+# skips the class's _validate: the constructor itself, and the panel reader's
+# row loop, whose cells parse_number checks as RatioVector._validate would.
+UNCHECKED_BUILDS = {"record.Record.__new__", "dataset._records"}
 # Neither has a home. numpy's import would cost every fit ~140 ms for a 6x6
 # solve. dataclasses' pulls in inspect, ast, dis and tokenize, a cost every CLI
 # call would pay, and the package's records are record.Record.
@@ -70,6 +75,29 @@ def test_file_io_and_json_have_one_home_each():
     numpy and dataclasses are imported nowhere."""
     calls = sorted(call for path in sorted(PACKAGE.glob("*.py")) for call in _calls(path))
     assert calls == sorted(HOMES.items())
+
+
+def _unchecked_builds(path: Path):
+    """module.Class.function of each mention of tuple.__new__ in a source file."""
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Attribute) and (getattr(child.value, "id", None), child.attr) == ("tuple", "__new__"):
+                yield where
+            yield from visit(child, where)
+
+    yield from visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+
+
+def test_records_skip_their_checks_in_one_place():
+    """A record built by tuple.__new__ skips its class's _validate. Only the
+    panel reader's row loop does so, where a measurement showed it pays; any
+    other such build is an unchecked fast path."""
+    builds = {where for path in sorted(PACKAGE.rglob("*.py")) for where in _unchecked_builds(path)}
+    assert builds == UNCHECKED_BUILDS
 
 
 def _powers(path: Path):
