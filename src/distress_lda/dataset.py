@@ -6,13 +6,13 @@ carried with available=False so that averaging windows can skip them without
 losing track of the bank.
 
 A panel is read a row at a time by one loop, which holds no split copy of
-the text. Its ratio cells are read unstripped through the read's cached
+the text; load_panels reads a file once and splits it twice, each pass
+streamed. Its ratio cells are read unstripped through the read's cached
 parse_number, which reads a cell as it reads the stripped cell or refuses
 it; only a row it refuses is stripped, to tell a no-data row from a faulty
 cell. A csv error anywhere in the text (a bare carriage return, a field over
 the csv size limit) still wins over any other fault, as if the whole text
-had been split first: a panel error met before the end drains the rest of
-the reader, and a csv error found there is raised in its place.
+had been split first (see _read_panel).
 
 The csv reader reads the lines that io.StringIO(text) would yield, cut from
 the text with str.split, which holds no copy of the text at four bytes a
@@ -74,11 +74,17 @@ class RatioVector(Record):
     bdtla: float
 
     def _validate(self) -> None:
-        if all(map(math.isfinite, self)):
-            return
+        try:
+            if all(map(math.isfinite, self)):
+                return
+        except (TypeError, OverflowError):  # no real number, or an int past float range
+            pass
         for name, value in zip(VARIABLES, self):  # name the first ratio that is not finite
-            if not math.isfinite(value):
-                raise ValueError(f"ratio {name!r} must be finite, got {value!r}")
+            try:
+                if not math.isfinite(value):
+                    raise ValueError(f"ratio {name!r} must be finite, got {value!r}")
+            except (TypeError, OverflowError):
+                raise ValueError(f"ratio {name!r} must be a real number in float range, got {value!r}") from None
 
 
 # Canonical predictor order; every matrix and serialized mapping follows it.
@@ -122,9 +128,7 @@ class LabeledSample(Record):
 
 
 class TrainingSet(Record):
-    samples: tuple[LabeledSample, ...]
-    n0: int  # bankrupt count
-    n1: int  # non-bankrupt count
+    samples: tuple[LabeledSample, ...]  # the group sizes are counted from the labels, never stored
 
 
 def _split_rows(reader: Iterator[list[str]]) -> tuple[list[str], _Rows]:
@@ -175,11 +179,7 @@ def _read_panel(text: str, read: Callable[[list[str], _Rows], _Read]) -> _Read:
 
 
 def parse_panel(text: str) -> list[BankYearRecord]:
-    """Parse a ratio-panel CSV into bank-year records.
-
-    Rows whose six ratio cells are all zero or all empty become records with
-    available=False (the ratios are kept as zeros but mean nothing).
-    """
+    """The bank-year records of a ratio-panel CSV text, a no-data row's with available=False."""
     text = text.removeprefix("\ufeff")  # a byte-order mark, as read_text drops it
     return _read_panel(text, lambda header, rows: _records(header, rows, set()))
 
@@ -305,10 +305,10 @@ def load_panels(
     """Records of every panel file and, unless overrides is None, the labels of
     their banks: each panel's label column, overridden by overrides.
 
-    Each file is read and split once, and the files are checked as one panel.
-    Also refused: a file with a header but no data rows, an override for a bank
-    in no panel, and a panel without a label column when no override is given.
-    An error in a file names the file.
+    Each file is read once and split twice, each pass streamed, and the files
+    are checked as one panel. Also refused: a file with a header but no data
+    rows, an override for a bank in no panel, and a panel without a label column
+    when no override is given. An error in a file names the file.
     """
     records: list[BankYearRecord] = []
     labels: dict[str, GroupLabel] = {}
@@ -316,13 +316,13 @@ def load_panels(
     for path in paths:
         text = read_text(path, what, PanelError)
         try:
-            header, rows = _read_panel(text, lambda header, rows: (header, list(rows)))
-            if not (found := _records(header, rows, seen)):
+            header, found = _read_panel(text, lambda header, rows: (header, _records(header, rows, seen)))
+            if not found:
                 raise SchemaError("panel has a header but no data rows")
             records += found
             if overrides is None or (overrides and "label" not in header):
                 continue
-            _labels(header, rows, labels)
+            _read_panel(text, lambda header, rows: _labels(header, rows, labels))
         except PanelError as exc:
             raise type(exc)(f"{what} file {path}: {exc}") from None
     if overrides:
@@ -399,9 +399,8 @@ def check_design(n0: int, n1: int, p: int) -> None:
 def build_training_set(samples: list[LabeledSample]) -> TrainingSet:
     """Assemble and validate a training set, preserving sample order."""
     n0 = sum(1 for s in samples if s.label is GroupLabel.BANKRUPT)
-    n1 = len(samples) - n0
-    check_design(n0, n1, len(VARIABLES))
-    return TrainingSet(samples=tuple(samples), n0=n0, n1=n1)
+    check_design(n0, len(samples) - n0, len(VARIABLES))
+    return TrainingSet(tuple(samples))
 
 
 def training_set_from_panel(

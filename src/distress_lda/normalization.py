@@ -61,4 +61,4 @@ def normalize_training_set(stats: NormalizationStats, ts: TrainingSet) -> Traini
     """Replace every sample's ratios by their z-scores; labels and order kept."""
     rows = zip(*z_columns(stats, [s.ratios for s in ts.samples]))
     samples = [LabeledSample(bank, RatioVector(*row), label) for (bank, _, label), row in zip(ts.samples, rows)]
-    return TrainingSet(samples=tuple(samples), n0=ts.n0, n1=ts.n1)
+    return TrainingSet(tuple(samples))

@@ -8,7 +8,6 @@ from distress_lda import (
     VARIABLES,
     BankYearRecord,
     ClassificationZones,
-    GroupLabel,
     LabeledSample,
     RatioVector,
     TrainingSet,
@@ -32,6 +31,5 @@ def raw_scores(model, rows) -> list[float]:
 
 def labelled(rows, labels) -> TrainingSet:
     """The rows as training samples with these labels, in order."""
-    samples = tuple(LabeledSample(f"B{k}", vector(row), label) for k, (row, label) in enumerate(zip(rows, labels)))
-    n0 = sum(label is GroupLabel.BANKRUPT for label in labels)
-    return TrainingSet(samples=samples, n0=n0, n1=len(samples) - n0)
+    samples = (LabeledSample(f"B{k}", vector(row), label) for k, (row, label) in enumerate(zip(rows, labels)))
+    return TrainingSet(tuple(samples))

@@ -417,3 +417,26 @@ def test_parsed_bench_panel_is_small(monkeypatch):
         tracemalloc.stop()
     assert len(records) == 7200
     assert held < 2.0e6
+
+
+def test_load_panels_holds_no_row_list(monkeypatch, tmp_path):
+    """load_panels streams each pass over a file's rows, as parse_panel does over
+    a text, so its peak on seed 1's 800-bank panel file stays near parse_panel's
+    on the same text (1.14x), the file's bytes and text included; a list of the
+    file's split rows would double it (2.22x)."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from synth import generate_panel
+
+    text, _ = generate_panel(1, 800)
+    path = tmp_path / "panel.csv"
+    path.write_text(text, encoding="utf-8")
+
+    def peak(read, *args) -> int:
+        tracemalloc.start()
+        try:
+            read(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(dataset.load_panels, [path], "panel", {}) <= 1.5 * peak(dataset.parse_panel, text)

@@ -1,21 +1,22 @@
 """The CLI's exit-code contract over broken model, zones and panel files.
 
-Each model example replaces one to three leaves of the bundled
-reference_model.json and paper_zones.json with boundary values from a fixed
-list, then runs diagnose on the model and classify and evaluate on the model
-with derived, the published and the mutated zones, in text and in JSON. Each
-panel example sets one to three cells of appendix_a.csv and of table2.csv to
-boundary texts from a fixed list, written raw, so a quote or a bare carriage
-return reaches the csv reader, or cuts a row short, blanks it or repeats it;
-then it runs classify and evaluate on the appendix panel and fit on the
-training panel, in text and in JSON. Each config example replaces one to
-three values of a JSON config and of a `key = value` config, each valid for
-every command before its edits, and passes each through --config and
-through DISTRESS_LDA_CONFIG to fit, diagnose, classify and evaluate, in text
-or in JSON. Every call keeps the contract: its exit code is a documented
-one; a non-zero code prints nothing on stdout and exactly one stderr line,
-starting `error: `; code 0 prints no error and, under --format json, what
-parse_json reads.
+Each model example makes one to three edits to the bundled
+reference_model.json and paper_zones.json: an edit sets a value at any depth,
+an object or an array as well as a leaf, to a boundary value from a fixed
+list, deletes it, or adds an unknown key to an object. Then it runs diagnose
+on the model and classify and evaluate on the model with derived, the
+published and the mutated zones, in text and in JSON. Each panel example sets
+one to three cells of appendix_a.csv and of table2.csv to boundary texts from
+a fixed list, written raw, so a quote or a bare carriage return reaches the
+csv reader, or cuts a row short, blanks it or repeats it; then it runs
+classify and evaluate on the appendix panel and fit on the training panel, in
+text and in JSON. Each config example replaces one to three values of a JSON
+config and of a `key = value` config, each valid for every command before its
+edits, and passes each through --config and through DISTRESS_LDA_CONFIG to
+fit, diagnose, classify and evaluate, in text or in JSON. Every call keeps the
+contract: its exit code is a documented one; a non-zero code prints nothing on
+stdout and exactly one stderr line, starting `error: `; code 0 prints no error
+and, under --format json, what parse_json reads.
 
 The seed is fixed and the budget is the loaded hypothesis profile's: the
 default's 100 examples of each take a few seconds. `--hypothesis-profile=boundary`
@@ -29,6 +30,8 @@ import json
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 from unittest import mock
 
@@ -53,6 +56,14 @@ BOUNDARY_VALUES = (
 )
 
 
+class _Delete:
+    def __repr__(self) -> str:
+        return "DELETE"
+
+
+DELETE = _Delete()  # an edit's value that deletes the key or the array item at its path
+
+
 def leaves(doc, path=()) -> list[tuple]:
     """The path of every value in doc that is neither an object nor an array."""
     if isinstance(doc, dict):
@@ -62,18 +73,33 @@ def leaves(doc, path=()) -> list[tuple]:
     return [path]
 
 
-LEAVES = [(name, *path) for name, doc in DOCUMENTS.items() for path in leaves(doc)]
-mutations = st.lists(st.tuples(st.sampled_from(LEAVES), st.sampled_from(BOUNDARY_VALUES)), min_size=1, max_size=3)
+def nodes(doc, path=()) -> list[tuple]:
+    """The path of every value in doc below its top, objects and arrays included,
+    and a path to an unknown key of every object, doc included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    found = [node for key, value in items for node in ((*path, key), *nodes(value, (*path, key)))]
+    return [*found, (*path, "unknown")] if isinstance(doc, dict) else found
+
+
+PATHS = [(name, *path) for name, doc in DOCUMENTS.items() for path in nodes(doc)]
+mutations = st.lists(
+    st.tuples(st.sampled_from(PATHS), st.sampled_from((*BOUNDARY_VALUES, DELETE))), min_size=1, max_size=3
+)
 
 
 def mutated(docs: dict, mutations) -> dict:
-    """A copy of docs with each (path, value) set in turn."""
+    """A copy of docs with each (path, value) set, or deleted for DELETE, in turn.
+    An edit whose path an earlier edit removed or replaced is left out."""
     docs = json.loads(json.dumps(docs))
     for (*path, last), value in mutations:
-        node = docs
-        for key in path:
-            node = node[key]
-        node[last] = value
+        try:
+            node = reduce(getitem, path, docs)
+            if value is DELETE:
+                del node[last]
+            else:
+                node[last] = value
+        except (KeyError, IndexError, TypeError):
+            continue
     return docs
 
 
@@ -103,6 +129,8 @@ def assert_contract(argv: list[str]) -> None:
 @example([(("model", "centroids", "nonbankrupt"), 1e308)])
 # diagnose --format json once printed a NaN Box's M for a group of 1e308 banks.
 @example([(("model", "group_sizes", "bankrupt"), 1e308)])
+# One edit of each structural kind: an object replaced, an array item deleted, an unknown key added.
+@example([(("model", "fisher"), []), (("zones", "grey", 0), DELETE), (("model", "unknown"), None)])
 def test_broken_model_and_zones_files_keep_the_exit_code_contract(mutations):
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}

@@ -1,4 +1,5 @@
 """Panel parsing, window averaging, and training-set assembly."""
+import math
 import re
 
 import pytest
@@ -14,9 +15,14 @@ from distress_lda import (
     ParseError,
     RatioVector,
     SchemaError,
+    VARIABLES,
+    TrainingSet,
     VariableCountError,
     average_ratios,
     build_training_set,
+    fit,
+    fit_normalizer,
+    normalize_training_set,
     panel_labels,
     parse_panel,
     training_set_from_panel,
@@ -25,6 +31,12 @@ from distress_lda.dataset import load_panels
 from panel_csv import serialize_panel
 
 HEADER = "bank,year,eaa,roae,roaa,nii,laaa,bdtla"
+
+
+def _group_sizes(ts) -> tuple[int, int]:
+    """(bankrupt, nonbankrupt) counted from the samples' labels, which a training set alone holds."""
+    n0 = sum(s.label is GroupLabel.BANKRUPT for s in ts.samples)
+    return n0, len(ts.samples) - n0
 
 
 def _panel(*rows: str) -> str:
@@ -343,6 +355,21 @@ class TestRatioVector:
         with pytest.raises(ValueError, match="'roae'"):
             RatioVector(0.1, float("nan"), 0.3, 0.4, 0.5, 0.6)
 
+    @pytest.mark.parametrize("value", ["0.1", None, 1j, 10**400, [0.1]], ids=["str", "None", "complex", "10**400", "list"])
+    @pytest.mark.parametrize("at", [0, 3])
+    def test_rejects_what_is_no_float(self, value, at):
+        """A value math.isfinite cannot read, such as a str or an int past float
+        range, is refused as a ValueError naming its ratio, like a non-finite one,
+        also behind a ratio that is not finite."""
+        values = [0.1] * 6
+        values[at] = value
+        message = "^" + re.escape(f"ratio {VARIABLES[at]!r} must be a real number in float range, got {value!r}") + "$"
+        with pytest.raises(ValueError, match=message):
+            RatioVector(*values)
+        values[5] = math.inf
+        with pytest.raises(ValueError, match=message):
+            RatioVector(*values)
+
     def test_array_round_trip(self):
         v = RatioVector(0.1, -0.2, 0.3, 0.4, 1.5, 0.6)
         assert RatioVector(*v) == v
@@ -401,8 +428,7 @@ class TestTrainingSetAssembly:
             LabeledSample("H6", _vec(0.8), GroupLabel.NONBANKRUPT),
         ]
         ts = build_training_set(samples)
-        assert (ts.n0, ts.n1) == (2, 6)
-        assert ts.n0 + ts.n1 == len(ts.samples)
+        assert _group_sizes(ts) == (2, 6)
         assert [s.bank_id for s in ts.samples] == ["B1", "H1", "B2", "H2", "H3", "H4", "H5", "H6"]
 
     def test_single_member_group_rejected(self):
@@ -425,7 +451,7 @@ class TestTrainingSetAssembly:
             LabeledSample(f"H{i}", _vec(1 + i), GroupLabel.NONBANKRUPT) for i in range(5)
         ]
         ts = build_training_set(samples)
-        assert (ts.n0, ts.n1) == (3, 5)
+        assert _group_sizes(ts) == (3, 5)
         with pytest.raises(VariableCountError, match="6 variables exceed the limit of 5 for 7 samples"):
             build_training_set(samples[:-1])
 
@@ -455,7 +481,21 @@ class TestTrainingSetAssembly:
             training_set_from_panel(records, {})
 
     def test_bundled_panel_shape(self, training_set):
-        assert (training_set.n0, training_set.n1) == (2, 12)
+        assert _group_sizes(training_set) == (2, 12)
+
+    def test_a_training_set_takes_no_counts(self, training_set):
+        """Counts given beside the samples could contradict them, as 7/7 would the
+        bundled panel's 2/12: a training set holds its samples alone."""
+        assert TrainingSet.__match_args__ == ("samples",)
+        with pytest.raises(TypeError, match="unexpected field 'n0'"):
+            TrainingSet(samples=training_set.samples, n0=7, n1=7)
+        with pytest.raises(TypeError, match="takes 1 fields but 3 were given"):
+            TrainingSet(training_set.samples, 7, 7)
+
+    def test_the_fit_counts_the_groups_of_the_samples(self, training_set):
+        normalized = normalize_training_set(fit_normalizer(training_set), TrainingSet(training_set.samples))
+        model = fit(normalized)
+        assert (model.n0, model.n1) == _group_sizes(normalized) == (2, 12)
 
     @pytest.mark.parametrize("label", [1, 0, True, "bankrupt", None])
     def test_a_sample_label_must_be_a_group_label(self, training_panel, label):

@@ -398,11 +398,7 @@ class TestFitProperties:
     def test_sample_order_irrelevant(self, normalized_set, fitted_model):
         from distress_lda import TrainingSet
 
-        reordered = TrainingSet(
-            samples=tuple(reversed(normalized_set.samples)),
-            n0=normalized_set.n0,
-            n1=normalized_set.n1,
-        )
+        reordered = TrainingSet(tuple(reversed(normalized_set.samples)))
         other = fit(reordered)
         for name in fitted_model.variables:
             assert other.coefficients[name] == pytest.approx(

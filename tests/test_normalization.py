@@ -1,5 +1,6 @@
 """Pooled z-score normalization."""
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ def test_labels_and_order_preserved(normalized_set, training_set):
         s.bank_id for s in training_set.samples
     ]
     assert [s.label for s in normalized_set.samples] == [s.label for s in training_set.samples]
-    assert (normalized_set.n0, normalized_set.n1) == (training_set.n0, training_set.n1)
+    assert Counter(s.label for s in normalized_set.samples) == {GroupLabel.BANKRUPT: 2, GroupLabel.NONBANKRUPT: 12}
 
 
 def test_constant_variable_rejected():
@@ -75,7 +76,7 @@ def test_fewer_than_two_samples_rejected(n):
     one would divide by zero, and none leaves no mean."""
     samples = (LabeledSample("bank0", RatioVector(0.1, 0.2, 0.3, 0.4, 0.5, 0.6), GroupLabel.BANKRUPT),)[:n]
     with pytest.raises(InsufficientGroupError, match=f"^normalization needs at least 2 samples, got {n}$"):
-        fit_normalizer(TrainingSet(samples=samples, n0=n, n1=0))
+        fit_normalizer(TrainingSet(samples))
 
 
 def test_tiny_spread_is_not_called_constant():
@@ -125,7 +126,7 @@ def test_apply_uses_frozen_moments():
         sd={k: 2.0 for k in ("eaa", "roae", "roaa", "nii", "laaa", "bdtla")},
     )
     sample = LabeledSample("bank0", RatioVector(1.0, 3.0, 5.0, 0.0, -1.0, 2.0), GroupLabel.BANKRUPT)
-    [(_, z, _)] = normalize_training_set(stats, TrainingSet(samples=(sample,), n0=1, n1=0)).samples
+    [(_, z, _)] = normalize_training_set(stats, TrainingSet((sample,))).samples
     assert z == RatioVector(0.0, 1.0, 2.0, -0.5, -1.0, 0.5)
 
 
@@ -134,7 +135,7 @@ def test_z_score_past_float_range_rejected():
     stats = NormalizationStats(mean=dict.fromkeys(VARIABLES, 0.0), sd={**dict.fromkeys(VARIABLES, 1.0), "nii": 1e-10})
     sample = LabeledSample("bank0", RatioVector(0.1, 0.2, 0.3, 1e300, 0.5, 0.6), GroupLabel.BANKRUPT)
     with pytest.raises(ValueError, match="^ratio 'nii' must be finite, got inf$"):
-        normalize_training_set(stats, TrainingSet(samples=(sample,), n0=1, n1=0))
+        normalize_training_set(stats, TrainingSet((sample,)))
 
 
 def test_stats_validation():

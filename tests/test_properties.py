@@ -505,8 +505,7 @@ def fisher_cases(draw):
     )
     rows = draw(st.lists(st.tuples(ratio_rows, st.sampled_from(GroupLabel)), min_size=1, max_size=8))
     samples = tuple(LabeledSample(f"B{k}", RatioVector(*row), label) for k, (row, label) in enumerate(rows))
-    n0 = sum(label is GroupLabel.BANKRUPT for _, label in rows)
-    return replace(REFERENCE_MODEL, fisher=fisher), TrainingSet(samples=samples, n0=n0, n1=len(samples) - n0)
+    return replace(REFERENCE_MODEL, fisher=fisher), TrainingSet(samples)
 
 
 @SETTINGS

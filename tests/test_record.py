@@ -45,7 +45,7 @@ CASES = [
     (RatioVector, astuple(RATIOS), "bdtla", 0.07),
     (BankYearRecord, ("Alpha", 2015, RATIOS, True), "available", False),
     (LabeledSample, astuple(SAMPLE), "label", GroupLabel.NONBANKRUPT),
-    (TrainingSet, ((SAMPLE,), 1, 0), "n1", 2),
+    (TrainingSet, ((SAMPLE,),), "samples", (SAMPLE, SAMPLE)),
     (FisherFunctions, astuple(MODEL.fisher), "constants", {"bankrupt": 0.0, "nonbankrupt": 0.0}),
     (DiscriminantModel, astuple(MODEL), "constant", 1.0),
     (NormalizationStats, astuple(STATS), "mean", dict.fromkeys(STATS.mean, 0.0)),
